@@ -328,7 +328,8 @@ void AskforCore::complete() {
   monitor_->release();
 }
 
-void AskforCore::rearm_for(std::uint32_t gen) {
+void AskforCore::rearm_for(std::uint32_t gen,
+                           const std::function<void()>& clear_tasks) {
   if (seen_generation_.load(std::memory_order_acquire) == gen) return;
   monitor_->acquire();
   if (seen_generation_.load(std::memory_order_relaxed) != gen) {
@@ -351,6 +352,9 @@ void AskforCore::rearm_for(std::uint32_t gen) {
       central_count_.store(0, std::memory_order_release);
       inflight_.store(0, std::memory_order_release);
     }
+    // Tokens index the caller's task storage: both reset together, so a
+    // racing first put() of this entry lands after the clear.
+    clear_tasks();
     probend_.store(false, std::memory_order_release);
     ended_.store(false, std::memory_order_release);
     seen_generation_.store(gen, std::memory_order_release);

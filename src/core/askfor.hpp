@@ -107,10 +107,11 @@ class AskforCore {
   /// Re-arms the monitor for force-entry generation `gen`: a pooled team
   /// re-enters the same force (and so the same construct sites) many
   /// times, and the drained/probend latch must reset per entry. Leftover
-  /// tokens of an aborted episode are discarded. No-op once the monitor
-  /// has seen `gen`; must only run at episode boundaries (no worker
-  /// inside ask()/complete()).
-  void rearm_for(std::uint32_t gen);
+  /// tokens of an aborted episode are discarded, and `clear_tasks` drops
+  /// the caller's task storage in the same monitor pass, before the new
+  /// generation is published. No-op once the monitor has seen `gen`; must
+  /// only run at episode boundaries (no worker inside ask()/complete()).
+  void rearm_for(std::uint32_t gen, const std::function<void()>& clear_tasks);
 
   [[nodiscard]] bool ended() const;
   [[nodiscard]] std::size_t granted() const;
@@ -277,8 +278,7 @@ class Askfor {
 
   /// Pooled teams re-enter the same force over long-lived construct sites:
   /// the first put/work/probend of a new force entry resets the previous
-  /// entry's drained/probend latch. Tasks in tasks_ stay (grow-only
-  /// storage invariant); only the dispatch state re-arms.
+  /// entry's drained/probend latch and drops its tasks.
   void maybe_rearm() {
     if (ring_ != nullptr) {
       // The engine decides what re-arming means on its substrate (the
@@ -286,7 +286,7 @@ class Askfor {
       ring_->rearm(env_->run_generation());
       return;
     }
-    core_->rearm_for(env_->run_generation());
+    core_->rearm_for(env_->run_generation(), clear_tasks_);
   }
 
   std::size_t work_ring(const std::function<void(T&, Askfor<T>&)>& body) {
@@ -317,13 +317,18 @@ class Askfor {
   /// (put() may be called while the caller does not hold it), and a plain
   /// mutex suffices: this is task *storage*, not dispatch.
   std::mutex guard_;
-  /// Task storage. INVARIANT: tasks_ is a std::deque and only ever grows
-  /// (push_back; never erase/clear/pop while workers run), so a reference
-  /// obtained from tasks_[token] stays valid for the task's whole
-  /// execution even while other threads put() concurrently - deque growth
-  /// never relocates existing elements. Replacing the container or adding
-  /// removal would break every outstanding `T&` held by worker bodies.
+  /// Task storage. INVARIANT: tasks_ is a std::deque and only grows
+  /// within a force entry (push_back; never erase/pop while workers run),
+  /// so a reference obtained from tasks_[token] stays valid for the task's
+  /// whole execution even while other threads put() concurrently - deque
+  /// growth never relocates existing elements. It is cleared only by the
+  /// re-arm of the next entry, when no worker holds a `T&`.
   std::deque<T> tasks_;
+  /// Runs inside the re-arm's monitor pass.
+  const std::function<void()> clear_tasks_ = [this] {
+    std::lock_guard<std::mutex> g(guard_);
+    tasks_.clear();
+  };
 };
 
 }  // namespace force::core

@@ -8,31 +8,21 @@
 //   Void    - forces the state to empty regardless of its previous state;
 //   Isfull  - tests the state.
 //
-// Two implementations, selected by the machine model:
-//
-//   * the generic two-lock scheme from §4.2, used on every machine except
-//     the HEP: locks E and F, where empty == (E locked, F unlocked) and
-//     full == (F locked, E unlocked).
-//         Produce: Lock F;  write;  Unlock E.
-//         Consume: Lock E;  read;   Unlock F.
-//     Note the cross-thread unlock: this is why Force locks are binary
-//     semaphores, not mutexes.
-//
-//   * the HEP hardware path: one tagged memory cell. Payloads of at most
-//     one word are stored *in* the cell (bit-cast), exactly as on the real
-//     machine; wider payloads sit beside the cell and are moved inside its
-//     busy window.
+// In-process variables move their payload through one machdep
+// FullEmptyGate: the HEP's tagged cell, or the §4.2 E/F lock pair on every
+// other machine (machdep/fullempty.hpp). Every operation is written once as
+// seize -> sentry hooks -> move payload -> publish. Separate-process
+// backends instead hand out a cell engine keyed by the label.
 #pragma once
 
-#include <bit>
-#include <cstring>
 #include <memory>
+#include <string>
 #include <type_traits>
 
 #include "core/env.hpp"
 #include "core/sentry.hpp"
 #include "machdep/backend.hpp"
-#include "machdep/hepcell.hpp"
+#include "machdep/fullempty.hpp"
 #include "machdep/locks.hpp"
 #include "util/check.hpp"
 
@@ -43,39 +33,15 @@ class Async {
   static_assert(std::is_default_constructible_v<T>,
                 "async payloads must be default constructible");
 
-  /// True when the payload fits inside one HEP tagged cell.
-  static constexpr bool kInCell =
-      std::is_trivially_copyable_v<T> && sizeof(T) <= sizeof(std::uint64_t);
-
  public:
   /// Creates the variable in the *empty* state (like Void at startup).
   /// `label` names the variable in sentry reports.
   explicit Async(ForceEnvironment& env, std::string label = "async")
-      : env_(&env), sentry_(env.sentry()), label_(std::move(label)) {
-    // Both per-process schemes below (lock pair + value_ member, HEP cell +
-    // value_ member) keep the payload in this object, which a sibling
-    // address space cannot see. Separate-process backends hand out a cell
-    // engine keyed by the label instead (labels are construct-unique:
-    // sites, names, array elements); the payload then crosses by memcpy,
-    // which is why those backends reject non-trivially-copyable types.
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      cell_engine_ = env.backend().make_async_cell(label_, sizeof(T),
-                                                   alignof(T));
-    } else {
-      // Null engine + supported capability = the in-process schemes below;
-      // backends that cannot memcpy the payload across reject here.
-      env.require(machdep::Capability::kNonTrivialPayloads, "Async payload",
-                  label_);
-    }
-    if (cell_engine_ != nullptr) return;
-    hardware_ = env.machine().spec().hardware_full_empty;
-    if (!hardware_) {
-      lock_e_ = env.new_lock(machdep::LockRole::kSemaphore, label_ + ".E");
-      lock_f_ = env.new_lock(machdep::LockRole::kSemaphore, label_ + ".F");
-      void_guard_ = env.new_lock(machdep::LockRole::kMutex, label_ + ".void");
-      lock_e_->acquire();  // empty: E locked, F unlocked
-    }
-  }
+      : env_(&env),
+        sentry_(env.sentry()),
+        label_(std::move(label)),
+        cell_engine_(make_cell_engine(env, label_)),
+        gate_(make_gate(env, label_, cell_engine_ == nullptr)) {}
 
   Async(const Async&) = delete;
   Async& operator=(const Async&) = delete;
@@ -87,184 +53,49 @@ class Async {
       cell_engine_->produce(&v);
       return;
     }
-    if (hardware_) {
-      if (sentry_ != nullptr) {
-        // Sentry mode always uses the wide-payload busy-window protocol so
-        // the hooks sit inside the exclusion window the cell guarantees.
-        {
-          Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kProduce, this,
-                               label_);
-          cell_.seize_empty();
-        }
-        sentry_->channel_enter(this, /*is_write=*/true, "Produce");
-        value_ = v;
-        sentry_->channel_exit(this);
-        cell_.publish_full();
-      } else if constexpr (kInCell) {
-        cell_.produce(encode(v));
-      } else {
-        cell_.seize_empty();
-        value_ = v;
-        cell_.publish_full();
-      }
-    } else {
-      if (sentry_ != nullptr) {
-        {
-          Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kProduce, this,
-                               label_);
-          lock_f_->acquire();
-        }
-        sentry_->channel_enter(this, /*is_write=*/true, "Produce");
-        value_ = v;
-        sentry_->channel_exit(this);
-      } else {
-        lock_f_->acquire();
-        value_ = v;
-      }
-      full_.store(true, std::memory_order_release);
-      lock_e_->release();
-    }
+    seize(Sentry::WaitKind::kProduce, [this] { gate_.seize_empty(); });
+    store(v, "Produce");
+    gate_.publish_full();
   }
 
   /// Waits for full, reads, leaves empty.
   T consume() {
     env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
+    T v{};
     if (cell_engine_ != nullptr) {
-      T v{};
       cell_engine_->consume(&v);
       return v;
     }
-    if (hardware_) {
-      if (sentry_ != nullptr) {
-        {
-          Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kConsume, this,
-                               label_);
-          cell_.seize_full();
-        }
-        sentry_->channel_enter(this, /*is_write=*/false, "Consume");
-        T v = value_;
-        sentry_->channel_exit(this);
-        cell_.publish_empty();
-        return v;
-      }
-      if constexpr (kInCell) {
-        return decode(cell_.consume());
-      } else {
-        cell_.seize_full();
-        T v = value_;
-        cell_.publish_empty();
-        return v;
-      }
-    }
-    if (sentry_ != nullptr) {
-      {
-        Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kConsume, this,
-                             label_);
-        lock_e_->acquire();
-      }
-      sentry_->channel_enter(this, /*is_write=*/false, "Consume");
-      T v = value_;
-      sentry_->channel_exit(this);
-      full_.store(false, std::memory_order_release);
-      lock_f_->release();
-      return v;
-    }
-    lock_e_->acquire();
-    T v = value_;
-    full_.store(false, std::memory_order_release);
-    lock_f_->release();
+    seize(Sentry::WaitKind::kConsume, [this] { gate_.seize_full(); });
+    load(&v, "Consume");
+    gate_.publish_empty();
     return v;
   }
 
-  /// Waits for full, reads, leaves full (the Force Copy access).
+  /// Waits for full, reads, leaves full (the Force Copy access). On the
+  /// lock gate this holds E throughout, so a concurrent producer (which
+  /// needs F, locked while full) cannot interleave.
   T copy() {
+    T v{};
     if (cell_engine_ != nullptr) {
-      T v{};
       cell_engine_->copy(&v);
       return v;
     }
-    if (hardware_) {
-      if (sentry_ != nullptr) {
-        {
-          Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kConsume, this,
-                               label_);
-          cell_.seize_full();
-        }
-        sentry_->channel_enter(this, /*is_write=*/false, "Copy");
-        T v = value_;
-        sentry_->channel_exit(this);
-        cell_.publish_full();
-        return v;
-      }
-      if constexpr (kInCell) {
-        return decode(cell_.copy());
-      } else {
-        cell_.seize_full();
-        T v = value_;
-        cell_.publish_full();
-        return v;
-      }
-    }
-    // Software path: momentarily consume and re-produce under E so that a
-    // concurrent producer cannot interleave (it needs F, which stays
-    // locked throughout).
-    if (sentry_ != nullptr) {
-      {
-        Sentry::WaitScope ws(sentry_, Sentry::WaitKind::kConsume, this,
-                             label_);
-        lock_e_->acquire();
-      }
-      sentry_->channel_enter(this, /*is_write=*/false, "Copy");
-      T v = value_;
-      sentry_->channel_exit(this);
-      lock_e_->release();
-      return v;
-    }
-    lock_e_->acquire();
-    T v = value_;
-    lock_e_->release();
+    seize(Sentry::WaitKind::kConsume, [this] { gate_.seize_full(); });
+    load(&v, "Copy");
+    gate_.publish_full();
     return v;
   }
 
   /// Non-blocking produce; true on success.
   bool try_produce(const T& v) {
     if (cell_engine_ != nullptr) {
-      const bool ok = cell_engine_->try_produce(&v);
-      if (ok) env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
-      return ok;
-    }
-    if (hardware_) {
-      if (sentry_ != nullptr) {
-        if (!cell_.try_seize_empty()) return false;
-        sentry_->channel_enter(this, /*is_write=*/true, "Produce");
-        value_ = v;
-        sentry_->channel_exit(this);
-        cell_.publish_full();
-        env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      if constexpr (kInCell) {
-        const bool ok = cell_.try_produce(encode(v));
-        if (ok) env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
-        return ok;
-      } else {
-        if (!cell_.try_seize_empty()) return false;
-        value_ = v;
-        cell_.publish_full();
-        env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    if (!lock_f_->try_acquire()) return false;
-    if (sentry_ != nullptr) {
-      sentry_->channel_enter(this, /*is_write=*/true, "Produce");
-      value_ = v;
-      sentry_->channel_exit(this);
+      if (!cell_engine_->try_produce(&v)) return false;
     } else {
-      value_ = v;
+      if (!gate_.try_seize_empty()) return false;
+      store(v, "Produce");
+      gate_.publish_full();
     }
-    full_.store(true, std::memory_order_release);
-    lock_e_->release();
     env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -273,42 +104,12 @@ class Async {
   bool try_consume(T* out) {
     FORCE_CHECK(out != nullptr, "try_consume needs an output slot");
     if (cell_engine_ != nullptr) {
-      const bool ok = cell_engine_->try_consume(out);
-      if (ok) env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
-      return ok;
-    }
-    if (hardware_) {
-      if (sentry_ != nullptr) {
-        if (!cell_.try_seize_full()) return false;
-        sentry_->channel_enter(this, /*is_write=*/false, "Consume");
-        *out = value_;
-        sentry_->channel_exit(this);
-        cell_.publish_empty();
-        env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      if constexpr (kInCell) {
-        std::uint64_t bits;
-        if (!cell_.try_consume(&bits)) return false;
-        *out = decode(bits);
-      } else {
-        if (!cell_.try_seize_full()) return false;
-        *out = value_;
-        cell_.publish_empty();
-      }
-      env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    if (!lock_e_->try_acquire()) return false;
-    if (sentry_ != nullptr) {
-      sentry_->channel_enter(this, /*is_write=*/false, "Consume");
-      *out = value_;
-      sentry_->channel_exit(this);
+      if (!cell_engine_->try_consume(out)) return false;
     } else {
-      *out = value_;
+      if (!gate_.try_seize_full()) return false;
+      load(out, "Consume");
+      gate_.publish_empty();
     }
-    full_.store(false, std::memory_order_release);
-    lock_f_->release();
     env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -323,19 +124,8 @@ class Async {
     }
     // Void gives no exclusion window over the payload, so the sentry only
     // joins clocks (channel_sync), it does not record a payload access.
-    if (hardware_) {
-      if (sentry_ != nullptr) sentry_->channel_sync(this);
-      cell_.make_empty();
-      return;
-    }
-    void_guard_->acquire();
     if (sentry_ != nullptr) sentry_->channel_sync(this);
-    if (full_.load(std::memory_order_acquire)) {
-      lock_e_->acquire();  // consume the token without reading the value
-      full_.store(false, std::memory_order_release);
-      lock_f_->release();
-    }
-    void_guard_->release();
+    gate_.make_empty();
   }
 
   /// Tests the state (Force's Isfull). Inherently a snapshot.
@@ -343,44 +133,85 @@ class Async {
     // Backends without the isfull capability throw the uniform capability
     // diagnostic from inside their engine.
     if (cell_engine_ != nullptr) return cell_engine_->is_full();
-    if (hardware_) return cell_.is_full();
-    return full_.load(std::memory_order_acquire);
+    return gate_.is_full();
   }
 
-  /// True if this variable uses the HEP tagged-cell path.
-  [[nodiscard]] bool uses_hardware_path() const { return hardware_; }
-  /// True if the payload lives inside the tagged cell itself.
-  [[nodiscard]] static constexpr bool payload_in_cell() { return kInCell; }
+  /// True if this variable uses the HEP tagged-cell gate.
+  [[nodiscard]] bool uses_hardware_path() const {
+    return cell_engine_ == nullptr && gate_.hardware();
+  }
 
  private:
-  static std::uint64_t encode(const T& v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(T));
-    return bits;
+  /// Separate-process backends hand out a cell engine keyed by the label
+  /// (labels are construct-unique: sites, names, array elements); the
+  /// payload then crosses by memcpy, which is why those backends reject
+  /// non-trivially-copyable types. Null on the thread backend.
+  static std::unique_ptr<machdep::AsyncCell> make_cell_engine(
+      ForceEnvironment& env, const std::string& label) {
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      return env.backend().make_async_cell(label, sizeof(T), alignof(T));
+    } else {
+      env.require(machdep::Capability::kNonTrivialPayloads, "Async payload",
+                  label);
+      return nullptr;
+    }
   }
-  static T decode(std::uint64_t bits) {
-    T v{};
-    std::memcpy(&v, &bits, sizeof(T));
-    return v;
+
+  /// The machine's full/empty expansion. A variable backed by a cell
+  /// engine never touches its gate, so it gets the lock-free one.
+  static machdep::FullEmptyGate make_gate(ForceEnvironment& env,
+                                          const std::string& label,
+                                          bool in_process) {
+    if (!in_process || env.machine().spec().hardware_full_empty) {
+      return machdep::FullEmptyGate();
+    }
+    return machdep::FullEmptyGate(
+        env.new_lock(machdep::LockRole::kSemaphore, label + ".E"),
+        env.new_lock(machdep::LockRole::kSemaphore, label + ".F"),
+        env.new_lock(machdep::LockRole::kMutex, label + ".void"));
+  }
+
+  /// Runs a blocking gate seize; with the sentry on, the wait is
+  /// registered so the watchdog can report a stalled Produce/Consume.
+  template <typename Seize>
+  void seize(Sentry::WaitKind kind, const Seize& seize_gate) {
+    if (sentry_ == nullptr) {
+      seize_gate();
+      return;
+    }
+    Sentry::WaitScope ws(sentry_, kind, this, label_);
+    seize_gate();
+  }
+
+  /// Payload moves inside an open window; the sentry records the access.
+  void store(const T& v, const char* op) {
+    if (sentry_ == nullptr) {
+      value_ = v;
+      return;
+    }
+    sentry_->channel_enter(this, /*is_write=*/true, op);
+    value_ = v;
+    sentry_->channel_exit(this);
+  }
+  void load(T* out, const char* op) {
+    if (sentry_ == nullptr) {
+      *out = value_;
+      return;
+    }
+    sentry_->channel_enter(this, /*is_write=*/false, op);
+    *out = value_;
+    sentry_->channel_exit(this);
   }
 
   ForceEnvironment* env_;
   Sentry* sentry_;  // null when validation is off (the usual case)
-  bool hardware_ = false;
   std::string label_;
   // Separate-process backends: the full/empty state and payload live in
   // one backend cell engine keyed by label_ (an arena blob under os-fork,
   // the coordinator's cell table under cluster). Null on the thread
-  // backend, which keeps the in-process schemes below.
+  // backend, which moves value_ through gate_.
   std::unique_ptr<machdep::AsyncCell> cell_engine_;
-  // Software scheme state:
-  std::unique_ptr<machdep::BasicLock> lock_e_;
-  std::unique_ptr<machdep::BasicLock> lock_f_;
-  std::unique_ptr<machdep::BasicLock> void_guard_;
-  std::atomic<bool> full_{false};
-  // Hardware scheme state:
-  machdep::HepCell cell_;
-  // Payload (software scheme, or hardware scheme with wide payloads):
+  machdep::FullEmptyGate gate_;
   T value_{};
 };
 

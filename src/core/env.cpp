@@ -156,13 +156,7 @@ ForceEnvironment::ForceEnvironment(ForceConfig config)
   // freeze at fork. Null means the per-process counter below suffices.
   run_gen_shm_ = backend_->shared_run_generation_word();
   // Last: the barrier's locks may be ObservedLocks referencing sentry_.
-  std::unique_ptr<machdep::BarrierEngine> global_engine =
-      backend_->make_team_barrier(config_.nproc, "%force/global");
-  global_barrier_ =
-      global_engine != nullptr
-          ? std::make_unique<EngineBarrier>(config_.nproc,
-                                            std::move(global_engine))
-          : make_barrier(config_.nproc);
+  global_barrier_ = make_team_barrier(config_.nproc, "%force/global");
 }
 
 // Out of line so BarrierAlgorithm/Sentry can stay incomplete in the header.
@@ -228,6 +222,14 @@ std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_barrier(
   require(machdep::Capability::kThreadBarrierAlgorithms,
           "thread barrier algorithms", "");
   return make_barrier_algorithm(algorithm, *this, width);
+}
+
+std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_team_barrier(
+    int width, const std::string& key) {
+  std::unique_ptr<machdep::BarrierEngine> engine =
+      backend_->make_team_barrier(width, key);
+  if (engine == nullptr) return make_barrier(width);
+  return std::make_unique<EngineBarrier>(width, std::move(engine));
 }
 
 std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_process_shared_barrier(

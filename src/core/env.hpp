@@ -244,6 +244,12 @@ class ForceEnvironment {
   std::unique_ptr<BarrierAlgorithm> make_barrier(int width,
                                                  const std::string& algorithm);
 
+  /// The team barrier at `key`: the backend's keyed barrier engine where
+  /// one exists (every address space that resolves the key meets at the
+  /// same barrier), otherwise a barrier with the configured algorithm.
+  std::unique_ptr<BarrierAlgorithm> make_team_barrier(int width,
+                                                      const std::string& key);
+
   /// Arena-resident barrier for `width` processes at a deterministic key;
   /// the only barrier that spans os-fork processes. The key makes lazy
   /// construction race-free: every process that resolves the same key

@@ -14,6 +14,11 @@
 // Both return the reduced value to every process (allreduce semantics),
 // and both are reusable across episodes. The ablation bench (E2b in
 // EXPERIMENTS.md) contrasts their traffic.
+//
+// kCritical is built only from lower-level pieces every backend provides:
+// a keyed CriticalSection, a keyed team barrier and an arena blob, so one
+// path runs on every process model. kTournament needs per-process slots in
+// one address space; elsewhere it quietly runs kCritical.
 #pragma once
 
 #include <atomic>
@@ -43,31 +48,32 @@ enum class ReduceStrategy {
 template <typename T>
 class Reduction {
  public:
-  /// `key` is the construct's stable site key; separate-process backends
-  /// key the site's engine state (accumulator, arrival count, result) by
-  /// it (thread backends keep them as members, and only use the key to
-  /// label the critical section in sentry reports).
+  /// `key` is the construct's stable site key. It names the critical
+  /// section's lock ("reduce@<key>"), the team barrier and the arena blob
+  /// that holds the critical idiom's state, so every address space that
+  /// reaches the same site meets the same lock, barrier and state.
   Reduction(ForceEnvironment& env, int width,
             const std::string& key = "reduce")
       : width_(width) {
-    // A backend reduction engine runs the faithful critical idiom across
-    // its address spaces: accumulate under a keyed lock, champion snapshot
-    // at the keyed barrier. The payload crosses by memcpy, so backends
-    // that hand out engines reject non-trivially-copyable types.
     if constexpr (std::is_trivially_copyable_v<T>) {
-      site_ = env.backend().make_reduction_site(key, width_, sizeof(T),
-                                                alignof(T));
+      state_ = &env.arena().get_or_create<State>("%reduce/" + key);
     } else {
-      // Null engine + supported capability = the thread shapes below.
+      // Only backends that share one address space accept such payloads,
+      // so the state may live in this object.
       env.require(machdep::Capability::kNonTrivialPayloads,
                   "Reduction payload", key);
+      owned_state_ = std::make_unique<State>();
+      state_ = owned_state_.get();
     }
-    if (site_ != nullptr) return;
     critical_ = std::make_unique<CriticalSection>(env, "reduce@" + key);
-    barrier_ = env.make_barrier(width);
-    // vector(count) rather than resize(): Slot holds an atomic, so it is
-    // not MoveInsertable, which resize() formally requires.
-    slots_ = std::vector<Slot>(static_cast<std::size_t>(width));
+    barrier_ = env.make_team_barrier(width, "%reduce/" + key + "/barrier");
+    // The tournament's per-process slots cannot cross address spaces; on
+    // the other backends kTournament runs the critical idiom instead.
+    if (env.supports(machdep::Capability::kThreadBarrierAlgorithms)) {
+      // vector(count) rather than resize(): Slot holds an atomic, so it is
+      // not MoveInsertable, which resize() formally requires.
+      slots_ = std::vector<Slot>(static_cast<std::size_t>(width));
+    }
   }
 
   /// Contributes `local` and returns the combined value of all width
@@ -77,48 +83,39 @@ class Reduction {
   T allreduce(int me0, const T& local, const std::function<T(T, T)>& combine,
               ReduceStrategy strategy, T* shared_target = nullptr) {
     FORCE_CHECK(me0 >= 0 && me0 < width_, "bad reduce process id");
-    if (site_ != nullptr) {
-      // The tournament's per-process slots cannot cross address spaces;
-      // the engine runs the faithful critical idiom regardless of the
-      // requested strategy.
-      const machdep::ReductionSite::Combine fold =
-          [&combine](void* acc, const void* contribution) {
-            T* a = static_cast<T*>(acc);
-            *a = combine(*a, *static_cast<const T*>(contribution));
-          };
-      // Raw storage: the engine's result memcpy fully initializes it.
-      alignas(T) unsigned char raw[sizeof(T)];
-      site_->allreduce(me0, &local, raw, shared_target, fold);
-      return *reinterpret_cast<T*>(raw);
+    if (strategy == ReduceStrategy::kTournament && !slots_.empty()) {
+      return allreduce_tournament(me0, local, combine, shared_target);
     }
-    if (strategy == ReduceStrategy::kCritical) {
-      return allreduce_critical(me0, local, combine, shared_target);
-    }
-    return allreduce_tournament(me0, local, combine, shared_target);
+    return allreduce_critical(me0, local, combine, shared_target);
   }
 
  private:
+  /// The critical idiom's episode state. The arrival count comes first so
+  /// os-fork death recovery can zero it without knowing T.
+  struct State {
+    std::uint32_t arrived = 0;  // guarded by critical_
+    T acc{};                    // guarded by critical_
+    T result{};                 // written by the barrier section
+  };
+
   T allreduce_critical(int me0, const T& local,
                        const std::function<T(T, T)>& combine,
                        T* shared_target) {
+    State& s = *state_;
     critical_->enter([&] {
-      if (arrived_ == 0) {
-        accumulator_ = local;
-      } else {
-        accumulator_ = combine(accumulator_, local);
-      }
-      ++arrived_;
+      s.acc = s.arrived == 0 ? local : combine(s.acc, local);
+      ++s.arrived;
     });
     // The barrier section snapshots the total and re-arms the episode
     // while every process is parked - no second barrier needed. A shared
     // target is written here, by the single section executor, so the
     // store is race-free and visible to everyone leaving the barrier.
-    barrier_->arrive(me0, [this, shared_target] {
-      result_ = accumulator_;
-      arrived_ = 0;
-      if (shared_target != nullptr) *shared_target = result_;
+    barrier_->arrive(me0, [&s, shared_target] {
+      s.result = s.acc;
+      s.arrived = 0;
+      if (shared_target != nullptr) *shared_target = s.result;
     });
-    return result_;
+    return s.result;
   }
 
   T allreduce_tournament(int me0, const T& local,
@@ -148,9 +145,9 @@ class Reduction {
     }
     if (me0 == 0) {
       mine.combined.store(ep, std::memory_order_release);
-      result_ = mine.value;
+      state_->result = mine.value;
       // Single-writer point: the champion holds the only complete value.
-      if (shared_target != nullptr) *shared_target = result_;
+      if (shared_target != nullptr) *shared_target = mine.value;
       broadcast_.store(ep, std::memory_order_release);
       broadcast_.notify_all();
     } else {
@@ -159,7 +156,7 @@ class Reduction {
     // A trailing barrier keeps the episode reusable: nobody may overwrite
     // its slot while a parent could still read it.
     barrier_->arrive(me0);
-    return result_;
+    return state_->result;
   }
 
   static void wait_for(const std::atomic<std::uint64_t>& flag,
@@ -189,16 +186,11 @@ class Reduction {
   };
 
   int width_;
-  std::unique_ptr<CriticalSection> critical_;  // thread backend only
-  std::unique_ptr<BarrierAlgorithm> barrier_;  // thread backend only
-  /// Backend reduction engine; null on the thread backend, which keeps
-  /// the two strategy shapes below.
-  std::unique_ptr<machdep::ReductionSite> site_;
-  std::vector<Slot> slots_;
-  // kCritical state (guarded by critical_ / published by the barrier):
-  T accumulator_{};
-  int arrived_ = 0;
-  T result_{};
+  State* state_ = nullptr;  // arena blob, or owned_state_
+  std::unique_ptr<State> owned_state_;
+  std::unique_ptr<CriticalSection> critical_;
+  std::unique_ptr<BarrierAlgorithm> barrier_;
+  std::vector<Slot> slots_;  // kTournament; empty where it cannot run
   std::atomic<std::uint64_t> broadcast_{0};
 };
 

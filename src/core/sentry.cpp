@@ -296,13 +296,13 @@ void Sentry::channel_sync(const void* chan) {
 // ---------------------------------------------------------------------------
 
 std::uint64_t Sentry::register_wait_locked(WaitKind kind, const void* resource,
-                                           std::string label) {
+                                           const std::string& label) {
   const std::uint64_t token = next_wait_token_++;
   WaitRecord rec;
   rec.slot = calling_slot();
   rec.kind = kind;
   rec.resource = resource;
-  rec.label = std::move(label);
+  rec.label = label;
   rec.since = std::chrono::steady_clock::now();
   if (rec.slot >= 0) {
     slots_[static_cast<std::size_t>(rec.slot)].wait_token = token;
@@ -322,12 +322,12 @@ void Sentry::unregister_wait_locked(std::uint64_t token) {
 }
 
 Sentry::WaitScope::WaitScope(Sentry* sentry, WaitKind kind,
-                             const void* resource, std::string label)
+                             const void* resource, const std::string& label)
     : sentry_(sentry) {
   if (sentry_ == nullptr) return;
   sentry_->fuzz();
   std::lock_guard<std::mutex> g(sentry_->mu_);
-  token_ = sentry_->register_wait_locked(kind, resource, std::move(label));
+  token_ = sentry_->register_wait_locked(kind, resource, label);
 }
 
 Sentry::WaitScope::~WaitScope() {

@@ -138,7 +138,7 @@ class Sentry final : public machdep::LockObserver {
   class WaitScope {
    public:
     WaitScope(Sentry* sentry, WaitKind kind, const void* resource,
-              std::string label);
+              const std::string& label);
     ~WaitScope();
     WaitScope(const WaitScope&) = delete;
     WaitScope& operator=(const WaitScope&) = delete;
@@ -219,7 +219,7 @@ class Sentry final : public machdep::LockObserver {
   [[nodiscard]] bool order_path_locked(const void* from, const void* to,
                                        std::set<const void*>& seen) const;
   std::uint64_t register_wait_locked(WaitKind kind, const void* resource,
-                                     std::string label);
+                                     const std::string& label);
   void unregister_wait_locked(std::uint64_t token);
   void scan_for_stalls_locked();
   void scan_for_wait_cycles_locked();

@@ -5,7 +5,6 @@
 // champion sections) byte-for-byte from the former in-construct branches.
 #include "machdep/backend.hpp"
 
-#include <cstring>
 #include <new>
 
 #include "machdep/arena.hpp"
@@ -16,14 +15,6 @@
 #include "util/check.hpp"
 
 namespace force::machdep {
-
-namespace {
-
-std::size_t align_up(std::size_t offset, std::size_t align) {
-  return (offset + align - 1) & ~(align - 1);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Process model names and parsing.
@@ -189,12 +180,6 @@ std::unique_ptr<AsyncCell> ExecutionBackend::make_async_cell(
   return nullptr;
 }
 
-std::unique_ptr<ReductionSite> ExecutionBackend::make_reduction_site(
-    const std::string& /*key*/, int /*width*/, std::size_t /*payload_bytes*/,
-    std::size_t /*payload_align*/) {
-  return nullptr;
-}
-
 std::unique_ptr<BarrierEngine> ExecutionBackend::make_team_barrier(
     int /*width*/, const std::string& /*key*/) {
   return nullptr;
@@ -222,10 +207,14 @@ void ExecutionBackend::reset_shared_sync_after_death() {
 
 namespace {
 
+/// Arena prefix of every keyed barrier, so death recovery finds them all.
+constexpr const char* kBarrierPrefix = "%barrier/";
+
 class ShmBarrierEngine final : public BarrierEngine {
  public:
   ShmBarrierEngine(SharedArena* arena, int width, const std::string& key)
-      : state_(&arena->get_or_create<shm::ShmBarrierState>(key)),
+      : state_(&arena->get_or_create<shm::ShmBarrierState>(kBarrierPrefix +
+                                                            key)),
         label_("barrier '" + key + "'"),
         width_(static_cast<std::uint32_t>(width)) {}
 
@@ -369,72 +358,6 @@ class ShmAsyncCell final : public AsyncCell {
   shm::ShmCellState* state_;
   unsigned char* payload_;
   std::string label_;
-  std::size_t bytes_;
-};
-
-class ShmReductionSite final : public ReductionSite {
- public:
-  ShmReductionSite(SharedArena* arena, const std::string& key, int width,
-                   std::size_t payload_bytes, std::size_t payload_align)
-      : label_("reduce '" + key + "'"),
-        width_(static_cast<std::uint32_t>(width)),
-        bytes_(payload_bytes) {
-    // Blob layout mirrors the former struct { ShmReduceHeader; T acc;
-    // T result; }: header first so death recovery can scrub the protocol
-    // words by prefix without knowing T.
-    const std::size_t acc_off =
-        align_up(sizeof(shm::ShmReduceHeader), payload_align);
-    const std::size_t result_off =
-        align_up(acc_off + payload_bytes, payload_align);
-    const std::size_t align =
-        payload_align > alignof(shm::ShmReduceHeader)
-            ? payload_align
-            : alignof(shm::ShmReduceHeader);
-    void* blob = arena->allocate_once(
-        "%reduce/" + key, result_off + payload_bytes, align,
-        VarClass::kShared, [result_off, payload_bytes](void* p) {
-          new (p) shm::ShmReduceHeader();
-          std::memset(static_cast<unsigned char*>(p) +
-                          sizeof(shm::ShmReduceHeader),
-                      0,
-                      result_off + payload_bytes -
-                          sizeof(shm::ShmReduceHeader));
-        });
-    hdr_ = static_cast<shm::ShmReduceHeader*>(blob);
-    acc_ = static_cast<unsigned char*>(blob) + acc_off;
-    result_ = static_cast<unsigned char*>(blob) + result_off;
-  }
-
-  void allreduce(int /*me0*/, const void* local, void* result_out,
-                 void* shared_target, const Combine& combine) override {
-    shm::note_site(label_.c_str());
-    shm::shm_lock_acquire(hdr_->lock);
-    if (hdr_->arrived == 0) {
-      std::memcpy(acc_, local, bytes_);
-    } else {
-      combine(acc_, local);
-    }
-    ++hdr_->arrived;
-    shm::shm_lock_release(hdr_->lock);
-    shm::shm_barrier_arrive(
-        hdr_->barrier, width_,
-        [this, shared_target] {
-          std::memcpy(result_, acc_, bytes_);
-          hdr_->arrived = 0;
-          if (shared_target != nullptr) {
-            std::memcpy(shared_target, result_, bytes_);
-          }
-        },
-        label_.c_str());
-    std::memcpy(result_out, result_, bytes_);
-  }
-
- private:
-  shm::ShmReduceHeader* hdr_;
-  unsigned char* acc_;
-  unsigned char* result_;
-  std::string label_;
-  std::uint32_t width_;
   std::size_t bytes_;
 };
 
@@ -613,62 +536,6 @@ class ClusterAsyncCell final : public AsyncCell {
   std::size_t bytes_;
 };
 
-class ClusterReductionSite final : public ReductionSite {
- public:
-  ClusterReductionSite(SharedArena* arena, const std::string& key, int width,
-                       std::size_t payload_bytes, std::size_t payload_align)
-      : lock_("reduce@" + key),
-        barrier_(width, "%reduce/" + key + "/barrier"),
-        bytes_(payload_bytes) {
-    // State travels through the DSM-coherent arena: the lock orders the
-    // accumulation (each release ships the dirty bytes), the barrier's
-    // episode release publishes the champion's snapshot.
-    const std::size_t acc_off = align_up(sizeof(std::int32_t), payload_align);
-    const std::size_t result_off =
-        align_up(acc_off + payload_bytes, payload_align);
-    const std::size_t align = payload_align > alignof(std::int32_t)
-                                  ? payload_align
-                                  : alignof(std::int32_t);
-    void* blob = arena->allocate_once(
-        "%reduce/" + key, result_off + payload_bytes, align,
-        VarClass::kShared, [result_off, payload_bytes](void* p) {
-          std::memset(p, 0, result_off + payload_bytes);
-        });
-    arrived_ = static_cast<std::int32_t*>(blob);
-    acc_ = static_cast<unsigned char*>(blob) + acc_off;
-    result_ = static_cast<unsigned char*>(blob) + result_off;
-  }
-
-  void allreduce(int me0, const void* local, void* result_out,
-                 void* shared_target, const Combine& combine) override {
-    lock_.acquire();
-    if (*arrived_ == 0) {
-      std::memcpy(acc_, local, bytes_);
-    } else {
-      combine(acc_, local);
-    }
-    ++*arrived_;
-    lock_.release();
-    const std::function<void()> section = [this, shared_target] {
-      std::memcpy(result_, acc_, bytes_);
-      *arrived_ = 0;
-      if (shared_target != nullptr) {
-        std::memcpy(shared_target, result_, bytes_);
-      }
-    };
-    barrier_.arrive(me0, &section);
-    std::memcpy(result_out, result_, bytes_);
-  }
-
- private:
-  cluster::ClusterLock lock_;
-  ClusterBarrierEngine barrier_;
-  std::int32_t* arrived_;
-  unsigned char* acc_;
-  unsigned char* result_;
-  std::size_t bytes_;
-};
-
 // ---------------------------------------------------------------------------
 // ThreadBackend: machine-model engines; null construct engines keep the
 // constructs' monomorphic thread machinery (lock-free dispatch included).
@@ -767,13 +634,6 @@ class ShmBackend final : public ExecutionBackend {
     return std::make_unique<ShmAsyncCell>(arena_, label, payload_bytes);
   }
 
-  [[nodiscard]] std::unique_ptr<ReductionSite> make_reduction_site(
-      const std::string& key, int width, std::size_t payload_bytes,
-      std::size_t payload_align) override {
-    return std::make_unique<ShmReductionSite>(arena_, key, width,
-                                              payload_bytes, payload_align);
-  }
-
   [[nodiscard]] std::unique_ptr<BarrierEngine> make_team_barrier(
       int width, const std::string& key) override {
     return std::make_unique<ShmBarrierEngine>(arena_, width, key);
@@ -856,8 +716,8 @@ class ShmBackend final : public ExecutionBackend {
       const auto prefixed = [&name](const char* p) {
         return name.rfind(p, 0) == 0;
       };
-      if (name == "%force/global") {
-        // Arrival count of the global barrier: the victims' arrivals can
+      if (prefixed(kBarrierPrefix)) {
+        // Arrival count of a keyed barrier: the victims' arrivals can
         // never complete. The episode word stays monotonic (arrivals read
         // it fresh), so zeroing the count alone re-arms the episode.
         static_cast<shm::ShmBarrierState*>(addr)->count.store(
@@ -888,10 +748,9 @@ class ShmBackend final : public ExecutionBackend {
         c->state.compare_exchange_strong(busy, 0,
                                          std::memory_order_acq_rel);
       } else if (prefixed("%reduce/")) {
-        auto* h = static_cast<shm::ShmReduceHeader*>(addr);
-        h->lock.word.store(0, std::memory_order_release);
-        h->barrier.count.store(0, std::memory_order_release);
-        h->arrived = 0;
+        // A reduction's state opens with its arrival count (core/reduce.hpp);
+        // its lock and barrier are keyed words scrubbed above.
+        *static_cast<std::uint32_t*>(addr) = 0;
       }
     });
   }
@@ -933,14 +792,6 @@ class ClusterBackend final : public ExecutionBackend {
       const std::string& label, std::size_t payload_bytes,
       std::size_t /*payload_align*/) override {
     return std::make_unique<ClusterAsyncCell>(label, payload_bytes);
-  }
-
-  [[nodiscard]] std::unique_ptr<ReductionSite> make_reduction_site(
-      const std::string& key, int width, std::size_t payload_bytes,
-      std::size_t payload_align) override {
-    return std::make_unique<ClusterReductionSite>(arena_, key, width,
-                                                  payload_bytes,
-                                                  payload_align);
   }
 
   [[nodiscard]] std::unique_ptr<BarrierEngine> make_team_barrier(

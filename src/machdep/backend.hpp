@@ -182,21 +182,6 @@ class AsyncCell {
   [[nodiscard]] virtual bool is_full() = 0;
 };
 
-/// One named reduction site (accumulate under a lock, champion snapshot at
-/// the member barrier).
-class ReductionSite {
- public:
-  /// Folds `local` into `acc` in place.
-  using Combine = std::function<void(void* acc, const void* local)>;
-
-  virtual ~ReductionSite() = default;
-  /// One member's allreduce: contributes `local`, barriers, copies the
-  /// combined result into `result_out`; the champion additionally copies it
-  /// into `shared_target` when non-null.
-  virtual void allreduce(int me0, const void* local, void* result_out,
-                         void* shared_target, const Combine& combine) = 0;
-};
-
 /// One keyed team barrier spanning the backend's address spaces.
 class BarrierEngine {
  public:
@@ -230,9 +215,6 @@ class ExecutionBackend {
       const std::string& key, std::uint32_t capacity, std::size_t task_bytes);
   [[nodiscard]] virtual std::unique_ptr<AsyncCell> make_async_cell(
       const std::string& label, std::size_t payload_bytes,
-      std::size_t payload_align);
-  [[nodiscard]] virtual std::unique_ptr<ReductionSite> make_reduction_site(
-      const std::string& key, int width, std::size_t payload_bytes,
       std::size_t payload_align);
   [[nodiscard]] virtual std::unique_ptr<BarrierEngine> make_team_barrier(
       int width, const std::string& key);

@@ -371,9 +371,14 @@ void CombinedLock::acquire() {
     }
     return;
   }
+  // Dekker pairing with release(): this side announces itself in
+  // sleepers_ then probes held_, release() clears held_ then probes
+  // sleepers_. Both pairs are seq_cst, so at least one side sees the
+  // other's write; with weaker orders the release's store can sit in a
+  // store buffer past its sleepers_ load and the wakeup is lost.
   std::unique_lock<std::mutex> lk(m_);
-  sleepers_.fetch_add(1, std::memory_order_relaxed);
-  cv_.wait(lk, [&] { return !held_.exchange(true, std::memory_order_acquire); });
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  cv_.wait(lk, [&] { return !held_.exchange(true, std::memory_order_seq_cst); });
   sleepers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -384,8 +389,8 @@ bool CombinedLock::try_acquire() {
 
 void CombinedLock::release() {
   bump(counters_, &LockCounters::releases);
-  held_.store(false, std::memory_order_release);
-  if (sleepers_.load(std::memory_order_relaxed) > 0) {
+  held_.store(false, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
     // Taking the mutex orders this notify after any in-flight wait entry,
     // so a sleeper cannot miss the wakeup.
     std::lock_guard<std::mutex> lk(m_);

@@ -224,18 +224,6 @@ struct ShmSelfschedState {
   std::int64_t trips = 0;
 };
 
-// --- process-shared reduction header ----------------------------------------
-
-/// Fixed head of an os-fork reduction blob ("%reduce/<key>" in the arena,
-/// core/reduce.hpp): the payload-typed accumulator and result follow in
-/// the same allocation, but death recovery only needs to scrub these
-/// protocol words, so they are split out as an untemplated POD.
-struct ShmReduceHeader {
-  ShmLockState lock;
-  ShmBarrierState barrier;
-  std::uint32_t arrived = 0;  ///< guarded by lock
-};
-
 // --- process-shared askfor monitor -----------------------------------------
 
 /// The Askfor monitor over shared memory: a fixed-capacity FIFO ring of

@@ -30,7 +30,7 @@ enum class TraceKind : std::uint8_t {
   kProduce,       ///< async produce (instant)
   kConsume,       ///< async consume (instant)
   kAskforGrant,   ///< one askfor grant (instant)
-  kPhase          ///< user-named phase (Tracer::phase)
+  kPhase          ///< user span (Tracer::record or Tracer::Span)
 };
 
 const char* trace_kind_name(TraceKind kind);

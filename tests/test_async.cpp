@@ -145,7 +145,6 @@ TEST_P(AsyncTest, WidePayloadsWork) {
     double a = 0, b = 0, c = 0;
   };
   fc::Async<Wide> v(env_);
-  EXPECT_FALSE(fc::Async<Wide>::payload_in_cell());
   v.produce({1.5, 2.5, 3.5});
   const Wide w = v.consume();
   EXPECT_DOUBLE_EQ(w.a, 1.5);
@@ -188,7 +187,6 @@ TEST(AsyncPaths, HepUsesHardwareOthersUseLocks) {
   fc::Async<int> ve(enc);
   EXPECT_TRUE(vh.uses_hardware_path());
   EXPECT_FALSE(ve.uses_hardware_path());
-  EXPECT_TRUE(fc::Async<int>::payload_in_cell());
 }
 
 TEST(AsyncPaths, SoftwareSchemeUsesTwoLocksPerVariable) {

@@ -30,6 +30,7 @@
 #include "core/force.hpp"
 #include "machdep/cluster.hpp"
 #include "machdep/process.hpp"
+#include "reduce_moments.hpp"
 #include "util/check.hpp"
 
 namespace fc = force::core;
@@ -272,6 +273,22 @@ TEST(ClusterTransport, LoopbackTcpRunsTheSameProgram) {
     ctx.barrier();
   });
   EXPECT_EQ(total, 1 + 4 + 9 + 16);
+}
+
+// --- Reduce over the coordinator ---------------------------------------------
+
+TEST(ClusterReduce, MultiWordReduceMatchesTheOracle) {
+  // Accumulated under a coordinator lock, published by the champion of a
+  // coordinator barrier, carried by the DSM. kTournament cannot cross
+  // address spaces and must quietly run the same critical idiom.
+  for (fc::ReduceStrategy s :
+       {fc::ReduceStrategy::kCritical, fc::ReduceStrategy::kTournament}) {
+    force::Force f(cluster_config(4));
+    auto& published = f.shared<reduce_moments::Published>("published");
+    auto& agreed = f.shared<reduce_moments::Agreed>("agreed");
+    reduce_moments::run_rounds(f, s, published, agreed);
+    reduce_moments::expect_oracle(published, agreed, 4);
+  }
 }
 
 // --- DSM coherence edges -----------------------------------------------------

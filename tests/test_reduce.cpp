@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "core/force.hpp"
+#include "reduce_moments.hpp"
 
 namespace fc = force::core;
 
@@ -179,4 +180,17 @@ TEST(Reduce, InsideResolveComponents) {
         .run();
   });
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(Reduce, MultiWordPayloadMatchesTheOracle) {
+  // The os-fork and cluster halves of this case live in
+  // test_process_fork.cpp and test_cluster.cpp.
+  for (fc::ReduceStrategy s : {fc::ReduceStrategy::kCritical,
+                               fc::ReduceStrategy::kTournament}) {
+    force::Force f({.nproc = 4});
+    auto& published = f.shared<reduce_moments::Published>("published");
+    auto& agreed = f.shared<reduce_moments::Agreed>("agreed");
+    reduce_moments::run_rounds(f, s, published, agreed);
+    reduce_moments::expect_oracle(published, agreed, 4);
+  }
 }

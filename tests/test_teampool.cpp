@@ -112,6 +112,46 @@ TEST(TeamPoolUnit, MemberExceptionIsRethrownAndThePoolSurvives) {
 
 // --- Force over a pooled thread team ----------------------------------------
 
+namespace {
+
+/// Askfor payload that counts its live instances.
+struct CountedTask {
+  static std::atomic<int> live;
+  int depth = 0;
+  explicit CountedTask(int d = 0) : depth(d) { live.fetch_add(1); }
+  CountedTask(const CountedTask& o) : depth(o.depth) { live.fetch_add(1); }
+  CountedTask& operator=(const CountedTask&) = default;
+  ~CountedTask() { live.fetch_sub(1); }
+};
+std::atomic<int> CountedTask::live{0};
+
+}  // namespace
+
+TEST(PooledForce, AskforTaskStoreIsDroppedOnEveryReentry) {
+  // A pooled team re-enters the same Askfor site run after run; the tasks
+  // of earlier entries must not pile up in its store.
+  constexpr int kDepth = 3;
+  constexpr int kTasksPerEntry = (1 << (kDepth + 1)) - 1;  // binary tree
+  force::Force f(pool_config());
+  for (int run = 0; run < 50; ++run) {
+    std::atomic<int> executed{0};
+    f.run([&](core::Ctx& ctx) {
+      auto& work = ctx.askfor<CountedTask>(FORCE_SITE);
+      if (ctx.me() == 1) work.put(CountedTask(0));
+      ctx.barrier();
+      work.work([&](CountedTask& t, core::Askfor<CountedTask>& a) {
+        executed.fetch_add(1, std::memory_order_relaxed);
+        if (t.depth < kDepth) {
+          a.put(CountedTask(t.depth + 1));
+          a.put(CountedTask(t.depth + 1));
+        }
+      });
+    });
+    ASSERT_EQ(executed.load(), kTasksPerEntry) << "run " << run;
+    ASSERT_LE(CountedTask::live.load(), kTasksPerEntry) << "run " << run;
+  }
+}
+
 TEST(PooledForce, SequentialForcesAccumulateLikeFreshTeams) {
   force::Force f(pool_config());
   auto& counter = f.shared<std::int64_t>("counter");
@@ -307,5 +347,43 @@ TEST(PooledForkDeath, SigkilledPoolChildIsReportedOnceAndThePoolRecovers) {
   f.run(program);
   EXPECT_EQ(ok, 2 * kNproc);
   EXPECT_TRUE(f.env().fork_pool(kNproc).armed());
+  EXPECT_LT(seconds_since(t0), 30.0) << "pooled robust join took too long";
+}
+
+TEST(PooledForkDeath, SigkilledPoolChildAtAReduceIsReportedAndThePoolRecovers) {
+  // The victim dies while its siblings have contributed and wait at the
+  // reduce barrier: death recovery must zero both the reduction's arrival
+  // count and its barrier's, or the next force folds in stale partials.
+  force::Force f(fork_pool_config());
+  auto& kill_flag = f.shared<std::int64_t>("kill_flag");
+  auto& total = f.shared<std::int64_t>("total");
+  const std::int64_t oracle = kNproc * (kNproc + 1) / 2;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto program = [&](core::Ctx& ctx) {
+    if (kill_flag != 0 && ctx.me() == 2) {
+      raise(SIGKILL);  // dies before contributing
+    }
+    ctx.reduce_into<std::int64_t>(
+        FORCE_SITE, ctx.me(), total,
+        [](std::int64_t a, std::int64_t b) { return a + b; });
+  };
+
+  kill_flag = 0;
+  f.run(program);
+  EXPECT_EQ(total, oracle);
+
+  kill_flag = 1;
+  try {
+    f.run(program);
+    FAIL() << "a SIGKILLed pool child must surface as ProcessDeathError";
+  } catch (const md::ProcessDeathError& e) {
+    EXPECT_EQ(e.process(), 2);
+    EXPECT_EQ(e.term_signal(), SIGKILL);
+  }
+
+  kill_flag = 0;
+  total = 0;
+  f.run(program);
+  EXPECT_EQ(total, oracle);
   EXPECT_LT(seconds_since(t0), 30.0) << "pooled robust join took too long";
 }
