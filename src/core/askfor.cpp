@@ -5,6 +5,7 @@
 #include "core/env.hpp"
 #include "core/sentry.hpp"
 #include "machdep/fiber.hpp"
+#include "machdep/wait.hpp"
 
 namespace force::core {
 
@@ -251,7 +252,7 @@ AskforCore::Outcome AskforCore::ask_fast(std::size_t* token) {
     if (sn != nullptr && !wait.has_value()) {
       wait.emplace(sn, Sentry::WaitKind::kAskfor, this, "askfor");
     }
-    machdep::member_yield();
+    machdep::Waiter::yield();
   }
 }
 
@@ -285,7 +286,7 @@ AskforCore::Outcome AskforCore::ask_locked(std::size_t* token) {
     if (sn != nullptr && !wait.has_value()) {
       wait.emplace(sn, Sentry::WaitKind::kAskfor, this, "askfor");
     }
-    machdep::member_yield();
+    machdep::Waiter::yield();
   }
 }
 

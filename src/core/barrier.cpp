@@ -1,41 +1,12 @@
 #include "core/barrier.hpp"
 
 #include <bit>
-#include <thread>
 
 #include "core/env.hpp"
-#include "machdep/fiber.hpp"
+#include "machdep/wait.hpp"
 #include "util/check.hpp"
 
 namespace force::core {
-
-namespace {
-
-/// Spin-with-yield wait on an atomic until `pred(value)` holds. Uses the
-/// C++20 futex-style wait once polite spinning has not paid off, so the
-/// barrier stays live with more processes than CPUs. An N:M pooled member
-/// must not sleep in the kernel instead: the arrival it waits for may
-/// belong to a sibling member multiplexed onto the same worker thread, so
-/// it yields its continuation and lets the worker run the sibling.
-template <typename T, typename Pred>
-void wait_until(const std::atomic<T>& a, Pred pred) {
-  for (int probe = 0; probe < 64; ++probe) {
-    if (pred(a.load(std::memory_order_acquire))) return;
-  }
-  if (machdep::on_fiber()) {
-    while (!pred(a.load(std::memory_order_acquire))) {
-      machdep::member_yield();
-    }
-    return;
-  }
-  for (;;) {
-    T v = a.load(std::memory_order_acquire);
-    if (pred(v)) return;
-    a.wait(v, std::memory_order_relaxed);
-  }
-}
-
-}  // namespace
 
 const std::function<void()>& BarrierAlgorithm::no_section() {
   static const std::function<void()> kEmpty;
@@ -119,7 +90,8 @@ void CentralSenseBarrier::arrive(int proc0,
     sense_.notify_all();
   } else {
     const std::uint32_t want = mine;
-    wait_until(sense_, [want](std::uint32_t v) { return v == want; });
+    machdep::Waiter().await(sense_,
+                            [want](std::uint32_t v) { return v == want; });
   }
 }
 
@@ -144,8 +116,9 @@ void TreeBarrier::arrive(int proc0, const std::function<void()>& section) {
     if (proc0 % span == 0) {
       const int child = proc0 + (1 << r);
       if (child < width_) {
-        wait_until(slots_[static_cast<std::size_t>(child)].arrival,
-                   [ep](std::uint64_t v) { return v >= ep; });
+        machdep::Waiter().await(
+            slots_[static_cast<std::size_t>(child)].arrival,
+            [ep](std::uint64_t v) { return v >= ep; });
       }
     } else {
       // Subtree fully combined (rounds 0..r-1 won); report and stop.
@@ -160,7 +133,8 @@ void TreeBarrier::arrive(int proc0, const std::function<void()>& section) {
     release_.store(ep, std::memory_order_release);
     release_.notify_all();
   } else {
-    wait_until(release_, [ep](std::uint64_t v) { return v >= ep; });
+    machdep::Waiter().await(release_,
+                            [ep](std::uint64_t v) { return v >= ep; });
   }
 }
 
@@ -192,7 +166,8 @@ void DisseminationBarrier::arrive(int proc0,
     out.stamp.notify_all();
     Flag& in = flags_[static_cast<std::size_t>(proc0) * stride +
                       static_cast<std::size_t>(r)];
-    wait_until(in.stamp, [ep](std::uint64_t v) { return v >= ep; });
+    machdep::Waiter().await(in.stamp,
+                            [ep](std::uint64_t v) { return v >= ep; });
   }
 
   if (has_section(section)) {
@@ -202,7 +177,8 @@ void DisseminationBarrier::arrive(int proc0,
       section_done_.store(ep, std::memory_order_release);
       section_done_.notify_all();
     } else {
-      wait_until(section_done_, [ep](std::uint64_t v) { return v >= ep; });
+      machdep::Waiter().await(section_done_,
+                              [ep](std::uint64_t v) { return v >= ep; });
     }
   }
 }

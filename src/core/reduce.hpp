@@ -33,7 +33,7 @@
 #include "core/critical.hpp"
 #include "core/env.hpp"
 #include "machdep/backend.hpp"
-#include "machdep/fiber.hpp"
+#include "machdep/wait.hpp"
 
 namespace force::core {
 
@@ -134,7 +134,8 @@ class Reduction {
           Slot& theirs = slots_[static_cast<std::size_t>(child)];
           // Wait for the child to have *fully combined its subtree* for
           // this episode: it bumps `combined` after losing round r.
-          wait_for(theirs.combined, ep);
+          machdep::Waiter().await(
+              theirs.combined, [ep](std::uint64_t v) { return v >= ep; });
           mine.value = combine(mine.value, theirs.value);
         }
       } else {
@@ -151,32 +152,13 @@ class Reduction {
       broadcast_.store(ep, std::memory_order_release);
       broadcast_.notify_all();
     } else {
-      wait_for(broadcast_, ep);
+      machdep::Waiter().await(broadcast_,
+                              [ep](std::uint64_t v) { return v >= ep; });
     }
     // A trailing barrier keeps the episode reusable: nobody may overwrite
     // its slot while a parent could still read it.
     barrier_->arrive(me0);
     return state_->result;
-  }
-
-  static void wait_for(const std::atomic<std::uint64_t>& flag,
-                       std::uint64_t ep) {
-    for (int probe = 0; probe < 64; ++probe) {
-      if (flag.load(std::memory_order_acquire) >= ep) return;
-    }
-    if (machdep::on_fiber()) {
-      // N:M pooled member: the stamp may come from a sibling continuation
-      // on this same worker thread - yield to it instead of sleeping.
-      while (flag.load(std::memory_order_acquire) < ep) {
-        machdep::member_yield();
-      }
-      return;
-    }
-    for (;;) {
-      const std::uint64_t v = flag.load(std::memory_order_acquire);
-      if (v >= ep) return;
-      flag.wait(v, std::memory_order_relaxed);
-    }
   }
 
   struct alignas(64) Slot {

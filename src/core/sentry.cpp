@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "machdep/wait.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -29,14 +30,6 @@ struct TlsFuzz {
   force::util::Xoshiro256 rng{0};
 };
 thread_local TlsFuzz tls_fuzz;
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
 
 void join_into(std::vector<std::uint32_t>& dst,
                const std::vector<std::uint32_t>& src) {
@@ -532,10 +525,9 @@ void Sentry::fuzz() {
   }
   const std::uint64_t u = tls_fuzz.rng.next();
   if ((u & 7u) == 0) {
-    std::this_thread::yield();
+    machdep::Waiter::yield();
   } else if ((u & 63u) == 1) {
-    const int spins = static_cast<int>((u >> 6) & 255u);
-    for (int i = 0; i < spins; ++i) cpu_relax();
+    machdep::Waiter::relax(static_cast<std::uint32_t>((u >> 6) & 255u));
   }
 }
 

@@ -6,11 +6,11 @@
 // get off the worker so the members it is waiting FOR can run on the same
 // worker. MemberScheduler multiplexes members as stackful run-to-barrier
 // continuations (ucontext fibers): a member runs until it would wait, calls
-// member_yield(), and the scheduler resumes a sibling. The Force's blocking
-// primitives (locks, barrier flag waits, askfor polls, full/empty cells)
-// route their "be polite" step through member_yield(), which is
-// std::this_thread::yield() on a plain thread and a continuation switch
-// inside a fiber - so the same construct code serves 1:1 and N:M teams.
+// member_yield(), and the scheduler resumes a sibling. machdep::Waiter
+// (wait.hpp) is the only caller of member_yield(): every lock, barrier
+// flag, askfor poll and full/empty cell waits through it, and its yield is
+// an OS yield on a plain thread and a continuation switch inside a fiber -
+// so the same construct code serves 1:1 and N:M teams.
 //
 // The scheduler is deliberately cooperative and deterministic: members are
 // resumed round-robin in rank order, and a full unproductive round (every
@@ -31,8 +31,8 @@ namespace force::machdep {
 /// multiplexed member continuation (i.e. an N:M pooled team).
 [[nodiscard]] bool on_fiber();
 
-/// The universal polite-wait step: yields to the member scheduler when the
-/// caller is a fiber, to the OS scheduler otherwise.
+/// Yields to the member scheduler when the caller is a fiber, to the OS
+/// scheduler otherwise. Waits call it through machdep::Waiter.
 void member_yield();
 
 /// Runs a batch of member bodies to completion on the calling thread,

@@ -1,30 +1,18 @@
 #include "machdep/hepcell.hpp"
 
-#include "machdep/fiber.hpp"
+#include "machdep/wait.hpp"
 
 namespace force::machdep {
 
 namespace {
 std::atomic<std::uint64_t> g_hep_waits{0};
-
-/// Parks until the cell's state word moves past `expected`. Plain threads
-/// use the futex-style atomic wait; an N:M pooled member instead yields
-/// its worker to sibling continuations - the produce it waits for may be
-/// scheduled on this very thread.
-inline void park_on_state(std::atomic<std::uint32_t>& state,
-                          std::uint32_t expected) {
-  if (on_fiber()) {
-    member_yield();
-    return;
-  }
-  state.wait(expected, std::memory_order_relaxed);
-}
 }  // namespace
 
 HepCell::HepCell(std::uint64_t initial_value)
     : state_(kFull), value_(initial_value) {}
 
 void HepCell::await_and_seize(State from) {
+  Waiter w;
   for (;;) {
     std::uint32_t expected = from;
     if (state_.compare_exchange_weak(expected, kBusy,
@@ -33,10 +21,9 @@ void HepCell::await_and_seize(State from) {
       return;
     }
     if (expected != from) {
-      // Not in the desired state: park until the state word changes.
-      // (kBusy windows are tiny; waiting on them too is harmless.)
+      // Not in the desired state: wait until it is, then race for it.
       g_hep_waits.fetch_add(1, std::memory_order_relaxed);
-      park_on_state(state_, expected);
+      w.await(state_, [from](std::uint32_t v) { return v == from; });
     }
     // CAS failure with expected == from is spurious; just retry.
   }
@@ -45,15 +32,13 @@ void HepCell::await_and_seize(State from) {
 void HepCell::produce(std::uint64_t value) {
   await_and_seize(kEmpty);
   value_ = value;
-  state_.store(kFull, std::memory_order_release);
-  state_.notify_all();
+  publish_full();
 }
 
 std::uint64_t HepCell::consume() {
   await_and_seize(kFull);
   const std::uint64_t v = value_;
-  state_.store(kEmpty, std::memory_order_release);
-  state_.notify_all();
+  publish_empty();
   return v;
 }
 
@@ -61,71 +46,47 @@ std::uint64_t HepCell::copy() const {
   auto* self = const_cast<HepCell*>(this);
   self->await_and_seize(kFull);
   const std::uint64_t v = value_;
-  self->state_.store(kFull, std::memory_order_release);
-  self->state_.notify_all();
+  self->publish_full();
   return v;
+}
+
+void HepCell::seize_stable() {
+  Waiter w;
+  for (;;) {
+    std::uint32_t expected = w.await(
+        state_, [](std::uint32_t v) { return v != kBusy; });
+    if (state_.compare_exchange_weak(expected, kBusy,
+                                     std::memory_order_acquire,
+                                     std::memory_order_relaxed)) {
+      return;
+    }
+  }
 }
 
 void HepCell::make_empty() {
   // Void must succeed from any state; win the busy protocol from either
   // stable state, then declare empty.
-  for (;;) {
-    std::uint32_t expected = state_.load(std::memory_order_relaxed);
-    if (expected == kBusy) {
-      park_on_state(state_, expected);
-      continue;
-    }
-    if (state_.compare_exchange_weak(expected, kBusy,
-                                     std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  state_.store(kEmpty, std::memory_order_release);
-  state_.notify_all();
+  seize_stable();
+  publish_empty();
 }
 
 void HepCell::make_full(std::uint64_t value) {
-  for (;;) {
-    std::uint32_t expected = state_.load(std::memory_order_relaxed);
-    if (expected == kBusy) {
-      park_on_state(state_, expected);
-      continue;
-    }
-    if (state_.compare_exchange_weak(expected, kBusy,
-                                     std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-      break;
-    }
-  }
+  seize_stable();
   value_ = value;
-  state_.store(kFull, std::memory_order_release);
-  state_.notify_all();
+  publish_full();
 }
 
 bool HepCell::try_produce(std::uint64_t value) {
-  std::uint32_t expected = kEmpty;
-  if (!state_.compare_exchange_strong(expected, kBusy,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
-    return false;
-  }
+  if (!try_seize_empty()) return false;
   value_ = value;
-  state_.store(kFull, std::memory_order_release);
-  state_.notify_all();
+  publish_full();
   return true;
 }
 
 bool HepCell::try_consume(std::uint64_t* out) {
-  std::uint32_t expected = kFull;
-  if (!state_.compare_exchange_strong(expected, kBusy,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
-    return false;
-  }
+  if (!try_seize_full()) return false;
   *out = value_;
-  state_.store(kEmpty, std::memory_order_release);
-  state_.notify_all();
+  publish_empty();
   return true;
 }
 

@@ -71,8 +71,10 @@ class HepCell {
  private:
   enum State : std::uint32_t { kEmpty = 0, kFull = 1, kBusy = 2 };
 
-  // Acquire the right to transition from `from`; parks on state_ otherwise.
+  // Acquire the right to transition from `from`; waits on state_ otherwise.
   void await_and_seize(State from);
+  // Acquire the right to transition from whichever stable state it holds.
+  void seize_stable();
 
   std::atomic<std::uint32_t> state_{kEmpty};
   std::uint64_t value_ = 0;  // guarded by the kBusy transition protocol

@@ -1,53 +1,37 @@
 #include "machdep/locks.hpp"
 
 #include <algorithm>
-#include <thread>
 
-#include "machdep/fiber.hpp"
 #include "machdep/hepcell.hpp"
+#include "machdep/wait.hpp"
 #include "util/check.hpp"
 
 namespace force::machdep {
 
 namespace {
 
-/// One polite CPU pause inside a spin loop.
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
-
 inline void bump(LockCounters* c, std::atomic<std::uint64_t> LockCounters::*f,
                  std::uint64_t n = 1) {
   if (c != nullptr) (c->*f).fetch_add(n, std::memory_order_relaxed);
 }
 
-/// Shared spin helper: pauses, counts, and yields past the budget so that
-/// oversubscribed hosts (fewer CPUs than Force processes) stay live.
-struct Spinner {
-  explicit Spinner(LockCounters* counters, std::uint32_t spins_before_yield)
-      : counters_(counters), budget_(spins_before_yield) {}
-  ~Spinner() { bump(counters_, &LockCounters::spin_iterations, spins_); }
+/// Max exponential-backoff relax count between TtasLock probes.
+constexpr std::uint32_t kMaxBackoff = 128;
 
-  void spin_once() {
-    ++spins_;
-    if (spins_ % (budget_ == 0 ? 1 : budget_) == 0) {
-      // member_yield: OS yield on a plain thread, a continuation switch
-      // inside an N:M pooled member - the lock holder may be a sibling
-      // member multiplexed onto this very worker thread.
-      member_yield();
-    } else {
-      cpu_relax();
-    }
+/// Takes a one-word lock (0 free, 1 held), awaiting the free state between
+/// tries; the Waiter's window makes this spin-then-block or pure blocking.
+void take_word(std::atomic<std::uint32_t>& word, Waiter& w) {
+  while (word.exchange(1, std::memory_order_acquire) != 0) {
+    w.await(word, [](std::uint32_t v) { return v == 0; });
   }
+}
 
-  LockCounters* counters_;
-  std::uint32_t budget_;
-  std::uint64_t spins_ = 0;
-};
+/// Frees a one-word lock and wakes one sleeper. The store is seq_cst so it
+/// cannot pass the notify's check for sleepers (a lost wakeup otherwise).
+void free_word(std::atomic<std::uint32_t>& word) {
+  word.store(0, std::memory_order_seq_cst);
+  word.notify_one();
+}
 
 }  // namespace
 
@@ -99,19 +83,17 @@ LockKind lock_kind_from_name(const std::string& name) {
 // TasSpinLock
 // ---------------------------------------------------------------------------
 
-TasSpinLock::TasSpinLock(LockCounters* counters, const SpinPolicy& policy)
-    : counters_(counters), policy_(policy) {}
+TasSpinLock::TasSpinLock(LockCounters* counters) : counters_(counters) {}
 
 void TasSpinLock::acquire() {
   bump(counters_, &LockCounters::acquires);
   if (!held_.exchange(true, std::memory_order_acquire)) return;
   bump(counters_, &LockCounters::contended_acquires);
-  Spinner spinner(counters_, policy_.spins_before_yield);
+  Waiter w;
   // Naked test&set on every probe: the historically faithful (and
   // coherence-hostile) behaviour of the Sequent/Encore software lock.
-  while (held_.exchange(true, std::memory_order_acquire)) {
-    spinner.spin_once();
-  }
+  while (held_.exchange(true, std::memory_order_acquire)) w.pause();
+  bump(counters_, &LockCounters::spin_iterations, w.spins());
 }
 
 bool TasSpinLock::try_acquire() {
@@ -128,24 +110,24 @@ void TasSpinLock::release() {
 // TtasLock
 // ---------------------------------------------------------------------------
 
-TtasLock::TtasLock(LockCounters* counters, const SpinPolicy& policy)
-    : counters_(counters), policy_(policy) {}
+TtasLock::TtasLock(LockCounters* counters) : counters_(counters) {}
 
 void TtasLock::acquire() {
   bump(counters_, &LockCounters::acquires);
   if (!held_.exchange(true, std::memory_order_acquire)) return;
   bump(counters_, &LockCounters::contended_acquires);
-  Spinner spinner(counters_, policy_.spins_before_yield);
+  Waiter w;
   std::uint32_t backoff = 1;
   for (;;) {
     // Read-only probe loop first: no coherence traffic while held.
     while (held_.load(std::memory_order_relaxed)) {
-      for (std::uint32_t i = 0; i < backoff; ++i) cpu_relax();
-      spinner.spin_once();
-      if (backoff < policy_.max_backoff) backoff *= 2;
+      Waiter::relax(backoff);
+      w.pause();
+      if (backoff < kMaxBackoff) backoff *= 2;
     }
-    if (!held_.exchange(true, std::memory_order_acquire)) return;
+    if (!held_.exchange(true, std::memory_order_acquire)) break;
   }
+  bump(counters_, &LockCounters::spin_iterations, w.spins());
 }
 
 bool TtasLock::try_acquire() {
@@ -163,18 +145,16 @@ void TtasLock::release() {
 // TicketLock
 // ---------------------------------------------------------------------------
 
-TicketLock::TicketLock(LockCounters* counters, const SpinPolicy& policy)
-    : counters_(counters), policy_(policy) {}
+TicketLock::TicketLock(LockCounters* counters) : counters_(counters) {}
 
 void TicketLock::acquire() {
   bump(counters_, &LockCounters::acquires);
   const std::uint32_t my = next_.fetch_add(1, std::memory_order_relaxed);
   if (serving_.load(std::memory_order_acquire) == my) return;
   bump(counters_, &LockCounters::contended_acquires);
-  Spinner spinner(counters_, policy_.spins_before_yield);
-  while (serving_.load(std::memory_order_acquire) != my) {
-    spinner.spin_once();
-  }
+  Waiter w;
+  while (serving_.load(std::memory_order_acquire) != my) w.pause();
+  bump(counters_, &LockCounters::spin_iterations, w.spins());
 }
 
 bool TicketLock::try_acquire() {
@@ -196,8 +176,7 @@ void TicketLock::release() {
 // McsLock
 // ---------------------------------------------------------------------------
 
-McsLock::McsLock(LockCounters* counters, const SpinPolicy& policy)
-    : counters_(counters), policy_(policy) {}
+McsLock::McsLock(LockCounters* counters) : counters_(counters) {}
 
 McsLock::~McsLock() {
   Node* n = free_head_;
@@ -236,10 +215,9 @@ void McsLock::acquire() {
   if (prev != nullptr) {
     bump(counters_, &LockCounters::contended_acquires);
     prev->next.store(node, std::memory_order_release);
-    Spinner spinner(counters_, policy_.spins_before_yield);
-    while (!node->ready.load(std::memory_order_acquire)) {
-      spinner.spin_once();
-    }
+    Waiter w;
+    while (!node->ready.load(std::memory_order_acquire)) w.pause();
+    bump(counters_, &LockCounters::spin_iterations, w.spins());
   }
   owner_.store(node, std::memory_order_release);
 }
@@ -273,10 +251,9 @@ void McsLock::release() {
       return;
     }
     // A successor is mid-enqueue: wait for its next-pointer store.
-    Spinner spinner(counters_, policy_.spins_before_yield);
-    while (node->next.load(std::memory_order_acquire) == nullptr) {
-      spinner.spin_once();
-    }
+    Waiter w;
+    while (node->next.load(std::memory_order_acquire) == nullptr) w.pause();
+    bump(counters_, &LockCounters::spin_iterations, w.spins());
   }
   node->next.load(std::memory_order_acquire)
       ->ready.store(true, std::memory_order_release);
@@ -291,111 +268,48 @@ SystemLock::SystemLock(LockCounters* counters) : counters_(counters) {}
 
 void SystemLock::acquire() {
   bump(counters_, &LockCounters::acquires);
-  if (on_fiber()) {
-    // A member continuation must never block its worker thread in the
-    // kernel: the release it waits for may come from a sibling member
-    // multiplexed onto this same worker. Poll and hand the worker over.
-    bool contended = false;
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lk(m_);
-        if (!held_) {
-          held_ = true;
-          return;
-        }
-      }
-      if (!contended) {
-        bump(counters_, &LockCounters::contended_acquires);
-        bump(counters_, &LockCounters::blocking_waits);
-        contended = true;
-      }
-      member_yield();
-    }
-  }
-  std::unique_lock<std::mutex> lk(m_);
-  if (held_) {
-    bump(counters_, &LockCounters::contended_acquires);
-    bump(counters_, &LockCounters::blocking_waits);
-    cv_.wait(lk, [&] { return !held_; });
-  }
-  held_ = true;
+  if (word_.exchange(1, std::memory_order_acquire) == 0) return;
+  bump(counters_, &LockCounters::contended_acquires);
+  bump(counters_, &LockCounters::blocking_waits);
+  Waiter w(0);  // no spin window: every contended acquire blocks
+  take_word(word_, w);
 }
 
 bool SystemLock::try_acquire() {
   bump(counters_, &LockCounters::acquires);
-  std::lock_guard<std::mutex> lk(m_);
-  if (held_) return false;
-  held_ = true;
-  return true;
+  return word_.exchange(1, std::memory_order_acquire) == 0;
 }
 
 void SystemLock::release() {
   bump(counters_, &LockCounters::releases);
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    held_ = false;
-  }
-  cv_.notify_one();
+  free_word(word_);
 }
 
 // ---------------------------------------------------------------------------
 // CombinedLock
 // ---------------------------------------------------------------------------
 
-CombinedLock::CombinedLock(LockCounters* counters, const SpinPolicy& policy)
-    : counters_(counters), policy_(policy) {}
+CombinedLock::CombinedLock(LockCounters* counters) : counters_(counters) {}
 
 void CombinedLock::acquire() {
   bump(counters_, &LockCounters::acquires);
-  if (!held_.exchange(true, std::memory_order_acquire)) return;
+  if (word_.exchange(1, std::memory_order_acquire) == 0) return;
   bump(counters_, &LockCounters::contended_acquires);
-  // Phase 1: spin for a bounded budget (short critical sections win here).
-  {
-    Spinner spinner(counters_, policy_.spins_before_yield);
-    for (std::uint32_t probe = 0; probe < policy_.combined_spin_budget;
-         ++probe) {
-      if (!held_.load(std::memory_order_relaxed) &&
-          !held_.exchange(true, std::memory_order_acquire)) {
-        return;
-      }
-      spinner.spin_once();
-    }
-  }
-  // Phase 2: give up the CPU and let the scheduler wake us (long holds).
-  bump(counters_, &LockCounters::blocking_waits);
-  if (on_fiber()) {
-    // No kernel sleep inside a member continuation (see SystemLock);
-    // keep polling, yielding the worker to sibling members in between.
-    while (held_.exchange(true, std::memory_order_acquire)) {
-      member_yield();
-    }
-    return;
-  }
-  // Dekker pairing with release(): this side announces itself in
-  // sleepers_ then probes held_, release() clears held_ then probes
-  // sleepers_. Both pairs are seq_cst, so at least one side sees the
-  // other's write; with weaker orders the release's store can sit in a
-  // store buffer past its sleepers_ load and the wakeup is lost.
-  std::unique_lock<std::mutex> lk(m_);
-  sleepers_.fetch_add(1, std::memory_order_seq_cst);
-  cv_.wait(lk, [&] { return !held_.exchange(true, std::memory_order_seq_cst); });
-  sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  // Spin out the window (short critical sections win here), then block.
+  Waiter w;
+  take_word(word_, w);
+  bump(counters_, &LockCounters::spin_iterations, w.spins());
+  if (w.slept()) bump(counters_, &LockCounters::blocking_waits);
 }
 
 bool CombinedLock::try_acquire() {
   bump(counters_, &LockCounters::acquires);
-  return !held_.exchange(true, std::memory_order_acquire);
+  return word_.exchange(1, std::memory_order_acquire) == 0;
 }
 
 void CombinedLock::release() {
   bump(counters_, &LockCounters::releases);
-  held_.store(false, std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    // Taking the mutex orders this notify after any in-flight wait entry,
-    // so a sleeper cannot miss the wakeup.
-    std::lock_guard<std::mutex> lk(m_);
-    cv_.notify_one();
-  }
+  free_word(word_);
 }
 
 // ---------------------------------------------------------------------------
@@ -554,21 +468,20 @@ void ObservedLock::release() {
   inner_->release();
 }
 
-std::unique_ptr<BasicLock> make_lock(LockKind kind, LockCounters* counters,
-                                     const SpinPolicy& policy) {
+std::unique_ptr<BasicLock> make_lock(LockKind kind, LockCounters* counters) {
   switch (kind) {
     case LockKind::kTasSpin:
-      return std::make_unique<TasSpinLock>(counters, policy);
+      return std::make_unique<TasSpinLock>(counters);
     case LockKind::kTtasSpin:
-      return std::make_unique<TtasLock>(counters, policy);
+      return std::make_unique<TtasLock>(counters);
     case LockKind::kTicket:
-      return std::make_unique<TicketLock>(counters, policy);
+      return std::make_unique<TicketLock>(counters);
     case LockKind::kMcs:
-      return std::make_unique<McsLock>(counters, policy);
+      return std::make_unique<McsLock>(counters);
     case LockKind::kSystem:
       return std::make_unique<SystemLock>(counters);
     case LockKind::kCombined:
-      return std::make_unique<CombinedLock>(counters, policy);
+      return std::make_unique<CombinedLock>(counters);
     case LockKind::kHepFullEmpty:
       return std::make_unique<HepFullEmptyLock>(counters);
   }

@@ -16,14 +16,13 @@
 // unlocks it in another, which is undefined behaviour for std::mutex; every
 // implementation here therefore permits cross-thread release.
 //
-// All spin loops yield to the OS after a bounded number of iterations so
-// that the library stays live on oversubscribed hosts (more Force processes
-// than hardware CPUs), which is the normal situation in this reproduction's
-// container. The pre-yield spin budget is tunable per machine model.
+// The kinds differ in their probe protocol and spin window; the waiting
+// itself goes through machdep::Waiter (wait.hpp), whose pause step yields
+// every 64 probes, so the library stays live on oversubscribed hosts (more
+// Force processes than CPUs).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -155,20 +154,9 @@ const char* lock_kind_name(LockKind kind);
 /// Parses the names produced by lock_kind_name; throws on unknown input.
 LockKind lock_kind_from_name(const std::string& name);
 
-/// Spin/backoff tuning shared by spin-flavoured locks.
-struct SpinPolicy {
-  /// Spin iterations before the first yield to the OS.
-  std::uint32_t spins_before_yield = 64;
-  /// For kCombined: spin iterations before falling back to blocking.
-  std::uint32_t combined_spin_budget = 256;
-  /// Max exponential-backoff pause iterations for kTtasSpin.
-  std::uint32_t max_backoff = 128;
-};
-
 /// Creates a lock of the given mechanism in the unlocked state.
 /// `counters` may be null (no instrumentation).
-std::unique_ptr<BasicLock> make_lock(LockKind kind, LockCounters* counters,
-                                     const SpinPolicy& policy = {});
+std::unique_ptr<BasicLock> make_lock(LockKind kind, LockCounters* counters);
 
 // ---------------------------------------------------------------------------
 // Concrete implementations (exposed for targeted unit tests and benches;
@@ -180,7 +168,7 @@ std::unique_ptr<BasicLock> make_lock(LockKind kind, LockCounters* counters,
 /// the Alliant/modern variants test before setting.
 class TasSpinLock final : public BasicLock {
  public:
-  explicit TasSpinLock(LockCounters* counters, const SpinPolicy& policy);
+  explicit TasSpinLock(LockCounters* counters);
   void acquire() override;
   bool try_acquire() override;
   void release() override;
@@ -189,13 +177,12 @@ class TasSpinLock final : public BasicLock {
  private:
   std::atomic<bool> held_{false};
   LockCounters* counters_;
-  SpinPolicy policy_;
 };
 
 /// Test-and-test&set with exponential backoff.
 class TtasLock final : public BasicLock {
  public:
-  explicit TtasLock(LockCounters* counters, const SpinPolicy& policy);
+  explicit TtasLock(LockCounters* counters);
   void acquire() override;
   bool try_acquire() override;
   void release() override;
@@ -204,13 +191,12 @@ class TtasLock final : public BasicLock {
  private:
   std::atomic<bool> held_{false};
   LockCounters* counters_;
-  SpinPolicy policy_;
 };
 
 /// FIFO ticket lock. Cross-thread release simply advances now-serving.
 class TicketLock final : public BasicLock {
  public:
-  explicit TicketLock(LockCounters* counters, const SpinPolicy& policy);
+  explicit TicketLock(LockCounters* counters);
   void acquire() override;
   bool try_acquire() override;
   void release() override;
@@ -220,7 +206,6 @@ class TicketLock final : public BasicLock {
   std::atomic<std::uint32_t> next_{0};
   std::atomic<std::uint32_t> serving_{0};
   LockCounters* counters_;
-  SpinPolicy policy_;
 };
 
 /// MCS queue lock: each waiter spins on its own node, giving O(1) coherence
@@ -229,7 +214,7 @@ class TicketLock final : public BasicLock {
 /// thread recycles the *owner's* node, recorded at acquire time).
 class McsLock final : public BasicLock {
  public:
-  explicit McsLock(LockCounters* counters, const SpinPolicy& policy);
+  explicit McsLock(LockCounters* counters);
   ~McsLock() override;
   void acquire() override;
   bool try_acquire() override;
@@ -250,11 +235,10 @@ class McsLock final : public BasicLock {
   std::mutex free_mutex_;
   Node* free_head_ = nullptr;
   LockCounters* counters_;
-  SpinPolicy policy_;
 };
 
 /// Blocking "system call" lock: the OS parks waiters (Cray-2 model). No
-/// spinning at all, so uncontended cost is high but waiters burn no CPU.
+/// spinning at all (a Waiter with no spin window), so waiters burn no CPU.
 class SystemLock final : public BasicLock {
  public:
   explicit SystemLock(LockCounters* counters);
@@ -264,9 +248,7 @@ class SystemLock final : public BasicLock {
   const char* mechanism() const override { return "system"; }
 
  private:
-  std::mutex m_;
-  std::condition_variable cv_;
-  bool held_ = false;
+  std::atomic<std::uint32_t> word_{0};  // 0 free, 1 held
   LockCounters* counters_;
 };
 
@@ -335,24 +317,19 @@ class DispatchCounter {
   std::unique_ptr<BasicLock> lock_;  // null => lock-free engine
 };
 
-/// Combined lock (Flex/32): spin for `combined_spin_budget` probes, then
-/// fall back to the blocking path. Best of both worlds for mixed hold times.
+/// Combined lock (Flex/32): spin for the host's spin window, then block.
+/// Best of both worlds for mixed hold times.
 class CombinedLock final : public BasicLock {
  public:
-  explicit CombinedLock(LockCounters* counters, const SpinPolicy& policy);
+  explicit CombinedLock(LockCounters* counters);
   void acquire() override;
   bool try_acquire() override;
   void release() override;
   const char* mechanism() const override { return "combined"; }
 
  private:
-  // `held_` is the fast path; the mutex/cv pair only wakes blocked waiters.
-  std::atomic<bool> held_{false};
-  std::atomic<std::uint32_t> sleepers_{0};
-  std::mutex m_;
-  std::condition_variable cv_;
+  std::atomic<std::uint32_t> word_{0};  // 0 free, 1 held
   LockCounters* counters_;
-  SpinPolicy policy_;
 };
 
 }  // namespace force::machdep

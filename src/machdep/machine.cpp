@@ -1,7 +1,8 @@
 #include "machdep/machine.hpp"
 
-#include <thread>
+#include <algorithm>
 
+#include "machdep/wait.hpp"
 #include "util/check.hpp"
 
 namespace force::machdep {
@@ -10,15 +11,18 @@ namespace {
 
 /// A logical binary semaphore multiplexed over one shared physical lock.
 /// The logical state (`held_`) is guarded by the physical lock; waiting is
-/// poll-with-yield, so many logical locks contend on few physical ones -
-/// semantically correct, measurably slower, exactly the paper's scarcity
-/// trade-off.
+/// a poll with the Waiter's pause step, so many logical locks contend on
+/// few physical ones - semantically correct, measurably slower, exactly
+/// the paper's scarcity trade-off. The pause step's yield is fiber-aware:
+/// on an N:M pooled member the logical holder may be a sibling on this
+/// same worker, and only a continuation switch lets it run.
 class StripedLock final : public BasicLock {
  public:
   explicit StripedLock(std::shared_ptr<BasicLock> physical)
       : physical_(std::move(physical)) {}
 
   void acquire() override {
+    Waiter w;
     for (;;) {
       physical_->acquire();
       if (!held_) {
@@ -27,7 +31,7 @@ class StripedLock final : public BasicLock {
         return;
       }
       physical_->release();
-      std::this_thread::yield();
+      w.pause();
     }
   }
 
@@ -244,7 +248,7 @@ std::unique_ptr<BasicLock> MachineModel::new_lock() {
       stats_.physical_locks <
           static_cast<std::uint64_t>(spec_.lock_budget)) {
     ++stats_.physical_locks;
-    return make_lock(spec_.lock_kind, &counters_, spec_.spin_policy);
+    return make_lock(spec_.lock_kind, &counters_);
   }
   // Budget exhausted: multiplex over a small pool carved out of the budget.
   if (stripe_pool_.empty()) {
@@ -252,7 +256,7 @@ std::unique_ptr<BasicLock> MachineModel::new_lock() {
         std::max<std::size_t>(1, static_cast<std::size_t>(spec_.lock_budget) / 8);
     for (std::size_t i = 0; i < pool; ++i) {
       stripe_pool_.push_back(std::shared_ptr<BasicLock>(
-          make_lock(spec_.lock_kind, &counters_, spec_.spin_policy)));
+          make_lock(spec_.lock_kind, &counters_)));
     }
   }
   ++stats_.striped_locks;

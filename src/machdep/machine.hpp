@@ -44,7 +44,6 @@ struct MachineSpec {
   /// execute as efficiently", paper §4.1.3).
   int lock_budget = -1;
   std::size_t page_size = 4096;
-  SpinPolicy spin_policy{};
   CostParameters costs{};
 };
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <thread>
 
+#include "machdep/wait.hpp"
 #include "util/check.hpp"
 
 #ifdef __linux__
@@ -20,22 +21,21 @@ namespace force::machdep::shm {
 
 // --- futex layer -----------------------------------------------------------
 
-void futex_wait(std::atomic<std::uint32_t>* word, std::uint32_t expected,
-                std::int64_t timeout_ns) {
+void futex_wait(const std::atomic<std::uint32_t>* word,
+                std::uint32_t expected) {
 #ifdef __linux__
   timespec ts;
-  ts.tv_sec = static_cast<time_t>(timeout_ns / 1'000'000'000);
-  ts.tv_nsec = static_cast<long>(timeout_ns % 1'000'000'000);
+  ts.tv_sec = static_cast<time_t>(kWaitSliceNs / 1'000'000'000);
+  ts.tv_nsec = static_cast<long>(kWaitSliceNs % 1'000'000'000);
   // No FUTEX_PRIVATE_FLAG: the queue must be keyed by the shared page so
   // waiters and wakers in different address spaces find each other.
-  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(word), FUTEX_WAIT,
-          expected, timeout_ns > 0 ? &ts : nullptr, nullptr, 0);
+  syscall(SYS_futex, reinterpret_cast<const std::uint32_t*>(word), FUTEX_WAIT,
+          expected, &ts, nullptr, 0);
 #else
   // Portable fallback: bounded sleep-poll. Correct (callers re-check) but
-  // slower to wake; the Linux container never takes this path.
-  const std::int64_t slice_ns = std::min<std::int64_t>(timeout_ns, 1'000'000);
+  // slower to wake; Linux never takes this path.
   if (word->load(std::memory_order_acquire) == expected) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(slice_ns));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 #endif
 }
@@ -121,10 +121,10 @@ void shm_lock_acquire(ShmLockState& s) {
   // Contended: advertise a waiter (state 2) and park. Acquiring via the
   // exchange leaves the word at 2, so the eventual release always wakes -
   // one spurious wake per contention burst, never a lost one.
-  for (;;) {
-    if (s.word.exchange(2, std::memory_order_acquire) == 0) return;
-    check_poison();
-    futex_wait(&s.word, 2);
+  Waiter w;
+  while (s.word.exchange(2, std::memory_order_acquire) != 0) {
+    w.await(s.word, [](std::uint32_t v) { return v != 2; },
+            WordScope::kShared);
   }
 }
 
@@ -162,11 +162,8 @@ void shm_barrier_arrive(ShmBarrierState& b, std::uint32_t width,
     futex_wake(&b.episode, -1);
     return;
   }
-  for (;;) {
-    if (b.episode.load(std::memory_order_acquire) != ep) return;
-    check_poison();
-    futex_wait(&b.episode, ep);
-  }
+  Waiter().await(b.episode, [ep](std::uint32_t v) { return v != ep; },
+                 WordScope::kShared);
 }
 
 // --- process-shared full/empty cell ----------------------------------------
@@ -176,17 +173,18 @@ constexpr std::uint32_t kEmpty = 0;
 constexpr std::uint32_t kFull = 1;
 constexpr std::uint32_t kBusy = 2;
 
-/// CAS the cell from `from` to kBusy, waiting (bounded, poison-checked)
-/// while it holds any other value.
+/// CAS the cell from `from` to kBusy, waiting (poison-checked) while it
+/// holds any other value.
 void seize(ShmCellState& c, std::uint32_t from) {
+  Waiter w;
   for (;;) {
     std::uint32_t s = from;
     if (c.state.compare_exchange_strong(s, kBusy, std::memory_order_acquire,
                                         std::memory_order_relaxed)) {
       return;
     }
-    check_poison();
-    futex_wait(&c.state, s);
+    w.await(c.state, [from](std::uint32_t v) { return v == from; },
+            WordScope::kShared);
   }
 }
 
@@ -247,17 +245,17 @@ bool shm_cell_try_consume(ShmCellState& c, const void* payload, void* dst,
 void shm_cell_void(ShmCellState& c) {
   // Force the state to empty. A Void overlapping an in-flight access
   // waits out the busy window, as on the original machines.
+  Waiter w;
   for (;;) {
-    std::uint32_t s = c.state.load(std::memory_order_acquire);
+    std::uint32_t s = w.await(
+        c.state, [](std::uint32_t v) { return v != kBusy; },
+        WordScope::kShared);
     if (s == kEmpty) return;
-    if (s == kFull &&
-        c.state.compare_exchange_strong(s, kEmpty, std::memory_order_acq_rel,
+    if (c.state.compare_exchange_strong(s, kEmpty, std::memory_order_acq_rel,
                                         std::memory_order_relaxed)) {
       futex_wake(&c.state, -1);
       return;
     }
-    check_poison();
-    futex_wait(&c.state, kBusy);
   }
 }
 
@@ -403,12 +401,11 @@ bool shm_askfor_ask(ShmAskforState& a, void* out, const char* label) {
       return false;
     }
     // No work *right now*, but a working process may still put() more:
-    // sleep on the version word until something changes.
+    // wait on the version word until something changes.
     const std::uint32_t v = a.version.load(std::memory_order_acquire);
     shm_lock_release(a.monitor);
-    if (a.version.load(std::memory_order_acquire) == v) {
-      futex_wait(&a.version, v);
-    }
+    Waiter().await(a.version, [v](std::uint32_t now) { return now != v; },
+                   WordScope::kShared);
   }
 }
 

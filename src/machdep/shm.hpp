@@ -10,9 +10,9 @@
 // queue is keyed by physical page) and with a bounded sleep-poll fallback
 // elsewhere.
 //
-// Liveness contract: every blocking wait in this file is *bounded* (one
-// futex slice at a time) and re-checks the installed team-poison word
-// between slices. When the parent reaps a dead child it poisons the team;
+// Liveness contract: every blocking wait in this file is a machdep::Waiter
+// await on a shared word, which sleeps one bounded futex slice at a time
+// and re-checks the installed team-poison word between slices. When the parent reaps a dead child it poisons the team;
 // survivors parked in any primitive here throw TeamPoisoned within one
 // slice instead of waiting forever on a peer that no longer exists. This
 // is the "never deadlocks the survivors" half of the robust-join design.
@@ -44,10 +44,12 @@ static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
               "shared-memory words must be address-free atomics");
 
 /// Sleeps until `*word != expected` is *likely* (spurious wakeups allowed;
-/// callers always re-check), for at most `timeout_ns`. Cross-process: the
-/// kernel keys the wait queue by the physical page behind `word`.
-void futex_wait(std::atomic<std::uint32_t>* word, std::uint32_t expected,
-                std::int64_t timeout_ns = kWaitSliceNs);
+/// callers always re-check), for at most one kWaitSliceNs. Cross-process:
+/// the kernel keys the wait queue by the physical page behind `word`.
+/// Waits go through machdep::Waiter (wait.hpp), which calls this between
+/// team-poison checks.
+void futex_wait(const std::atomic<std::uint32_t>* word,
+                std::uint32_t expected);
 
 /// Wakes up to `count` waiters (`count < 0` means all).
 void futex_wake(std::atomic<std::uint32_t>* word, int count);

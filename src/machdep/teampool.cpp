@@ -15,6 +15,7 @@
 
 #include "machdep/fiber.hpp"
 #include "machdep/shm.hpp"
+#include "machdep/wait.hpp"
 #include "util/check.hpp"
 #include "util/timing.hpp"
 
@@ -23,20 +24,6 @@ namespace force::machdep {
 // ---------------------------------------------------------------------------
 // TeamPool (thread axis)
 // ---------------------------------------------------------------------------
-
-namespace {
-/// Polite probes on the arm word before a worker commits to the futex-style
-/// atomic wait: a force arriving within this window is picked up without a
-/// kernel round trip, which is most of the pooled re-entry win. On a
-/// single-hardware-thread host spinning is strictly harmful - the spinner
-/// holds the only core against the very thread it is waiting for - so the
-/// window collapses to zero there.
-int park_spins() {
-  static const int spins =
-      std::thread::hardware_concurrency() > 1 ? 4096 : 0;
-  return spins;
-}
-}  // namespace
 
 TeamPool::TeamPool(int workers, std::size_t member_stack_bytes)
     : workers_(workers), member_stack_bytes_(member_stack_bytes) {
@@ -59,19 +46,13 @@ void TeamPool::worker_main(int w) {
   // Lives as long as the worker so fiber stacks are warm across forces.
   MemberScheduler sched(member_stack_bytes_);
   for (;;) {
-    std::uint32_t g = arm_.load(std::memory_order_acquire);
-    for (int probe = park_spins(); probe > 0 && g == seen; --probe) {
-      g = arm_.load(std::memory_order_acquire);
-    }
-    while (g == seen) {
-      arm_.wait(seen, std::memory_order_relaxed);
-      g = arm_.load(std::memory_order_acquire);
-    }
+    // A force arriving within the spin window is picked up without a
+    // kernel round trip, which is most of the pooled re-entry win.
+    seen = Waiter().await(arm_, [seen](std::uint32_t v) { return v != seen; });
     if (shutdown_.load(std::memory_order_acquire)) return;
-    seen = g;
     run_members(w, job_, sched);
     if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      done_.store(g, std::memory_order_release);
+      done_.store(seen, std::memory_order_release);
       done_.notify_all();
     }
   }
@@ -133,14 +114,7 @@ SpawnStats TeamPool::run(int nproc, const std::function<void(int)>& entry) {
   }
 
   const std::int64_t t1 = util::now_ns();
-  std::uint32_t d = done_.load(std::memory_order_acquire);
-  for (int probe = park_spins(); probe > 0 && d != g; --probe) {
-    d = done_.load(std::memory_order_acquire);
-  }
-  while (d != g) {
-    done_.wait(d, std::memory_order_relaxed);
-    d = done_.load(std::memory_order_acquire);
-  }
+  Waiter().await(done_, [g](std::uint32_t v) { return v == g; });
   stats.join_ns = util::now_ns() - t1;
 
   std::exception_ptr err;
@@ -217,20 +191,14 @@ void ForkTeamPool::spawn(const std::function<void(int)>& entry) {
       shm::set_site_slot(slot.site, sizeof(slot.site));
       std::uint32_t seen = 0;
       for (;;) {
-        std::uint32_t g = ctl->arm.load(std::memory_order_acquire);
-        while (g == seen) {
-          if (ctl->shutdown.load(std::memory_order_acquire) != 0) {
-            std::fflush(nullptr);
-            std::_Exit(0);
-          }
-          if (ctl->poison.load(std::memory_order_acquire) != 0) {
-            std::fflush(nullptr);
-            std::_Exit(kPoisonCollateralExit);
-          }
-          shm::futex_wait(&ctl->arm, seen);
-          g = ctl->arm.load(std::memory_order_acquire);
+        try {
+          seen = Waiter().await(
+              ctl->arm, [seen](std::uint32_t v) { return v != seen; },
+              WordScope::kShared);
+        } catch (const shm::TeamPoisoned&) {
+          std::fflush(nullptr);
+          std::_Exit(kPoisonCollateralExit);
         }
-        seen = g;
         // shutdown() wakes the park via an arm bump (a wake alone could be
         // slept through: the futex word would still equal `seen`), so a new
         // generation can mean retirement, not work - re-check before running.
@@ -255,7 +223,7 @@ void ForkTeamPool::spawn(const std::function<void(int)>& entry) {
           std::_Exit(1);
         }
         shm::note_site("pool-parked");
-        slot.done.store(g, std::memory_order_release);
+        slot.done.store(seen, std::memory_order_release);
         shm::futex_wake(&slot.done, -1);
       }
     }
@@ -382,13 +350,19 @@ SpawnStats ForkTeamPool::run(PrivateSpace* space,
       continue;
     }
 
-    // Park briefly on the first unfinished slot; one slice bounds how
-    // stale the death poll above can get.
+    // Park on the first unfinished slot until it moves or one wait slice
+    // has passed, which bounds how stale the death poll above can get.
     for (int p = 0; p < nproc_; ++p) {
       const std::uint32_t cur =
           slots_[p].done.load(std::memory_order_acquire);
       if (cur != g) {
-        shm::futex_wait(&slots_[p].done, cur, 1'000'000 /* 1 ms */);
+        const std::int64_t until = util::now_ns() + shm::kWaitSliceNs;
+        Waiter().await(
+            slots_[p].done,
+            [cur, until](std::uint32_t v) {
+              return v != cur || util::now_ns() >= until;
+            },
+            WordScope::kShared);
         break;
       }
     }

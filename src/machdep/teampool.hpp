@@ -6,8 +6,8 @@
 // replaces create/join with a generation-stamped entry protocol:
 //
 //   * TeamPool (thread axis): W worker threads park between forces on a
-//     low-latency wait (bounded spin, then a futex-style atomic wait on
-//     the arm generation). run() publishes the job, bumps the generation,
+//     machdep::Waiter await of the arm generation (the host spin window,
+//     then a futex-style atomic wait). run() publishes the job, bumps the generation,
 //     executes member 0 ITSELF - the driver is a member, as in the
 //     paper's driver model - and then waits for the done generation to
 //     catch up. Running the leader inline saves one worker wake (and its

@@ -1,0 +1,68 @@
+#include "machdep/wait.hpp"
+
+#include <thread>
+#include <type_traits>
+
+#include "machdep/fiber.hpp"
+#include "machdep/shm.hpp"
+#include "util/check.hpp"
+
+#ifdef __linux__
+#include <sched.h>
+#endif
+
+namespace force::machdep {
+
+namespace {
+
+/// CPUs this process may run on: the affinity mask where the host has one,
+/// so a team pinned to one CPU (taskset) counts as a 1-CPU host.
+unsigned usable_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
+
+}  // namespace
+
+int Waiter::host_window() {
+  // Long enough that a wake arriving within a few microseconds (a barrier
+  // release, a pooled force entry) is caught without a kernel round trip.
+  static const int window = usable_cpus() > 1 ? 1024 : 0;
+  return window;
+}
+
+void Waiter::yield() { member_yield(); }
+
+template <typename T>
+void Waiter::sleep(const std::atomic<T>& word, T seen, WordScope scope) {
+  if (scope == WordScope::kShared) {
+    if constexpr (std::is_same_v<T, std::uint32_t>) {
+      // A peer in another address space stores and wakes through the same
+      // physical page; one bounded slice, so a dead peer is noticed.
+      shm::check_poison();
+      shm::futex_wait(&word, seen);
+      return;
+    }
+    FORCE_CHECK(false, "a shared wait needs a 32-bit futex word");
+  }
+  if (on_fiber()) {
+    // Never block the worker in the kernel: the wake may come from a
+    // sibling member multiplexed onto this same worker.
+    member_yield();
+    return;
+  }
+  word.wait(seen, std::memory_order_relaxed);
+}
+
+template void Waiter::sleep(const std::atomic<std::uint32_t>&, std::uint32_t,
+                            WordScope);
+template void Waiter::sleep(const std::atomic<std::uint64_t>&, std::uint64_t,
+                            WordScope);
+
+}  // namespace force::machdep

@@ -1,0 +1,109 @@
+// The one wait primitive (paper §4.1.3: the machines differ in how a lock
+// *waits* - spin, system call, or spin-then-block).
+//
+// Every spin, yield and sleep in the runtime goes through a Waiter, so the
+// wait policy lives here and nowhere else:
+//
+//   * pause()  - one probe step of a hand-rolled spin loop: a cpu-relax,
+//     and on every 64th call a yield. The yield is fiber-aware: on a pooled
+//     N:M member it switches continuations (the holder of what we wait for
+//     may be a sibling member on this very worker), on a plain thread it is
+//     an OS yield.
+//   * await()  - waits for a predicate on one atomic word: it spends the
+//     Waiter's spin window on pause() probes, then yields (on a fiber) or
+//     sleeps. The default window is worked out once from the CPUs this
+//     process may run on; it is 0 on a 1-CPU host, where a spinner only
+//     holds the CPU against the thread it waits for.
+//   * the sleep picks its mechanism by where the word lives: std::atomic
+//     wait for a word private to the process, or one raw futex slice with
+//     a team-poison check for a word in a MAP_SHARED mapping (the os-fork
+//     backend), so a survivor of a dead sibling throws shm::TeamPoisoned.
+//
+// The lock kinds keep their own probe protocols (TAS, TTAS backoff, ticket
+// FIFO, MCS queue, HEP cell); only their waiting is shared. A Waiter is
+// one wait: construct it where the wait starts, and read spins()/slept()
+// afterwards for the lock counters.
+#pragma once
+
+#include <atomic>
+#include <cstdint>
+
+namespace force::machdep {
+
+/// Where a waited-on word lives; picks how a Waiter sleeps on it.
+enum class WordScope {
+  kPrivate,  ///< in this process's memory: std::atomic wait
+  kShared    ///< in a MAP_SHARED mapping: futex slices, poison-checked
+};
+
+class Waiter {
+ public:
+  /// `window`: spin probes this wait may spend before sleeping; 0 blocks
+  /// at once (the system lock).
+  explicit Waiter(int window = host_window()) : window_(window) {}
+
+  /// One probe step of a spin loop: cpu-relax, a yield every 64th call.
+  void pause() {
+    if (++spins_ % kYieldEvery == 0) {
+      yield();
+    } else {
+      relax();
+    }
+  }
+
+  /// Waits until `pred(value)` holds for the word's value and returns that
+  /// value (acquire). Spins out the remaining window first, then yields
+  /// the member (on a fiber) or sleeps until the word changes. A shared
+  /// word must be 32 bits, and throws shm::TeamPoisoned once the team's
+  /// poison word is set.
+  template <typename T, typename Pred>
+  T await(const std::atomic<T>& word, Pred pred,
+          WordScope scope = WordScope::kPrivate) {
+    for (;;) {
+      const T v = word.load(std::memory_order_acquire);
+      if (pred(v)) return v;
+      if (window_ > 0) {
+        --window_;
+        pause();
+      } else {
+        slept_ = true;
+        sleep(word, v, scope);
+      }
+    }
+  }
+
+  /// pause() calls so far, window probes included.
+  [[nodiscard]] std::uint64_t spins() const { return spins_; }
+  /// True once an await() has run out of window and slept (or yielded).
+  [[nodiscard]] bool slept() const { return slept_; }
+
+  /// The fiber-aware yield: a continuation switch on a pooled N:M member,
+  /// an OS yield on a plain thread.
+  static void yield();
+  /// `n` cpu-relax instructions: a backoff delay, not a probe.
+  static void relax(std::uint32_t n = 1) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#else
+      std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kYieldEvery = 64;
+
+  /// Spin probes an await() spends before it sleeps: 0 on a 1-CPU host.
+  static int host_window();
+
+  /// Blocks while the word still reads `seen` (spurious returns allowed).
+  template <typename T>
+  static void sleep(const std::atomic<T>& word, T seen, WordScope scope);
+
+  int window_;
+  std::uint64_t spins_ = 0;
+  bool slept_ = false;
+};
+
+}  // namespace force::machdep

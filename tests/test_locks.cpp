@@ -155,7 +155,7 @@ TEST(LockKindNames, RoundTrip) {
 TEST(TicketLock, IsFifoFair) {
   // With a ticket lock, a queued waiter cannot be overtaken by a later
   // try_acquire: the ticket counter has moved past the serving counter.
-  md::TicketLock lock(nullptr, {});
+  md::TicketLock lock(nullptr);
   lock.acquire();
   std::atomic<bool> waiter_done{false};
   std::jthread waiter([&] {
@@ -171,15 +171,13 @@ TEST(TicketLock, IsFifoFair) {
 }
 
 TEST(McsLock, ReleaseWithoutHoldThrows) {
-  md::McsLock lock(nullptr, {});
+  md::McsLock lock(nullptr);
   EXPECT_THROW(lock.release(), force::util::CheckError);
 }
 
 TEST(CombinedLock, FallsBackToBlockingUnderLongHold) {
   md::LockCounters counters;
-  md::SpinPolicy policy;
-  policy.combined_spin_budget = 8;  // tiny budget: force the blocking path
-  md::CombinedLock lock(&counters, policy);
+  md::CombinedLock lock(&counters);  // a 50 ms hold outlasts any spin window
   lock.acquire();
   std::jthread waiter([&] {
     lock.acquire();
@@ -208,7 +206,7 @@ TEST(SystemLock, NeverSpins) {
 
 TEST(SpinLocks, SpinIterationsAreRecorded) {
   md::LockCounters counters;
-  md::TasSpinLock lock(&counters, {});
+  md::TasSpinLock lock(&counters);
   lock.acquire();
   std::jthread waiter([&] {
     lock.acquire();

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unistd.h>
 
 #include "core/force.hpp"
@@ -180,6 +181,42 @@ TEST(PooledForce, NmPoolDrivesMembersThroughBarriersAndCriticals) {
     });
   }
   EXPECT_EQ(counter, 2 * kRounds * kNproc);
+}
+
+TEST(PooledForce, NmStripedLockHandsTheWorkerToItsHolder) {
+  // The Cray-2 has 32 physical locks; once an async_array has spent them,
+  // the critical section's lock is striped. Members 2 and 4 share a
+  // worker. Member 2 blocks inside the critical section until member 1
+  // produces, and member 4 then waits on that same critical lock: its wait
+  // must hand the worker back to member 2, or neither can ever finish.
+  force::ForceConfig cfg = pool_config();
+  cfg.machine = "cray2";
+  cfg.pool_workers = 2;
+  force::Force f(cfg);
+  auto& got = f.shared<std::int64_t>("got");
+  auto& entries = f.shared<std::int64_t>("entries");
+  const core::Site inside = FORCE_SITE;
+  f.run([&](core::Ctx& ctx) {
+    auto& value = ctx.async_var<std::int64_t>(FORCE_SITE);
+    auto& holding = ctx.async_var<std::int64_t>(FORCE_SITE);
+    (void)ctx.async_array<std::int64_t>(FORCE_SITE, 40);
+    if (ctx.me() == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      value.produce(7);
+    } else if (ctx.me() == 2) {
+      ctx.critical(inside, [&] {
+        ++entries;
+        holding.produce(1);
+        got = value.consume();
+      });
+    } else if (ctx.me() == 4) {
+      (void)holding.consume();
+      ctx.critical(inside, [&] { ++entries; });
+    }
+  });
+  EXPECT_GT(f.env().machine().lock_stats().striped_locks, 0u);
+  EXPECT_EQ(got, 7);
+  EXPECT_EQ(entries, 2);
 }
 
 TEST(PooledForce, ArenaGenerationIsStableAcrossPooledReentry) {
