@@ -119,39 +119,48 @@ int main(int argc, char** argv) {
   }
   std::fputs(sig.render().c_str(), stdout);
 
-  // E2b ablation: the reduction built on the lock idiom (critical section
-  // + barrier, the faithful Force shape) vs the lock-free combining tree.
+  // E2b ablation: the Force's hand-written reduction idiom (critical-section
+  // accumulate + barrier-section publish) vs ctx.reduce, which carries the
+  // partials as a payload of one barrier episode and folds them in member
+  // order inside the section.
   std::printf("\nE2b  Reduction ablation (allreduce of one int64, %d "
-              "episodes):\n\n",
+              "episodes, central-sense barrier):\n\n",
               episodes / 4);
-  force::util::Table red({"strategy", "np", "lock acquires/episode",
+  force::util::Table red({"reduction", "np", "lock acquires/episode",
                           "ns/episode"});
   for (int np : nprocs) {
-    for (auto strategy : {fc::ReduceStrategy::kCritical,
-                          fc::ReduceStrategy::kTournament}) {
+    for (const bool idiom : {true, false}) {
       fc::ForceConfig cfg;
       cfg.nproc = np;
       cfg.barrier_algorithm = "central-sense";  // isolate the idiom's locks
       force::Force f(cfg);
       f.run([](force::Ctx&) {});  // create construct state lazily below
       const int eps = episodes / 4;
+      std::int64_t acc = 0;
+      std::int64_t result = 0;
       const auto before =
           force::machdep::snapshot(f.env().machine().counters());
       const double wall = force::bench::time_ns([&] {
         f.run([&](force::Ctx& ctx) {
           for (int e = 0; e < eps; ++e) {
-            (void)ctx.reduce<std::int64_t>(
-                FORCE_SITE, ctx.me(),
-                [](std::int64_t a, std::int64_t b) { return a + b; },
-                strategy);
+            if (idiom) {
+              ctx.critical(FORCE_SITE, [&] { acc += ctx.me(); });
+              ctx.barrier([&] {
+                result = acc;
+                acc = 0;
+              });
+            } else {
+              (void)ctx.reduce<std::int64_t>(
+                  FORCE_SITE, ctx.me(),
+                  [](std::int64_t a, std::int64_t b) { return a + b; });
+            }
           }
         });
       });
       const auto delta =
           force::machdep::snapshot(f.env().machine().counters()) - before;
       red.add_row(
-          {strategy == fc::ReduceStrategy::kCritical ? "critical+barrier"
-                                                     : "combining tree",
+          {idiom ? "critical+barrier idiom" : "ctx.reduce",
            force::util::Table::num(static_cast<std::int64_t>(np)),
            force::util::Table::num(static_cast<double>(delta.acquires) /
                                    eps),
@@ -163,7 +172,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nE2 verdict: lock barrier cost grows linearly with NP (serialized "
       "lock passes); dissemination does NP*ceil(log2 NP) parallel signals - "
-      "the [AJ87] shape. E2b: the critical-section reduction pays NP "
-      "serialized lock passes per episode, the combining tree zero.\n");
+      "the [AJ87] shape. E2b: the hand-written critical+barrier reduction "
+      "pays NP serialized lock passes per episode, ctx.reduce zero.\n");
   return 0;
 }

@@ -115,8 +115,7 @@ int main(int argc, char** argv) {
       });
       ctx.reduce_into<double>(
           FORCE_SITE, local_ke, kinetic,
-          [](double a, double b) { return a + b; },
-          force::core::ReduceStrategy::kTournament);
+          [](double a, double b) { return a + b; });
       ctx.barrier();
     }
   });

@@ -162,7 +162,7 @@ std::vector<std::int64_t> parallel_histogram(Ctx& ctx, const Site& site,
 }
 
 /// Index of a maximal element (ties broken toward the lowest index),
-/// computed with a tournament reduction over (value, index) pairs.
+/// computed with a member-order reduction over (value, index) pairs.
 template <typename T>
 std::int64_t parallel_argmax(Ctx& ctx, const Site& site,
                              const std::vector<T>& data) {
@@ -187,8 +187,7 @@ std::int64_t parallel_argmax(Ctx& ctx, const Site& site,
         if (b.index < 0) return a;
         if (a.value != b.value) return a.value > b.value ? a : b;
         return a.index < b.index ? a : b;
-      },
-      ReduceStrategy::kTournament);
+      });
   return reduced.index;
 }
 

@@ -169,31 +169,25 @@ class Ctx {
   [[nodiscard]] ResolveBuilder resolve(const Site& site);
 
   /// Allreduce over the team: contributes `local`, returns the combined
-  /// value to every process. `combine` must be associative/commutative.
-  /// Packages the Force's "private partial + critical + barrier" idiom
-  /// (kCritical, default) or a log-depth combining tree (kTournament).
+  /// value to every process. Packages the Force's "private partial +
+  /// critical + barrier" idiom as one barrier episode: the partials are
+  /// folded left in member order (process 0 first), so any `combine` gives
+  /// the same bits on every run and every backend.
   template <typename T>
   T reduce(const Site& site, const T& local,
-           const std::function<T(T, T)>& combine,
-           ReduceStrategy strategy = ReduceStrategy::kCritical) {
-    auto& red = state<Reduction<T>>(site, "%reduce", [this, &site] {
-      return std::make_unique<Reduction<T>>(*env_, np_, site_key(site));
-    });
-    return red.allreduce(me0_, local, combine, strategy);
+           const std::function<T(T, T)>& combine) {
+    return reduction<T>(site).allreduce(me0_, local, combine);
   }
 
   /// Like reduce(), but also stores the result into a *shared* variable at
-  /// the construct's single-writer point (race-free; visible to every
-  /// process when reduce_into returns). The dialect's Reduce statement
-  /// compiles to this.
+  /// the construct's single-writer point, the barrier section (race-free;
+  /// visible to every process when reduce_into returns). The dialect's
+  /// Reduce statement compiles to this.
   template <typename T>
   T reduce_into(const Site& site, const T& local, T& shared_target,
-                const std::function<T(T, T)>& combine,
-                ReduceStrategy strategy = ReduceStrategy::kCritical) {
-    auto& red = state<Reduction<T>>(site, "%reduce", [this, &site] {
-      return std::make_unique<Reduction<T>>(*env_, np_, site_key(site));
-    });
-    return red.allreduce(me0_, local, combine, strategy, &shared_target);
+                const std::function<T(T, T)>& combine) {
+    return reduction<T>(site).allreduce(me0_, local, combine,
+                                        &shared_target);
   }
 
   /// A raw named lock: the paper's low-level define_lock / lock / unlock
@@ -304,6 +298,13 @@ class Ctx {
         ns_(std::move(ns)),
         team_barrier_(team_barrier),
         rng_(env->rng_for(me0)) {}
+
+  template <typename T>
+  Reduction<T>& reduction(const Site& site) {
+    return state<Reduction<T>>(site, "%reduce", [this, &site] {
+      return std::make_unique<Reduction<T>>(*env_, np_, site_key(site));
+    });
+  }
 
   void barrier_impl(const std::function<void()>& section) {
     Sentry* sn = env_->sentry();

@@ -747,10 +747,6 @@ class ShmBackend final : public ExecutionBackend {
         std::uint32_t busy = 2;
         c->state.compare_exchange_strong(busy, 0,
                                          std::memory_order_acq_rel);
-      } else if (prefixed("%reduce/")) {
-        // A reduction's state opens with its arrival count (core/reduce.hpp);
-        // its lock and barrier are keyed words scrubbed above.
-        *static_cast<std::uint32_t*>(addr) = 0;
       }
     });
   }

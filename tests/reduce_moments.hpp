@@ -46,8 +46,8 @@ using Agreed = std::array<std::int64_t, kMaxNp>;
 /// writes round r into `published[r]`; each member stores how many of the
 /// values it got back matched the oracle into its slot of `agreed`. Both
 /// must live in the Force's shared arena on separate-process backends.
-inline void run_rounds(force::Force& f, force::core::ReduceStrategy strategy,
-                       Published& published, Agreed& agreed) {
+inline void run_rounds(force::Force& f, Published& published,
+                       Agreed& agreed) {
   published = {};
   agreed = {};
   f.run([&](force::core::Ctx& ctx) {
@@ -55,7 +55,7 @@ inline void run_rounds(force::Force& f, force::core::ReduceStrategy strategy,
     for (int r = 0; r < kRounds; ++r) {
       const Moments got = ctx.reduce_into<Moments>(
           FORCE_SITE, contribution(ctx.me(), r),
-          published[static_cast<std::size_t>(r)], combine, strategy);
+          published[static_cast<std::size_t>(r)], combine);
       if (got == oracle(ctx.np(), r)) ++ok;
     }
     agreed[static_cast<std::size_t>(ctx.me0())] = ok;

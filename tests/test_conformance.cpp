@@ -1,11 +1,13 @@
 // Cross-model conformance matrix (driven by tests/CMakeLists.txt).
 //
-// One binary, four canonical Force programs, each checked bit-identically
+// One binary, five canonical Force programs, each checked bit-identically
 // against a sequential oracle:
 //
 //   * Saxpy            - selfscheduled DOALL over doubles;
-//   * BarrierReduction - critical accumulation + barrier-section publish,
-//                        iterated so barrier reuse is exercised;
+//   * BarrierReduction - a Reduce into a shared array, iterated so the
+//                        reduce's barrier reuse is exercised;
+//   * ReduceFoldOrder  - 1000 Reduces of a float sum whose bits depend on
+//                        fold order, under reshuffled arrival orders;
 //   * AskforTreewalk   - dynamic work generation through the monitor;
 //   * ProduceConsume   - an async-variable pipeline through every process.
 //
@@ -131,6 +133,63 @@ TEST(Conformance, BarrierSectionReduction) {
       EXPECT_EQ(results[static_cast<std::size_t>(r)],
                 oracle[static_cast<std::size_t>(r)])
           << "round " << r << " (run " << run << ")";
+    }
+  }
+}
+
+// --- ReduceFoldsInMemberOrder: a fold-order-sensitive float sum ------------
+
+TEST(Conformance, ReduceFoldsInMemberOrder) {
+  constexpr int kEpisodes = 1000;
+  // Floating-point addition is not associative: summing these in another
+  // order keeps or drops the 1.0s against the 1e16s, so only the fold
+  // 0, 1, ..., NP-1 reproduces the sequential oracle's bits.
+  static constexpr std::array<double, kNproc> kTerms = {1e16, 1.0, -1e16,
+                                                        1.0};
+  const auto term = [](int me0, int r) {
+    return kTerms[static_cast<std::size_t>((me0 + r) % kNproc)];
+  };
+  const auto oracle = [&term](int r) {
+    double acc = term(0, r);
+    for (int p = 1; p < kNproc; ++p) acc += term(p, r);
+    return acc;
+  };
+
+  force::Force f(cell_config());
+  auto& results = f.shared<std::array<double, kEpisodes>>("results");
+  auto& mismatches = f.shared<std::array<std::int64_t, kNproc>>("mismatches");
+  for (int run = 0; run < cell_runs(); ++run) {
+    results = {};
+    mismatches = {};
+    f.run([&](core::Ctx& ctx) {
+      const int me0 = ctx.me0();
+      std::int64_t bad = 0;
+      for (int r = 0; r < kEpisodes; ++r) {
+        // Member- and round-dependent busy work reshuffles the arrival
+        // order: the member contributing 1e16 tends to arrive first.
+        const int spins =
+            16384 * ((me0 + r) % kNproc) + 512 * ((7 * r + 3 * me0) % 5);
+        volatile std::int64_t sink = 0;
+        for (int i = 0; i < spins; ++i) sink = sink + i;
+        const double got = ctx.reduce_into<double>(
+            FORCE_SITE, term(me0, r), results[static_cast<std::size_t>(r)],
+            [](double a, double b) { return a + b; });
+        const double want = oracle(r);
+        if (std::memcmp(&got, &want, sizeof got) != 0) ++bad;
+      }
+      mismatches[static_cast<std::size_t>(me0)] = bad;
+      ctx.barrier();
+    });
+    std::array<double, kEpisodes> want{};
+    for (int r = 0; r < kEpisodes; ++r) {
+      want[static_cast<std::size_t>(r)] = oracle(r);
+    }
+    EXPECT_EQ(std::memcmp(results.data(), want.data(), sizeof want), 0)
+        << "published sums are not the member-order fold (run " << run
+        << ")";
+    for (int p = 0; p < kNproc; ++p) {
+      EXPECT_EQ(mismatches[static_cast<std::size_t>(p)], 0)
+          << "member " << p << " got another fold back (run " << run << ")";
     }
   }
 }

@@ -114,19 +114,15 @@ TEST(ForkBackend, RepeatedRunsReuseTheArenaState) {
   EXPECT_EQ(counter, 3 * kNproc);
 }
 
-// Reduce runs the critical idiom over a keyed lock, a keyed barrier and an
-// arena blob; a multi-word payload must come back bit-identical. The
-// tournament cannot span address spaces, so requesting it must quietly
-// run the critical idiom and still return the oracle.
+// Reduce writes per-process slots in an arena blob and folds them in a
+// keyed barrier's section; a multi-word payload must come back
+// bit-identical across the forked address spaces.
 TEST(ForkBackend, MultiWordReduceMatchesTheOracle) {
-  for (core::ReduceStrategy s :
-       {core::ReduceStrategy::kCritical, core::ReduceStrategy::kTournament}) {
-    force::Force f(fork_config());
-    auto& published = f.shared<reduce_moments::Published>("published");
-    auto& agreed = f.shared<reduce_moments::Agreed>("agreed");
-    reduce_moments::run_rounds(f, s, published, agreed);
-    reduce_moments::expect_oracle(published, agreed, kNproc);
-  }
+  force::Force f(fork_config());
+  auto& published = f.shared<reduce_moments::Published>("published");
+  auto& agreed = f.shared<reduce_moments::Agreed>("agreed");
+  reduce_moments::run_rounds(f, published, agreed);
+  reduce_moments::expect_oracle(published, agreed, kNproc);
 }
 
 // --- robust join: death tests ----------------------------------------------

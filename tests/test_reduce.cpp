@@ -1,4 +1,5 @@
-// Tests for the Reduction construct (critical idiom vs combining tree).
+// Tests for the Reduction construct: one barrier episode whose section folds
+// the per-process slots in member order, under every barrier algorithm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,15 +19,24 @@ std::function<std::int64_t(std::int64_t, std::int64_t)> plus_i64() {
 }  // namespace
 
 class ReduceTest
-    : public ::testing::TestWithParam<std::tuple<fc::ReduceStrategy, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {
+ protected:
+  /// A force of the parameter's width whose team barriers - the reduce's
+  /// included - run the parameter's algorithm.
+  static fc::ForceConfig config() {
+    fc::ForceConfig cfg;
+    cfg.barrier_algorithm = std::get<0>(GetParam());
+    cfg.nproc = std::get<1>(GetParam());
+    return cfg;
+  }
+};
 
 TEST_P(ReduceTest, SumOfProcessNumbers) {
-  const auto [strategy, np] = GetParam();
-  force::Force f({.nproc = np});
+  force::Force f(config());
   std::atomic<int> failures{0};
-  f.run([&, s = strategy](fc::Ctx& ctx) {
+  f.run([&](fc::Ctx& ctx) {
     const std::int64_t total = ctx.reduce<std::int64_t>(
-        FORCE_SITE, ctx.me(), plus_i64(), s);
+        FORCE_SITE, ctx.me(), plus_i64());
     if (total != static_cast<std::int64_t>(ctx.np()) * (ctx.np() + 1) / 2) {
       failures.fetch_add(1);
     }
@@ -35,12 +45,12 @@ TEST_P(ReduceTest, SumOfProcessNumbers) {
 }
 
 TEST_P(ReduceTest, EveryProcessGetsTheResult) {
-  const auto [strategy, np] = GetParam();
-  force::Force f({.nproc = np});
+  const int np = std::get<1>(GetParam());
+  force::Force f(config());
   std::vector<std::int64_t> results(static_cast<std::size_t>(np), -1);
-  f.run([&, s = strategy](fc::Ctx& ctx) {
+  f.run([&](fc::Ctx& ctx) {
     results[static_cast<std::size_t>(ctx.me0())] =
-        ctx.reduce<std::int64_t>(FORCE_SITE, 1, plus_i64(), s);
+        ctx.reduce<std::int64_t>(FORCE_SITE, 1, plus_i64());
   });
   for (int p = 0; p < np; ++p) {
     EXPECT_EQ(results[static_cast<std::size_t>(p)], np) << p;
@@ -48,13 +58,12 @@ TEST_P(ReduceTest, EveryProcessGetsTheResult) {
 }
 
 TEST_P(ReduceTest, ReusableAcrossEpisodesWithChangingValues) {
-  const auto [strategy, np] = GetParam();
-  force::Force f({.nproc = np});
+  force::Force f(config());
   std::atomic<int> failures{0};
-  f.run([&, s = strategy](fc::Ctx& ctx) {
+  f.run([&](fc::Ctx& ctx) {
     for (std::int64_t round = 1; round <= 20; ++round) {
       const std::int64_t total = ctx.reduce<std::int64_t>(
-          FORCE_SITE, round * ctx.me(), plus_i64(), s);
+          FORCE_SITE, round * ctx.me(), plus_i64());
       const std::int64_t want =
           round * static_cast<std::int64_t>(ctx.np()) * (ctx.np() + 1) / 2;
       if (total != want) failures.fetch_add(1);
@@ -64,13 +73,12 @@ TEST_P(ReduceTest, ReusableAcrossEpisodesWithChangingValues) {
 }
 
 TEST_P(ReduceTest, MaxReduction) {
-  const auto [strategy, np] = GetParam();
-  force::Force f({.nproc = np});
+  force::Force f(config());
   std::atomic<int> failures{0};
-  f.run([&, s = strategy](fc::Ctx& ctx) {
+  f.run([&](fc::Ctx& ctx) {
     const std::int64_t biggest = ctx.reduce<std::int64_t>(
         FORCE_SITE, (ctx.me() * 7919) % 101,
-        [](std::int64_t a, std::int64_t b) { return std::max(a, b); }, s);
+        [](std::int64_t a, std::int64_t b) { return std::max(a, b); });
     std::int64_t want = 0;
     for (int p = 1; p <= ctx.np(); ++p) {
       want = std::max<std::int64_t>(want, (p * 7919) % 101);
@@ -81,13 +89,12 @@ TEST_P(ReduceTest, MaxReduction) {
 }
 
 TEST_P(ReduceTest, DoublePayloads) {
-  const auto [strategy, np] = GetParam();
-  force::Force f({.nproc = np});
+  force::Force f(config());
   std::atomic<int> failures{0};
-  f.run([&, s = strategy](fc::Ctx& ctx) {
+  f.run([&](fc::Ctx& ctx) {
     const double sum = ctx.reduce<double>(
         FORCE_SITE, 0.5 * ctx.me(),
-        [](double a, double b) { return a + b; }, s);
+        [](double a, double b) { return a + b; });
     const double want = 0.5 * ctx.np() * (ctx.np() + 1) / 2.0;
     if (std::fabs(sum - want) > 1e-12) failures.fetch_add(1);
   });
@@ -95,16 +102,13 @@ TEST_P(ReduceTest, DoublePayloads) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    StrategiesAndWidths, ReduceTest,
-    ::testing::Combine(::testing::Values(fc::ReduceStrategy::kCritical,
-                                         fc::ReduceStrategy::kTournament),
+    BarriersAndWidths, ReduceTest,
+    ::testing::Combine(::testing::ValuesIn(fc::barrier_algorithm_names()),
                        ::testing::Values(1, 2, 3, 4, 7, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<fc::ReduceStrategy, int>>&
-           info) {
-      const char* s = std::get<0>(info.param) == fc::ReduceStrategy::kCritical
-                          ? "critical"
-                          : "tournament";
-      return std::string(s) + "_w" + std::to_string(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<std::string, int>>& info) {
+      std::string name = std::get<0>(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name + "_w" + std::to_string(std::get<1>(info.param));
     });
 
 TEST(Reduce, WorksOnEveryMachineModel) {
@@ -123,9 +127,9 @@ TEST(Reduce, WorksOnEveryMachineModel) {
   }
 }
 
-TEST(Reduce, TournamentUsesNoLocksBeyondTheBarrier) {
-  // The combining tree itself is lock-free; only the trailing barrier
-  // touches locks (and only on lock-based barrier algorithms).
+TEST(Reduce, UsesNoLocksBeyondTheBarrier) {
+  // The slots are plain stores and the fold runs in the barrier section,
+  // so a lock-free barrier algorithm leaves the reduce with no lock at all.
   fc::ForceConfig cfg;
   cfg.nproc = 4;
   cfg.barrier_algorithm = "central-sense";  // lock-free barrier
@@ -133,8 +137,7 @@ TEST(Reduce, TournamentUsesNoLocksBeyondTheBarrier) {
   f.run([](fc::Ctx&) {});  // warm up the force
   const auto before = force::machdep::snapshot(f.env().machine().counters());
   f.run([&](fc::Ctx& ctx) {
-    (void)ctx.reduce<std::int64_t>(FORCE_SITE, 1, plus_i64(),
-                                   fc::ReduceStrategy::kTournament);
+    (void)ctx.reduce<std::int64_t>(FORCE_SITE, 1, plus_i64());
   });
   const auto delta =
       force::machdep::snapshot(f.env().machine().counters()) - before;
@@ -142,22 +145,18 @@ TEST(Reduce, TournamentUsesNoLocksBeyondTheBarrier) {
 }
 
 TEST(Reduce, ReduceIntoWritesSharedTargetRaceFree) {
-  for (fc::ReduceStrategy s : {fc::ReduceStrategy::kCritical,
-                               fc::ReduceStrategy::kTournament}) {
-    force::Force f({.nproc = 4});
-    auto& total = f.shared<std::int64_t>("total");
-    std::atomic<int> failures{0};
-    f.run([&](fc::Ctx& ctx) {
-      for (std::int64_t round = 1; round <= 5; ++round) {
-        ctx.reduce_into<std::int64_t>(FORCE_SITE, round, total, plus_i64(),
-                                      s);
-        // Visible to every process as soon as the construct returns.
-        if (total != round * ctx.np()) failures.fetch_add(1);
-      }
-    });
-    EXPECT_EQ(failures.load(), 0);
-    EXPECT_EQ(total, 5 * 4);
-  }
+  force::Force f({.nproc = 4});
+  auto& total = f.shared<std::int64_t>("total");
+  std::atomic<int> failures{0};
+  f.run([&](fc::Ctx& ctx) {
+    for (std::int64_t round = 1; round <= 5; ++round) {
+      ctx.reduce_into<std::int64_t>(FORCE_SITE, round, total, plus_i64());
+      // Visible to every process as soon as the construct returns.
+      if (total != round * ctx.np()) failures.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(total, 5 * 4);
 }
 
 TEST(Reduce, InsideResolveComponents) {
@@ -185,12 +184,9 @@ TEST(Reduce, InsideResolveComponents) {
 TEST(Reduce, MultiWordPayloadMatchesTheOracle) {
   // The os-fork and cluster halves of this case live in
   // test_process_fork.cpp and test_cluster.cpp.
-  for (fc::ReduceStrategy s : {fc::ReduceStrategy::kCritical,
-                               fc::ReduceStrategy::kTournament}) {
-    force::Force f({.nproc = 4});
-    auto& published = f.shared<reduce_moments::Published>("published");
-    auto& agreed = f.shared<reduce_moments::Agreed>("agreed");
-    reduce_moments::run_rounds(f, s, published, agreed);
-    reduce_moments::expect_oracle(published, agreed, 4);
-  }
+  force::Force f({.nproc = 4});
+  auto& published = f.shared<reduce_moments::Published>("published");
+  auto& agreed = f.shared<reduce_moments::Agreed>("agreed");
+  reduce_moments::run_rounds(f, published, agreed);
+  reduce_moments::expect_oracle(published, agreed, 4);
 }

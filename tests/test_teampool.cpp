@@ -389,8 +389,9 @@ TEST(PooledForkDeath, SigkilledPoolChildIsReportedOnceAndThePoolRecovers) {
 
 TEST(PooledForkDeath, SigkilledPoolChildAtAReduceIsReportedAndThePoolRecovers) {
   // The victim dies while its siblings have contributed and wait at the
-  // reduce barrier: death recovery must zero both the reduction's arrival
-  // count and its barrier's, or the next force folds in stale partials.
+  // reduce barrier: death recovery must zero the barrier's arrival count,
+  // or the next force's fold runs early. The reduction's slots need no
+  // scrub - every member overwrites its own before the next fold.
   force::Force f(fork_pool_config());
   auto& kill_flag = f.shared<std::int64_t>("kill_flag");
   auto& total = f.shared<std::int64_t>("total");
