@@ -3,7 +3,7 @@
 #include <bit>
 
 #include "core/env.hpp"
-#include "machdep/wait.hpp"
+#include "machdep/words.hpp"
 #include "util/check.hpp"
 
 namespace force::core {
@@ -64,35 +64,16 @@ void PaperLockBarrier::arrive(int proc0, const std::function<void()>& section) {
 // CentralSenseBarrier
 // ---------------------------------------------------------------------------
 
-namespace {
-constexpr std::size_t kSenseStride = 16;  // 64B per process slot
-}
-
-CentralSenseBarrier::CentralSenseBarrier(int width)
-    : width_(width),
-      count_(0),
-      local_sense_(static_cast<std::size_t>(width) * kSenseStride, 0) {
+CentralSenseBarrier::CentralSenseBarrier(int width) : width_(width) {
   FORCE_CHECK(width_ > 0, "barrier width must be positive");
 }
 
 void CentralSenseBarrier::arrive(int proc0,
                                  const std::function<void()>& section) {
   FORCE_CHECK(proc0 >= 0 && proc0 < width_, "barrier process id out of range");
-  std::uint32_t& mine =
-      local_sense_[static_cast<std::size_t>(proc0) * kSenseStride];
-  mine ^= 1u;
-  if (count_.fetch_add(1, std::memory_order_acq_rel) == width_ - 1) {
-    // Champion: everyone else has arrived and is (or will be) waiting on
-    // the sense word; safe to run the section and flip.
-    count_.store(0, std::memory_order_relaxed);
-    run_section(section);
-    sense_.store(mine, std::memory_order_release);
-    sense_.notify_all();
-  } else {
-    const std::uint32_t want = mine;
-    machdep::Waiter().await(sense_,
-                            [want](std::uint32_t v) { return v == want; });
-  }
+  machdep::episode_arrive(
+      words_, static_cast<std::uint32_t>(width_),
+      [&section] { run_section(section); }, machdep::WordScope::kPrivate);
 }
 
 // ---------------------------------------------------------------------------
@@ -123,7 +104,8 @@ void TreeBarrier::arrive(int proc0, const std::function<void()>& section) {
     } else {
       // Subtree fully combined (rounds 0..r-1 won); report and stop.
       me.arrival.store(ep, std::memory_order_release);
-      me.arrival.notify_all();
+      machdep::Waiter::wake(me.arrival, machdep::WordScope::kPrivate,
+                            machdep::Wake::kAll);
       break;
     }
   }
@@ -131,7 +113,8 @@ void TreeBarrier::arrive(int proc0, const std::function<void()>& section) {
   if (proc0 == 0) {
     run_section(section);
     release_.store(ep, std::memory_order_release);
-    release_.notify_all();
+    machdep::Waiter::wake(release_, machdep::WordScope::kPrivate,
+                          machdep::Wake::kAll);
   } else {
     machdep::Waiter().await(release_,
                             [ep](std::uint64_t v) { return v >= ep; });
@@ -163,7 +146,8 @@ void DisseminationBarrier::arrive(int proc0,
     Flag& out = flags_[static_cast<std::size_t>(dest) * stride +
                        static_cast<std::size_t>(r)];
     out.stamp.store(ep, std::memory_order_release);
-    out.stamp.notify_all();
+    machdep::Waiter::wake(out.stamp, machdep::WordScope::kPrivate,
+                          machdep::Wake::kAll);
     Flag& in = flags_[static_cast<std::size_t>(proc0) * stride +
                       static_cast<std::size_t>(r)];
     machdep::Waiter().await(in.stamp,
@@ -175,7 +159,8 @@ void DisseminationBarrier::arrive(int proc0,
     if (proc0 == 0) {
       section();
       section_done_.store(ep, std::memory_order_release);
-      section_done_.notify_all();
+      machdep::Waiter::wake(section_done_, machdep::WordScope::kPrivate,
+                            machdep::Wake::kAll);
     } else {
       machdep::Waiter().await(section_done_,
                               [ep](std::uint64_t v) { return v >= ep; });

@@ -28,6 +28,7 @@
 
 #include "machdep/backend.hpp"
 #include "machdep/locks.hpp"
+#include "machdep/words.hpp"
 
 namespace force::core {
 
@@ -83,6 +84,8 @@ class PaperLockBarrier final : public BarrierAlgorithm {
 };
 
 /// Central counter with sense reversal; the classic shared-memory barrier.
+/// It is the episode barrier word (machdep/words.hpp): the episode word is
+/// the sense, so no per-process sense is kept.
 class CentralSenseBarrier final : public BarrierAlgorithm {
  public:
   using BarrierAlgorithm::arrive;
@@ -93,9 +96,7 @@ class CentralSenseBarrier final : public BarrierAlgorithm {
 
  private:
   int width_;
-  std::atomic<int> count_;
-  std::atomic<std::uint32_t> sense_{0};
-  std::vector<std::uint32_t> local_sense_;  // one slot per process, padded
+  machdep::EpisodeBarrier words_;
 };
 
 /// Binary combining tree: arrivals propagate up; the root (champion) runs

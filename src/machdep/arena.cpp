@@ -33,7 +33,7 @@ struct ShmArenaEntry {
 static_assert(sizeof(ShmArenaEntry) <= 192, "arena entry grew unexpectedly");
 
 struct ShmArenaHeader {
-  shm::ShmLockState lock;
+  std::atomic<std::uint32_t> lock{0};  ///< word lock (words.hpp)
   std::uint32_t entry_count = 0;
   std::atomic<std::uint64_t> generation{0};  ///< bumped per placement
   std::uint64_t cursor = 0;
@@ -56,14 +56,14 @@ class SharedArena::Guard {
  public:
   explicit Guard(const SharedArena& a) : a_(a) {
     if (a_.shm_header_ != nullptr) {
-      shm::shm_lock_acquire(a_.shm_header_->lock);
+      word_lock_acquire(a_.shm_header_->lock, WordScope::kShared);
     } else {
       a_.mutex_.lock();
     }
   }
   ~Guard() {
     if (a_.shm_header_ != nullptr) {
-      shm::shm_lock_release(a_.shm_header_->lock);
+      word_lock_release(a_.shm_header_->lock, WordScope::kShared);
     } else {
       a_.mutex_.unlock();
     }

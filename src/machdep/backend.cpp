@@ -5,6 +5,7 @@
 // champion sections) byte-for-byte from the former in-construct branches.
 #include "machdep/backend.hpp"
 
+#include <cstring>
 #include <new>
 
 #include "machdep/arena.hpp"
@@ -213,48 +214,65 @@ constexpr const char* kBarrierPrefix = "%barrier/";
 class ShmBarrierEngine final : public BarrierEngine {
  public:
   ShmBarrierEngine(SharedArena* arena, int width, const std::string& key)
-      : state_(&arena->get_or_create<shm::ShmBarrierState>(kBarrierPrefix +
-                                                            key)),
+      : state_(&arena->get_or_create<EpisodeBarrier>(kBarrierPrefix + key)),
         label_("barrier '" + key + "'"),
         width_(static_cast<std::uint32_t>(width)) {}
 
   void arrive(int /*proc0*/, const std::function<void()>* section) override {
-    static const std::function<void()> kNoSection;
-    shm::shm_barrier_arrive(*state_, width_, section != nullptr ? *section
-                                                                : kNoSection,
-                            label_.c_str());
+    shm::note_site(label_.c_str());
+    episode_arrive(
+        *state_, width_,
+        [section] {
+          if (section != nullptr) (*section)();
+        },
+        WordScope::kShared);
   }
 
   [[nodiscard]] const char* name() const override { return "process-shared"; }
 
  private:
-  shm::ShmBarrierState* state_;
+  EpisodeBarrier* state_;
   std::string label_;
   std::uint32_t width_;
+};
+
+/// Shared state of one selfscheduled DOALL site: an entry barrier whose
+/// champion publishes the bounds and re-arms the dispatch word, then a
+/// claim loop on that word. Faithful to the paper there is NO exit
+/// barrier; reuse is still safe because the next episode's entry cannot
+/// complete until every process has arrived, and a process only arrives
+/// after leaving the previous claim loop.
+struct ShmSelfschedState {
+  EpisodeBarrier entry;
+  alignas(64) std::atomic<std::int64_t> dispatch{0};
+  // Episode bounds: written only by the entry champion, inside the
+  // barrier section, published by the episode release.
+  std::int64_t start = 0;
+  std::int64_t last = 0;
+  std::int64_t incr = 1;
+  std::int64_t trips = 0;
 };
 
 class ShmDoallSite final : public DoallSite {
  public:
   ShmDoallSite(SharedArena* arena, const std::string& site, int width)
-      : state_(&arena->get_or_create<shm::ShmSelfschedState>("%ssdo/" + site)),
+      : state_(&arena->get_or_create<ShmSelfschedState>("%ssdo/" + site)),
         label_("selfsched '" + site + "'"),
         width_(static_cast<std::uint32_t>(width)) {}
 
   DoallBounds enter(std::int64_t start, std::int64_t last, std::int64_t incr,
                     std::int64_t trips) override {
-    // The entry champion publishes the bounds and re-arms the shared
-    // dispatch counter inside the barrier section; the episode release
-    // publishes them to every process.
-    shm::shm_barrier_arrive(
+    shm::note_site(label_.c_str());
+    episode_arrive(
         state_->entry, width_,
         [this, start, last, incr, trips] {
           state_->start = start;
           state_->last = last;
           state_->incr = incr;
           state_->trips = trips;
-          state_->dispatch.value.store(0, std::memory_order_relaxed);
+          state_->dispatch.store(0, std::memory_order_relaxed);
         },
-        label_.c_str());
+        WordScope::kShared);
     DoallBounds b;
     b.start = state_->start;
     b.last = state_->last;
@@ -264,16 +282,16 @@ class ShmDoallSite final : public DoallSite {
   }
 
   DispatchClaim claim(std::int64_t want, std::int64_t limit) override {
-    return shm::shm_dispatch_claim(state_->dispatch, want, limit);
+    return dispatch_claim(state_->dispatch, want, limit);
   }
 
   DispatchClaim claim_fraction(std::int64_t limit,
                                std::int64_t divisor) override {
-    return shm::shm_dispatch_claim_fraction(state_->dispatch, limit, divisor);
+    return dispatch_claim_fraction(state_->dispatch, limit, divisor);
   }
 
  private:
-  shm::ShmSelfschedState* state_;
+  ShmSelfschedState* state_;
   std::string label_;
   std::uint32_t width_;
 };
@@ -319,43 +337,66 @@ class ShmAskforRing final : public AskforRing {
   std::string label_;
 };
 
+/// Header of an os-fork async blob: the cell word, padded so the payload
+/// window after it is 64-byte aligned.
+struct alignas(64) ShmCellHeader {
+  std::atomic<std::uint32_t> cell{kCellEmpty};
+};
+
 class ShmAsyncCell final : public AsyncCell {
  public:
   ShmAsyncCell(SharedArena* arena, const std::string& label,
                std::size_t payload_bytes)
       : label_(label), bytes_(payload_bytes) {
-    // One blob: the state word first (its 64-byte alignment covers any
-    // payload the capability gate admits), the payload window right after.
     void* blob = arena->allocate_once(
-        "%async/" + label, sizeof(shm::ShmCellState) + payload_bytes,
-        alignof(shm::ShmCellState), VarClass::kShared,
-        [](void* p) { new (p) shm::ShmCellState(); });
-    state_ = static_cast<shm::ShmCellState*>(blob);
-    payload_ = static_cast<unsigned char*>(blob) + sizeof(shm::ShmCellState);
+        "%async/" + label, sizeof(ShmCellHeader) + payload_bytes,
+        alignof(ShmCellHeader), VarClass::kShared,
+        [](void* p) { new (p) ShmCellHeader(); });
+    cell_ = &static_cast<ShmCellHeader*>(blob)->cell;
+    payload_ = static_cast<unsigned char*>(blob) + sizeof(ShmCellHeader);
   }
 
   void produce(const void* value) override {
-    shm::shm_cell_produce(*state_, payload_, value, bytes_, label_.c_str());
+    seize(kCellEmpty);
+    fill(value);
   }
   void consume(void* out) override {
-    shm::shm_cell_consume(*state_, payload_, out, bytes_, label_.c_str());
+    seize(kCellFull);
+    drain(out, kCellEmpty);
   }
   void copy(void* out) override {
-    shm::shm_cell_copy(*state_, payload_, out, bytes_, label_.c_str());
+    seize(kCellFull);
+    drain(out, kCellFull);
   }
   bool try_produce(const void* value) override {
-    return shm::shm_cell_try_produce(*state_, payload_, value, bytes_);
+    if (!cell_try_seize(*cell_, kCellEmpty)) return false;
+    fill(value);
+    return true;
   }
   bool try_consume(void* out) override {
-    return shm::shm_cell_try_consume(*state_, payload_, out, bytes_);
+    if (!cell_try_seize(*cell_, kCellFull)) return false;
+    drain(out, kCellEmpty);
+    return true;
   }
-  void void_state() override { shm::shm_cell_void(*state_); }
-  [[nodiscard]] bool is_full() override {
-    return shm::shm_cell_is_full(*state_);
-  }
+  void void_state() override { cell_make_empty(*cell_, WordScope::kShared); }
+  [[nodiscard]] bool is_full() override { return cell_is_full(*cell_); }
 
  private:
-  shm::ShmCellState* state_;
+  void seize(std::uint32_t from) {
+    shm::note_site(label_.c_str());
+    cell_seize(*cell_, from, WordScope::kShared);
+  }
+  // Move the payload inside the open window, then close it.
+  void fill(const void* value) {
+    std::memcpy(payload_, value, bytes_);
+    cell_publish(*cell_, kCellFull, WordScope::kShared);
+  }
+  void drain(void* out, std::uint32_t leave) {
+    std::memcpy(out, payload_, bytes_);
+    cell_publish(*cell_, leave, WordScope::kShared);
+  }
+
+  std::atomic<std::uint32_t>* cell_;
   unsigned char* payload_;
   std::string label_;
   std::size_t bytes_;
@@ -628,7 +669,7 @@ class ShmBackend final : public ExecutionBackend {
       std::size_t payload_align) override {
     // The payload window follows a 64-byte-aligned state word; stricter
     // alignments would need padding nobody has asked for yet.
-    FORCE_CHECK(payload_align <= alignof(shm::ShmCellState),
+    FORCE_CHECK(payload_align <= alignof(ShmCellHeader),
                 "os-fork async payloads must not require more than 64-byte "
                 "alignment (the payload window follows the cell state word)");
     return std::make_unique<ShmAsyncCell>(arena_, label, payload_bytes);
@@ -647,9 +688,9 @@ class ShmBackend final : public ExecutionBackend {
     // site key, named locks their name), so every process that reaches
     // the same construct contends on the same word. The observer is
     // ignored: the capability table forbids the sentry here.
-    auto* state =
-        &arena_->get_or_create<shm::ShmLockState>("%lock/" + label);
-    return std::make_unique<shm::ShmLock>(state, label);
+    auto* word =
+        &arena_->get_or_create<std::atomic<std::uint32_t>>("%lock/" + label);
+    return std::make_unique<shm::ShmLock>(word, label);
   }
 
   [[nodiscard]] ProcessTeam process_team() const override {
@@ -720,19 +761,19 @@ class ShmBackend final : public ExecutionBackend {
         // Arrival count of a keyed barrier: the victims' arrivals can
         // never complete. The episode word stays monotonic (arrivals read
         // it fresh), so zeroing the count alone re-arms the episode.
-        static_cast<shm::ShmBarrierState*>(addr)->count.store(
+        static_cast<EpisodeBarrier*>(addr)->count.store(
             0, std::memory_order_release);
       } else if (prefixed("%lock/")) {
-        static_cast<shm::ShmLockState*>(addr)->word.store(
+        static_cast<std::atomic<std::uint32_t>*>(addr)->store(
             0, std::memory_order_release);
       } else if (prefixed("%ssdo/")) {
         // The dispatch counter is re-armed by the entry champion anyway;
         // only the entry barrier carries dead arrivals.
-        static_cast<shm::ShmSelfschedState*>(addr)->entry.count.store(
+        static_cast<ShmSelfschedState*>(addr)->entry.count.store(
             0, std::memory_order_release);
       } else if (prefixed("%askfor/")) {
         auto* a = static_cast<shm::ShmAskforState*>(addr);
-        a->monitor.word.store(0, std::memory_order_release);
+        a->monitor.store(0, std::memory_order_release);
         a->head = 0;
         a->tail = 0;
         a->working = 0;
@@ -743,10 +784,9 @@ class ShmBackend final : public ExecutionBackend {
       } else if (prefixed("%async/")) {
         // Busy means a victim died inside the payload window and the bytes
         // are undefined: drop to empty. Full cells are user data and stay.
-        auto* c = static_cast<shm::ShmCellState*>(addr);
-        std::uint32_t busy = 2;
-        c->state.compare_exchange_strong(busy, 0,
-                                         std::memory_order_acq_rel);
+        std::uint32_t busy = kCellBusy;
+        static_cast<ShmCellHeader*>(addr)->cell.compare_exchange_strong(
+            busy, kCellEmpty, std::memory_order_acq_rel);
       }
     });
   }

@@ -1,14 +1,12 @@
 #include "machdep/cluster.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
@@ -587,12 +585,17 @@ class Coordinator {
     bool killed_stragglers = false;
     while (live > 0) {
       poll_and_read();
-      // Reap: mirrors the os-fork join. First abnormal status poisons.
+      // Reap: mirrors the os-fork join. First abnormal status poisons. A
+      // peer whose socket closed after it joined, after it was killed as
+      // torn, or under poison is already exiting, so it is reaped with a
+      // blocking wait rather than polled until it turns zombie; any other
+      // peer is only polled, and a closed one is classified below.
       for (std::size_t i = 0; i < peers_.size(); ++i) {
         PeerIO& p = peers_[i];
         if (p.pid <= 0) continue;
+        const bool exiting = p.eof && (p.joined || p.torn || poisoned_);
         int status = 0;
-        const pid_t r = ::waitpid(p.pid, &status, WNOHANG);
+        const pid_t r = ::waitpid(p.pid, &status, exiting ? 0 : WNOHANG);
         if (r == 0) continue;
         FORCE_CHECK(r == p.pid, "waitpid lost track of a force process");
         // Drain any frames the child managed to send before dying (its
@@ -615,7 +618,7 @@ class Coordinator {
         }
       }
       // Torn links: EOF from a process that is still running and never
-      // joined means the connection died under it. Kill it; the reap above
+      // joined means the connection died under it. Kill it; the next reap
       // then reports it as the primary death with torn provenance.
       if (!poisoned_) {
         for (PeerIO& p : peers_) {
@@ -671,10 +674,9 @@ class Coordinator {
         idx.push_back(static_cast<int>(i));
       }
     }
-    if (fds.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(kPollTickMs));
-      return;
-    }
+    // Every live socket closed: the reap waits for the exits instead.
+    if (fds.empty()) return;
+    // The timeout bounds how stale the grace-kill clock can get.
     const int n = ::poll(fds.data(), fds.size(), kPollTickMs);
     if (n <= 0) return;
     for (std::size_t k = 0; k < fds.size(); ++k) {

@@ -1,7 +1,5 @@
 #include "machdep/hepcell.hpp"
 
-#include "machdep/wait.hpp"
-
 namespace force::machdep {
 
 namespace {
@@ -9,34 +7,21 @@ std::atomic<std::uint64_t> g_hep_waits{0};
 }  // namespace
 
 HepCell::HepCell(std::uint64_t initial_value)
-    : state_(kFull), value_(initial_value) {}
+    : state_(kCellFull), value_(initial_value) {}
 
-void HepCell::await_and_seize(State from) {
-  Waiter w;
-  for (;;) {
-    std::uint32_t expected = from;
-    if (state_.compare_exchange_weak(expected, kBusy,
-                                     std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-      return;
-    }
-    if (expected != from) {
-      // Not in the desired state: wait until it is, then race for it.
-      g_hep_waits.fetch_add(1, std::memory_order_relaxed);
-      w.await(state_, [from](std::uint32_t v) { return v == from; });
-    }
-    // CAS failure with expected == from is spurious; just retry.
-  }
+void HepCell::seize(std::uint32_t from) {
+  const std::uint32_t waits = cell_seize(state_, from, WordScope::kPrivate);
+  if (waits != 0) g_hep_waits.fetch_add(waits, std::memory_order_relaxed);
 }
 
 void HepCell::produce(std::uint64_t value) {
-  await_and_seize(kEmpty);
+  seize_empty();
   value_ = value;
   publish_full();
 }
 
 std::uint64_t HepCell::consume() {
-  await_and_seize(kFull);
+  seize_full();
   const std::uint64_t v = value_;
   publish_empty();
   return v;
@@ -44,34 +29,16 @@ std::uint64_t HepCell::consume() {
 
 std::uint64_t HepCell::copy() const {
   auto* self = const_cast<HepCell*>(this);
-  self->await_and_seize(kFull);
+  self->seize_full();
   const std::uint64_t v = value_;
   self->publish_full();
   return v;
 }
 
-void HepCell::seize_stable() {
-  Waiter w;
-  for (;;) {
-    std::uint32_t expected = w.await(
-        state_, [](std::uint32_t v) { return v != kBusy; });
-    if (state_.compare_exchange_weak(expected, kBusy,
-                                     std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
-void HepCell::make_empty() {
-  // Void must succeed from any state; win the busy protocol from either
-  // stable state, then declare empty.
-  seize_stable();
-  publish_empty();
-}
+void HepCell::make_empty() { cell_make_empty(state_, WordScope::kPrivate); }
 
 void HepCell::make_full(std::uint64_t value) {
-  seize_stable();
+  cell_seize_stable(state_, WordScope::kPrivate);
   value_ = value;
   publish_full();
 }
@@ -90,33 +57,7 @@ bool HepCell::try_consume(std::uint64_t* out) {
   return true;
 }
 
-void HepCell::publish_full() {
-  state_.store(kFull, std::memory_order_release);
-  state_.notify_all();
-}
-
-void HepCell::publish_empty() {
-  state_.store(kEmpty, std::memory_order_release);
-  state_.notify_all();
-}
-
-bool HepCell::try_seize_empty() {
-  std::uint32_t expected = kEmpty;
-  return state_.compare_exchange_strong(expected, kBusy,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed);
-}
-
-bool HepCell::try_seize_full() {
-  std::uint32_t expected = kFull;
-  return state_.compare_exchange_strong(expected, kBusy,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed);
-}
-
-bool HepCell::is_full() const {
-  return state_.load(std::memory_order_acquire) == kFull;
-}
+bool HepCell::is_full() const { return cell_is_full(state_); }
 
 std::uint64_t HepCell::total_waits() {
   return g_hep_waits.load(std::memory_order_relaxed);

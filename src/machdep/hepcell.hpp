@@ -6,14 +6,16 @@
 // an asynchronous variable needs no extra locks, while every other machine
 // builds full/empty out of two locks.
 //
-// We emulate one tagged 64-bit cell with an atomic state word and C++20
-// atomic wait/notify (the moral equivalent of the hardware retry queue).
-// A transient BUSY state makes the value transfer atomic with the state
+// We emulate one tagged 64-bit cell as the shared full/empty cell word
+// (machdep/words.hpp: empty/full/busy, private scope) next to the value.
+// The transient busy state makes the value transfer atomic with the state
 // transition, exactly as the hardware made them a single memory operation.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+
+#include "machdep/words.hpp"
 
 namespace force::machdep {
 
@@ -52,16 +54,18 @@ class HepCell {
   // Every seize_* must be paired with a publish_*.
 
   /// Blocks until the cell is empty, leaving it reserved (busy).
-  void seize_empty() { await_and_seize(kEmpty); }
+  void seize_empty() { seize(kCellEmpty); }
   /// Blocks until the cell is full, leaving it reserved (busy).
-  void seize_full() { await_and_seize(kFull); }
+  void seize_full() { seize(kCellFull); }
   /// Ends a reservation, declaring the cell full.
-  void publish_full();
+  void publish_full() { cell_publish(state_, kCellFull, WordScope::kPrivate); }
   /// Ends a reservation, declaring the cell empty.
-  void publish_empty();
+  void publish_empty() {
+    cell_publish(state_, kCellEmpty, WordScope::kPrivate);
+  }
   /// Non-blocking seize; true on success (cell now busy).
-  bool try_seize_empty();
-  bool try_seize_full();
+  bool try_seize_empty() { return cell_try_seize(state_, kCellEmpty); }
+  bool try_seize_full() { return cell_try_seize(state_, kCellFull); }
 
   /// Total number of blocking waits across all cells (process-wide); a
   /// cheap proxy for how often the hardware retry queue would have engaged.
@@ -69,15 +73,11 @@ class HepCell {
   static void reset_wait_counter();
 
  private:
-  enum State : std::uint32_t { kEmpty = 0, kFull = 1, kBusy = 2 };
+  // Seizes from `from`, counting the waits in total_waits().
+  void seize(std::uint32_t from);
 
-  // Acquire the right to transition from `from`; waits on state_ otherwise.
-  void await_and_seize(State from);
-  // Acquire the right to transition from whichever stable state it holds.
-  void seize_stable();
-
-  std::atomic<std::uint32_t> state_{kEmpty};
-  std::uint64_t value_ = 0;  // guarded by the kBusy transition protocol
+  std::atomic<std::uint32_t> state_{kCellEmpty};
+  std::uint64_t value_ = 0;  // moved only inside a busy window
 };
 
 }  // namespace force::machdep

@@ -18,21 +18,6 @@ inline void bump(LockCounters* c, std::atomic<std::uint64_t> LockCounters::*f,
 /// Max exponential-backoff relax count between TtasLock probes.
 constexpr std::uint32_t kMaxBackoff = 128;
 
-/// Takes a one-word lock (0 free, 1 held), awaiting the free state between
-/// tries; the Waiter's window makes this spin-then-block or pure blocking.
-void take_word(std::atomic<std::uint32_t>& word, Waiter& w) {
-  while (word.exchange(1, std::memory_order_acquire) != 0) {
-    w.await(word, [](std::uint32_t v) { return v == 0; });
-  }
-}
-
-/// Frees a one-word lock and wakes one sleeper. The store is seq_cst so it
-/// cannot pass the notify's check for sleepers (a lost wakeup otherwise).
-void free_word(std::atomic<std::uint32_t>& word) {
-  word.store(0, std::memory_order_seq_cst);
-  word.notify_one();
-}
-
 }  // namespace
 
 LockCountersSnapshot LockCountersSnapshot::operator-(
@@ -268,21 +253,21 @@ SystemLock::SystemLock(LockCounters* counters) : counters_(counters) {}
 
 void SystemLock::acquire() {
   bump(counters_, &LockCounters::acquires);
-  if (word_.exchange(1, std::memory_order_acquire) == 0) return;
+  if (word_lock_try(word_)) return;
   bump(counters_, &LockCounters::contended_acquires);
   bump(counters_, &LockCounters::blocking_waits);
   Waiter w(0);  // no spin window: every contended acquire blocks
-  take_word(word_, w);
+  word_lock_wait(word_, w, WordScope::kPrivate);
 }
 
 bool SystemLock::try_acquire() {
   bump(counters_, &LockCounters::acquires);
-  return word_.exchange(1, std::memory_order_acquire) == 0;
+  return word_lock_try(word_);
 }
 
 void SystemLock::release() {
   bump(counters_, &LockCounters::releases);
-  free_word(word_);
+  word_lock_release(word_, WordScope::kPrivate);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,23 +278,23 @@ CombinedLock::CombinedLock(LockCounters* counters) : counters_(counters) {}
 
 void CombinedLock::acquire() {
   bump(counters_, &LockCounters::acquires);
-  if (word_.exchange(1, std::memory_order_acquire) == 0) return;
+  if (word_lock_try(word_)) return;
   bump(counters_, &LockCounters::contended_acquires);
   // Spin out the window (short critical sections win here), then block.
   Waiter w;
-  take_word(word_, w);
+  word_lock_wait(word_, w, WordScope::kPrivate);
   bump(counters_, &LockCounters::spin_iterations, w.spins());
   if (w.slept()) bump(counters_, &LockCounters::blocking_waits);
 }
 
 bool CombinedLock::try_acquire() {
   bump(counters_, &LockCounters::acquires);
-  return word_.exchange(1, std::memory_order_acquire) == 0;
+  return word_lock_try(word_);
 }
 
 void CombinedLock::release() {
   bump(counters_, &LockCounters::releases);
-  free_word(word_);
+  word_lock_release(word_, WordScope::kPrivate);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,27 +322,8 @@ std::int64_t DispatchCounter::value() const {
 }
 
 DispatchClaim DispatchCounter::claim(std::int64_t want, std::int64_t limit) {
+  if (lock_ == nullptr) return dispatch_claim(value_, want, limit);
   FORCE_CHECK(want >= 1, "dispatch claim must want at least one trip");
-  if (lock_ == nullptr) {
-    // One fetch-add is the whole fast path. Exactly-once follows from the
-    // RMW total order: successive returns tile [reset, ...) contiguously.
-    // Plain ordering suffices for the counter itself; the episode gates
-    // publish the loop bounds (see reset()).
-    const std::int64_t t = value_.fetch_add(want, std::memory_order_acq_rel);
-    if (t >= limit) {
-      // Exhausted. Pull the runaway value back down to `limit` so that
-      // unbounded re-probing can never overflow the counter. Safe: once
-      // the value has crossed `limit`, every trip below it has already
-      // been granted exactly once, so no lower trip becomes claimable.
-      std::int64_t cur = value_.load(std::memory_order_relaxed);
-      while (cur > limit && !value_.compare_exchange_weak(
-                                cur, limit, std::memory_order_acq_rel,
-                                std::memory_order_relaxed)) {
-      }
-      return {t, 0};
-    }
-    return {t, std::min(want, limit - t)};
-  }
   // Lock engine: the paper's expansion - one generic-lock pass per claim,
   // clamped at the limit so an exhausted loop never advances the counter.
   lock_->acquire();
@@ -372,20 +338,10 @@ DispatchClaim DispatchCounter::claim(std::int64_t want, std::int64_t limit) {
 
 DispatchClaim DispatchCounter::claim_fraction(std::int64_t limit,
                                               std::int64_t divisor) {
-  FORCE_CHECK(divisor >= 1, "dispatch divisor must be at least one");
   if (lock_ == nullptr) {
-    std::int64_t t = value_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (t >= limit) return {t, 0};
-      const std::int64_t want =
-          std::max<std::int64_t>(1, (limit - t) / divisor);
-      if (value_.compare_exchange_weak(t, t + want,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-        return {t, want};
-      }
-    }
+    return dispatch_claim_fraction(value_, limit, divisor);
   }
+  FORCE_CHECK(divisor >= 1, "dispatch divisor must be at least one");
   lock_->acquire();
   const std::int64_t t = value_.load(std::memory_order_relaxed);
   std::int64_t want = 0;

@@ -28,6 +28,8 @@
 #include <mutex>
 #include <string>
 
+#include "machdep/words.hpp"
+
 namespace force::machdep {
 
 /// Instrumentation shared by all lock types. Counters use relaxed atomics;
@@ -248,7 +250,7 @@ class SystemLock final : public BasicLock {
   const char* mechanism() const override { return "system"; }
 
  private:
-  std::atomic<std::uint32_t> word_{0};  // 0 free, 1 held
+  std::atomic<std::uint32_t> word_{0};  // a word lock (words.hpp)
   LockCounters* counters_;
 };
 
@@ -265,19 +267,12 @@ class SystemLock final : public BasicLock {
 // visible to LockCounters and the lock-scarcity experiments.
 // ---------------------------------------------------------------------------
 
-/// One dispatch grant: trips [begin, begin+count) of the current episode.
-/// count == 0 means the work is exhausted (the claim still counts as a
-/// dispatch, matching the paper's one-exhausted-grab-per-process shape).
-struct DispatchClaim {
-  std::int64_t begin = 0;
-  std::int64_t count = 0;
-};
-
 /// A monotone trips-claimed counter with two interchangeable engines:
-/// a cache-line-padded atomic (hardware RMW machines) or a lock-guarded
-/// plain value (everything else). Both engines clamp at `limit`, so the
-/// stored value never runs away past the episode's trip count no matter
-/// how many exhausted processes keep probing (signed-overflow guard).
+/// a cache-line-padded dispatch word (words.hpp; hardware RMW machines)
+/// or a lock-guarded plain value (everything else). Both engines clamp at
+/// `limit`, so the stored value never runs away past the episode's trip
+/// count no matter how many exhausted processes keep probing
+/// (signed-overflow guard).
 class DispatchCounter {
  public:
   /// Lock-free engine (requires hardware_atomic_rmw).
@@ -304,9 +299,8 @@ class DispatchCounter {
   DispatchClaim claim(std::int64_t want, std::int64_t limit);
 
   /// Guided claim: max(1, remaining / divisor) trips where remaining =
-  /// limit - current. Fast path: a CAS loop on the remaining trips (the
-  /// claim size depends on the value being replaced, so plain fetch-add
-  /// cannot express it). Lock engine: one lock pass, like the paper.
+  /// limit - current. Fast path: a CAS loop. Lock engine: one lock pass,
+  /// like the paper.
   DispatchClaim claim_fraction(std::int64_t limit, std::int64_t divisor);
 
  private:
@@ -328,7 +322,7 @@ class CombinedLock final : public BasicLock {
   const char* mechanism() const override { return "combined"; }
 
  private:
-  std::atomic<std::uint32_t> word_{0};  // 0 free, 1 held
+  std::atomic<std::uint32_t> word_{0};  // a word lock (words.hpp)
   LockCounters* counters_;
 };
 

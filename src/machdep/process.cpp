@@ -21,6 +21,7 @@
 
 #include "machdep/cluster.hpp"
 #include "machdep/shm.hpp"
+#include "machdep/wait.hpp"
 #include "util/check.hpp"
 #include "util/timing.hpp"
 
@@ -195,7 +196,7 @@ SpawnStats ProcessTeam::run_os_fork(
     if (pid < 0) {
       // fork failed: poison so already-spawned children release, then reap.
       team->poison.store(1, std::memory_order_release);
-      shm::futex_wake(&team->poison, -1);
+      Waiter::wake(team->poison, WordScope::kShared, Wake::kAll);
       for (int k = 0; k < proc; ++k) {
         if (pids[static_cast<std::size_t>(k)] > 0) {
           int status = 0;
@@ -245,7 +246,7 @@ SpawnStats ProcessTeam::run_os_fork(
         primary_pid = r;
         primary_status = status;
         team->poison.store(1, std::memory_order_release);
-        shm::futex_wake(&team->poison, -1);
+        Waiter::wake(team->poison, WordScope::kShared, Wake::kAll);
         poisoned_at = util::now_ns();
       }
     }

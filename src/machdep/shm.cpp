@@ -1,6 +1,5 @@
 #include "machdep/shm.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <thread>
 
@@ -110,196 +109,6 @@ SharedMapping::~SharedMapping() {
   if (data_ != nullptr) ::munmap(data_, bytes_);
 }
 
-// --- process-shared lock ---------------------------------------------------
-
-void shm_lock_acquire(ShmLockState& s) {
-  std::uint32_t c = 0;
-  if (s.word.compare_exchange_strong(c, 1, std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-    return;  // uncontended
-  }
-  // Contended: advertise a waiter (state 2) and park. Acquiring via the
-  // exchange leaves the word at 2, so the eventual release always wakes -
-  // one spurious wake per contention burst, never a lost one.
-  Waiter w;
-  while (s.word.exchange(2, std::memory_order_acquire) != 0) {
-    w.await(s.word, [](std::uint32_t v) { return v != 2; },
-            WordScope::kShared);
-  }
-}
-
-bool shm_lock_try_acquire(ShmLockState& s) {
-  std::uint32_t c = 0;
-  return s.word.compare_exchange_strong(c, 1, std::memory_order_acquire,
-                                        std::memory_order_relaxed);
-}
-
-void shm_lock_release(ShmLockState& s) {
-  // Binary-semaphore contract: any process may release. Releasing an
-  // unlocked lock is a caller bug; the exchange makes it harmless here.
-  if (s.word.exchange(0, std::memory_order_release) == 2) {
-    futex_wake(&s.word, 1);
-  }
-}
-
-// --- process-shared barrier ------------------------------------------------
-
-void shm_barrier_arrive(ShmBarrierState& b, std::uint32_t width,
-                        const std::function<void()>& section,
-                        const char* label) {
-  note_site(label);
-  const std::uint32_t ep = b.episode.load(std::memory_order_acquire);
-  const std::uint32_t arrived =
-      b.count.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (arrived == width) {
-    // Champion: everyone else is parked on the episode word. The count
-    // reset is published by the episode store; a process re-arriving for
-    // the next episode must first acquire-load episode != ep, ordering
-    // its fetch_add after this reset.
-    if (section) section();
-    b.count.store(0, std::memory_order_relaxed);
-    b.episode.store(ep + 1, std::memory_order_release);
-    futex_wake(&b.episode, -1);
-    return;
-  }
-  Waiter().await(b.episode, [ep](std::uint32_t v) { return v != ep; },
-                 WordScope::kShared);
-}
-
-// --- process-shared full/empty cell ----------------------------------------
-
-namespace {
-constexpr std::uint32_t kEmpty = 0;
-constexpr std::uint32_t kFull = 1;
-constexpr std::uint32_t kBusy = 2;
-
-/// CAS the cell from `from` to kBusy, waiting (poison-checked) while it
-/// holds any other value.
-void seize(ShmCellState& c, std::uint32_t from) {
-  Waiter w;
-  for (;;) {
-    std::uint32_t s = from;
-    if (c.state.compare_exchange_strong(s, kBusy, std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
-      return;
-    }
-    w.await(c.state, [from](std::uint32_t v) { return v == from; },
-            WordScope::kShared);
-  }
-}
-
-void publish(ShmCellState& c, std::uint32_t to) {
-  c.state.store(to, std::memory_order_release);
-  futex_wake(&c.state, -1);
-}
-}  // namespace
-
-void shm_cell_produce(ShmCellState& c, void* payload, const void* src,
-                      std::size_t n, const char* label) {
-  note_site(label);
-  seize(c, kEmpty);
-  std::memcpy(payload, src, n);
-  publish(c, kFull);
-}
-
-void shm_cell_consume(ShmCellState& c, const void* payload, void* dst,
-                      std::size_t n, const char* label) {
-  note_site(label);
-  seize(c, kFull);
-  std::memcpy(dst, payload, n);
-  publish(c, kEmpty);
-}
-
-void shm_cell_copy(ShmCellState& c, const void* payload, void* dst,
-                   std::size_t n, const char* label) {
-  note_site(label);
-  seize(c, kFull);
-  std::memcpy(dst, payload, n);
-  publish(c, kFull);
-}
-
-bool shm_cell_try_produce(ShmCellState& c, void* payload, const void* src,
-                          std::size_t n) {
-  std::uint32_t s = kEmpty;
-  if (!c.state.compare_exchange_strong(s, kBusy, std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-    return false;
-  }
-  std::memcpy(payload, src, n);
-  publish(c, kFull);
-  return true;
-}
-
-bool shm_cell_try_consume(ShmCellState& c, const void* payload, void* dst,
-                          std::size_t n) {
-  std::uint32_t s = kFull;
-  if (!c.state.compare_exchange_strong(s, kBusy, std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-    return false;
-  }
-  std::memcpy(dst, payload, n);
-  publish(c, kEmpty);
-  return true;
-}
-
-void shm_cell_void(ShmCellState& c) {
-  // Force the state to empty. A Void overlapping an in-flight access
-  // waits out the busy window, as on the original machines.
-  Waiter w;
-  for (;;) {
-    std::uint32_t s = w.await(
-        c.state, [](std::uint32_t v) { return v != kBusy; },
-        WordScope::kShared);
-    if (s == kEmpty) return;
-    if (c.state.compare_exchange_strong(s, kEmpty, std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-      futex_wake(&c.state, -1);
-      return;
-    }
-  }
-}
-
-bool shm_cell_is_full(const ShmCellState& c) {
-  return c.state.load(std::memory_order_acquire) == kFull;
-}
-
-// --- process-shared dispatch counter ---------------------------------------
-// Mirrors DispatchCounter's lock-free engine (locks.cpp) exactly; plain
-// atomic RMW is address-free, so the same algorithm is fork-safe as-is.
-
-DispatchClaim shm_dispatch_claim(ShmDispatchState& d, std::int64_t want,
-                                 std::int64_t limit) {
-  FORCE_CHECK(want >= 1, "dispatch claim must want at least one trip");
-  const std::int64_t t = d.value.fetch_add(want, std::memory_order_acq_rel);
-  if (t >= limit) {
-    // Clamp the runaway value back to `limit` (overflow guard; every trip
-    // below limit has already been granted exactly once).
-    std::int64_t cur = d.value.load(std::memory_order_relaxed);
-    while (cur > limit &&
-           !d.value.compare_exchange_weak(cur, limit,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-    }
-    return {t, 0};
-  }
-  return {t, std::min(want, limit - t)};
-}
-
-DispatchClaim shm_dispatch_claim_fraction(ShmDispatchState& d,
-                                          std::int64_t limit,
-                                          std::int64_t divisor) {
-  FORCE_CHECK(divisor >= 1, "dispatch divisor must be at least one");
-  std::int64_t t = d.value.load(std::memory_order_relaxed);
-  for (;;) {
-    if (t >= limit) return {t, 0};
-    const std::int64_t want = std::max<std::int64_t>(1, (limit - t) / divisor);
-    if (d.value.compare_exchange_weak(t, t + want, std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      return {t, want};
-    }
-  }
-}
-
 // --- process-shared askfor monitor -----------------------------------------
 
 std::size_t shm_askfor_bytes(std::uint32_t capacity, std::uint32_t stride) {
@@ -318,7 +127,15 @@ std::byte* ring_slot(ShmAskforState& a, std::uint32_t index) {
 
 void bump_version(ShmAskforState& a) {
   a.version.fetch_add(1, std::memory_order_release);
-  futex_wake(&a.version, -1);
+  Waiter::wake(a.version, WordScope::kShared, Wake::kAll);
+}
+
+void enter(ShmAskforState& a) {
+  word_lock_acquire(a.monitor, WordScope::kShared);
+}
+
+void leave(ShmAskforState& a) {
+  word_lock_release(a.monitor, WordScope::kShared);
 }
 }  // namespace
 
@@ -332,7 +149,7 @@ void shm_askfor_init(void* blob, std::uint32_t capacity,
 
 void shm_askfor_rearm(ShmAskforState& a, std::uint32_t gen) {
   if (a.seen_gen.load(std::memory_order_acquire) == gen) return;
-  shm_lock_acquire(a.monitor);
+  enter(a);
   if (a.seen_gen.load(std::memory_order_relaxed) != gen) {
     // Fresh force entry on a reused site: clear the previous episode. Any
     // tokens still queued belonged to a probend()ed computation; the
@@ -344,13 +161,13 @@ void shm_askfor_rearm(ShmAskforState& a, std::uint32_t gen) {
     a.ended = 0;
     a.seen_gen.store(gen, std::memory_order_release);
   }
-  shm_lock_release(a.monitor);
+  leave(a);
 }
 
 void shm_askfor_put(ShmAskforState& a, const void* task) {
-  shm_lock_acquire(a.monitor);
+  enter(a);
   if (a.ended == kShmAskforProbend) {  // explicitly ended: dropped, as ever
-    shm_lock_release(a.monitor);
+    leave(a);
     return;
   }
   // A drain is provisional: with the seed put() inside the force (only the
@@ -364,14 +181,14 @@ void shm_askfor_put(ShmAskforState& a, const void* task) {
   if (a.ended == kShmAskforDrained) a.ended = 0;
   const bool full = a.tail - a.head >= a.capacity;
   if (full) {
-    shm_lock_release(a.monitor);
+    leave(a);
     FORCE_CHECK(false,
                 "os-fork askfor ring overflow; reduce fan-out or enlarge "
                 "the per-site task capacity");
   }
   std::memcpy(ring_slot(a, a.tail), task, a.stride);
   ++a.tail;
-  shm_lock_release(a.monitor);
+  leave(a);
   bump_version(a);
 }
 
@@ -379,9 +196,9 @@ bool shm_askfor_ask(ShmAskforState& a, void* out, const char* label) {
   note_site(label);
   for (;;) {
     check_poison();
-    shm_lock_acquire(a.monitor);
+    enter(a);
     if (a.ended != 0) {
-      shm_lock_release(a.monitor);
+      leave(a);
       return false;
     }
     if (a.head != a.tail) {
@@ -389,48 +206,48 @@ bool shm_askfor_ask(ShmAskforState& a, void* out, const char* label) {
       ++a.head;
       ++a.working;
       a.granted.fetch_add(1, std::memory_order_relaxed);
-      shm_lock_release(a.monitor);
+      leave(a);
       return true;
     }
     if (a.working == 0) {
       // Drained: no tokens anywhere and nobody who could put() more.
       // Latch the end so every parked process leaves too.
       a.ended = kShmAskforDrained;
-      shm_lock_release(a.monitor);
+      leave(a);
       bump_version(a);
       return false;
     }
     // No work *right now*, but a working process may still put() more:
     // wait on the version word until something changes.
     const std::uint32_t v = a.version.load(std::memory_order_acquire);
-    shm_lock_release(a.monitor);
+    leave(a);
     Waiter().await(a.version, [v](std::uint32_t now) { return now != v; },
                    WordScope::kShared);
   }
 }
 
 void shm_askfor_complete(ShmAskforState& a) {
-  shm_lock_acquire(a.monitor);
+  enter(a);
   --a.working;
   const bool drained = a.working == 0 && a.head == a.tail;
-  shm_lock_release(a.monitor);
+  leave(a);
   // Wake parked askers so the drained case latches promptly (put() has
   // already bumped the version for the new-work case).
   if (drained) bump_version(a);
 }
 
 void shm_askfor_probend(ShmAskforState& a) {
-  shm_lock_acquire(a.monitor);
+  enter(a);
   a.ended = kShmAskforProbend;
-  shm_lock_release(a.monitor);
+  leave(a);
   bump_version(a);
 }
 
 bool shm_askfor_ended(const ShmAskforState& a) {
   auto& m = const_cast<ShmAskforState&>(a);
-  shm_lock_acquire(m.monitor);
+  enter(m);
   const bool e = m.ended != 0;
-  shm_lock_release(m.monitor);
+  leave(m);
   return e;
 }
 

@@ -1,21 +1,19 @@
-// Process-shared synchronization primitives for the kOsFork backend.
+// The os-fork backend's process-shared layer: raw futex waits and wakes
+// on address-free words in MAP_SHARED mappings (FUTEX_WAIT / FUTEX_WAKE
+// without the PRIVATE flag, so the wait queue is keyed by physical page;
+// a bounded sleep-poll elsewhere), the team-poison word, the last-known
+// site slot, the mappings themselves, and the Askfor ring. The lock,
+// barrier, full/empty and dispatch words are the same ones the thread
+// backend uses (machdep/words.hpp), placed in the arena and run with
+// WordScope::kShared.
 //
-// The thread-emulated process models can lean on std::mutex and on
-// std::atomic::wait, but neither survives a real fork(): std::mutex is
-// undefined across address spaces and libstdc++'s atomic wait uses a
-// per-process proxy table, so a waiter in one process is invisible to a
-// notifier in another. Everything here works on *address-free* atomic
-// words that live in a MAP_SHARED mapping, woken with raw futex syscalls
-// on Linux (FUTEX_WAIT / FUTEX_WAKE without the PRIVATE flag, so the wait
-// queue is keyed by physical page) and with a bounded sleep-poll fallback
-// elsewhere.
-//
-// Liveness contract: every blocking wait in this file is a machdep::Waiter
-// await on a shared word, which sleeps one bounded futex slice at a time
-// and re-checks the installed team-poison word between slices. When the parent reaps a dead child it poisons the team;
-// survivors parked in any primitive here throw TeamPoisoned within one
-// slice instead of waiting forever on a peer that no longer exists. This
-// is the "never deadlocks the survivors" half of the robust-join design.
+// Liveness contract: every blocking wait on a shared word is a
+// machdep::Waiter await, which sleeps one bounded futex slice at a time
+// and re-checks the installed team-poison word between slices. When the
+// parent reaps a dead child it poisons the team; survivors parked on any
+// shared word throw TeamPoisoned within one slice instead of waiting
+// forever on a peer that no longer exists. This is the "never deadlocks
+// the survivors" half of the robust-join design.
 //
 // All state structs are trivially destructible PODs so they can live in
 // the SharedArena (which reclaims storage as raw bytes) and be addressed
@@ -25,7 +23,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -115,128 +112,42 @@ class SharedMapping {
 
 // --- process-shared lock ---------------------------------------------------
 
-/// The futex word of one process-shared binary semaphore.
-/// 0 = free, 1 = held (no waiters advertised), 2 = held + waiters.
-struct ShmLockState {
-  std::atomic<std::uint32_t> word{0};
-};
-
-void shm_lock_acquire(ShmLockState& s);
-bool shm_lock_try_acquire(ShmLockState& s);
-void shm_lock_release(ShmLockState& s);
-
-/// BasicLock façade over an arena-resident ShmLockState, so the generic
-/// lock engine (critical sections, named locks, monitors) works across
-/// address spaces without the constructs changing. The wrapper object is
-/// per-process; only the state word is shared. Cross-process release is
-/// legal, as the Force lock contract requires.
+/// BasicLock façade over an arena-resident word lock (words.hpp), so the
+/// generic lock engine (critical sections, named locks, monitors) works
+/// across address spaces without the constructs changing. The wrapper
+/// object is per-process; only the word is shared. Cross-process release
+/// is legal, as the Force lock contract requires.
 class ShmLock final : public BasicLock {
  public:
-  ShmLock(ShmLockState* state, std::string label)
-      : state_(state), label_(std::move(label)) {}
+  ShmLock(std::atomic<std::uint32_t>* word, std::string label)
+      : word_(word), label_(std::move(label)) {}
 
   void acquire() override {
     note_site(label_.c_str());
-    shm_lock_acquire(*state_);
+    word_lock_acquire(*word_, WordScope::kShared);
   }
-  bool try_acquire() override { return shm_lock_try_acquire(*state_); }
-  void release() override { shm_lock_release(*state_); }
+  bool try_acquire() override { return word_lock_try(*word_); }
+  void release() override { word_lock_release(*word_, WordScope::kShared); }
   const char* mechanism() const override { return "futex-shared"; }
 
   [[nodiscard]] const std::string& label() const { return label_; }
 
  private:
-  ShmLockState* state_;
+  std::atomic<std::uint32_t>* word_;
   std::string label_;
-};
-
-// --- process-shared barrier ------------------------------------------------
-
-/// Episode barrier: no per-process sense needed (the episode word IS the
-/// sense), so the state is two shared words and works for any process
-/// that can read them. The width-th arriver is the champion: it runs the
-/// barrier section while everyone else is parked on the episode word,
-/// resets the count, then publishes episode+1 and wakes all.
-struct alignas(64) ShmBarrierState {
-  std::atomic<std::uint32_t> count{0};
-  std::atomic<std::uint32_t> episode{0};
-};
-
-/// One arrival. `section` (may be empty) runs in the champion while the
-/// other width-1 processes are suspended. `label` (may be null) is noted
-/// as the last-known construct site before parking.
-void shm_barrier_arrive(ShmBarrierState& b, std::uint32_t width,
-                        const std::function<void()>& section,
-                        const char* label);
-
-// --- process-shared full/empty cell ----------------------------------------
-
-/// Full/empty state word of one async variable: 0 = empty, 1 = full,
-/// 2 = busy (a producer or consumer owns the payload window). The payload
-/// itself lies immediately after the state in the arena blob; all
-/// transfers are memcpy of trivially copyable bytes.
-struct alignas(64) ShmCellState {
-  std::atomic<std::uint32_t> state{0};
-};
-
-void shm_cell_produce(ShmCellState& c, void* payload, const void* src,
-                      std::size_t n, const char* label);
-void shm_cell_consume(ShmCellState& c, const void* payload, void* dst,
-                      std::size_t n, const char* label);
-void shm_cell_copy(ShmCellState& c, const void* payload, void* dst,
-                   std::size_t n, const char* label);
-bool shm_cell_try_produce(ShmCellState& c, void* payload, const void* src,
-                          std::size_t n);
-bool shm_cell_try_consume(ShmCellState& c, const void* payload, void* dst,
-                          std::size_t n);
-void shm_cell_void(ShmCellState& c);
-[[nodiscard]] bool shm_cell_is_full(const ShmCellState& c);
-
-// --- process-shared dispatch counter ---------------------------------------
-
-/// The lock-free dispatch engine's counter, address-free so it works on
-/// shared pages: plain fetch-add / CAS, no waiting involved. Mirrors
-/// DispatchCounter's clamp-at-limit semantics exactly (see locks.cpp).
-struct alignas(64) ShmDispatchState {
-  std::atomic<std::int64_t> value{0};
-};
-
-DispatchClaim shm_dispatch_claim(ShmDispatchState& d, std::int64_t want,
-                                 std::int64_t limit);
-DispatchClaim shm_dispatch_claim_fraction(ShmDispatchState& d,
-                                          std::int64_t limit,
-                                          std::int64_t divisor);
-
-// --- selfscheduled-loop episode state --------------------------------------
-
-/// Shared state of one selfscheduled DOALL site under kOsFork: an entry
-/// barrier whose champion publishes the bounds and re-arms the dispatch,
-/// then a claim loop on the shared counter. Faithful to the paper there
-/// is NO exit barrier; reuse is still safe because the next episode's
-/// entry barrier cannot complete until every process has arrived, and a
-/// process only arrives after leaving the previous claim loop.
-struct ShmSelfschedState {
-  ShmBarrierState entry;
-  ShmDispatchState dispatch;
-  // Episode bounds: written only by the entry champion, inside the
-  // barrier section, published by the episode release.
-  std::int64_t start = 0;
-  std::int64_t last = 0;
-  std::int64_t incr = 1;
-  std::int64_t trips = 0;
 };
 
 // --- process-shared askfor monitor -----------------------------------------
 
 /// The Askfor monitor over shared memory: a fixed-capacity FIFO ring of
-/// fixed-stride task records behind one ShmLock, with a version word for
+/// fixed-stride task records behind one word lock, with a version word for
 /// sleeping. head/tail are monotonic (index = value % capacity). Tasks
 /// are trivially-copyable bytes; a granted task is copied OUT of the ring
 /// (cross-process pointers into a growing queue cannot work), which is
 /// the one semantic difference from the thread engines' stable-storage
 /// references.
 struct ShmAskforState {
-  ShmLockState monitor;
+  std::atomic<std::uint32_t> monitor{0};  ///< word lock (words.hpp)
   std::atomic<std::uint32_t> version{0};  ///< bumped on put/complete/probend
   std::atomic<std::uint64_t> granted{0};
   std::uint32_t capacity = 0;

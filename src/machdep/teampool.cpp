@@ -37,7 +37,7 @@ TeamPool::TeamPool(int workers, std::size_t member_stack_bytes)
 TeamPool::~TeamPool() {
   shutdown_.store(true, std::memory_order_release);
   arm_.fetch_add(1, std::memory_order_acq_rel);
-  arm_.notify_all();
+  Waiter::wake(arm_, WordScope::kPrivate, Wake::kAll);
   threads_.clear();  // jthread joins
 }
 
@@ -53,7 +53,7 @@ void TeamPool::worker_main(int w) {
     run_members(w, job_, sched);
     if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       done_.store(seen, std::memory_order_release);
-      done_.notify_all();
+      Waiter::wake(done_, WordScope::kPrivate, Wake::kAll);
     }
   }
 }
@@ -100,7 +100,7 @@ SpawnStats TeamPool::run(int nproc, const std::function<void(int)>& entry) {
   remaining_.store(workers_, std::memory_order_relaxed);
   // The arm generation publishes the job (release) and unparks the team.
   const std::uint32_t g = arm_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  arm_.notify_all();
+  Waiter::wake(arm_, WordScope::kPrivate, Wake::kAll);
   stats.create_ns = util::now_ns() - t0;
 
   // The driver is member 0: its work overlaps the workers' wakeup, and a
@@ -224,14 +224,14 @@ void ForkTeamPool::spawn(const std::function<void(int)>& entry) {
         }
         shm::note_site("pool-parked");
         slot.done.store(seen, std::memory_order_release);
-        shm::futex_wake(&slot.done, -1);
+        Waiter::wake(slot.done, WordScope::kShared, Wake::kAll);
       }
     }
     if (pid < 0) {
       // fork failed mid-spawn: release and reap whatever exists.
       ctl_->shutdown.store(1, std::memory_order_release);
       ctl_->poison.store(1, std::memory_order_release);
-      shm::futex_wake(&ctl_->arm, -1);
+      Waiter::wake(ctl_->arm, WordScope::kShared, Wake::kAll);
       for (int k = 0; k < proc; ++k) {
         if (pids_[static_cast<std::size_t>(k)] > 0) {
           int status = 0;
@@ -281,7 +281,7 @@ SpawnStats ForkTeamPool::run(PrivateSpace* space,
   ctl_->poison.store(0, std::memory_order_release);
   const std::uint32_t g = ++generation_;
   ctl_->arm.store(g, std::memory_order_release);
-  shm::futex_wake(&ctl_->arm, -1);
+  Waiter::wake(ctl_->arm, WordScope::kShared, Wake::kAll);
   stats.create_ns = util::now_ns() - t0;
 
   // Join: wait for every slot to report this generation, reaping with
@@ -324,8 +324,8 @@ SpawnStats ForkTeamPool::run(PrivateSpace* space,
         primary_pid = r;
         primary_status = status;
         ctl_->poison.store(1, std::memory_order_release);
-        shm::futex_wake(&ctl_->poison, -1);
-        shm::futex_wake(&ctl_->arm, -1);
+        Waiter::wake(ctl_->poison, WordScope::kShared, Wake::kAll);
+        Waiter::wake(ctl_->arm, WordScope::kShared, Wake::kAll);
         poisoned_at = util::now_ns();
       }
     }
@@ -407,7 +407,7 @@ void ForkTeamPool::shutdown() {
   if (!alive_) return;
   ctl_->shutdown.store(1, std::memory_order_release);
   ctl_->arm.fetch_add(1, std::memory_order_acq_rel);
-  shm::futex_wake(&ctl_->arm, -1);
+  Waiter::wake(ctl_->arm, WordScope::kShared, Wake::kAll);
 
   const std::int64_t deadline = util::now_ns() + 2'000'000'000;  // 2 s
   bool killed = false;

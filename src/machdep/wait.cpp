@@ -60,9 +60,20 @@ void Waiter::sleep(const std::atomic<T>& word, T seen, WordScope scope) {
   word.wait(seen, std::memory_order_relaxed);
 }
 
+template <typename T>
+void Waiter::wake_shared(std::atomic<T>& word, Wake who) {
+  if constexpr (std::is_same_v<T, std::uint32_t>) {
+    shm::futex_wake(&word, who == Wake::kOne ? 1 : -1);
+  } else {
+    FORCE_CHECK(false, "a shared wake needs a 32-bit futex word");
+  }
+}
+
 template void Waiter::sleep(const std::atomic<std::uint32_t>&, std::uint32_t,
                             WordScope);
 template void Waiter::sleep(const std::atomic<std::uint64_t>&, std::uint64_t,
                             WordScope);
+template void Waiter::wake_shared(std::atomic<std::uint32_t>&, Wake);
+template void Waiter::wake_shared(std::atomic<std::uint64_t>&, Wake);
 
 }  // namespace force::machdep

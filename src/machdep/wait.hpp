@@ -18,9 +18,14 @@
 //     wait for a word private to the process, or one raw futex slice with
 //     a team-poison check for a word in a MAP_SHARED mapping (the os-fork
 //     backend), so a survivor of a dead sibling throws shm::TeamPoisoned.
+//   * wake()   - the other half: whoever changes a word others may sleep on
+//     wakes them through the same scope - an atomic notify for a private
+//     word, a futex wake keyed by the physical page for a shared one. No
+//     other code in the runtime wakes a word.
 //
-// The lock kinds keep their own probe protocols (TAS, TTAS backoff, ticket
-// FIFO, MCS queue, HEP cell); only their waiting is shared. A Waiter is
+// The spinning lock kinds keep their own probe protocols (TAS, TTAS
+// backoff, ticket FIFO, MCS queue); the word shapes that sleep (word lock,
+// episode barrier, full/empty cell) are machdep/words.hpp. A Waiter is
 // one wait: construct it where the wait starts, and read spins()/slept()
 // afterwards for the lock counters.
 #pragma once
@@ -35,6 +40,9 @@ enum class WordScope {
   kPrivate,  ///< in this process's memory: std::atomic wait
   kShared    ///< in a MAP_SHARED mapping: futex slices, poison-checked
 };
+
+/// How many sleepers a wake releases.
+enum class Wake { kOne, kAll };
 
 class Waiter {
  public:
@@ -72,6 +80,20 @@ class Waiter {
     }
   }
 
+  /// Wakes sleepers of a word just changed. A private word takes an atomic
+  /// notify inline (the pool and barrier hot paths); a shared word a futex
+  /// wake, which must be 32 bits.
+  template <typename T>
+  static void wake(std::atomic<T>& word, WordScope scope, Wake who) {
+    if (scope == WordScope::kShared) {
+      wake_shared(word, who);
+    } else if (who == Wake::kOne) {
+      word.notify_one();
+    } else {
+      word.notify_all();
+    }
+  }
+
   /// pause() calls so far, window probes included.
   [[nodiscard]] std::uint64_t spins() const { return spins_; }
   /// True once an await() has run out of window and slept (or yielded).
@@ -100,6 +122,9 @@ class Waiter {
   /// Blocks while the word still reads `seen` (spurious returns allowed).
   template <typename T>
   static void sleep(const std::atomic<T>& word, T seen, WordScope scope);
+  /// The futex wake of a shared word.
+  template <typename T>
+  static void wake_shared(std::atomic<T>& word, Wake who);
 
   int window_;
   std::uint64_t spins_ = 0;

@@ -1,0 +1,213 @@
+// One address-free atomic word per synchronization shape (paper §4.1.3:
+// every construct is built once over a small machine-dependent level).
+//
+// Each shape below exists exactly once, as functions over words the caller
+// places - in its own object on the thread backend, in the MAP_SHARED
+// arena on the os-fork backend - plus the WordScope that says which. The
+// words are plain std::atomic integers, so the same code is fork-safe; the
+// scope only picks how machdep::Waiter sleeps and wakes on them.
+//
+//   * the word lock: 0 free, 1 held, 2 held with waiters (SystemLock,
+//     CombinedLock, shm::ShmLock, the arena and askfor monitors);
+//   * the episode barrier: {count, episode}, the width-th arriver runs
+//     the section and bumps the episode (CentralSenseBarrier, the os-fork
+//     keyed barrier and selfsched entry);
+//   * the full/empty cell word: empty/full/busy, where busy is the window
+//     in which the owner of a seize moves the payload (HepCell, the
+//     os-fork async cell);
+//   * the clamped dispatch counter (DispatchCounter's lock-free engine,
+//     the os-fork selfsched dispatch).
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+
+#include "machdep/wait.hpp"
+#include "util/check.hpp"
+
+namespace force::machdep {
+
+// --- word lock -------------------------------------------------------------
+
+/// Takes a free lock word without waiting; true on success.
+inline bool word_lock_try(std::atomic<std::uint32_t>& word) {
+  std::uint32_t free = 0;
+  return word.compare_exchange_strong(free, 1, std::memory_order_acquire,
+                                      std::memory_order_relaxed);
+}
+
+/// The contended acquire, after a failed word_lock_try: advertises a
+/// waiter (2) and waits until the word leaves 2. Acquiring through the
+/// exchange leaves the word at 2, so the eventual release always wakes -
+/// one spurious wake per contention burst, never a lost one. The caller's
+/// Waiter sets the spin window and collects the spin/sleep counts.
+inline void word_lock_wait(std::atomic<std::uint32_t>& word, Waiter& w,
+                           WordScope scope) {
+  while (word.exchange(2, std::memory_order_acquire) != 0) {
+    w.await(word, [](std::uint32_t v) { return v != 2; }, scope);
+  }
+}
+
+/// Takes a lock word, spending the host's default spin window first.
+inline void word_lock_acquire(std::atomic<std::uint32_t>& word,
+                              WordScope scope) {
+  if (word_lock_try(word)) return;
+  Waiter w;
+  word_lock_wait(word, w, scope);
+}
+
+/// Frees a lock word; wakes one waiter when one was advertised. Any
+/// thread or process may release (the binary-semaphore contract). The
+/// exchange is seq_cst so it cannot pass the private wake's check for
+/// sleepers.
+inline void word_lock_release(std::atomic<std::uint32_t>& word,
+                              WordScope scope) {
+  if (word.exchange(0, std::memory_order_seq_cst) == 2) {
+    Waiter::wake(word, scope, Wake::kOne);
+  }
+}
+
+// --- episode barrier -------------------------------------------------------
+
+/// The two words of a central barrier. The episode word is the sense, so
+/// no per-member state is needed and any process that maps the words can
+/// arrive.
+struct alignas(64) EpisodeBarrier {
+  std::atomic<std::uint32_t> count{0};
+  std::atomic<std::uint32_t> episode{0};
+};
+
+/// One arrival of `width`. The width-th arriver is the champion: it runs
+/// `section()` while every other arriver waits on the episode word, resets
+/// the count, then publishes episode+1 and wakes them all.
+template <typename Section>
+void episode_arrive(EpisodeBarrier& b, std::uint32_t width,
+                    const Section& section, WordScope scope) {
+  const std::uint32_t ep = b.episode.load(std::memory_order_acquire);
+  if (b.count.fetch_add(1, std::memory_order_acq_rel) + 1 == width) {
+    // A process re-arriving for the next episode first acquire-loads
+    // episode != ep, which orders its fetch_add after this reset.
+    section();
+    b.count.store(0, std::memory_order_relaxed);
+    b.episode.store(ep + 1, std::memory_order_seq_cst);
+    Waiter::wake(b.episode, scope, Wake::kAll);
+    return;
+  }
+  Waiter().await(b.episode, [ep](std::uint32_t v) { return v != ep; },
+                 scope);
+}
+
+// --- full/empty cell word --------------------------------------------------
+
+/// Cell word states. Busy reserves the payload for the one seizer, making
+/// the value transfer atomic with the state change.
+inline constexpr std::uint32_t kCellEmpty = 0;
+inline constexpr std::uint32_t kCellFull = 1;
+inline constexpr std::uint32_t kCellBusy = 2;
+
+/// Opens the payload window when the cell holds `from`; true on success.
+inline bool cell_try_seize(std::atomic<std::uint32_t>& cell,
+                           std::uint32_t from) {
+  return cell.compare_exchange_strong(from, kCellBusy,
+                                      std::memory_order_acquire,
+                                      std::memory_order_relaxed);
+}
+
+/// Blocks until the cell holds `from`, then opens the window. Returns how
+/// often it found the cell in another state and had to wait.
+inline std::uint32_t cell_seize(std::atomic<std::uint32_t>& cell,
+                                std::uint32_t from, WordScope scope) {
+  Waiter w;
+  std::uint32_t waits = 0;
+  while (!cell_try_seize(cell, from)) {
+    ++waits;
+    w.await(cell, [from](std::uint32_t v) { return v == from; }, scope);
+  }
+  return waits;
+}
+
+/// Closes the window, leaving the cell `to` (full or empty).
+inline void cell_publish(std::atomic<std::uint32_t>& cell, std::uint32_t to,
+                         WordScope scope) {
+  cell.store(to, std::memory_order_seq_cst);
+  Waiter::wake(cell, scope, Wake::kAll);
+}
+
+/// Waits out any busy window, then opens one from whichever stable state
+/// the cell holds; returns that state.
+inline std::uint32_t cell_seize_stable(std::atomic<std::uint32_t>& cell,
+                                       WordScope scope) {
+  Waiter w;
+  for (;;) {
+    std::uint32_t s =
+        w.await(cell, [](std::uint32_t v) { return v != kCellBusy; }, scope);
+    if (cell.compare_exchange_strong(s, kCellBusy, std::memory_order_acquire,
+                                     std::memory_order_relaxed)) {
+      return s;
+    }
+  }
+}
+
+/// Forces the cell empty from any state (Force Void). A Void overlapping
+/// an in-flight access waits out its busy window, as on the HEP.
+inline void cell_make_empty(std::atomic<std::uint32_t>& cell,
+                            WordScope scope) {
+  cell_seize_stable(cell, scope);
+  cell_publish(cell, kCellEmpty, scope);
+}
+
+/// True when the cell is full at this instant (Isfull).
+inline bool cell_is_full(const std::atomic<std::uint32_t>& cell) {
+  return cell.load(std::memory_order_acquire) == kCellFull;
+}
+
+// --- dispatch counter ------------------------------------------------------
+
+/// One dispatch grant: trips [begin, begin+count) of the current episode.
+/// count == 0 means the work is exhausted (the claim still counts as a
+/// dispatch, matching the paper's one-exhausted-grab-per-process shape).
+struct DispatchClaim {
+  std::int64_t begin = 0;
+  std::int64_t count = 0;
+};
+
+/// Claims up to `want` trips below `limit` with one fetch-add. Exactly-once
+/// follows from the RMW total order: successive returns tile [reset, ...)
+/// contiguously. A result at or past `limit` claims nothing and pulls the
+/// runaway value back to `limit`, so unbounded re-probing cannot overflow
+/// the counter; every trip below `limit` has been granted by then.
+inline DispatchClaim dispatch_claim(std::atomic<std::int64_t>& counter,
+                                    std::int64_t want, std::int64_t limit) {
+  FORCE_CHECK(want >= 1, "dispatch claim must want at least one trip");
+  const std::int64_t t = counter.fetch_add(want, std::memory_order_acq_rel);
+  if (t >= limit) {
+    std::int64_t cur = counter.load(std::memory_order_relaxed);
+    while (cur > limit &&
+           !counter.compare_exchange_weak(cur, limit,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_relaxed)) {
+    }
+    return {t, 0};
+  }
+  return {t, std::min(want, limit - t)};
+}
+
+/// Guided claim: max(1, remaining / divisor) trips, remaining = limit -
+/// current. A CAS loop, since the claim size depends on the value replaced.
+inline DispatchClaim dispatch_claim_fraction(
+    std::atomic<std::int64_t>& counter, std::int64_t limit,
+    std::int64_t divisor) {
+  FORCE_CHECK(divisor >= 1, "dispatch divisor must be at least one");
+  std::int64_t t = counter.load(std::memory_order_relaxed);
+  for (;;) {
+    if (t >= limit) return {t, 0};
+    const std::int64_t want = std::max<std::int64_t>(1, (limit - t) / divisor);
+    if (counter.compare_exchange_weak(t, t + want, std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
+      return {t, want};
+    }
+  }
+}
+
+}  // namespace force::machdep

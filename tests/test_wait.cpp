@@ -4,8 +4,9 @@
 //   * An await or a lock wait inside an N:M member must hand the worker to
 //     the sibling that will satisfy it, even when that sibling yields
 //     before it does.
-//   * An await on a shared (MAP_SHARED-style) word leaves with
-//     shm::TeamPoisoned once the team is poisoned, within one wait slice.
+//   * An await on a shared (MAP_SHARED-style) word - bare, or inside the
+//     episode barrier or a cell seize - leaves with shm::TeamPoisoned once
+//     the team is poisoned, within one wait slice.
 //   * The fast path: a satisfied await neither spins nor sleeps.
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "machdep/locks.hpp"
 #include "machdep/shm.hpp"
 #include "machdep/wait.hpp"
+#include "machdep/words.hpp"
 
 namespace md = force::machdep;
 
@@ -42,7 +44,7 @@ TEST(WaitOnFiber, AwaitHandsTheWorkerToTheSiblingThatSetsTheWord) {
     md::Waiter::yield();  // the setter itself gives the worker away first
     order += "B";
     word.store(1, std::memory_order_release);
-    word.notify_all();
+    md::Waiter::wake(word, md::WordScope::kPrivate, md::Wake::kAll);
   });
   sched.run(std::move(bodies));
   EXPECT_EQ(order.substr(0, 2), "ab");
@@ -74,20 +76,20 @@ TEST(WaitOnFiber, ContendedTicketLockHandsTheWorkerToItsHolder) {
   EXPECT_GE(s.spin_iterations, 1u);
 }
 
-TEST(WaitShared, PoisonedTeamEndsASharedAwaitWithinOneSlice) {
+/// Runs `wait` (which nobody ever satisfies or wakes) against a team that is
+/// poisoned 30 ms in, and checks it throws TeamPoisoned within one slice.
+void expect_poison_ends(const std::function<void()>& wait) {
   std::atomic<std::uint32_t> poison{0};
-  std::atomic<std::uint32_t> word{0};  // nobody ever sets or wakes it
   md::shm::set_team_poison(&poison);
   constexpr auto kPoisonAfter = std::chrono::milliseconds(30);
+  // The clock starts before the poisoner does, so a preempted test thread
+  // cannot see the poison sooner than kPoisonAfter.
+  const auto t0 = std::chrono::steady_clock::now();
   std::jthread poisoner([&] {
     std::this_thread::sleep_for(kPoisonAfter);
     poison.store(1, std::memory_order_release);  // no wake: the slice ends it
   });
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_THROW(md::Waiter().await(
-                   word, [](std::uint32_t v) { return v != 0; },
-                   md::WordScope::kShared),
-               md::shm::TeamPoisoned);
+  EXPECT_THROW(wait(), md::shm::TeamPoisoned);
   const auto waited = std::chrono::steady_clock::now() - t0;
   md::shm::set_team_poison(nullptr);
   EXPECT_GE(waited, kPoisonAfter);
@@ -95,6 +97,27 @@ TEST(WaitShared, PoisonedTeamEndsASharedAwaitWithinOneSlice) {
   EXPECT_LT(waited, kPoisonAfter +
                         std::chrono::nanoseconds(md::shm::kWaitSliceNs) +
                         std::chrono::milliseconds(200));
+}
+
+TEST(WaitShared, PoisonedTeamEndsASharedAwaitWithinOneSlice) {
+  std::atomic<std::uint32_t> word{0};
+  expect_poison_ends([&] {
+    md::Waiter().await(word, [](std::uint32_t v) { return v != 0; },
+                       md::WordScope::kShared);
+  });
+}
+
+TEST(WaitShared, PoisonedTeamEndsASharedBarrierWaitWithinOneSlice) {
+  md::EpisodeBarrier barrier;  // width 2, and the second never arrives
+  expect_poison_ends([&] {
+    md::episode_arrive(barrier, 2, [] {}, md::WordScope::kShared);
+  });
+}
+
+TEST(WaitShared, PoisonedTeamEndsASharedCellWaitWithinOneSlice) {
+  std::atomic<std::uint32_t> cell{md::kCellEmpty};  // never produced
+  expect_poison_ends(
+      [&] { md::cell_seize(cell, md::kCellFull, md::WordScope::kShared); });
 }
 
 TEST(WaitFastPath, SatisfiedAwaitNeitherSpinsNorSleeps) {
