@@ -148,7 +148,7 @@ GrantThroughput measure_grants(const std::string& machine,
   for (int r = 0; r < np; ++r) monitor.put({1, r});
   GrantThroughput g;
   g.machine = machine;
-  g.engine = env.lock_free_dispatch() ? "atomic" : "locked";
+  g.engine = env.atomic_words() ? "atomic" : "locked";
   g.wall_ns = force::bench::time_ns([&] {
     force::bench::on_team(np, [&](int) {
       monitor.work([&](TreeTask& t, force::core::Askfor<TreeTask>& self) {

@@ -78,7 +78,7 @@ DispatchThroughput measure_dispatch(const std::string& machine,
   fc::SelfschedLoop loop(env, np);
   DispatchThroughput r;
   r.machine = machine;
-  r.engine = env.lock_free_dispatch() ? "atomic" : "locked";
+  r.engine = env.atomic_words() ? "atomic" : "locked";
   r.trips = static_cast<std::uint64_t>(trips);
   r.wall_ns = force::bench::time_ns([&] {
     force::bench::on_team(np, [&](int me) {

@@ -31,7 +31,7 @@ thread_local TlsBinding tls_binding;
 AskforCore::AskforCore(ForceEnvironment& env)
     : env_(env),
       monitor_(env.new_lock(machdep::LockRole::kMutex, "askfor.monitor")) {
-  if (env.lock_free_dispatch()) {
+  if (env.atomic_words()) {
     nslots_ = env.nproc();
     deques_ = std::make_unique<machdep::StealDeque[]>(
         static_cast<std::size_t>(nslots_));

@@ -10,8 +10,8 @@
 // more" (wait) from "no work and nobody working" (done). Askfor<T> is the
 // typed façade with the canonical worker loop.
 //
-// Dispatch has two engines, selected by the machine capability
-// (MachineSpec::hardware_atomic_rmw, via ForceEnvironment):
+// Dispatch has two engines, selected by the machine's atomic-RMW
+// capability (ForceEnvironment::atomic_words):
 //
 //   * Lock-only machines run the Argonne monitor shape unchanged: one
 //     generic lock around a central queue, poll-with-yield waiting. Every

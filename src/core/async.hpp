@@ -41,7 +41,8 @@ class Async {
         sentry_(env.sentry()),
         label_(std::move(label)),
         cell_engine_(make_cell_engine(env, label_)),
-        gate_(make_gate(env, label_, cell_engine_ == nullptr)) {}
+        gate_(cell_engine_ == nullptr ? env.new_full_empty_gate(label_)
+                                      : machdep::FullEmptyGate()) {}
 
   Async(const Async&) = delete;
   Async& operator=(const Async&) = delete;
@@ -157,20 +158,6 @@ class Async {
     }
   }
 
-  /// The machine's full/empty expansion. A variable backed by a cell
-  /// engine never touches its gate, so it gets the lock-free one.
-  static machdep::FullEmptyGate make_gate(ForceEnvironment& env,
-                                          const std::string& label,
-                                          bool in_process) {
-    if (!in_process || env.machine().spec().hardware_full_empty) {
-      return machdep::FullEmptyGate();
-    }
-    return machdep::FullEmptyGate(
-        env.new_lock(machdep::LockRole::kSemaphore, label + ".E"),
-        env.new_lock(machdep::LockRole::kSemaphore, label + ".F"),
-        env.new_lock(machdep::LockRole::kMutex, label + ".void"));
-  }
-
   /// Runs a blocking gate seize; with the sentry on, the wait is
   /// registered so the watchdog can report a stalled Produce/Consume.
   template <typename Seize>
@@ -211,6 +198,8 @@ class Async {
   // the coordinator's cell table under cluster). Null on the thread
   // backend, which moves value_ through gate_.
   std::unique_ptr<machdep::AsyncCell> cell_engine_;
+  // The machine's full/empty expansion; a variable backed by a cell engine
+  // never touches it, so it gets the lock-free one.
   machdep::FullEmptyGate gate_;
   T value_{};
 };

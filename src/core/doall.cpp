@@ -48,38 +48,35 @@ void presched_do2(int me0, int np, std::int64_t i_start, std::int64_t i_last,
 // ---------------------------------------------------------------------------
 // SelfschedLoop - the paper's macro expansion, object-ified.
 //
-//   entry:  lock(BARWIN); if first arriver, initialize the dispatch
-//           counter; report arrival; the LAST arriver unlocks BARWOT
-//           (exits may now drain), every other arriver unlocks BARWIN
-//           (the next process may enter).
+//   entry:  the EpisodeGate: the first arriver fixes the bounds and resets
+//           the dispatch counter; nobody waits for the rest of the team.
 //   body:   claim trips from the DispatchCounter - one fetch-add on
 //           hardware-RMW machines, one generic-lock pass (the paper's
 //           lock(LOOP); K = K_shared; K_shared = K + INCR; unlock(LOOP))
 //           on lock-only machines. If the claim is nonempty, execute and
 //           repeat; otherwise fall through.
-//   exit:   lock(BARWOT); report departure; the LAST process out unlocks
-//           BARWIN (the loop may be re-entered), every other unlocks
-//           BARWOT. There is deliberately NO exit barrier: a process
-//           leaves as soon as it draws an exhausted claim.
+//   exit:   the EpisodeGate again: a departure waits for every arrival,
+//           and the last one out re-opens the loop. There is deliberately
+//           NO exit barrier: a process leaves as soon as it draws an
+//           exhausted claim.
 // ---------------------------------------------------------------------------
 
 SelfschedLoop::SelfschedLoop(ForceEnvironment& env, int width,
                              const std::string& key)
     : env_(env), width_(width) {
   FORCE_CHECK(width_ > 0, "selfsched loop width must be positive");
-  // The barwin/barwot labels are per-construct-kind, not per-site, so they
+  // The gate's lock labels are per-construct-kind, not per-site, so they
   // cannot key cross-process state. Separate-process backends key the
   // whole episode by the construct's site key instead.
   site_ = env.backend().make_doall_site(key.empty() ? "anon" : key, width_);
   if (site_ != nullptr) return;
-  barwin_ = env.new_lock(machdep::LockRole::kSemaphore, "doall.barwin");
-  barwot_ = env.new_lock(machdep::LockRole::kSemaphore, "doall.barwot");
+  gate_ = env.new_episode_gate(width_);
   dispatch_ = env.new_dispatch_counter();
-  barwot_->acquire();  // exits blocked until all have entered the episode
 }
 
 bool SelfschedLoop::enter_episode(std::int64_t start, std::int64_t last,
                                   std::int64_t incr) {
+  const std::int64_t trips = loop_trip_count(start, last, incr);
   if (site_ != nullptr) {
     // Champion episode barrier, across address spaces: the last arriver
     // publishes the bounds and re-arms the dispatch while every other
@@ -88,58 +85,68 @@ bool SelfschedLoop::enter_episode(std::int64_t start, std::int64_t last,
     // episode at that moment, because it would not have arrived here yet -
     // so there is still no exit barrier, exactly as in the thread
     // expansion.
-    const machdep::DoallBounds b =
-        site_->enter(start, last, incr, loop_trip_count(start, last, incr));
-    start_ = b.start;
+    const machdep::DoallBounds b = site_->enter(start, last, incr, trips);
     last_ = b.last;
     incr_ = b.incr;
     trips_ = b.trips;
     return last == last_ && incr == incr_;
   }
-  bool ok = true;
-  barwin_->acquire();
-  if (zznbar_ == 0) {
-    start_ = start;
+  // The gate word has no lock hook, so the fuzzer perturbs here.
+  if (Sentry* sentry = env_.sentry()) sentry->fuzz();
+  gate_->enter([&] {
     last_ = last;
     incr_ = incr;
-    trips_ = loop_trip_count(start, last, incr);
-    // Gate-guarded single-writer reset; the BARWIN release publishes it.
+    trips_ = trips;
+    // Single writer while the gate is open only to it; the gate publishes.
     dispatch_->reset(0);
-  } else {
-    // SPMD discipline: every process must reach this site with the same
-    // bounds. A divergent call would silently corrupt the distribution on
-    // a real Force; here it is detected - but the arrival must still be
-    // counted and the gates released, or the compliant processes would be
-    // wedged in the exit protocol forever.
-    ok = (last == last_ && incr == incr_);
-  }
-  ++zznbar_;
-  if (zznbar_ == width_) {
-    barwot_->release();
-  } else {
-    barwin_->release();
-  }
-  return ok;
+  });
+  // SPMD discipline: every process must reach this site with the same
+  // bounds. A divergent call would silently corrupt the distribution on a
+  // real Force; here it is detected - but the arrival is already counted,
+  // and the caller still departs, or the compliant processes would be
+  // wedged in the exit protocol forever.
+  return last == last_ && incr == incr_;
 }
 
 void SelfschedLoop::leave_episode() {
   // Re-entry fenced by the engine's entry barrier on keyed backends.
   if (site_ != nullptr) return;
-  barwot_->acquire();
-  --zznbar_;
-  if (zznbar_ == 0) {
-    barwin_->release();
-  } else {
-    barwot_->release();
-  }
+  gate_->leave();
 }
 
 void SelfschedLoop::run(int me0, std::int64_t start, std::int64_t last,
                         std::int64_t incr,
                         const std::function<void(std::int64_t)>& body,
                         std::int64_t chunk) {
-  FORCE_CHECK(me0 >= 0 && me0 < width_, "bad selfsched process id");
   FORCE_CHECK(chunk >= 1, "chunk must be >= 1");
+  run_episode(me0, start, last, incr, body, chunk);
+}
+
+void SelfschedLoop::run_guided(int me0, std::int64_t start, std::int64_t last,
+                               std::int64_t incr,
+                               const std::function<void(std::int64_t)>& body) {
+  run_episode(me0, start, last, incr, body, kGuided);
+}
+
+machdep::DispatchClaim SelfschedLoop::claim(std::int64_t chunk,
+                                             std::int64_t trips) {
+  if (chunk == kGuided) {
+    // Guided selfscheduling: claim a fraction of the remaining trips so
+    // early claims are big (low dispatch overhead) and late claims small
+    // (good load balance at the tail). On the lock-free engine this is a
+    // CAS loop on the remaining-trips value.
+    return site_ != nullptr ? site_->claim_fraction(trips, 2 * width_)
+                            : dispatch_->claim_fraction(trips, 2 * width_);
+  }
+  return site_ != nullptr ? site_->claim(chunk, trips)
+                          : dispatch_->claim(chunk, trips);
+}
+
+void SelfschedLoop::run_episode(int me0, std::int64_t start, std::int64_t last,
+                                std::int64_t incr,
+                                const std::function<void(std::int64_t)>& body,
+                                std::int64_t chunk) {
+  FORCE_CHECK(me0 >= 0 && me0 < width_, "bad selfsched process id");
   const bool spmd_ok = enter_episode(start, last, incr);
   // Departure must be reported even if the body throws, or the loop could
   // never be re-entered by the remaining processes.
@@ -170,59 +177,7 @@ void SelfschedLoop::run(int me0, std::int64_t start, std::int64_t last,
   for (;;) {
     // The lock-free claim has no lock hook, so the fuzzer perturbs here.
     if (sentry != nullptr) sentry->fuzz();
-    const machdep::DispatchClaim c = site_ != nullptr
-                                         ? site_->claim(chunk, trips)
-                                         : dispatch_->claim(chunk, trips);
-    ++tally.dispatches;
-    if (tracer) {
-      tracer->instant(me0, util::TraceKind::kLoopDispatch,
-                      start + c.begin * incr);
-    }
-    if (c.count == 0) break;
-    for (std::int64_t t = c.begin; t < c.begin + c.count; ++t) {
-      body(start + t * incr);
-      ++tally.iterations;
-    }
-  }
-  if (tracer) {
-    tracer->record(me0, util::TraceKind::kLoopRun, trace_begin,
-                   util::now_ns());
-  }
-}
-
-void SelfschedLoop::run_guided(int me0, std::int64_t start, std::int64_t last,
-                               std::int64_t incr,
-                               const std::function<void(std::int64_t)>& body) {
-  FORCE_CHECK(me0 >= 0 && me0 < width_, "bad selfsched process id");
-  const bool spmd_ok = enter_episode(start, last, incr);
-  struct Departure {
-    SelfschedLoop* loop;
-    ~Departure() { loop->leave_episode(); }
-  } departure{this};
-  FORCE_CHECK(spmd_ok, "selfsched DO reached with divergent loop bounds");
-  util::Tracer* tracer = env_.tracer();
-  const std::int64_t trace_begin = tracer ? util::now_ns() : 0;
-  // Per-process tally, flushed once per episode (see run()).
-  struct EpisodeStats {
-    RuntimeStats& stats;
-    std::uint64_t dispatches = 0;
-    std::uint64_t iterations = 0;
-    ~EpisodeStats() {
-      stats.doall_dispatches.fetch_add(dispatches, std::memory_order_relaxed);
-      stats.doall_iterations.fetch_add(iterations, std::memory_order_relaxed);
-    }
-  } tally{env_.stats()};
-  const std::int64_t trips = trips_;
-  Sentry* sentry = env_.sentry();
-  for (;;) {
-    if (sentry != nullptr) sentry->fuzz();
-    // Guided selfscheduling: claim a fraction of the remaining trips so
-    // early claims are big (low dispatch overhead) and late claims small
-    // (good load balance at the tail). On the lock-free engine this is a
-    // CAS loop on the remaining-trips value.
-    const machdep::DispatchClaim c =
-        site_ != nullptr ? site_->claim_fraction(trips, 2 * width_)
-                         : dispatch_->claim_fraction(trips, 2 * width_);
+    const machdep::DispatchClaim c = claim(chunk, trips);
     ++tally.dispatches;
     if (tracer) {
       tracer->instant(me0, util::TraceKind::kLoopDispatch,

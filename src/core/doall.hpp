@@ -7,17 +7,19 @@
 //   k mod NP. It is a pure function of (me, np) - no shared state at all.
 //
 // * Selfsched DO keeps the paper's episode protocol exactly - an entry
-//   gate built from two locks (BARWIN / BARWOT) and an arrival counter
-//   (ZZNBAR) whose only job is to initialize the dispatch once per episode
-//   and to keep the loop from being re-entered before every process has
-//   left it. Faithfully to the paper, there is NO exit barrier: a process
-//   leaves as soon as it draws an index beyond LAST.
+//   gate (machdep::EpisodeGate) whose only job is to initialize the
+//   dispatch once per episode and to keep the loop from being re-entered
+//   before every process has left it. Faithfully to the paper, there is NO
+//   exit barrier: a process leaves as soon as it draws an index beyond
+//   LAST.
 //
-//   The shared loop index itself now lives in a machdep::DispatchCounter:
-//   on machines with hardware atomic RMW a claim is one fetch-add (guided:
-//   one CAS) with no lock at all; on lock-only machines it is the paper's
-//   lock-protected expansion, byte-for-byte in lock traffic - one generic
-//   lock pass per claim, on a lock from MachineModel::new_lock().
+//   The gate and the shared loop index (a machdep::DispatchCounter) each
+//   come in two expansions, chosen once by ForceEnvironment::atomic_words:
+//   with hardware atomic RMW the gate is one word and a claim is one
+//   fetch-add (guided: one CAS), with no lock at all; on lock-only machines
+//   both are the paper's lock expansions, byte-for-byte in lock traffic -
+//   BARWIN/BARWOT/ZZNBAR and one generic lock pass per claim, on locks
+//   from MachineModel::new_lock().
 //
 // Iteration ranges follow Fortran DO semantics: start/last/incr with
 // positive or negative increments; an empty range executes nothing.
@@ -30,6 +32,7 @@
 
 #include "core/barrier.hpp"
 #include "machdep/backend.hpp"
+#include "machdep/episodegate.hpp"
 #include "machdep/locks.hpp"
 
 namespace force::core {
@@ -83,6 +86,17 @@ class SelfschedLoop {
   [[nodiscard]] int width() const { return width_; }
 
  private:
+  /// The claim size of run_guided: a fraction of the remaining trips.
+  static constexpr std::int64_t kGuided = 0;
+
+  /// One episode: enter, claim `chunk` trips (or kGuided) until the work
+  /// is exhausted, leave.
+  void run_episode(int me0, std::int64_t start, std::int64_t last,
+                   std::int64_t incr,
+                   const std::function<void(std::int64_t)>& body,
+                   std::int64_t chunk);
+  machdep::DispatchClaim claim(std::int64_t chunk, std::int64_t trips);
+
   /// Returns false on an SPMD violation (divergent bounds); the arrival is
   /// still counted so the other processes are not wedged - the caller
   /// completes the departure protocol and then reports the error.
@@ -101,16 +115,13 @@ class SelfschedLoop {
   std::unique_ptr<machdep::DoallSite> site_;
 
   // The paper's shared environment variables for this loop site:
-  std::unique_ptr<machdep::BasicLock> barwin_;   // entry gate
-  std::unique_ptr<machdep::BasicLock> barwot_;   // exit gate (starts locked)
+  std::unique_ptr<machdep::EpisodeGate> gate_;  // entry/exit gate
   /// The asynchronous loop index, counted in *trips claimed* (0-based)
   /// rather than raw index values so claims clamp at the trip count and
   /// can never overflow, and so chunked/guided/2D all share one engine.
   std::unique_ptr<machdep::DispatchCounter> dispatch_;
-  int zznbar_ = 0;                // arrival counter, guarded by gates
   std::int64_t trips_ = 0;        // trip count of the current episode
-  std::int64_t start_ = 0;        // bounds of the current episode
-  std::int64_t last_ = 0;
+  std::int64_t last_ = 0;         // bounds of the current episode
   std::int64_t incr_ = 1;
 };
 

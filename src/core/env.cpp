@@ -221,7 +221,28 @@ std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_barrier(
     int width, const std::string& algorithm) {
   require(machdep::Capability::kThreadBarrierAlgorithms,
           "thread barrier algorithms", "");
+  if (algorithm == "auto") {
+    return make_barrier_algorithm(
+        atomic_words() ? "central-sense" : "paper-lock", *this, width);
+  }
   return make_barrier_algorithm(algorithm, *this, width);
+}
+
+std::unique_ptr<machdep::EpisodeGate> ForceEnvironment::new_episode_gate(
+    int width) {
+  if (atomic_words()) return std::make_unique<machdep::EpisodeGate>(width);
+  return std::make_unique<machdep::EpisodeGate>(
+      width, new_lock(machdep::LockRole::kSemaphore, "doall.barwin"),
+      new_lock(machdep::LockRole::kSemaphore, "doall.barwot"));
+}
+
+machdep::FullEmptyGate ForceEnvironment::new_full_empty_gate(
+    const std::string& label) {
+  if (machine_->spec().hardware_full_empty) return machdep::FullEmptyGate();
+  return machdep::FullEmptyGate(
+      new_lock(machdep::LockRole::kSemaphore, label + ".E"),
+      new_lock(machdep::LockRole::kSemaphore, label + ".F"),
+      new_lock(machdep::LockRole::kMutex, label + ".void"));
 }
 
 std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_team_barrier(

@@ -18,6 +18,8 @@
 
 #include "machdep/arena.hpp"
 #include "machdep/backend.hpp"
+#include "machdep/episodegate.hpp"
+#include "machdep/fullempty.hpp"
 #include "machdep/linkage.hpp"
 #include "machdep/machine.hpp"
 #include "core/site.hpp"
@@ -37,14 +39,16 @@ struct ForceConfig {
   /// Machine model name: hep, flex32, encore, sequent, alliant, cray2,
   /// or native (default).
   std::string machine = "native";
-  /// Barrier algorithm for ctx.barrier(): paper-lock (faithful to the
-  /// two-lock/counter structure), central-sense, tree, or dissemination.
-  std::string barrier_algorithm = "paper-lock";
-  /// Dispatch engine selection. "auto" (default) follows the machine's
-  /// hardware_atomic_rmw capability: lock-free fetch-add/CAS dispatch and
-  /// work stealing where the hardware has atomic RMW, the paper's
-  /// lock-protected expansion everywhere else. "locked" forces the lock
-  /// engine even on capable machines (benches/tests comparing engines).
+  /// Barrier algorithm for ctx.barrier() and reduce: "auto" (default) is
+  /// central-sense on the atomic words (see `dispatch`), paper-lock (the
+  /// paper's two-lock/counter structure) otherwise. An explicit paper-lock,
+  /// central-sense, tree or dissemination overrides it (the E2 sweep).
+  std::string barrier_algorithm = "auto";
+  /// "auto" (default) follows the machine's hardware_atomic_rmw: selfsched
+  /// dispatch and entry gate and the default barrier run on the atomic
+  /// words (machdep/words.hpp), and Askfor steals work, where the hardware
+  /// has atomic RMW. "locked" means the paper's lock expansions for all of
+  /// them, as on lock-only machines (benches/tests comparing the two).
   std::string dispatch = "auto";
   /// Process backend. "machine" (default) uses the machine model's
   /// thread-emulated process creation; "os-fork" spawns real child
@@ -156,18 +160,26 @@ class ForceEnvironment {
   std::unique_ptr<machdep::BasicLock> new_lock(machdep::LockRole role,
                                                std::string label);
 
-  /// True when dispatch-heavy constructs (selfsched DOALL, Askfor) may use
-  /// the lock-free fast path on this run: the machine declares
-  /// hardware_atomic_rmw and the config does not force "locked".
-  [[nodiscard]] bool lock_free_dispatch() const {
+  /// The one choice of expansion: true when the constructs named at
+  /// ForceConfig::dispatch run on the atomic words this run - the machine
+  /// declares hardware_atomic_rmw and the config does not force "locked".
+  [[nodiscard]] bool atomic_words() const {
     return machine_->spec().hardware_atomic_rmw &&
            config_.dispatch != "locked";
   }
 
-  /// Dispatch-counter factory honouring lock_free_dispatch().
+  /// Dispatch-counter factory honouring atomic_words().
   std::unique_ptr<machdep::DispatchCounter> new_dispatch_counter() {
-    return machine_->new_dispatch_counter(!lock_free_dispatch());
+    return machine_->new_dispatch_counter(!atomic_words());
   }
+
+  /// Selfsched entry/exit gate for `width` members honouring
+  /// atomic_words(): the one gate word, or the BARWIN/BARWOT locks.
+  std::unique_ptr<machdep::EpisodeGate> new_episode_gate(int width);
+
+  /// Full/empty gate of the in-process async variable `label`: the HEP's
+  /// tagged cell where hardware_full_empty, else the §4.2 E/F lock pair.
+  machdep::FullEmptyGate new_full_empty_gate(const std::string& label);
 
   /// The process substrate this environment selected at construction
   /// (ForceConfig::process_model parsed into the enum).

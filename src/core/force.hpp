@@ -311,6 +311,7 @@ class Ctx {
     if (sn == nullptr) {
       barrier_arrive(section);
     } else {
+      // Publishing also fuzzes: a barrier word has no lock hook to do it.
       sn->barrier_publish(team_barrier_);
       if (section) {
         barrier_arrive([&] {

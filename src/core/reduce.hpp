@@ -26,6 +26,7 @@
 
 #include "core/barrier.hpp"
 #include "core/env.hpp"
+#include "core/sentry.hpp"
 #include "machdep/backend.hpp"
 
 namespace force::core {
@@ -40,7 +41,7 @@ class Reduction {
   /// that reaches the same site meets the same barrier and slots.
   Reduction(ForceEnvironment& env, int width,
             const std::string& key = "reduce")
-      : width_(width) {
+      : width_(width), sentry_(env.sentry()) {
     const auto cells = static_cast<std::size_t>(width) + 1;
     if constexpr (std::is_trivially_copyable_v<T>) {
       cells_ = static_cast<T*>(env.arena().allocate_once(
@@ -70,6 +71,8 @@ class Reduction {
     T* const result = cells_;
     T* const slot = cells_ + 1;
     slot[me0] = local;
+    // The barrier word has no lock hook, so the fuzzer perturbs here.
+    if (sentry_ != nullptr) sentry_->fuzz();
     // Nobody reads a slot outside the section, and the result is rewritten
     // only by the next episode's section, which cannot run before every
     // process has copied this one out and arrived again: one barrier per
@@ -85,6 +88,7 @@ class Reduction {
 
  private:
   int width_;
+  Sentry* sentry_;  // null when validation is off
   T* cells_ = nullptr;  // {result, slot[0..width-1]}: arena blob or owned
   std::vector<T> owned_cells_;
   std::unique_ptr<BarrierAlgorithm> barrier_;

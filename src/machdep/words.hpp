@@ -12,6 +12,9 @@
 //   * the episode barrier: {count, episode}, the width-th arriver runs
 //     the section and bumps the episode (CentralSenseBarrier, the os-fork
 //     keyed barrier and selfsched entry);
+//   * the episode gate: arrivals, departures and a ready bit in one word,
+//     the selfsched entry/exit protocol without an entry barrier
+//     (EpisodeGate's word implementation);
 //   * the full/empty cell word: empty/full/busy, where busy is the window
 //     in which the owner of a seize moves the payload (HepCell, the
 //     os-fork async cell);
@@ -96,6 +99,81 @@ void episode_arrive(EpisodeBarrier& b, std::uint32_t width,
   }
   Waiter().await(b.episode, [ep](std::uint32_t v) { return v != ep; },
                  scope);
+}
+
+// --- episode gate ----------------------------------------------------------
+
+/// The selfsched entry/exit gate in one word: arrivals in bits 0-14,
+/// departures in bits 15-29 and the ready bit 30. It keeps the shape of
+/// the paper's BARWIN/BARWOT/ZZNBAR expansion: the first arriver opens the
+/// episode and later arrivers wait only for that, no member departs before
+/// all have arrived, and re-entry waits until all have departed, when the
+/// last departure clears the word.
+inline constexpr std::uint32_t kGateArrival = 1;
+inline constexpr std::uint32_t kGateDeparture = 1u << 15;
+inline constexpr std::uint32_t kGateReady = 1u << 30;
+inline constexpr std::uint32_t kGateMaxWidth = kGateDeparture - 1;
+
+inline std::uint32_t gate_arrivals(std::uint32_t v) {
+  return v & kGateMaxWidth;
+}
+inline std::uint32_t gate_departures(std::uint32_t v) {
+  return (v / kGateDeparture) & kGateMaxWidth;
+}
+
+/// One arrival of `width`. The first arriver runs `open()` (publish the
+/// episode's state) and sets the ready bit; a later arriver returns as soon
+/// as the bit is set, without waiting for the rest of the team. An arrival
+/// while all `width` of the previous episode are still inside waits for
+/// the last of them to depart.
+template <typename Open>
+void gate_enter(std::atomic<std::uint32_t>& gate, std::uint32_t width,
+                const Open& open, WordScope scope) {
+  Waiter w;
+  std::uint32_t v = gate.load(std::memory_order_relaxed);
+  for (;;) {
+    if (gate_arrivals(v) == width) {
+      v = w.await(
+          gate, [width](std::uint32_t x) { return gate_arrivals(x) != width; },
+          scope);
+    }
+    // Success acquires the previous episode's clearing store, so open()
+    // runs after every departure from it.
+    if (gate.compare_exchange_weak(v, v + kGateArrival,
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  v += kGateArrival;
+  bool changed = gate_arrivals(v) == width;  // departures may now start
+  if (gate_arrivals(v) == 1) {
+    open();
+    gate.fetch_or(kGateReady, std::memory_order_seq_cst);
+    changed = true;
+  } else if ((v & kGateReady) == 0) {
+    w.await(gate, [](std::uint32_t x) { return (x & kGateReady) != 0; },
+            scope);
+  }
+  if (changed) Waiter::wake(gate, scope, Wake::kAll);
+}
+
+/// One departure of `width`: waits until every member has arrived, then
+/// counts itself out. The last departure clears the word, which re-opens
+/// the gate for the next episode.
+inline void gate_leave(std::atomic<std::uint32_t>& gate, std::uint32_t width,
+                       WordScope scope) {
+  // Stable once true: the word cannot clear before this departure counts.
+  Waiter().await(
+      gate, [width](std::uint32_t x) { return gate_arrivals(x) == width; },
+      scope);
+  const std::uint32_t v =
+      gate.fetch_add(kGateDeparture, std::memory_order_acq_rel) +
+      kGateDeparture;
+  if (gate_departures(v) == width) {
+    gate.store(0, std::memory_order_seq_cst);
+    Waiter::wake(gate, scope, Wake::kAll);
+  }
 }
 
 // --- full/empty cell word --------------------------------------------------

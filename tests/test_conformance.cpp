@@ -21,6 +21,10 @@
 // same program bytes must produce the same answer everywhere - the
 // paper's portability claim, executed.
 //
+// Cells without --barrier (pool, pool-nm, os-fork, cluster) run the
+// machine's default barrier ("auto": central-sense on the atomic-RMW
+// machines, paper-lock on the lock-only ones).
+//
 // --pool runs each program as several sequential forces on one persistent
 // team pool (config.team_pool), and --pool-nm additionally folds the
 // members onto kNproc/2 workers (N:M fiber scheduling, NP = 2W); every
@@ -41,7 +45,7 @@ namespace {
 
 std::string g_machine = "native";
 std::string g_dispatch = "auto";
-std::string g_barrier = "paper-lock";
+std::string g_barrier = "auto";
 bool g_fork = false;
 bool g_cluster = false;
 bool g_pool = false;

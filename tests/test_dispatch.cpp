@@ -1,8 +1,8 @@
 // Tests for the capability-gated dispatch fast path: the DispatchCounter
 // engines, the Chase-Lev StealDeque, and the lock-accounting contract -
-// lock-only machine models keep routing every dispatch through
-// MachineModel::new_lock() locks (one generic-lock pass per claim, visible
-// in LockCounters), while hardware-RMW machines pay no lock at all.
+// lock-only machine models keep routing every dispatch, entry gate and
+// default barrier through MachineModel::new_lock() locks (visible in
+// LockCounters), while hardware-RMW machines pay no lock at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/askfor.hpp"
+#include "core/barrier.hpp"
 #include "core/doall.hpp"
 #include "core/env.hpp"
 #include "machdep/machine.hpp"
@@ -60,9 +61,9 @@ TEST(DispatchCapability, FactoryHonoursCapabilityAndOverride) {
   EXPECT_FALSE(sequent.new_dispatch_counter()->lock_free());
 
   fc::ForceEnvironment auto_env(test_config(2, "native"));
-  EXPECT_TRUE(auto_env.lock_free_dispatch());
+  EXPECT_TRUE(auto_env.atomic_words());
   fc::ForceEnvironment locked_env(test_config(2, "native", "locked"));
-  EXPECT_FALSE(locked_env.lock_free_dispatch());
+  EXPECT_FALSE(locked_env.atomic_words());
   EXPECT_FALSE(locked_env.new_dispatch_counter()->lock_free());
 }
 
@@ -256,10 +257,9 @@ TEST(DispatchLockAccounting, LockOnlyMachinePaysOneAcquirePerDispatch) {
             static_cast<std::uint64_t>(trips + np));
 }
 
-TEST(DispatchLockAccounting, AtomicMachinePaysOnlyTheGates) {
-  // Same episode on native: the gates still cost 2*np lock passes (the
-  // paper's BARWIN/BARWOT protocol is kept verbatim) but dispatch itself
-  // never touches a lock.
+TEST(DispatchLockAccounting, NativeEpisodePaysNoLocks) {
+  // Same episode on native: the entry gate is one atomic word and every
+  // claim one fetch-add, so the whole episode never touches a lock.
   const int np = 2;
   const std::int64_t trips = 50;
   fc::ForceEnvironment env(test_config(np, "native"));
@@ -267,7 +267,7 @@ TEST(DispatchLockAccounting, AtomicMachinePaysOnlyTheGates) {
   const auto before = fm::snapshot(env.machine().counters());
   on_team(np, [&](int me) { loop.run(me, 1, trips, 1, [](std::int64_t) {}); });
   const auto delta = fm::snapshot(env.machine().counters()) - before;
-  EXPECT_EQ(delta.acquires, static_cast<std::uint64_t>(2 * np));
+  EXPECT_EQ(delta.acquires, 0u);
   EXPECT_EQ(env.stats().doall_dispatches.load(),
             static_cast<std::uint64_t>(trips + np));
 }
@@ -286,13 +286,47 @@ TEST(DispatchLockAccounting, ForcedLockedNativeMatchesTheSeedTraffic) {
             static_cast<std::uint64_t>(2 * np + (trips + np)));
 }
 
+namespace {
+
+/// Lock acquires of `episodes` default ctx.barrier() episodes (the
+/// environment's global barrier) on the whole team.
+std::uint64_t default_barrier_acquires(fc::ForceEnvironment& env,
+                                       int episodes) {
+  fc::BarrierAlgorithm& barrier = env.global_barrier();
+  const auto before = fm::snapshot(env.machine().counters());
+  on_team(env.nproc(), [&](int me) {
+    for (int e = 0; e < episodes; ++e) barrier.arrive(me);
+  });
+  return (fm::snapshot(env.machine().counters()) - before).acquires;
+}
+
+}  // namespace
+
+TEST(DispatchLockAccounting, NativeDefaultBarrierPaysNoLocks) {
+  fc::ForceEnvironment env(test_config(4, "native"));
+  EXPECT_STREQ(env.global_barrier().name(), "central-sense");
+  EXPECT_EQ(default_barrier_acquires(env, 10), 0u);
+}
+
+TEST(DispatchLockAccounting, LockOnlyDefaultBarrierKeepsThePaperLockTraffic) {
+  // paper-lock per episode: each of np members takes the mutex twice and
+  // passes both turnstiles once, and the last arriver and the last one out
+  // each re-arm a turnstile - 4*np + 2 generic lock passes.
+  const int np = 4;
+  const int episodes = 10;
+  fc::ForceEnvironment env(test_config(np, "sequent"));
+  EXPECT_STREQ(env.global_barrier().name(), "paper-lock");
+  EXPECT_EQ(default_barrier_acquires(env, episodes),
+            static_cast<std::uint64_t>(episodes * (4 * np + 2)));
+}
+
 TEST(DispatchLockAccounting, AskforFastPathKeepsTheMonitorCold) {
   // A worker expanding a task tree from its own deque touches the monitor
   // lock only to fetch the externally seeded root and to latch
   // termination - a handful of acquires for hundreds of tasks.
   fc::ForceEnvironment env(test_config(1, "native"));
   fc::Askfor<int> monitor(env);
-  ASSERT_TRUE(env.lock_free_dispatch());
+  ASSERT_TRUE(env.atomic_words());
   const auto before = fm::snapshot(env.machine().counters());
   monitor.put(0);  // external seed: slow path by design
   std::atomic<int> executed{0};

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -31,6 +32,43 @@ fc::ForceConfig test_config(int np, const std::string& machine = "native",
 void on_team(int np, const std::function<void(int)>& fn) {
   std::vector<std::jthread> team;
   for (int t = 0; t < np; ++t) team.emplace_back([&fn, t] { fn(t); });
+}
+
+/// Processes 0 and 1 disagree about the loop bound, an SPMD violation: it
+/// is reported, and the gate still lets both depart.
+void expect_divergent_bounds_detected(const fc::ForceConfig& cfg) {
+  fc::ForceEnvironment env(cfg);
+  fc::SelfschedLoop loop(env, cfg.nproc);
+  std::atomic<int> failures{0};
+  on_team(cfg.nproc, [&](int me) {
+    try {
+      loop.run(me, 1, me == 0 ? 10 : 20, 1, [](std::int64_t) {});
+    } catch (const force::util::CheckError&) {
+      failures.fetch_add(1);
+    }
+  });
+  EXPECT_GE(failures.load(), 1);
+}
+
+/// A throwing body still reports its departure: the loop stays usable
+/// across episodes, and exactly one process throws per episode (index 5
+/// is claimed once).
+void expect_throwing_body_departs(const fc::ForceConfig& cfg) {
+  fc::ForceEnvironment env(cfg);
+  fc::SelfschedLoop loop(env, cfg.nproc);
+  std::atomic<int> thrown{0};
+  on_team(cfg.nproc, [&](int me) {
+    for (int episode = 0; episode < 3; ++episode) {
+      try {
+        loop.run(me, 1, 10, 1, [&](std::int64_t i) {
+          if (i == 5) throw std::runtime_error("boom");
+        });
+      } catch (const std::runtime_error&) {
+        thrown.fetch_add(1);
+      }
+    }
+  });
+  EXPECT_EQ(thrown.load(), 3);
 }
 
 }  // namespace
@@ -222,19 +260,7 @@ TEST(Selfsched, GuidedCoversExactlyOnceWithDecreasingClaims) {
 }
 
 TEST(Selfsched, DivergentBoundsAreDetected) {
-  const int np = 2;
-  fc::ForceEnvironment env(test_config(np));
-  fc::SelfschedLoop loop(env, np);
-  std::atomic<int> failures{0};
-  on_team(np, [&](int me) {
-    try {
-      // Process 0 and 1 disagree about the loop bound: SPMD violation.
-      loop.run(me, 1, me == 0 ? 10 : 20, 1, [](std::int64_t) {});
-    } catch (const force::util::CheckError&) {
-      failures.fetch_add(1);
-    }
-  });
-  EXPECT_GE(failures.load(), 1);
+  expect_divergent_bounds_detected(test_config(2));
 }
 
 TEST(Selfsched, IterationStatsAreCounted) {
@@ -374,23 +400,123 @@ INSTANTIATE_TEST_SUITE_P(
 // --- exception safety -------------------------------------------------------------
 
 TEST(Selfsched, ThrowingBodyStillReportsDeparture) {
-  const int np = 2;
-  fc::ForceEnvironment env(test_config(np));
-  fc::SelfschedLoop loop(env, np);
-  std::atomic<int> thrown{0};
-  on_team(np, [&](int me) {
-    for (int episode = 0; episode < 3; ++episode) {
-      try {
-        loop.run(me, 1, 10, 1, [&](std::int64_t i) {
-          if (i == 5) throw std::runtime_error("boom");
-        });
-      } catch (const std::runtime_error&) {
-        thrown.fetch_add(1);
+  expect_throwing_body_departs(test_config(2));
+}
+
+// --- the entry gate: word and lock expansions -------------------------------------
+//
+// The gate's semantics, checked on both expansions: native/auto runs the
+// one-word gate, native/locked and sequent the paper's BARWIN/BARWOT locks.
+
+class EpisodeGateTest
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
+ protected:
+  fc::ForceConfig config(int np) const {
+    const auto& [machine, dispatch] = GetParam();
+    return test_config(np, machine, dispatch);
+  }
+};
+
+TEST_P(EpisodeGateTest, PicksTheExpectedExpansion) {
+  fc::ForceEnvironment env(config(2));
+  const auto& [machine, dispatch] = GetParam();
+  EXPECT_EQ(env.new_episode_gate(2)->lock_free(),
+            machine == "native" && dispatch == "auto");
+}
+
+TEST_P(EpisodeGateTest, NoEntryBarrier) {
+  // Member 1 enters only after member 0 has run every trip: member 0 must
+  // claim without waiting for member 1's arrival.
+  constexpr std::int64_t kTrips = 100;
+  fc::ForceEnvironment env(config(2));
+  fc::SelfschedLoop loop(env, 2);
+  std::atomic<std::int64_t> ran_by_0{0};
+  std::atomic<std::int64_t> ran_by_1{0};
+  std::atomic<bool> waited_out{false};
+  on_team(2, [&](int me) {
+    if (me == 1) {
+      // Bounded, so an entry barrier fails the test instead of hanging it.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (ran_by_0.load() < kTrips) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          waited_out.store(true);
+          break;
+        }
+        std::this_thread::yield();
       }
     }
+    loop.run(me, 1, kTrips, 1, [&](std::int64_t) {
+      (me == 0 ? ran_by_0 : ran_by_1).fetch_add(1);
+    });
   });
-  // The loop stayed usable across episodes despite the throw (the
-  // departure guard released the gates); exactly one process threw per
-  // episode (index 5 is claimed once).
-  EXPECT_EQ(thrown.load(), 3);
+  EXPECT_FALSE(waited_out.load());
+  EXPECT_EQ(ran_by_0.load(), kTrips);
+  EXPECT_EQ(ran_by_1.load(), 0);
 }
+
+TEST_P(EpisodeGateTest, ExitsWaitForAllArrivals) {
+  // Member 0 finds the work exhausted long before member 1 arrives, but
+  // may not leave the loop until member 1 has arrived.
+  fc::ForceEnvironment env(config(2));
+  fc::SelfschedLoop loop(env, 2);
+  std::atomic<bool> member1_arriving{false};
+  std::atomic<bool> member0_left_early{false};
+  on_team(2, [&](int me) {
+    if (me == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      member1_arriving.store(true);
+    }
+    loop.run(me, 1, 4, 1, [](std::int64_t) {});
+    if (me == 0 && !member1_arriving.load()) member0_left_early.store(true);
+  });
+  EXPECT_FALSE(member0_left_early.load());
+}
+
+TEST_P(EpisodeGateTest, BackToBackReentryWithChangingBounds) {
+  // Episode e runs trips 0..e%32: the bounds change every episode, so a
+  // member that raced into the next episode before the last one left
+  // would claim against the wrong bounds. (The same loop on N:M pooled
+  // members is PooledGate.NmSelfschedReentryRunsEveryTripOnce, in
+  // test_teampool.cpp.)
+  constexpr int kNp = 4;
+  constexpr int kEpisodes = 10000;
+  constexpr std::int64_t kMaxTrips = 32;
+  fc::ForceEnvironment env(config(kNp));
+  fc::SelfschedLoop loop(env, kNp);
+  std::vector<std::atomic<int>> hits(kEpisodes * kMaxTrips);
+  on_team(kNp, [&](int me) {
+    for (int e = 0; e < kEpisodes; ++e) {
+      loop.run(me, 0, e % kMaxTrips, 1, [&](std::int64_t t) {
+        hits[static_cast<std::size_t>(e * kMaxTrips + t)].fetch_add(1);
+      });
+    }
+  });
+  int wrong = 0;
+  for (int e = 0; e < kEpisodes; ++e) {
+    for (std::int64_t t = 0; t < kMaxTrips; ++t) {
+      const int want = t <= e % kMaxTrips ? 1 : 0;
+      if (hits[static_cast<std::size_t>(e * kMaxTrips + t)].load() != want) {
+        ++wrong;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0);
+}
+
+TEST_P(EpisodeGateTest, DivergentBoundsAreDetected) {
+  expect_divergent_bounds_detected(config(2));
+}
+
+TEST_P(EpisodeGateTest, ThrowingBodyStillReportsDeparture) {
+  expect_throwing_body_departs(config(2));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WordAndLockGates, EpisodeGateTest,
+    ::testing::Values(std::make_tuple("native", "auto"),
+                      std::make_tuple("native", "locked"),
+                      std::make_tuple("sequent", "auto")),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
+    });

@@ -25,6 +25,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 #include <unistd.h>
 
 #include "core/force.hpp"
@@ -218,6 +220,50 @@ TEST(PooledForce, NmStripedLockHandsTheWorkerToItsHolder) {
   EXPECT_EQ(got, 7);
   EXPECT_EQ(entries, 2);
 }
+
+// 10 000 back-to-back selfsched episodes whose bounds change every episode
+// (trips 0..e%32), four members on two workers, through the word gate
+// (native) and both lock gates (native/locked, sequent): a member that
+// raced into the next episode would claim against the wrong bounds.
+class PooledGate
+    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+
+TEST_P(PooledGate, NmSelfschedReentryRunsEveryTripOnce) {
+  constexpr int kEpisodes = 10000;
+  constexpr std::int64_t kMaxTrips = 32;
+  force::ForceConfig cfg = pool_config();
+  cfg.machine = GetParam().first;
+  cfg.dispatch = GetParam().second;
+  cfg.pool_workers = kNproc / 2;
+  force::Force f(cfg);
+  std::vector<std::atomic<int>> hits(kEpisodes * kMaxTrips);
+  f.run([&](core::Ctx& ctx) {
+    for (int e = 0; e < kEpisodes; ++e) {
+      ctx.selfsched_do(FORCE_SITE, 0, e % kMaxTrips, 1, [&](std::int64_t t) {
+        hits[static_cast<std::size_t>(e * kMaxTrips + t)].fetch_add(1);
+      });
+    }
+  });
+  int wrong = 0;
+  for (int e = 0; e < kEpisodes; ++e) {
+    for (std::int64_t t = 0; t < kMaxTrips; ++t) {
+      const int want = t <= e % kMaxTrips ? 1 : 0;
+      if (hits[static_cast<std::size_t>(e * kMaxTrips + t)].load() != want) {
+        ++wrong;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WordAndLockGates, PooledGate,
+    ::testing::Values(std::pair{"native", "auto"},
+                      std::pair{"native", "locked"},
+                      std::pair{"sequent", "auto"}),
+    [](const auto& info) {
+      return std::string(info.param.first) + "_" + info.param.second;
+    });
 
 TEST(PooledForce, ArenaGenerationIsStableAcrossPooledReentry) {
   // The cheap-re-entry contract behind Force::run's sentry walk skip: a

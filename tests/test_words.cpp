@@ -7,6 +7,8 @@
 //     (window 0) and a spinning waiter side by side;
 //   * episode barrier: 1000 episodes, each section run exactly once while
 //     every member is inside;
+//   * episode gate: 1000 episodes, each opened exactly once, re-entered
+//     only after all have left and left only after all have arrived;
 //   * cell: producers and consumers hand off every value exactly once, and
 //     a Void waits out a busy window;
 //   * dispatch: claims tile [0, limit) exactly once, and the counter stays
@@ -171,6 +173,51 @@ TEST_P(Words, EpisodeBarrierRunsEachSectionOnceWithEveryMemberInside) {
   EXPECT_EQ(s->sections, kEpisodes);
   EXPECT_EQ(s->barrier.episode.load(), static_cast<std::uint32_t>(kEpisodes));
   EXPECT_EQ(s->barrier.count.load(), 0u);
+}
+
+// --- episode gate ------------------------------------------------------------
+
+struct GateState {
+  std::atomic<std::uint32_t> gate{0};
+  int opened = -1;  // episode the opener published; written by it only
+  int opens = 0;
+  // Counted just before each gate_enter and gate_leave call, so a count
+  // the word has taken is already in these.
+  std::atomic<std::uint32_t> arriving{0};
+  std::atomic<std::uint32_t> departing{0};
+  std::atomic<std::uint32_t> errors{0};
+};
+
+TEST_P(Words, EpisodeGateOpensOnceAndFencesEveryEpisode) {
+  constexpr std::uint32_t kEpisodes = 1000;
+  Placed<GateState> s;
+  const md::WordScope sc = scope();
+  run_members(sc, [&s, sc](int) {
+    const auto fail = [&s] {
+      s->errors.fetch_add(1, std::memory_order_relaxed);
+    };
+    for (std::uint32_t e = 0; e < kEpisodes; ++e) {
+      s->arriving.fetch_add(1);
+      md::gate_enter(
+          s->gate, kMembers,
+          [&s, &fail, e] {
+            // Re-entry only after every member of episode e-1 has left.
+            if (s->departing.load() != e * kMembers) fail();
+            s->opened = static_cast<int>(e);
+            ++s->opens;
+          },
+          sc);
+      // Every arriver sees what the opener published.
+      if (s->opened != static_cast<int>(e)) fail();
+      s->departing.fetch_add(1);
+      md::gate_leave(s->gate, kMembers, sc);
+      // No departure before every member has arrived.
+      if (s->arriving.load() < (e + 1) * kMembers) fail();
+    }
+  });
+  EXPECT_EQ(s->errors.load(), 0u);
+  EXPECT_EQ(s->opens, static_cast<int>(kEpisodes));
+  EXPECT_EQ(s->gate.load(), 0u);
 }
 
 // --- full/empty cell ---------------------------------------------------------
