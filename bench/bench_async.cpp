@@ -14,6 +14,7 @@
 
 #include "bench_common.hpp"
 #include "core/async.hpp"
+#include "machdep/hepcell.hpp"
 #include "util/cli.hpp"
 
 namespace {

@@ -8,11 +8,15 @@
 //   Void    - forces the state to empty regardless of its previous state;
 //   Isfull  - tests the state.
 //
-// In-process variables move their payload through one machdep
-// FullEmptyGate: the HEP's tagged cell, or the §4.2 E/F lock pair on every
-// other machine (machdep/fullempty.hpp). Every operation is written once as
-// seize -> sentry hooks -> move payload -> publish. Separate-process
-// backends instead hand out a cell engine keyed by the label.
+// Async<T> holds one machdep::AsyncCell, picked at construction and
+// called the same way by every operation. On thread and os-fork it is the
+// in-process cell below: the payload moves through one machdep
+// FullEmptyGate - the HEP's tagged cell, or the §4.2 E/F lock pair on
+// every other machine (machdep/fullempty.hpp) - and every operation is
+// written once as seize -> sentry hooks -> move payload -> publish. Under
+// os-fork its cell word and payload live in the arena blob
+// kAsyncWords + label and the gate is always the cell word. The cluster
+// backend, which has no shared memory, hands out an RPC cell instead.
 #pragma once
 
 #include <memory>
@@ -23,145 +27,68 @@
 #include "core/sentry.hpp"
 #include "machdep/backend.hpp"
 #include "machdep/fullempty.hpp"
-#include "machdep/locks.hpp"
 #include "util/check.hpp"
 
 namespace force::core {
 
+/// The in-process async cell: a FullEmptyGate over a payload of type T,
+/// with the sentry's hooks around every payload move.
 template <typename T>
-class Async {
-  static_assert(std::is_default_constructible_v<T>,
-                "async payloads must be default constructible");
-
+class LocalAsyncCell final : public machdep::AsyncCell {
  public:
-  /// Creates the variable in the *empty* state (like Void at startup).
-  /// `label` names the variable in sentry reports.
-  explicit Async(ForceEnvironment& env, std::string label = "async")
-      : env_(&env),
-        sentry_(env.sentry()),
+  LocalAsyncCell(ForceEnvironment& env, std::string label)
+      : sentry_(env.sentry()),
         label_(std::move(label)),
-        cell_engine_(make_cell_engine(env, label_)),
-        gate_(cell_engine_ == nullptr ? env.new_full_empty_gate(label_)
-                                      : machdep::FullEmptyGate()) {}
+        words_(env.place_words<Words>(machdep::kAsyncWords + label_)),
+        gate_(env.new_full_empty_gate(label_, words_->cell)) {}
 
-  Async(const Async&) = delete;
-  Async& operator=(const Async&) = delete;
-
-  /// Waits for empty, writes `v`, leaves full.
-  void produce(const T& v) {
-    env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
-    if (cell_engine_ != nullptr) {
-      cell_engine_->produce(&v);
-      return;
-    }
+  void produce(const void* value) override {
     seize(Sentry::WaitKind::kProduce, [this] { gate_.seize_empty(); });
-    store(v, "Produce");
+    store(value, "Produce");
     gate_.publish_full();
   }
-
-  /// Waits for full, reads, leaves empty.
-  T consume() {
-    env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
-    T v{};
-    if (cell_engine_ != nullptr) {
-      cell_engine_->consume(&v);
-      return v;
-    }
+  void consume(void* out) override {
     seize(Sentry::WaitKind::kConsume, [this] { gate_.seize_full(); });
-    load(&v, "Consume");
+    load(out, "Consume");
     gate_.publish_empty();
-    return v;
   }
-
-  /// Waits for full, reads, leaves full (the Force Copy access). On the
-  /// lock gate this holds E throughout, so a concurrent producer (which
-  /// needs F, locked while full) cannot interleave.
-  T copy() {
-    T v{};
-    if (cell_engine_ != nullptr) {
-      cell_engine_->copy(&v);
-      return v;
-    }
+  // On the lock gate this holds E throughout, so a concurrent producer
+  // (which needs F, locked while full) cannot interleave.
+  void copy(void* out) override {
     seize(Sentry::WaitKind::kConsume, [this] { gate_.seize_full(); });
-    load(&v, "Copy");
+    load(out, "Copy");
     gate_.publish_full();
-    return v;
   }
-
-  /// Non-blocking produce; true on success.
-  bool try_produce(const T& v) {
-    if (cell_engine_ != nullptr) {
-      if (!cell_engine_->try_produce(&v)) return false;
-    } else {
-      if (!gate_.try_seize_empty()) return false;
-      store(v, "Produce");
-      gate_.publish_full();
-    }
-    env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
+  bool try_produce(const void* value) override {
+    if (!gate_.try_seize_empty()) return false;
+    store(value, "Produce");
+    gate_.publish_full();
     return true;
   }
-
-  /// Non-blocking consume; true on success.
-  bool try_consume(T* out) {
-    FORCE_CHECK(out != nullptr, "try_consume needs an output slot");
-    if (cell_engine_ != nullptr) {
-      if (!cell_engine_->try_consume(out)) return false;
-    } else {
-      if (!gate_.try_seize_full()) return false;
-      load(out, "Consume");
-      gate_.publish_empty();
-    }
-    env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
+  bool try_consume(void* out) override {
+    if (!gate_.try_seize_full()) return false;
+    load(out, "Consume");
+    gate_.publish_empty();
     return true;
   }
-
-  /// Forces the state to empty regardless of the previous state (Void).
-  /// Concurrent Voids are serialized; a Void that overlaps an in-flight
-  /// Produce may land before or after it, as on the original machines.
-  void void_state() {
-    if (cell_engine_ != nullptr) {
-      cell_engine_->void_state();
-      return;
-    }
+  void void_state() override {
     // Void gives no exclusion window over the payload, so the sentry only
     // joins clocks (channel_sync), it does not record a payload access.
     if (sentry_ != nullptr) sentry_->channel_sync(this);
     gate_.make_empty();
   }
+  [[nodiscard]] bool is_full() override { return gate_.is_full(); }
 
-  /// Tests the state (Force's Isfull). Inherently a snapshot.
-  [[nodiscard]] bool is_full() const {
-    // Backends without the isfull capability throw the uniform capability
-    // diagnostic from inside their engine.
-    if (cell_engine_ != nullptr) return cell_engine_->is_full();
-    return gate_.is_full();
-  }
-
-  /// True if this variable uses the HEP tagged-cell gate.
-  [[nodiscard]] bool uses_hardware_path() const {
-    return cell_engine_ == nullptr && gate_.hardware();
-  }
+  [[nodiscard]] bool hardware() const { return gate_.hardware(); }
 
  private:
-  /// Separate-process backends hand out a cell engine keyed by the label
-  /// (labels are construct-unique: sites, names, array elements); the
-  /// payload then crosses by memcpy, which is why those backends reject
-  /// non-trivially-copyable types. Null on the thread backend.
-  static std::unique_ptr<machdep::AsyncCell> make_cell_engine(
-      ForceEnvironment& env, const std::string& label) {
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      return env.backend().make_async_cell(label, sizeof(T), alignof(T));
-    } else {
-      env.require(machdep::Capability::kNonTrivialPayloads, "Async payload",
-                  label);
-      return nullptr;
-    }
-  }
+  using Words = machdep::AsyncWords<T>;
 
   /// Runs a blocking gate seize; with the sentry on, the wait is
   /// registered so the watchdog can report a stalled Produce/Consume.
   template <typename Seize>
   void seize(Sentry::WaitKind kind, const Seize& seize_gate) {
+    machdep::Waiter::note_site(label_.c_str(), words_.scope());
     if (sentry_ == nullptr) {
       seize_gate();
       return;
@@ -171,37 +98,113 @@ class Async {
   }
 
   /// Payload moves inside an open window; the sentry records the access.
-  void store(const T& v, const char* op) {
-    if (sentry_ == nullptr) {
-      value_ = v;
-      return;
-    }
-    sentry_->channel_enter(this, /*is_write=*/true, op);
-    value_ = v;
-    sentry_->channel_exit(this);
+  void transfer(const T& from, T& to, bool is_write, const char* op) {
+    if (sentry_ != nullptr) sentry_->channel_enter(this, is_write, op);
+    to = from;
+    if (sentry_ != nullptr) sentry_->channel_exit(this);
   }
-  void load(T* out, const char* op) {
-    if (sentry_ == nullptr) {
-      *out = value_;
-      return;
+  void store(const void* value, const char* op) {
+    transfer(*static_cast<const T*>(value), words_->payload, true, op);
+  }
+  void load(void* out, const char* op) {
+    transfer(words_->payload, *static_cast<T*>(out), false, op);
+  }
+
+  Sentry* sentry_;  // null when validation is off (the usual case)
+  std::string label_;
+  machdep::PlacedWords<Words> words_;
+  machdep::FullEmptyGate gate_;
+};
+
+template <typename T>
+class Async {
+  static_assert(std::is_default_constructible_v<T>,
+                "async payloads must be default constructible");
+
+ public:
+  /// Creates the variable in the *empty* state (like Void at startup).
+  /// `label` names the variable in sentry reports; separate-process
+  /// backends key its cell by it (labels are construct-unique: sites,
+  /// names, array elements).
+  explicit Async(ForceEnvironment& env, std::string label = "async")
+      : env_(&env), cell_(make_cell(env, std::move(label))) {}
+
+  Async(const Async&) = delete;
+  Async& operator=(const Async&) = delete;
+
+  /// Waits for empty, writes `v`, leaves full.
+  void produce(const T& v) {
+    env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
+    cell_->produce(&v);
+  }
+
+  /// Waits for full, reads, leaves empty.
+  T consume() {
+    env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
+    T v{};
+    cell_->consume(&v);
+    return v;
+  }
+
+  /// Waits for full, reads, leaves full (the Force Copy access).
+  T copy() {
+    T v{};
+    cell_->copy(&v);
+    return v;
+  }
+
+  /// Non-blocking produce; true on success.
+  bool try_produce(const T& v) {
+    if (!cell_->try_produce(&v)) return false;
+    env_->stats().produces.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  /// Non-blocking consume; true on success.
+  bool try_consume(T* out) {
+    FORCE_CHECK(out != nullptr, "try_consume needs an output slot");
+    if (!cell_->try_consume(out)) return false;
+    env_->stats().consumes.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  /// Forces the state to empty regardless of the previous state (Void).
+  /// Concurrent Voids are serialized; a Void that overlaps an in-flight
+  /// Produce may land before or after it, as on the original machines.
+  void void_state() { cell_->void_state(); }
+
+  /// Tests the state (Force's Isfull). Inherently a snapshot. Backends
+  /// without the isfull capability throw the uniform capability diagnostic
+  /// from inside their cell.
+  [[nodiscard]] bool is_full() const { return cell_->is_full(); }
+
+  /// True if this variable uses the tagged-cell gate (the HEP's
+  /// expansion, and every variable whose words are in the os-fork arena).
+  [[nodiscard]] bool uses_hardware_path() const { return hardware_; }
+
+ private:
+  /// The cluster's cell where the backend hands one out, otherwise the
+  /// in-process cell. Payloads cross address spaces by memcpy (the wire,
+  /// the arena), so only the thread backend takes non-trivially-copyable
+  /// types.
+  std::unique_ptr<machdep::AsyncCell> make_cell(ForceEnvironment& env,
+                                                std::string label) {
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      if (auto remote = env.backend().make_async_cell(label, sizeof(T))) {
+        return remote;
+      }
+    } else {
+      env.require(machdep::Capability::kNonTrivialPayloads, "Async payload",
+                  label);
     }
-    sentry_->channel_enter(this, /*is_write=*/false, op);
-    *out = value_;
-    sentry_->channel_exit(this);
+    auto local = std::make_unique<LocalAsyncCell<T>>(env, std::move(label));
+    hardware_ = local->hardware();
+    return local;
   }
 
   ForceEnvironment* env_;
-  Sentry* sentry_;  // null when validation is off (the usual case)
-  std::string label_;
-  // Separate-process backends: the full/empty state and payload live in
-  // one backend cell engine keyed by label_ (an arena blob under os-fork,
-  // the coordinator's cell table under cluster). Null on the thread
-  // backend, which moves value_ through gate_.
-  std::unique_ptr<machdep::AsyncCell> cell_engine_;
-  // The machine's full/empty expansion; a variable backed by a cell engine
-  // never touches it, so it gets the lock-free one.
-  machdep::FullEmptyGate gate_;
-  T value_{};
+  bool hardware_ = false;
+  std::unique_ptr<machdep::AsyncCell> cell_;
 };
 
 /// A fixed-size array of async variables (Force `Async real A(n)`), e.g.

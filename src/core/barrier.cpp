@@ -64,16 +64,20 @@ void PaperLockBarrier::arrive(int proc0, const std::function<void()>& section) {
 // CentralSenseBarrier
 // ---------------------------------------------------------------------------
 
-CentralSenseBarrier::CentralSenseBarrier(int width) : width_(width) {
+CentralSenseBarrier::CentralSenseBarrier(
+    int width, machdep::PlacedWords<machdep::EpisodeBarrier> words,
+    std::string site)
+    : width_(width), words_(std::move(words)), site_(std::move(site)) {
   FORCE_CHECK(width_ > 0, "barrier width must be positive");
 }
 
 void CentralSenseBarrier::arrive(int proc0,
                                  const std::function<void()>& section) {
   FORCE_CHECK(proc0 >= 0 && proc0 < width_, "barrier process id out of range");
+  machdep::Waiter::note_site(site_.c_str(), words_.scope());
   machdep::episode_arrive(
-      words_, static_cast<std::uint32_t>(width_),
-      [&section] { run_section(section); }, machdep::WordScope::kPrivate);
+      *words_, static_cast<std::uint32_t>(width_),
+      [&section] { run_section(section); }, words_.scope());
 }
 
 // ---------------------------------------------------------------------------

@@ -85,18 +85,23 @@ class PaperLockBarrier final : public BarrierAlgorithm {
 
 /// Central counter with sense reversal; the classic shared-memory barrier.
 /// It is the episode barrier word (machdep/words.hpp): the episode word is
-/// the sense, so no per-process sense is kept.
+/// the sense, so no per-process sense is kept. Placed in the os-fork
+/// arena, the words span every member process, which note `site` as the
+/// construct they wait at.
 class CentralSenseBarrier final : public BarrierAlgorithm {
  public:
   using BarrierAlgorithm::arrive;
-  explicit CentralSenseBarrier(int width);
+  explicit CentralSenseBarrier(
+      int width, machdep::PlacedWords<machdep::EpisodeBarrier> words = {},
+      std::string site = {});
   void arrive(int proc0, const std::function<void()>& section) override;
   const char* name() const override { return "central-sense"; }
   int width() const override { return width_; }
 
  private:
   int width_;
-  machdep::EpisodeBarrier words_;
+  machdep::PlacedWords<machdep::EpisodeBarrier> words_;
+  std::string site_;
 };
 
 /// Binary combining tree: arrivals propagate up; the root (champion) runs
@@ -146,11 +151,10 @@ class DisseminationBarrier final : public BarrierAlgorithm {
   std::atomic<std::uint64_t> section_done_{0};
 };
 
-/// Adapter over the selected backend's keyed BarrierEngine - the barrier
-/// that spans separate address spaces (futex words in the MAP_SHARED arena
-/// under os-fork; coordinator RPCs under cluster). Core never names the
-/// substrate: ForceEnvironment::make_process_shared_barrier asks the
-/// backend for an engine and wraps it here.
+/// Adapter over the cluster backend's keyed BarrierEngine - the barrier
+/// that spans address spaces with no shared memory (coordinator RPCs).
+/// Core never names the substrate: ForceEnvironment::make_team_barrier
+/// asks the backend for an engine and wraps it here.
 class EngineBarrier final : public BarrierAlgorithm {
  public:
   using BarrierAlgorithm::arrive;

@@ -59,60 +59,34 @@ void presched_do2(int me0, int np, std::int64_t i_start, std::int64_t i_last,
 //           and the last one out re-opens the loop. There is deliberately
 //           NO exit barrier: a process leaves as soon as it draws an
 //           exhausted claim.
+//
+// That is machdep::GateDoallSite, on thread and os-fork alike; only its
+// words move into the arena under os-fork. The cluster backend hands out
+// its own site, with a champion entry barrier on the coordinator.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+std::unique_ptr<machdep::DoallSite> make_doall_site(ForceEnvironment& env,
+                                                    int width,
+                                                    const std::string& key) {
+  FORCE_CHECK(width > 0, "selfsched loop width must be positive");
+  if (auto remote = env.backend().make_doall_site(key, width)) return remote;
+  auto words = env.place_words<machdep::DoallWords>(machdep::kDoallWords + key);
+  auto gate = env.new_episode_gate(width, words->gate);
+  auto dispatch = env.new_dispatch_counter(words->dispatch);
+  return std::make_unique<machdep::GateDoallSite>(
+      std::move(words), std::move(gate), std::move(dispatch),
+      "selfsched '" + key + "'");
+}
+
+}  // namespace
 
 SelfschedLoop::SelfschedLoop(ForceEnvironment& env, int width,
                              const std::string& key)
-    : env_(env), width_(width) {
-  FORCE_CHECK(width_ > 0, "selfsched loop width must be positive");
-  // The gate's lock labels are per-construct-kind, not per-site, so they
-  // cannot key cross-process state. Separate-process backends key the
-  // whole episode by the construct's site key instead.
-  site_ = env.backend().make_doall_site(key.empty() ? "anon" : key, width_);
-  if (site_ != nullptr) return;
-  gate_ = env.new_episode_gate(width_);
-  dispatch_ = env.new_dispatch_counter();
-}
-
-bool SelfschedLoop::enter_episode(std::int64_t start, std::int64_t last,
-                                  std::int64_t incr) {
-  const std::int64_t trips = loop_trip_count(start, last, incr);
-  if (site_ != nullptr) {
-    // Champion episode barrier, across address spaces: the last arriver
-    // publishes the bounds and re-arms the dispatch while every other
-    // process is provably parked on the episode entry, then releases
-    // them. No process can be inside the claim loop of the *previous*
-    // episode at that moment, because it would not have arrived here yet -
-    // so there is still no exit barrier, exactly as in the thread
-    // expansion.
-    const machdep::DoallBounds b = site_->enter(start, last, incr, trips);
-    last_ = b.last;
-    incr_ = b.incr;
-    trips_ = b.trips;
-    return last == last_ && incr == incr_;
-  }
-  // The gate word has no lock hook, so the fuzzer perturbs here.
-  if (Sentry* sentry = env_.sentry()) sentry->fuzz();
-  gate_->enter([&] {
-    last_ = last;
-    incr_ = incr;
-    trips_ = trips;
-    // Single writer while the gate is open only to it; the gate publishes.
-    dispatch_->reset(0);
-  });
-  // SPMD discipline: every process must reach this site with the same
-  // bounds. A divergent call would silently corrupt the distribution on a
-  // real Force; here it is detected - but the arrival is already counted,
-  // and the caller still departs, or the compliant processes would be
-  // wedged in the exit protocol forever.
-  return last == last_ && incr == incr_;
-}
-
-void SelfschedLoop::leave_episode() {
-  // Re-entry fenced by the engine's entry barrier on keyed backends.
-  if (site_ != nullptr) return;
-  gate_->leave();
-}
+    : env_(env),
+      width_(width),
+      site_(make_doall_site(env, width, key.empty() ? "anon" : key)) {}
 
 void SelfschedLoop::run(int me0, std::int64_t start, std::int64_t last,
                         std::int64_t incr,
@@ -135,11 +109,9 @@ machdep::DispatchClaim SelfschedLoop::claim(std::int64_t chunk,
     // early claims are big (low dispatch overhead) and late claims small
     // (good load balance at the tail). On the lock-free engine this is a
     // CAS loop on the remaining-trips value.
-    return site_ != nullptr ? site_->claim_fraction(trips, 2 * width_)
-                            : dispatch_->claim_fraction(trips, 2 * width_);
+    return site_->claim_fraction(trips, 2 * width_);
   }
-  return site_ != nullptr ? site_->claim(chunk, trips)
-                          : dispatch_->claim(chunk, trips);
+  return site_->claim(chunk, trips);
 }
 
 void SelfschedLoop::run_episode(int me0, std::int64_t start, std::int64_t last,
@@ -147,14 +119,23 @@ void SelfschedLoop::run_episode(int me0, std::int64_t start, std::int64_t last,
                                 const std::function<void(std::int64_t)>& body,
                                 std::int64_t chunk) {
   FORCE_CHECK(me0 >= 0 && me0 < width_, "bad selfsched process id");
-  const bool spmd_ok = enter_episode(start, last, incr);
+  // The gate word has no lock hook, so the fuzzer perturbs here.
+  if (Sentry* sentry = env_.sentry()) sentry->fuzz();
+  const machdep::DoallBounds bounds =
+      site_->enter(start, last, incr, loop_trip_count(start, last, incr));
   // Departure must be reported even if the body throws, or the loop could
   // never be re-entered by the remaining processes.
   struct Departure {
-    SelfschedLoop* loop;
-    ~Departure() { loop->leave_episode(); }
-  } departure{this};
-  FORCE_CHECK(spmd_ok, "selfsched DO reached with divergent loop bounds");
+    machdep::DoallSite& site;
+    ~Departure() { site.leave(); }
+  } departure{*site_};
+  // SPMD discipline: every process must reach this site with the same
+  // bounds. A divergent call would silently corrupt the distribution on a
+  // real Force; here it is detected - but the arrival is already counted,
+  // and the caller still departs, or the compliant processes would be
+  // wedged in the exit protocol forever.
+  FORCE_CHECK(last == bounds.last && incr == bounds.incr,
+              "selfsched DO reached with divergent loop bounds");
   util::Tracer* tracer = env_.tracer();
   const std::int64_t trace_begin = tracer ? util::now_ns() : 0;
   // Stats are tallied per process and flushed once per episode: two shared
@@ -171,8 +152,8 @@ void SelfschedLoop::run_episode(int me0, std::int64_t start, std::int64_t last,
     }
   } tally{env_.stats()};
   // Bounds are episode-stable (SPMD-checked above), so the hot loop works
-  // from the call arguments; trips_ was fixed by the first arriver.
-  const std::int64_t trips = trips_;
+  // from the call arguments; the trip count was fixed by the first arriver.
+  const std::int64_t trips = bounds.trips;
   Sentry* sentry = env_.sentry();
   for (;;) {
     // The lock-free claim has no lock hook, so the fuzzer perturbs here.

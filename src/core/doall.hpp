@@ -10,16 +10,21 @@
 //   gate (machdep::EpisodeGate) whose only job is to initialize the
 //   dispatch once per episode and to keep the loop from being re-entered
 //   before every process has left it. Faithfully to the paper, there is NO
-//   exit barrier: a process leaves as soon as it draws an index beyond
-//   LAST.
+//   entry barrier and NO exit barrier: a process claims as soon as the
+//   episode is open and leaves as soon as it draws an index beyond LAST.
 //
-//   The gate and the shared loop index (a machdep::DispatchCounter) each
-//   come in two expansions, chosen once by ForceEnvironment::atomic_words:
-//   with hardware atomic RMW the gate is one word and a claim is one
-//   fetch-add (guided: one CAS), with no lock at all; on lock-only machines
-//   both are the paper's lock expansions, byte-for-byte in lock traffic -
-//   BARWIN/BARWOT/ZZNBAR and one generic lock pass per claim, on locks
-//   from MachineModel::new_lock().
+//   SelfschedLoop holds one machdep::DoallSite, picked at construction and
+//   called the same way by every operation. On thread and os-fork it is
+//   machdep::GateDoallSite: the gate and the shared loop index (a
+//   machdep::DispatchCounter) over words ForceEnvironment places - in a
+//   block the site owns, or in the MAP_SHARED arena under os-fork. Each
+//   comes in two expansions, chosen once by ForceEnvironment::atomic_words:
+//   with hardware atomic RMW (and always under os-fork) the gate is one
+//   word and a claim is one fetch-add (guided: one CAS), with no lock at
+//   all; on lock-only machines both are the paper's lock expansions,
+//   byte-for-byte in lock traffic - BARWIN/BARWOT/ZZNBAR and one generic
+//   lock pass per claim, on locks from MachineModel::new_lock(). The
+//   cluster backend hands out an RPC site instead.
 //
 // Iteration ranges follow Fortran DO semantics: start/last/incr with
 // positive or negative increments; an empty range executes nothing.
@@ -30,10 +35,7 @@
 #include <memory>
 #include <string>
 
-#include "core/barrier.hpp"
 #include "machdep/backend.hpp"
-#include "machdep/episodegate.hpp"
-#include "machdep/locks.hpp"
 
 namespace force::core {
 
@@ -68,9 +70,9 @@ void presched_do2(int me0, int np, std::int64_t i_start, std::int64_t i_last,
 class SelfschedLoop {
  public:
   /// `key` is the construct's stable site key. Separate-process backends
-  /// key the loop's episode state (entry barrier + dispatch counter +
-  /// bounds) by it so every real process reaches the same engine state;
-  /// the thread backend ignores it.
+  /// key the loop's episode state (gate + dispatch counter + bounds) by it
+  /// so every real process reaches the same words; it also names the site
+  /// in death reports.
   SelfschedLoop(ForceEnvironment& env, int width, const std::string& key = "");
 
   /// Executes the loop body for dynamically claimed indices. `chunk` > 1
@@ -97,32 +99,10 @@ class SelfschedLoop {
                    std::int64_t chunk);
   machdep::DispatchClaim claim(std::int64_t chunk, std::int64_t trips);
 
-  /// Returns false on an SPMD violation (divergent bounds); the arrival is
-  /// still counted so the other processes are not wedged - the caller
-  /// completes the departure protocol and then reports the error.
-  [[nodiscard]] bool enter_episode(std::int64_t start, std::int64_t last,
-                                   std::int64_t incr);
-  void leave_episode();
-
   ForceEnvironment& env_;
   int width_;
-
-  // Separate-process backends: the whole episode protocol folds into one
-  // backend engine (site_ non-null) - an entry barrier whose champion
-  // publishes the bounds and re-arms the dispatch, then a claim loop;
-  // faithful to the paper there is still no exit barrier. Null on the
-  // thread backend, which keeps the monomorphic expansion below.
+  /// The loop's shared environment variables, behind one engine.
   std::unique_ptr<machdep::DoallSite> site_;
-
-  // The paper's shared environment variables for this loop site:
-  std::unique_ptr<machdep::EpisodeGate> gate_;  // entry/exit gate
-  /// The asynchronous loop index, counted in *trips claimed* (0-based)
-  /// rather than raw index values so claims clamp at the trip count and
-  /// can never overflow, and so chunked/guided/2D all share one engine.
-  std::unique_ptr<machdep::DispatchCounter> dispatch_;
-  std::int64_t trips_ = 0;        // trip count of the current episode
-  std::int64_t last_ = 0;         // bounds of the current episode
-  std::int64_t incr_ = 1;
 };
 
 /// Selfscheduled doubly nested DO: one shared dispatch over the flattened

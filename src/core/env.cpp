@@ -1,5 +1,6 @@
 #include "core/env.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -32,15 +33,18 @@ void apply_env_overrides(ForceConfig& config, machdep::ProcessModel model) {
     config.team_pool = true;
   }
   if (config.pool_workers == 0) {
-    config.pool_workers =
-        static_cast<int>(env_u64("FORCE_POOL_WORKERS", 0));
+    const std::uint64_t workers = env_u64("FORCE_POOL_WORKERS", 0);
+    FORCE_CHECK(workers <= INT_MAX,
+                "FORCE_POOL_WORKERS=" + std::to_string(workers) +
+                    " is out of range (at most " + std::to_string(INT_MAX) +
+                    ")");
     // Env-var-driven N:M is dropped where the capability table says it
     // cannot work (os-fork and cluster fork one child per member), so
     // suite-wide pooled runs don't break the fork tests. Explicit configs
     // are validated in the constructor.
-    if (!machdep::backend_supports(model,
-                                   machdep::Capability::kNmScheduling)) {
-      config.pool_workers = 0;
+    if (machdep::backend_supports(model,
+                                  machdep::Capability::kNmScheduling)) {
+      config.pool_workers = static_cast<int>(workers);
     }
   }
   if (config.pool_workers > 0) config.team_pool = true;
@@ -74,15 +78,10 @@ void ForceEnvironment::require(machdep::Capability cap,
 ForceEnvironment::ForceEnvironment(ForceConfig config)
     : config_(std::move(config)) {
   FORCE_CHECK(config_.nproc > 0, "ForceConfig::nproc must be positive");
-  FORCE_CHECK(config_.dispatch == "auto" || config_.dispatch == "locked",
-              "ForceConfig::dispatch must be 'auto' or 'locked'");
   FORCE_CHECK(machdep::parse_process_model(config_.process_model, &model_),
               "ForceConfig::process_model '" + config_.process_model +
                   "' is not recognized; valid values: " +
                   machdep::process_model_valid_set());
-  FORCE_CHECK(config_.cluster_transport == "unix" ||
-                  config_.cluster_transport == "tcp",
-              "ForceConfig::cluster_transport must be 'unix' or 'tcp'");
   FORCE_CHECK(config_.pool_workers >= 0,
               "ForceConfig::pool_workers must be non-negative");
   if (config_.pool_workers > 0) {
@@ -110,6 +109,18 @@ ForceEnvironment::ForceEnvironment(ForceConfig config)
   if (config_.team_pool) {
     require(machdep::Capability::kTeamPool, "persistent team pools", "");
   }
+  // The FORCE_* variables apply before the values are parsed, so an
+  // override is validated like an explicit setting - here, before any
+  // thread or process starts.
+  apply_env_overrides(config_, model_);
+  FORCE_CHECK(config_.dispatch == "auto" || config_.dispatch == "locked",
+              "ForceConfig::dispatch must be 'auto' or 'locked'");
+  dispatch_ = config_.dispatch == "locked" ? Dispatch::kLocked
+                                           : Dispatch::kAuto;
+  FORCE_CHECK(machdep::net::parse_transport(config_.cluster_transport,
+                                            &transport_),
+              "ForceConfig::cluster_transport (or FORCE_CLUSTER_TRANSPORT) '" +
+                  config_.cluster_transport + "' must be 'unix' or 'tcp'");
   const machdep::MachineSpec& spec = machdep::machine_spec(config_.machine);
   machine_ = std::make_unique<machdep::MachineModel>(spec);
   arena_ = std::make_unique<machdep::SharedArena>(
@@ -123,7 +134,6 @@ ForceEnvironment::ForceEnvironment(ForceConfig config)
     tracer_ = std::make_unique<util::Tracer>(
         config_.nproc, config_.trace_events_per_process);
   }
-  apply_env_overrides(config_, model_);
   if (!supports(machdep::Capability::kSentry) && config_.sentry) {
     config_.sentry = false;  // env-var-driven; see the note above
     config_.schedule_fuzz = 0;
@@ -149,12 +159,11 @@ ForceEnvironment::ForceEnvironment(ForceConfig config)
   init.team_pool = config_.team_pool;
   init.pool_workers = pool_workers();
   init.member_stack_bytes = config_.private_stack_bytes;
-  init.cluster_transport = config_.cluster_transport;
+  init.cluster_transport = transport_;
   backend_ = machdep::make_execution_backend(model_, init);
-  // Resident pooled children observe force-entry generations through the
-  // backend's shared word (os-fork); their own copies of this object
-  // freeze at fork. Null means the per-process counter below suffices.
-  run_gen_shm_ = backend_->shared_run_generation_word();
+  word_arena_ = backend_->word_arena();
+  if (word_arena_ != nullptr) word_scope_ = machdep::WordScope::kShared;
+  run_generation_ = place_words<std::atomic<std::uint32_t>>("%force/run_gen");
   // Last: the barrier's locks may be ObservedLocks referencing sentry_.
   global_barrier_ = make_team_barrier(config_.nproc, "%force/global");
 }
@@ -191,18 +200,11 @@ void ForceEnvironment::reset_shared_sync_after_death() {
 }
 
 std::uint32_t ForceEnvironment::run_generation() const {
-  if (run_gen_shm_ != nullptr) {
-    return run_gen_shm_->load(std::memory_order_acquire);
-  }
-  return run_generation_.load(std::memory_order_acquire);
+  return run_generation_->load(std::memory_order_acquire);
 }
 
 void ForceEnvironment::begin_team_entry() {
-  if (run_gen_shm_ != nullptr) {
-    run_gen_shm_->fetch_add(1, std::memory_order_acq_rel);
-    return;
-  }
-  run_generation_.fetch_add(1, std::memory_order_acq_rel);
+  run_generation_->fetch_add(1, std::memory_order_acq_rel);
 }
 
 machdep::ProcessTeam ForceEnvironment::process_team() const {
@@ -229,37 +231,37 @@ std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_barrier(
 }
 
 std::unique_ptr<machdep::EpisodeGate> ForceEnvironment::new_episode_gate(
-    int width) {
-  if (atomic_words()) return std::make_unique<machdep::EpisodeGate>(width);
+    int width, std::atomic<std::uint32_t>& word) {
+  if (atomic_words()) {
+    return std::make_unique<machdep::EpisodeGate>(width, word, word_scope_);
+  }
   return std::make_unique<machdep::EpisodeGate>(
       width, new_lock(machdep::LockRole::kSemaphore, "doall.barwin"),
       new_lock(machdep::LockRole::kSemaphore, "doall.barwot"));
 }
 
 machdep::FullEmptyGate ForceEnvironment::new_full_empty_gate(
-    const std::string& label) {
-  if (machine_->spec().hardware_full_empty) return machdep::FullEmptyGate();
+    const std::string& label, std::atomic<std::uint32_t>& cell) {
+  if (machine_->spec().hardware_full_empty || word_arena_ != nullptr) {
+    return machdep::FullEmptyGate(cell, word_scope_);
+  }
   return machdep::FullEmptyGate(
-      new_lock(machdep::LockRole::kSemaphore, label + ".E"),
+      cell, new_lock(machdep::LockRole::kSemaphore, label + ".E"),
       new_lock(machdep::LockRole::kSemaphore, label + ".F"),
       new_lock(machdep::LockRole::kMutex, label + ".void"));
 }
 
 std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_team_barrier(
     int width, const std::string& key) {
+  if (word_arena_ != nullptr) {
+    return std::make_unique<CentralSenseBarrier>(
+        width,
+        place_words<machdep::EpisodeBarrier>(machdep::kBarrierWords + key),
+        "barrier '" + key + "'");
+  }
   std::unique_ptr<machdep::BarrierEngine> engine =
       backend_->make_team_barrier(width, key);
   if (engine == nullptr) return make_barrier(width);
-  return std::make_unique<EngineBarrier>(width, std::move(engine));
-}
-
-std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_process_shared_barrier(
-    int width, const std::string& shm_key) {
-  std::unique_ptr<machdep::BarrierEngine> engine =
-      backend_->make_team_barrier(width, shm_key);
-  FORCE_CHECK(engine != nullptr,
-              "process-shared barrier needs a separate-process backend "
-              "(ForceConfig::process_model = \"os-fork\" or \"cluster\")");
   return std::make_unique<EngineBarrier>(width, std::move(engine));
 }
 

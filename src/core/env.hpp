@@ -162,32 +162,51 @@ class ForceEnvironment {
 
   /// The one choice of expansion: true when the constructs named at
   /// ForceConfig::dispatch run on the atomic words this run - the machine
-  /// declares hardware_atomic_rmw and the config does not force "locked".
+  /// declares hardware_atomic_rmw and the config does not force "locked",
+  /// or the words are placed in the os-fork arena (the lock expansions
+  /// keep process-local counters, so they cannot span processes).
   [[nodiscard]] bool atomic_words() const {
-    return machine_->spec().hardware_atomic_rmw &&
-           config_.dispatch != "locked";
+    return word_arena_ != nullptr ||
+           (machine_->spec().hardware_atomic_rmw &&
+            dispatch_ == Dispatch::kAuto);
   }
 
-  /// Dispatch-counter factory honouring atomic_words().
-  std::unique_ptr<machdep::DispatchCounter> new_dispatch_counter() {
-    return machine_->new_dispatch_counter(!atomic_words());
+  /// Places an in-process construct's words: at `key` in the backend's
+  /// MAP_SHARED arena under os-fork, so every member process meets at the
+  /// same words; otherwise in a block of the construct's own.
+  template <typename Words>
+  machdep::PlacedWords<Words> place_words(const std::string& key) {
+    return machdep::PlacedWords<Words>(word_arena_, key);
+  }
+
+  /// Dispatch-counter factory over the placed `word`, honouring
+  /// atomic_words().
+  std::unique_ptr<machdep::DispatchCounter> new_dispatch_counter(
+      std::atomic<std::int64_t>& word) {
+    if (atomic_words()) return std::make_unique<machdep::DispatchCounter>(word);
+    return std::make_unique<machdep::DispatchCounter>(word,
+                                                      machine_->new_lock());
   }
 
   /// Selfsched entry/exit gate for `width` members honouring
-  /// atomic_words(): the one gate word, or the BARWIN/BARWOT locks.
-  std::unique_ptr<machdep::EpisodeGate> new_episode_gate(int width);
+  /// atomic_words(): the placed gate `word`, or the BARWIN/BARWOT locks.
+  std::unique_ptr<machdep::EpisodeGate> new_episode_gate(
+      int width, std::atomic<std::uint32_t>& word);
 
-  /// Full/empty gate of the in-process async variable `label`: the HEP's
-  /// tagged cell where hardware_full_empty, else the §4.2 E/F lock pair.
-  machdep::FullEmptyGate new_full_empty_gate(const std::string& label);
+  /// Full/empty gate of the in-process async variable `label`: the placed
+  /// `cell` word where hardware_full_empty or the words are in the arena,
+  /// else the §4.2 E/F lock pair.
+  machdep::FullEmptyGate new_full_empty_gate(const std::string& label,
+                                             std::atomic<std::uint32_t>& cell);
 
   /// The process substrate this environment selected at construction
   /// (ForceConfig::process_model parsed into the enum).
   [[nodiscard]] machdep::ProcessModel process_model() const { return model_; }
 
   /// The execution backend realizing the constructs on that substrate.
-  /// Constructs ask it for engines (a null engine means "use the
-  /// monomorphic thread machinery") - core never names a backend.
+  /// Constructs ask it for an engine where the substrate has no shared
+  /// memory (cluster) and otherwise run in-process over words placed by
+  /// place_words - core never names a backend.
   [[nodiscard]] machdep::ExecutionBackend& backend() { return *backend_; }
 
   /// Capability probe against the declarative backend matrix.
@@ -239,7 +258,7 @@ class ForceEnvironment {
   /// before the team is (re-)armed. Long-lived construct sites compare it
   /// to their own stamp to re-arm per-entry episode state (e.g. the
   /// Askfor drained/probend latch) when a pooled team re-enters the same
-  /// force. Under os-fork the counter lives in the shared arena so
+  /// force. The word is placed like any construct word, so under os-fork
   /// resident children observe the bump.
   [[nodiscard]] std::uint32_t run_generation() const;
   void begin_team_entry();
@@ -256,18 +275,13 @@ class ForceEnvironment {
   std::unique_ptr<BarrierAlgorithm> make_barrier(int width,
                                                  const std::string& algorithm);
 
-  /// The team barrier at `key`: the backend's keyed barrier engine where
-  /// one exists (every address space that resolves the key meets at the
-  /// same barrier), otherwise a barrier with the configured algorithm.
+  /// The team barrier at `key`. On separate-process backends every
+  /// process that resolves the key meets at the same barrier - the
+  /// central-sense barrier over words placed at kBarrierWords + key under
+  /// os-fork, the cluster's keyed engine - so lazy construction is
+  /// race-free; on thread, a barrier with the configured algorithm.
   std::unique_ptr<BarrierAlgorithm> make_team_barrier(int width,
                                                       const std::string& key);
-
-  /// Arena-resident barrier for `width` processes at a deterministic key;
-  /// the only barrier that spans os-fork processes. The key makes lazy
-  /// construction race-free: every process that resolves the same key
-  /// meets at the same two futex words.
-  std::unique_ptr<BarrierAlgorithm> make_process_shared_barrier(
-      int width, const std::string& shm_key);
 
   /// Per-process deterministic RNG substream.
   [[nodiscard]] util::Xoshiro256 rng_for(int proc0) const;
@@ -292,16 +306,22 @@ class ForceEnvironment {
   /// destroyed after it.
   std::unique_ptr<Sentry> sentry_;
   machdep::ProcessModel model_ = machdep::ProcessModel::kThread;
+  /// ForceConfig::dispatch and ::cluster_transport, parsed once.
+  enum class Dispatch { kAuto, kLocked };
+  Dispatch dispatch_ = Dispatch::kAuto;
+  machdep::net::Transport transport_ = machdep::net::Transport::kUnix;
   /// The selected substrate. Declared after machine_ and arena_ (which it
   /// references) so it is destroyed first; it owns the pooled teams, whose
   /// resident fork children still reference the MAP_SHARED arena while
   /// they park.
   std::unique_ptr<machdep::ExecutionBackend> backend_;
+  /// backend_->word_arena(), asked once, and how its words are waited on.
+  machdep::SharedArena* word_arena_ = nullptr;
+  machdep::WordScope word_scope_ = machdep::WordScope::kPrivate;
   std::unique_ptr<BarrierAlgorithm> global_barrier_;
-  std::atomic<std::uint32_t> run_generation_{0};
-  /// Arena-resident generation word under os-fork (children's copies of
-  /// this object are COW-frozen at fork time; the arena word is live).
-  std::atomic<std::uint32_t>* run_gen_shm_ = nullptr;
+  /// The placed generation word (children's copies of this object are
+  /// COW-frozen at fork time; an arena word is live).
+  machdep::PlacedWords<std::atomic<std::uint32_t>> run_generation_;
 };
 
 }  // namespace force::core

@@ -1,12 +1,10 @@
 // ExecutionBackend implementations: the one place that knows how each
-// process substrate realizes the Force's constructs. ThreadBackend keeps the
-// thread axis monomorphic by returning null engines; ShmBackend and
-// ClusterBackend port the construct protocols (arena keys, site labels,
-// champion sections) byte-for-byte from the former in-construct branches.
+// process substrate realizes the Force's constructs. ThreadBackend and
+// ShmBackend hand out no construct engines - both run the constructs'
+// in-process expansions, ShmBackend with their words placed in its
+// MAP_SHARED arena (plus the askfor ring, which has no in-process twin
+// yet) - and ClusterBackend turns every construct into a coordinator RPC.
 #include "machdep/backend.hpp"
-
-#include <cstring>
-#include <new>
 
 #include "machdep/arena.hpp"
 #include "machdep/cluster.hpp"
@@ -95,7 +93,7 @@ const std::vector<CapabilityRow>& capability_table() {
       {Capability::kThreadBarrierAlgorithms, "thread-barriers",
        "thread barrier algorithms", true, false, false,
        "thread barrier algorithms cannot span separate address spaces; use "
-       "make_process_shared_barrier with a keyed barrier"},
+       "a keyed team barrier"},
   };
   return kTable;
 }
@@ -176,8 +174,7 @@ std::unique_ptr<AskforRing> ExecutionBackend::make_askfor_ring(
 }
 
 std::unique_ptr<AsyncCell> ExecutionBackend::make_async_cell(
-    const std::string& /*label*/, std::size_t /*payload_bytes*/,
-    std::size_t /*payload_align*/) {
+    const std::string& /*label*/, std::size_t /*payload_bytes*/) {
   return nullptr;
 }
 
@@ -186,9 +183,7 @@ std::unique_ptr<BarrierEngine> ExecutionBackend::make_team_barrier(
   return nullptr;
 }
 
-std::atomic<std::uint32_t>* ExecutionBackend::shared_run_generation_word() {
-  return nullptr;
-}
+SharedArena* ExecutionBackend::word_arena() { return nullptr; }
 
 TeamPool& ExecutionBackend::team_pool() {
   FORCE_CHECK(false, "the thread team pool cannot drive os-fork processes");
@@ -203,98 +198,10 @@ void ExecutionBackend::reset_shared_sync_after_death() {
 }
 
 // ---------------------------------------------------------------------------
-// os-fork engines (machdep/shm over the MAP_SHARED arena).
+// The os-fork askfor ring (machdep/shm over the MAP_SHARED arena).
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// Arena prefix of every keyed barrier, so death recovery finds them all.
-constexpr const char* kBarrierPrefix = "%barrier/";
-
-class ShmBarrierEngine final : public BarrierEngine {
- public:
-  ShmBarrierEngine(SharedArena* arena, int width, const std::string& key)
-      : state_(&arena->get_or_create<EpisodeBarrier>(kBarrierPrefix + key)),
-        label_("barrier '" + key + "'"),
-        width_(static_cast<std::uint32_t>(width)) {}
-
-  void arrive(int /*proc0*/, const std::function<void()>* section) override {
-    shm::note_site(label_.c_str());
-    episode_arrive(
-        *state_, width_,
-        [section] {
-          if (section != nullptr) (*section)();
-        },
-        WordScope::kShared);
-  }
-
-  [[nodiscard]] const char* name() const override { return "process-shared"; }
-
- private:
-  EpisodeBarrier* state_;
-  std::string label_;
-  std::uint32_t width_;
-};
-
-/// Shared state of one selfscheduled DOALL site: an entry barrier whose
-/// champion publishes the bounds and re-arms the dispatch word, then a
-/// claim loop on that word. Faithful to the paper there is NO exit
-/// barrier; reuse is still safe because the next episode's entry cannot
-/// complete until every process has arrived, and a process only arrives
-/// after leaving the previous claim loop.
-struct ShmSelfschedState {
-  EpisodeBarrier entry;
-  alignas(64) std::atomic<std::int64_t> dispatch{0};
-  // Episode bounds: written only by the entry champion, inside the
-  // barrier section, published by the episode release.
-  std::int64_t start = 0;
-  std::int64_t last = 0;
-  std::int64_t incr = 1;
-  std::int64_t trips = 0;
-};
-
-class ShmDoallSite final : public DoallSite {
- public:
-  ShmDoallSite(SharedArena* arena, const std::string& site, int width)
-      : state_(&arena->get_or_create<ShmSelfschedState>("%ssdo/" + site)),
-        label_("selfsched '" + site + "'"),
-        width_(static_cast<std::uint32_t>(width)) {}
-
-  DoallBounds enter(std::int64_t start, std::int64_t last, std::int64_t incr,
-                    std::int64_t trips) override {
-    shm::note_site(label_.c_str());
-    episode_arrive(
-        state_->entry, width_,
-        [this, start, last, incr, trips] {
-          state_->start = start;
-          state_->last = last;
-          state_->incr = incr;
-          state_->trips = trips;
-          state_->dispatch.store(0, std::memory_order_relaxed);
-        },
-        WordScope::kShared);
-    DoallBounds b;
-    b.start = state_->start;
-    b.last = state_->last;
-    b.incr = state_->incr;
-    b.trips = state_->trips;
-    return b;
-  }
-
-  DispatchClaim claim(std::int64_t want, std::int64_t limit) override {
-    return dispatch_claim(state_->dispatch, want, limit);
-  }
-
-  DispatchClaim claim_fraction(std::int64_t limit,
-                               std::int64_t divisor) override {
-    return dispatch_claim_fraction(state_->dispatch, limit, divisor);
-  }
-
- private:
-  ShmSelfschedState* state_;
-  std::string label_;
-  std::uint32_t width_;
-};
 
 class ShmAskforRing final : public AskforRing {
  public:
@@ -335,71 +242,6 @@ class ShmAskforRing final : public AskforRing {
  private:
   shm::ShmAskforState* state_;
   std::string label_;
-};
-
-/// Header of an os-fork async blob: the cell word, padded so the payload
-/// window after it is 64-byte aligned.
-struct alignas(64) ShmCellHeader {
-  std::atomic<std::uint32_t> cell{kCellEmpty};
-};
-
-class ShmAsyncCell final : public AsyncCell {
- public:
-  ShmAsyncCell(SharedArena* arena, const std::string& label,
-               std::size_t payload_bytes)
-      : label_(label), bytes_(payload_bytes) {
-    void* blob = arena->allocate_once(
-        "%async/" + label, sizeof(ShmCellHeader) + payload_bytes,
-        alignof(ShmCellHeader), VarClass::kShared,
-        [](void* p) { new (p) ShmCellHeader(); });
-    cell_ = &static_cast<ShmCellHeader*>(blob)->cell;
-    payload_ = static_cast<unsigned char*>(blob) + sizeof(ShmCellHeader);
-  }
-
-  void produce(const void* value) override {
-    seize(kCellEmpty);
-    fill(value);
-  }
-  void consume(void* out) override {
-    seize(kCellFull);
-    drain(out, kCellEmpty);
-  }
-  void copy(void* out) override {
-    seize(kCellFull);
-    drain(out, kCellFull);
-  }
-  bool try_produce(const void* value) override {
-    if (!cell_try_seize(*cell_, kCellEmpty)) return false;
-    fill(value);
-    return true;
-  }
-  bool try_consume(void* out) override {
-    if (!cell_try_seize(*cell_, kCellFull)) return false;
-    drain(out, kCellEmpty);
-    return true;
-  }
-  void void_state() override { cell_make_empty(*cell_, WordScope::kShared); }
-  [[nodiscard]] bool is_full() override { return cell_is_full(*cell_); }
-
- private:
-  void seize(std::uint32_t from) {
-    shm::note_site(label_.c_str());
-    cell_seize(*cell_, from, WordScope::kShared);
-  }
-  // Move the payload inside the open window, then close it.
-  void fill(const void* value) {
-    std::memcpy(payload_, value, bytes_);
-    cell_publish(*cell_, kCellFull, WordScope::kShared);
-  }
-  void drain(void* out, std::uint32_t leave) {
-    std::memcpy(out, payload_, bytes_);
-    cell_publish(*cell_, leave, WordScope::kShared);
-  }
-
-  std::atomic<std::uint32_t>* cell_;
-  unsigned char* payload_;
-  std::string label_;
-  std::size_t bytes_;
 };
 
 // ---------------------------------------------------------------------------
@@ -476,6 +318,11 @@ class ClusterDoallSite final : public DoallSite {
         cluster::require_client().dispatch_claim_fraction(key_, limit,
                                                           divisor);
     return DispatchClaim{c.begin, c.count};
+  }
+
+  void leave() override {
+    // The champion entry barrier already fences re-entry: nobody can open
+    // the next episode before every member has left this one's claim loop.
   }
 
  private:
@@ -578,8 +425,8 @@ class ClusterAsyncCell final : public AsyncCell {
 };
 
 // ---------------------------------------------------------------------------
-// ThreadBackend: machine-model engines; null construct engines keep the
-// constructs' monomorphic thread machinery (lock-free dispatch included).
+// ThreadBackend: machine-model locks and teams; the constructs run their
+// in-process expansions over words in their own objects.
 // ---------------------------------------------------------------------------
 
 class ThreadBackend final : public ExecutionBackend {
@@ -653,32 +500,13 @@ class ShmBackend final : public ExecutionBackend {
     return ProcessModel::kOsFork;
   }
 
-  [[nodiscard]] std::unique_ptr<DoallSite> make_doall_site(
-      const std::string& site, int width) override {
-    return std::make_unique<ShmDoallSite>(arena_, site, width);
-  }
-
   [[nodiscard]] std::unique_ptr<AskforRing> make_askfor_ring(
       const std::string& key, std::uint32_t capacity,
       std::size_t task_bytes) override {
     return std::make_unique<ShmAskforRing>(arena_, key, capacity, task_bytes);
   }
 
-  [[nodiscard]] std::unique_ptr<AsyncCell> make_async_cell(
-      const std::string& label, std::size_t payload_bytes,
-      std::size_t payload_align) override {
-    // The payload window follows a 64-byte-aligned state word; stricter
-    // alignments would need padding nobody has asked for yet.
-    FORCE_CHECK(payload_align <= alignof(ShmCellHeader),
-                "os-fork async payloads must not require more than 64-byte "
-                "alignment (the payload window follows the cell state word)");
-    return std::make_unique<ShmAsyncCell>(arena_, label, payload_bytes);
-  }
-
-  [[nodiscard]] std::unique_ptr<BarrierEngine> make_team_barrier(
-      int width, const std::string& key) override {
-    return std::make_unique<ShmBarrierEngine>(arena_, width, key);
-  }
+  [[nodiscard]] SharedArena* word_arena() override { return arena_; }
 
   [[nodiscard]] std::unique_ptr<BasicLock> new_lock(
       LockRole /*role*/, const std::string& label,
@@ -695,14 +523,6 @@ class ShmBackend final : public ExecutionBackend {
 
   [[nodiscard]] ProcessTeam process_team() const override {
     return ProcessTeam(ProcessModelKind::kOsFork);
-  }
-
-  [[nodiscard]] std::atomic<std::uint32_t>* shared_run_generation_word()
-      override {
-    // Resident pooled children observe force-entry generations through
-    // this arena word; their own copies of the environment freeze at fork.
-    return &arena_->get_or_create<std::atomic<std::uint32_t>>(
-        "%force/run_gen");
   }
 
   SpawnStats run_team(int nproc, PrivateSpace* space,
@@ -757,7 +577,7 @@ class ShmBackend final : public ExecutionBackend {
       const auto prefixed = [&name](const char* p) {
         return name.rfind(p, 0) == 0;
       };
-      if (prefixed(kBarrierPrefix)) {
+      if (prefixed(kBarrierWords)) {
         // Arrival count of a keyed barrier: the victims' arrivals can
         // never complete. The episode word stays monotonic (arrivals read
         // it fresh), so zeroing the count alone re-arms the episode.
@@ -766,11 +586,13 @@ class ShmBackend final : public ExecutionBackend {
       } else if (prefixed("%lock/")) {
         static_cast<std::atomic<std::uint32_t>*>(addr)->store(
             0, std::memory_order_release);
-      } else if (prefixed("%ssdo/")) {
-        // The dispatch counter is re-armed by the entry champion anyway;
-        // only the entry barrier carries dead arrivals.
-        static_cast<ShmSelfschedState*>(addr)->entry.count.store(
-            0, std::memory_order_release);
+      } else if (prefixed(kDoallWords)) {
+        // The victims' arrivals and departures sit in the gate word: clear
+        // it so the next episode opens fresh, and its opener re-arms the
+        // dispatch word (cleared too, for a clean slate).
+        auto* w = static_cast<DoallWords*>(addr);
+        w->gate.store(0, std::memory_order_release);
+        w->dispatch.store(0, std::memory_order_release);
       } else if (prefixed("%askfor/")) {
         auto* a = static_cast<shm::ShmAskforState*>(addr);
         a->monitor.store(0, std::memory_order_release);
@@ -781,12 +603,13 @@ class ShmBackend final : public ExecutionBackend {
         // Back to "never armed": the next entry's first operation runs the
         // full generation re-arm.
         a->seen_gen.store(0, std::memory_order_release);
-      } else if (prefixed("%async/")) {
+      } else if (prefixed(kAsyncWords)) {
         // Busy means a victim died inside the payload window and the bytes
         // are undefined: drop to empty. Full cells are user data and stay.
         std::uint32_t busy = kCellBusy;
-        static_cast<ShmCellHeader*>(addr)->cell.compare_exchange_strong(
-            busy, kCellEmpty, std::memory_order_acq_rel);
+        static_cast<std::atomic<std::uint32_t>*>(addr)
+            ->compare_exchange_strong(busy, kCellEmpty,
+                                      std::memory_order_acq_rel);
       }
     });
   }
@@ -825,8 +648,7 @@ class ClusterBackend final : public ExecutionBackend {
   }
 
   [[nodiscard]] std::unique_ptr<AsyncCell> make_async_cell(
-      const std::string& label, std::size_t payload_bytes,
-      std::size_t /*payload_align*/) override {
+      const std::string& label, std::size_t payload_bytes) override {
     return std::make_unique<ClusterAsyncCell>(label, payload_bytes);
   }
 
@@ -860,7 +682,7 @@ class ClusterBackend final : public ExecutionBackend {
 
  private:
   SharedArena* arena_;
-  std::string transport_;
+  net::Transport transport_;
 };
 
 }  // namespace

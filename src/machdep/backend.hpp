@@ -9,11 +9,13 @@
 //
 //   * ProcessModel / ExecutionBackend - the process substrate is chosen ONCE
 //     (ForceEnvironment construction) and every construct talks to one
-//     polymorphic surface. ThreadBackend returns null construct engines, so
-//     the thread axis keeps its monomorphic, inlined machinery (in
-//     particular the lock-free DispatchCounter fast path); ShmBackend and
-//     ClusterBackend hand out engines over machdep/shm and machdep/cluster.
-//     Core never names a backend (enforced by a CI layering lint).
+//     polymorphic surface. Thread and os-fork run the same in-process
+//     expansion of every construct over the machdep/words.hpp words; the
+//     only thing the backend decides is where those words live
+//     (word_arena(): the MAP_SHARED arena under os-fork, a block each
+//     construct owns on thread). ClusterBackend, which has no shared
+//     memory, hands out RPC engines over machdep/cluster instead. Core
+//     never names a backend (enforced by a CI layering lint).
 //
 //   * Capability / capability_table() - ONE declarative table of what each
 //     backend supports, consumed by (a) runtime rejection diagnostics
@@ -33,13 +35,15 @@
 #include <typeinfo>
 #include <vector>
 
+#include "machdep/arena.hpp"
 #include "machdep/locks.hpp"
+#include "machdep/net.hpp"
 #include "machdep/process.hpp"
+#include "util/check.hpp"
 
 namespace force::machdep {
 
 class MachineModel;    // machdep/machine.hpp
-class SharedArena;     // machdep/arena.hpp
 class TeamPool;        // machdep/teampool.hpp
 class ForkTeamPool;    // machdep/teampool.hpp
 
@@ -120,16 +124,57 @@ struct CapabilityRow {
 [[nodiscard]] std::string capability_matrix_markdown();
 
 // ---------------------------------------------------------------------------
-// Construct engines.
+// Construct engines and the arena words of the in-process expansions.
 //
-// Byte-oriented so one interface covers every payload type; engines are only
-// created for trivially copyable payloads (the capability table rejects the
-// rest before an engine is requested). A null engine from the backend means
-// "no engine": the construct keeps its monomorphic thread-axis machinery.
+// Byte-oriented so one interface covers every payload type. The cluster
+// backend hands out an engine per construct (only for trivially copyable
+// payloads: the capability table rejects the rest before an engine is
+// requested); thread and os-fork get none and run the in-process engines
+// (GateDoallSite, core's async cell and central-sense barrier), whose
+// words ForceEnvironment places through word_arena() under the arena keys
+// below.
 // ---------------------------------------------------------------------------
 
+/// A construct's words, placed once: at `key` in the backend's word arena
+/// (ExecutionBackend::word_arena; shared scope), or in a block the
+/// construct owns when there is none (private scope). The words never
+/// move, so the handle may.
+template <typename Words>
+class PlacedWords {
+ public:
+  PlacedWords() : PlacedWords(nullptr, {}) {}
+  PlacedWords(SharedArena* arena, const std::string& key) {
+    if constexpr (std::is_trivially_destructible_v<Words>) {
+      if (arena != nullptr) {
+        words_ = &arena->get_or_create<Words>(key);
+        return;
+      }
+    }
+    FORCE_CHECK(arena == nullptr,
+                "only trivially destructible words live in the arena");
+    own_ = std::make_unique<Words>();
+    words_ = own_.get();
+  }
+
+  Words& operator*() const { return *words_; }
+  Words* operator->() const { return words_; }
+  [[nodiscard]] WordScope scope() const {
+    return own_ != nullptr ? WordScope::kPrivate : WordScope::kShared;
+  }
+
+ private:
+  std::unique_ptr<Words> own_;
+  Words* words_ = nullptr;
+};
+
+/// Arena key prefixes of the placed words, shared by the placement
+/// (ForceEnvironment) and os-fork death recovery, which scrubs them.
+inline constexpr const char* kBarrierWords = "%barrier/";  ///< EpisodeBarrier
+inline constexpr const char* kDoallWords = "%ssdo/";       ///< DoallWords
+inline constexpr const char* kAsyncWords = "%async/";     ///< AsyncWords<T>
+
 /// Episode bounds of one selfscheduled DOALL site, as published by the
-/// entry champion.
+/// episode's opener.
 struct DoallBounds {
   std::int64_t start = 0;
   std::int64_t last = 0;
@@ -137,19 +182,38 @@ struct DoallBounds {
   std::int64_t trips = 0;
 };
 
-/// One selfscheduled DOALL site: episode entry (champion publishes bounds
-/// and re-arms the dispatch counter) plus the claim loop.
+/// The words of one in-process selfscheduled DOALL site: the entry/exit
+/// gate word, the dispatch word and the bounds the opener publishes.
+struct DoallWords {
+  alignas(64) std::atomic<std::uint32_t> gate{0};
+  alignas(64) std::atomic<std::int64_t> dispatch{0};
+  DoallBounds bounds;
+};
+
+/// The words of one in-process async variable: the full/empty cell word
+/// (machdep/words.hpp) and the payload beside it, so a handoff moves one
+/// line. Death recovery reads only the leading cell word.
+template <typename T>
+struct AsyncWords {
+  alignas(64) std::atomic<std::uint32_t> cell{kCellEmpty};
+  T payload{};
+};
+
+/// One selfscheduled DOALL site: episode entry (the opener publishes the
+/// bounds and re-arms the dispatch counter), the claim loop and the exit.
 class DoallSite {
  public:
   virtual ~DoallSite() = default;
   /// Arrives at the episode entry with this member's loop bounds; the
-  /// elected champion publishes them. Returns the published bounds (for
-  /// SPMD divergence detection by the caller).
+  /// opener publishes them. Returns the published bounds (for SPMD
+  /// divergence detection by the caller).
   virtual DoallBounds enter(std::int64_t start, std::int64_t last,
                             std::int64_t incr, std::int64_t trips) = 0;
   virtual DispatchClaim claim(std::int64_t want, std::int64_t limit) = 0;
   virtual DispatchClaim claim_fraction(std::int64_t limit,
                                        std::int64_t divisor) = 0;
+  /// Departs the episode (a no-op where the entry is a champion barrier).
+  virtual void leave() = 0;
 };
 
 /// One Askfor monitor over fixed-stride trivially-copyable task records.
@@ -168,7 +232,7 @@ class AskforRing {
   virtual void rearm(std::uint32_t gen) = 0;
 };
 
-/// One async full/empty cell over a trivially-copyable payload.
+/// One async full/empty cell over a payload of fixed type.
 class AsyncCell {
  public:
   virtual ~AsyncCell() = default;
@@ -182,14 +246,13 @@ class AsyncCell {
   [[nodiscard]] virtual bool is_full() = 0;
 };
 
-/// One keyed team barrier spanning the backend's address spaces.
+/// One keyed team barrier spanning the cluster's address spaces.
 class BarrierEngine {
  public:
   virtual ~BarrierEngine() = default;
   /// One arrival; `section` (null = none) runs in the elected champion.
   virtual void arrive(int proc0, const std::function<void()>* section) = 0;
-  /// Algorithm name for barrier_name() observers ("process-shared",
-  /// "cluster", ...).
+  /// Algorithm name for barrier_name() observers ("cluster").
   [[nodiscard]] virtual const char* name() const = 0;
 };
 
@@ -207,17 +270,21 @@ class ExecutionBackend {
     return backend_supports(model(), cap);
   }
 
-  // --- construct engines (null on ThreadBackend: keep the monomorphic
-  // --- thread machinery, including the lock-free dispatch fast path) ------
+  // --- construct engines (null where the constructs run in-process) ------
   [[nodiscard]] virtual std::unique_ptr<DoallSite> make_doall_site(
       const std::string& site, int width);
   [[nodiscard]] virtual std::unique_ptr<AskforRing> make_askfor_ring(
       const std::string& key, std::uint32_t capacity, std::size_t task_bytes);
   [[nodiscard]] virtual std::unique_ptr<AsyncCell> make_async_cell(
-      const std::string& label, std::size_t payload_bytes,
-      std::size_t payload_align);
+      const std::string& label, std::size_t payload_bytes);
   [[nodiscard]] virtual std::unique_ptr<BarrierEngine> make_team_barrier(
       int width, const std::string& key);
+
+  /// Where the in-process constructs' words live: the MAP_SHARED arena
+  /// (shared scope) under os-fork, so every member process meets at the
+  /// same words; null on thread (each construct's own object) and cluster
+  /// (RPC engines, no shared words).
+  [[nodiscard]] virtual SharedArena* word_arena();
 
   // --- locks ---------------------------------------------------------------
 
@@ -230,11 +297,6 @@ class ExecutionBackend {
   // --- team lifetime -------------------------------------------------------
 
   [[nodiscard]] virtual ProcessTeam process_team() const = 0;
-
-  /// Cross-address-space run-generation word, or null when the per-process
-  /// counter in the environment suffices (thread, cluster).
-  [[nodiscard]] virtual std::atomic<std::uint32_t>*
-  shared_run_generation_word();
 
   /// One force: spawns/arms the team, runs `member` for [0, nproc), joins,
   /// reports deaths. `program_type` identifies the program closure (the
@@ -261,7 +323,7 @@ struct BackendInit {
   bool team_pool = false;
   int pool_workers = 1;
   std::size_t member_stack_bytes = 256u << 10;
-  std::string cluster_transport = "unix";
+  net::Transport cluster_transport = net::Transport::kUnix;
 };
 
 /// The one selection point: ForceEnvironment construction.

@@ -82,7 +82,7 @@ bool decode_records(net::Reader* r, std::vector<Record>* out);
 
 struct RuntimeConfig {
   SharedArena* arena = nullptr;      // null: no DSM (bare spawn benches)
-  std::string transport = "unix";    // "unix" | "tcp"
+  net::Transport transport = net::Transport::kUnix;
 };
 
 /// Installs the config ProcessTeam::run(kCluster) will use. Scoped so a

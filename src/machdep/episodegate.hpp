@@ -15,13 +15,19 @@
 // waiting for anyone else (there is no entry barrier), no member leaves
 // before all have arrived, and re-entry waits until all have left.
 // EpisodeGate is both expansions behind enter/leave; the expansion is
-// fixed at construction.
+// fixed at construction. GateDoallSite is the in-process selfscheduled DO
+// site built on it, for the thread and os-fork backends alike: its words
+// are placed by the caller - in a block of its own on thread, in the
+// MAP_SHARED arena (shared scope) under os-fork, which always runs the
+// word gate.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 
+#include "machdep/backend.hpp"
 #include "machdep/locks.hpp"
 #include "machdep/words.hpp"
 
@@ -29,8 +35,9 @@ namespace force::machdep {
 
 class EpisodeGate {
  public:
-  /// The word gate for a team of `width`: one gate word, no locks.
-  explicit EpisodeGate(int width);
+  /// The word gate for a team of `width` over the caller's `word`, waited
+  /// on in `scope`; no locks.
+  EpisodeGate(int width, std::atomic<std::uint32_t>& word, WordScope scope);
   /// The lock gate over BARWIN (entry) and BARWOT (exit, acquired here so
   /// exits start blocked).
   EpisodeGate(int width, std::unique_ptr<BasicLock> barwin,
@@ -44,7 +51,7 @@ class EpisodeGate {
   template <typename Open>
   void enter(const Open& open) {
     if (lock_free()) {
-      gate_enter(word_, width_, open, WordScope::kPrivate);
+      gate_enter(*word_, width_, open, scope_);
       return;
     }
     barwin_->acquire();
@@ -65,10 +72,41 @@ class EpisodeGate {
 
  private:
   std::uint32_t width_;
-  alignas(64) std::atomic<std::uint32_t> word_{0};  // word expansion
+  std::atomic<std::uint32_t>* word_ = nullptr;  // word expansion
+  WordScope scope_ = WordScope::kPrivate;
   std::unique_ptr<BasicLock> barwin_;  // lock expansion (null for the word)
   std::unique_ptr<BasicLock> barwot_;
   std::uint32_t zznbar_ = 0;  // arrival counter, guarded by the gates
+};
+
+/// The in-process selfscheduled DO site: the gate and the dispatch counter
+/// over `words`, plus the bounds the episode's opener publishes there.
+/// `label` names the site in os-fork death reports.
+class GateDoallSite final : public DoallSite {
+ public:
+  GateDoallSite(PlacedWords<DoallWords> words,
+                std::unique_ptr<EpisodeGate> gate,
+                std::unique_ptr<DispatchCounter> dispatch, std::string label);
+
+  DoallBounds enter(std::int64_t start, std::int64_t last, std::int64_t incr,
+                    std::int64_t trips) override;
+  DispatchClaim claim(std::int64_t want, std::int64_t limit) override {
+    return dispatch_->claim(want, limit);
+  }
+  DispatchClaim claim_fraction(std::int64_t limit,
+                               std::int64_t divisor) override {
+    return dispatch_->claim_fraction(limit, divisor);
+  }
+  void leave() override { gate_->leave(); }
+
+ private:
+  PlacedWords<DoallWords> words_;
+  std::unique_ptr<EpisodeGate> gate_;
+  /// The asynchronous loop index, counted in *trips claimed* (0-based)
+  /// rather than raw index values so claims clamp at the trip count and
+  /// can never overflow, and so chunked/guided/2D all share one engine.
+  std::unique_ptr<DispatchCounter> dispatch_;
+  std::string label_;
 };
 
 }  // namespace force::machdep

@@ -2,22 +2,26 @@
 
 namespace force::machdep {
 
-FullEmptyGate::FullEmptyGate(std::unique_ptr<BasicLock> e,
+FullEmptyGate::FullEmptyGate(std::atomic<std::uint32_t>& cell,
+                             std::unique_ptr<BasicLock> e,
                              std::unique_ptr<BasicLock> f,
                              std::unique_ptr<BasicLock> void_guard)
-    : e_(std::move(e)), f_(std::move(f)), void_guard_(std::move(void_guard)) {
+    : cell_(&cell),
+      e_(std::move(e)),
+      f_(std::move(f)),
+      void_guard_(std::move(void_guard)) {
   e_->acquire();  // empty: E locked, F unlocked
 }
 
 void FullEmptyGate::make_empty() {
   if (hardware()) {
-    cell_.make_empty();
+    cell_make_empty(*cell_, scope_);
     return;
   }
   void_guard_->acquire();
-  if (full_.load(std::memory_order_acquire)) {
+  if (cell_is_full(*cell_)) {
     e_->acquire();  // consume the token without reading the value
-    full_.store(false, std::memory_order_release);
+    cell_->store(kCellEmpty, std::memory_order_release);
     f_->release();
   }
   void_guard_->release();

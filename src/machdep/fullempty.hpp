@@ -2,7 +2,8 @@
 //
 // The paper expands Produce/Consume two ways, chosen by the machine:
 //
-//   * the HEP: one tagged memory cell (HepCell) - no locks at all;
+//   * the HEP: one tagged memory cell - the full/empty cell word of
+//     machdep/words.hpp, as in HepCell - and no locks at all;
 //   * every other machine: two locks E and F, where empty == (E locked,
 //     F unlocked) and full == (F locked, E unlocked):
 //         Produce: Lock F;  write;  Unlock E.
@@ -13,24 +14,32 @@
 // FullEmptyGate is both expansions behind one seize/publish protocol: a
 // seize_* blocks for the wanted state and opens an exclusive window over
 // the payload, which the caller moves before the matching publish_*
-// closes it. The expansion is fixed at construction.
+// closes it. The expansion is fixed at construction. Both keep the state
+// in one cell word the owner places next to the payload - in a block the
+// variable owns on the thread backend, in the MAP_SHARED arena (shared
+// scope) under os-fork, which always runs the cell - so a handoff writes
+// one line; the lock expansion only records full/empty there for Isfull
+// and Void, and waits on E and F.
 #pragma once
 
 #include <atomic>
 #include <memory>
 
-#include "machdep/hepcell.hpp"
 #include "machdep/locks.hpp"
+#include "machdep/words.hpp"
 
 namespace force::machdep {
 
 class FullEmptyGate {
  public:
-  /// The HEP gate: one tagged cell, no locks. Starts empty.
-  FullEmptyGate() = default;
-  /// The lock gate over the §4.2 pair `e`/`f` plus the Void guard. Starts
-  /// empty (acquires `e`).
-  FullEmptyGate(std::unique_ptr<BasicLock> e, std::unique_ptr<BasicLock> f,
+  /// The HEP gate: the caller's cell word, waited on in `scope`; no
+  /// locks. The word starts empty.
+  FullEmptyGate(std::atomic<std::uint32_t>& cell, WordScope scope)
+      : cell_(&cell), scope_(scope) {}
+  /// The lock gate over the §4.2 pair `e`/`f` plus the Void guard, noting
+  /// the state in `cell`. Starts empty (acquires `e`).
+  FullEmptyGate(std::atomic<std::uint32_t>& cell, std::unique_ptr<BasicLock> e,
+                std::unique_ptr<BasicLock> f,
                 std::unique_ptr<BasicLock> void_guard);
 
   FullEmptyGate(const FullEmptyGate&) = delete;
@@ -39,7 +48,7 @@ class FullEmptyGate {
   /// Blocks until empty, then opens the window (Produce: Lock F).
   void seize_empty() {
     if (hardware()) {
-      cell_.seize_empty();
+      cell_seize(*cell_, kCellEmpty, scope_);
     } else {
       f_->acquire();
     }
@@ -47,16 +56,16 @@ class FullEmptyGate {
   /// Closes the window, leaving the gate full (Produce: Unlock E).
   void publish_full() {
     if (hardware()) {
-      cell_.publish_full();
+      cell_publish(*cell_, kCellFull, scope_);
     } else {
-      full_.store(true, std::memory_order_release);
+      cell_->store(kCellFull, std::memory_order_release);
       e_->release();
     }
   }
   /// Blocks until full, then opens the window (Consume/Copy: Lock E).
   void seize_full() {
     if (hardware()) {
-      cell_.seize_full();
+      cell_seize(*cell_, kCellFull, scope_);
     } else {
       e_->acquire();
     }
@@ -64,18 +73,18 @@ class FullEmptyGate {
   /// Closes the window, leaving the gate empty (Consume: Unlock F).
   void publish_empty() {
     if (hardware()) {
-      cell_.publish_empty();
+      cell_publish(*cell_, kCellEmpty, scope_);
     } else {
-      full_.store(false, std::memory_order_release);
+      cell_->store(kCellEmpty, std::memory_order_release);
       f_->release();
     }
   }
   /// Non-blocking seizes; true when the window is now open.
   bool try_seize_empty() {
-    return hardware() ? cell_.try_seize_empty() : f_->try_acquire();
+    return hardware() ? cell_try_seize(*cell_, kCellEmpty) : f_->try_acquire();
   }
   bool try_seize_full() {
-    return hardware() ? cell_.try_seize_full() : e_->try_acquire();
+    return hardware() ? cell_try_seize(*cell_, kCellFull) : e_->try_acquire();
   }
 
   /// Forces the state to empty from any state (Void). Concurrent Voids are
@@ -84,20 +93,17 @@ class FullEmptyGate {
   void make_empty();
 
   /// Snapshot of the state (Isfull).
-  [[nodiscard]] bool is_full() const {
-    return hardware() ? cell_.is_full()
-                      : full_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool is_full() const { return cell_is_full(*cell_); }
 
   /// True for the HEP tagged-cell expansion.
   [[nodiscard]] bool hardware() const { return e_ == nullptr; }
 
  private:
-  HepCell cell_;                        // HEP expansion
-  std::unique_ptr<BasicLock> e_;        // lock expansion (null on the HEP)
+  std::atomic<std::uint32_t>* cell_;
+  WordScope scope_ = WordScope::kPrivate;
+  std::unique_ptr<BasicLock> e_;  // lock expansion (null on the HEP)
   std::unique_ptr<BasicLock> f_;
   std::unique_ptr<BasicLock> void_guard_;
-  std::atomic<bool> full_{false};
 };
 
 }  // namespace force::machdep

@@ -301,35 +301,37 @@ void CombinedLock::release() {
 // DispatchCounter
 // ---------------------------------------------------------------------------
 
-DispatchCounter::DispatchCounter() : pad_{} {}
+DispatchCounter::DispatchCounter(std::atomic<std::int64_t>& word)
+    : value_(&word) {}
 
-DispatchCounter::DispatchCounter(std::unique_ptr<BasicLock> lock)
-    : pad_{}, lock_(std::move(lock)) {
+DispatchCounter::DispatchCounter(std::atomic<std::int64_t>& word,
+                                 std::unique_ptr<BasicLock> lock)
+    : value_(&word), lock_(std::move(lock)) {
   FORCE_CHECK(lock_ != nullptr, "lock-engine DispatchCounter needs a lock");
 }
 
 void DispatchCounter::reset(std::int64_t v) {
   // Single-threaded by contract; the caller's gate release publishes it.
-  value_.store(v, std::memory_order_relaxed);
+  value_->store(v, std::memory_order_relaxed);
 }
 
 std::int64_t DispatchCounter::value() const {
-  if (lock_ == nullptr) return value_.load(std::memory_order_acquire);
+  if (lock_ == nullptr) return value_->load(std::memory_order_acquire);
   lock_->acquire();
-  const std::int64_t v = value_.load(std::memory_order_relaxed);
+  const std::int64_t v = value_->load(std::memory_order_relaxed);
   lock_->release();
   return v;
 }
 
 DispatchClaim DispatchCounter::claim(std::int64_t want, std::int64_t limit) {
-  if (lock_ == nullptr) return dispatch_claim(value_, want, limit);
+  if (lock_ == nullptr) return dispatch_claim(*value_, want, limit);
   FORCE_CHECK(want >= 1, "dispatch claim must want at least one trip");
   // Lock engine: the paper's expansion - one generic-lock pass per claim,
   // clamped at the limit so an exhausted loop never advances the counter.
   lock_->acquire();
-  const std::int64_t t = value_.load(std::memory_order_relaxed);
+  const std::int64_t t = value_->load(std::memory_order_relaxed);
   if (t < limit) {
-    value_.store(t + std::min(want, limit - t), std::memory_order_relaxed);
+    value_->store(t + std::min(want, limit - t), std::memory_order_relaxed);
   }
   lock_->release();
   if (t >= limit) return {t, 0};
@@ -339,15 +341,15 @@ DispatchClaim DispatchCounter::claim(std::int64_t want, std::int64_t limit) {
 DispatchClaim DispatchCounter::claim_fraction(std::int64_t limit,
                                               std::int64_t divisor) {
   if (lock_ == nullptr) {
-    return dispatch_claim_fraction(value_, limit, divisor);
+    return dispatch_claim_fraction(*value_, limit, divisor);
   }
   FORCE_CHECK(divisor >= 1, "dispatch divisor must be at least one");
   lock_->acquire();
-  const std::int64_t t = value_.load(std::memory_order_relaxed);
+  const std::int64_t t = value_->load(std::memory_order_relaxed);
   std::int64_t want = 0;
   if (t < limit) {
     want = std::max<std::int64_t>(1, (limit - t) / divisor);
-    value_.store(t + want, std::memory_order_relaxed);
+    value_->store(t + want, std::memory_order_relaxed);
   }
   lock_->release();
   return {t, want};

@@ -267,19 +267,21 @@ class SystemLock final : public BasicLock {
 // visible to LockCounters and the lock-scarcity experiments.
 // ---------------------------------------------------------------------------
 
-/// A monotone trips-claimed counter with two interchangeable engines:
-/// a cache-line-padded dispatch word (words.hpp; hardware RMW machines)
-/// or a lock-guarded plain value (everything else). Both engines clamp at
-/// `limit`, so the stored value never runs away past the episode's trip
-/// count no matter how many exhausted processes keep probing
-/// (signed-overflow guard).
+/// A monotone trips-claimed counter with two interchangeable engines over
+/// one caller-placed word (its own cache line in the owning construct, or
+/// the MAP_SHARED arena under os-fork): the dispatch word's fetch-add
+/// (words.hpp; hardware RMW machines) or a value guarded by a lock
+/// (everything else). Both engines clamp at `limit`, so the stored value
+/// never runs away past the episode's trip count no matter how many
+/// exhausted processes keep probing (signed-overflow guard).
 class DispatchCounter {
  public:
   /// Lock-free engine (requires hardware_atomic_rmw).
-  DispatchCounter();
+  explicit DispatchCounter(std::atomic<std::int64_t>& word);
   /// Lock-guarded engine; `lock` must come from MachineModel::new_lock()
   /// so claims stay on the machine's instrumented, budgeted locks.
-  explicit DispatchCounter(std::unique_ptr<BasicLock> lock);
+  DispatchCounter(std::atomic<std::int64_t>& word,
+                  std::unique_ptr<BasicLock> lock);
 
   DispatchCounter(const DispatchCounter&) = delete;
   DispatchCounter& operator=(const DispatchCounter&) = delete;
@@ -304,10 +306,7 @@ class DispatchCounter {
   DispatchClaim claim_fraction(std::int64_t limit, std::int64_t divisor);
 
  private:
-  // Padded so a hot dispatch counter never false-shares with neighbours
-  // (or with the cold fields of its owning construct).
-  alignas(64) std::atomic<std::int64_t> value_{0};
-  char pad_[64 - sizeof(std::atomic<std::int64_t>)];
+  std::atomic<std::int64_t>* value_;
   std::unique_ptr<BasicLock> lock_;  // null => lock-free engine
 };
 

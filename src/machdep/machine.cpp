@@ -265,14 +265,6 @@ std::unique_ptr<BasicLock> MachineModel::new_lock() {
   return std::make_unique<StripedLock>(std::move(physical));
 }
 
-std::unique_ptr<DispatchCounter> MachineModel::new_dispatch_counter(
-    bool force_locked) {
-  if (spec_.hardware_atomic_rmw && !force_locked) {
-    return std::make_unique<DispatchCounter>();
-  }
-  return std::make_unique<DispatchCounter>(new_lock());
-}
-
 LockAllocationStats MachineModel::lock_stats() const {
   std::lock_guard<std::mutex> g(alloc_mutex_);
   return stats_;

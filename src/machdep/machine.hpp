@@ -81,15 +81,6 @@ class MachineModel {
   /// slower - the paper's scarcity effect).
   std::unique_ptr<BasicLock> new_lock();
 
-  /// Creates a dispatch counter on the machine's best engine: lock-free
-  /// when the spec declares hardware_atomic_rmw (and `force_locked` is
-  /// not set), otherwise lock-guarded over new_lock() - so on lock-only
-  /// machines dispatch stays on the instrumented, budgeted lock layer.
-  /// `force_locked` exists for benches/tests that compare both engines
-  /// on one machine model.
-  std::unique_ptr<DispatchCounter> new_dispatch_counter(
-      bool force_locked = false);
-
   [[nodiscard]] LockAllocationStats lock_stats() const;
 
   [[nodiscard]] ProcessTeam process_team() const {

@@ -148,15 +148,13 @@ bool Conn::recv_frame(MsgType* type, std::vector<unsigned char>* payload) {
   return true;
 }
 
-std::pair<Conn, Conn> connected_pair(const std::string& transport) {
-  if (transport == "unix" || transport.empty()) {
+std::pair<Conn, Conn> connected_pair(Transport transport) {
+  if (transport == Transport::kUnix) {
     int fds[2] = {-1, -1};
     FORCE_CHECK(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0,
                 "socketpair(AF_UNIX) failed for the cluster transport");
     return {Conn(fds[0]), Conn(fds[1])};
   }
-  FORCE_CHECK(transport == "tcp",
-              "cluster_transport must be \"unix\" or \"tcp\"");
   // Loopback TCP: listen on an ephemeral port, connect, accept. Models the
   // real-cluster topology (a routable stream with no kernel-shared state)
   // while staying self-contained in one host.
@@ -201,10 +199,22 @@ void Conn::send_frame(MsgType, const void*, std::size_t) {
 bool Conn::recv_frame(MsgType*, std::vector<unsigned char>*) {
   FORCE_CHECK(false, "the cluster transport requires a POSIX platform");
 }
-std::pair<Conn, Conn> connected_pair(const std::string&) {
+std::pair<Conn, Conn> connected_pair(Transport) {
   FORCE_CHECK(false, "the cluster transport requires a POSIX platform");
 }
 
 #endif
+
+bool parse_transport(const std::string& text, Transport* out) {
+  if (text == "unix") {
+    *out = Transport::kUnix;
+    return true;
+  }
+  if (text == "tcp") {
+    *out = Transport::kTcp;
+    return true;
+  }
+  return false;
+}
 
 }  // namespace force::machdep::net

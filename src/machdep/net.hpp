@@ -250,10 +250,19 @@ class Conn {
   int fd_ = -1;
 };
 
-/// A connected pair of stream sockets on the named transport:
-/// "unix" (AF_UNIX socketpair, default) or "tcp" (loopback TCP).
+/// The stream transport between cluster members and the coordinator.
+enum class Transport {
+  kUnix,  ///< AF_UNIX socketpair (default)
+  kTcp    ///< loopback TCP with TCP_NODELAY
+};
+
+/// Parses a ForceConfig::cluster_transport value ("unix" or "tcp");
+/// false on anything else.
+[[nodiscard]] bool parse_transport(const std::string& text, Transport* out);
+
+/// A connected pair of stream sockets on `transport`.
 /// first = coordinator end, second = peer end.
-std::pair<Conn, Conn> connected_pair(const std::string& transport);
+std::pair<Conn, Conn> connected_pair(Transport transport);
 
 /// Sends every byte of `data` on `fd`, waiting via poll(2) when the socket
 /// buffer is full. Returns false if the far side has gone away (EPIPE /

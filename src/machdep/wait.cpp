@@ -60,6 +60,8 @@ void Waiter::sleep(const std::atomic<T>& word, T seen, WordScope scope) {
   word.wait(seen, std::memory_order_relaxed);
 }
 
+void Waiter::note_shared_site(const char* label) { shm::note_site(label); }
+
 template <typename T>
 void Waiter::wake_shared(std::atomic<T>& word, Wake who) {
   if constexpr (std::is_same_v<T, std::uint32_t>) {

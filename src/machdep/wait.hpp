@@ -94,6 +94,13 @@ class Waiter {
     }
   }
 
+  /// Names the construct a member is about to wait at. Only a shared-scope
+  /// wait records it: the os-fork parent reports the label if the member
+  /// process dies. Private waits have no such reader.
+  static void note_site(const char* label, WordScope scope) {
+    if (scope == WordScope::kShared) note_shared_site(label);
+  }
+
   /// pause() calls so far, window probes included.
   [[nodiscard]] std::uint64_t spins() const { return spins_; }
   /// True once an await() has run out of window and slept (or yielded).
@@ -122,6 +129,8 @@ class Waiter {
   /// Blocks while the word still reads `seen` (spurious returns allowed).
   template <typename T>
   static void sleep(const std::atomic<T>& word, T seen, WordScope scope);
+  /// The last-known site record of a shared-scope wait.
+  static void note_shared_site(const char* label);
   /// The futex wake of a shared word.
   template <typename T>
   static void wake_shared(std::atomic<T>& word, Wake who);

@@ -10,16 +10,15 @@
 //   * the word lock: 0 free, 1 held, 2 held with waiters (SystemLock,
 //     CombinedLock, shm::ShmLock, the arena and askfor monitors);
 //   * the episode barrier: {count, episode}, the width-th arriver runs
-//     the section and bumps the episode (CentralSenseBarrier, the os-fork
-//     keyed barrier and selfsched entry);
+//     the section and bumps the episode (CentralSenseBarrier, also the
+//     os-fork keyed barrier);
 //   * the episode gate: arrivals, departures and a ready bit in one word,
 //     the selfsched entry/exit protocol without an entry barrier
 //     (EpisodeGate's word implementation);
 //   * the full/empty cell word: empty/full/busy, where busy is the window
-//     in which the owner of a seize moves the payload (HepCell, the
-//     os-fork async cell);
-//   * the clamped dispatch counter (DispatchCounter's lock-free engine,
-//     the os-fork selfsched dispatch).
+//     in which the owner of a seize moves the payload (HepCell,
+//     FullEmptyGate's HEP expansion, every os-fork async variable);
+//   * the clamped dispatch counter (DispatchCounter's lock-free engine).
 #pragma once
 
 #include <algorithm>

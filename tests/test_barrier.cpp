@@ -228,7 +228,7 @@ TEST(ProcessSharedBarrier, EmptySectionNeverThrows) {
   cfg.process_model = "os-fork";
   fc::ForceEnvironment env(cfg);
   auto barrier_ptr =
-      env.make_process_shared_barrier(kWidth, "%test/empty-section");
+      env.make_team_barrier(kWidth, "%test/empty-section");
   fc::BarrierAlgorithm& barrier = *barrier_ptr;
   std::atomic<int> runs{0};
   {

@@ -54,17 +54,16 @@ TEST(DispatchCapability, MatchesTheMachineRegistry) {
 }
 
 TEST(DispatchCapability, FactoryHonoursCapabilityAndOverride) {
-  fm::MachineModel native(fm::machine_spec("native"));
-  EXPECT_TRUE(native.new_dispatch_counter()->lock_free());
-  EXPECT_FALSE(native.new_dispatch_counter(/*force_locked=*/true)->lock_free());
-  fm::MachineModel sequent(fm::machine_spec("sequent"));
-  EXPECT_FALSE(sequent.new_dispatch_counter()->lock_free());
-
+  std::atomic<std::int64_t> word{0};
   fc::ForceEnvironment auto_env(test_config(2, "native"));
   EXPECT_TRUE(auto_env.atomic_words());
+  EXPECT_TRUE(auto_env.new_dispatch_counter(word)->lock_free());
+  fc::ForceEnvironment sequent_env(test_config(2, "sequent"));
+  EXPECT_FALSE(sequent_env.atomic_words());
+  EXPECT_FALSE(sequent_env.new_dispatch_counter(word)->lock_free());
   fc::ForceEnvironment locked_env(test_config(2, "native", "locked"));
   EXPECT_FALSE(locked_env.atomic_words());
-  EXPECT_FALSE(locked_env.new_dispatch_counter()->lock_free());
+  EXPECT_FALSE(locked_env.new_dispatch_counter(word)->lock_free());
 }
 
 TEST(DispatchCapability, BadDispatchConfigThrows) {
@@ -78,9 +77,11 @@ class DispatchCounterBothEngines : public ::testing::TestWithParam<bool> {
  protected:
   std::unique_ptr<fm::DispatchCounter> make() {
     machine_ = std::make_unique<fm::MachineModel>(fm::machine_spec("native"));
-    return machine_->new_dispatch_counter(/*force_locked=*/GetParam());
+    if (!GetParam()) return std::make_unique<fm::DispatchCounter>(word_);
+    return std::make_unique<fm::DispatchCounter>(word_, machine_->new_lock());
   }
   std::unique_ptr<fm::MachineModel> machine_;
+  alignas(64) std::atomic<std::int64_t> word_{0};
 };
 
 TEST_P(DispatchCounterBothEngines, TilesTheTripSpaceExactlyOnce) {

@@ -420,7 +420,8 @@ class EpisodeGateTest
 TEST_P(EpisodeGateTest, PicksTheExpectedExpansion) {
   fc::ForceEnvironment env(config(2));
   const auto& [machine, dispatch] = GetParam();
-  EXPECT_EQ(env.new_episode_gate(2)->lock_free(),
+  std::atomic<std::uint32_t> word{0};
+  EXPECT_EQ(env.new_episode_gate(2, word)->lock_free(),
             machine == "native" && dispatch == "auto");
 }
 

@@ -3,15 +3,75 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "core/force.hpp"
 #include "core/privatevar.hpp"
+#include "util/check.hpp"
 
 namespace fc = force::core;
+
+namespace {
+
+// Sets an environment variable for one test and restores the ambient
+// value after, so a suite-wide FORCE_* run sees its own setting again.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (saved_.has_value()) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+// Constructs a Force from `cfg` (which starts no thread or process) and
+// returns the CheckError text, or "" when construction succeeded.
+std::string construction_error(const force::ForceConfig& cfg) {
+  try {
+    force::Force f(cfg);
+  } catch (const force::util::CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+// The FORCE_* overrides must be validated like explicit settings, when the
+// Force is constructed; otherwise a bogus transport surfaces only inside
+// the cluster spawn, and a worker count beyond int wraps silently.
+TEST(ConfigOverrides, BogusClusterTransportIsRejectedAtConstruction) {
+  ScopedEnv transport("FORCE_CLUSTER_TRANSPORT", "bogus");
+  force::ForceConfig cfg;
+  cfg.nproc = 2;
+  cfg.process_model = "cluster";
+  EXPECT_NE(construction_error(cfg).find("FORCE_CLUSTER_TRANSPORT"),
+            std::string::npos);
+}
+
+TEST(ConfigOverrides, OutOfRangePoolWorkersIsRejectedAtConstruction) {
+  ScopedEnv workers("FORCE_POOL_WORKERS", "1099511627776");  // 2^40
+  force::ForceConfig cfg;
+  cfg.nproc = 2;
+  EXPECT_NE(construction_error(cfg).find("FORCE_POOL_WORKERS"),
+            std::string::npos);
+}
 
 TEST(ForceDriver, RunsNprocProcessesWithFortranStyleIds) {
   force::Force f({.nproc = 5});

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -112,6 +113,39 @@ TEST(ForkBackend, RepeatedRunsReuseTheArenaState) {
     });
   }
   EXPECT_EQ(counter, 3 * kNproc);
+}
+
+// os-fork runs the paper's selfsched gate, as native threads do: there is
+// no entry barrier. Member 1 enters only after member 0 has run every
+// trip; an entry barrier would park member 0 until member 1's deadline ran
+// out, so the case fails instead of hanging.
+TEST(ForkSelfsched, NoEntryBarrier) {
+  constexpr std::int64_t kTrips = 100;
+  force::ForceConfig cfg = fork_config();
+  cfg.nproc = 2;
+  force::Force f(cfg);
+  auto& ran = f.shared<std::array<std::int64_t, 2>>("ran");
+  auto& waited_out = f.shared<std::int64_t>("waited_out");
+  f.run([&](core::Ctx& ctx) {
+    if (ctx.me0() == 1) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (std::atomic_ref<std::int64_t>(ran[0]).load() < kTrips) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          waited_out = 1;
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    ctx.selfsched_do(FORCE_SITE, 1, kTrips, 1, [&](std::int64_t) {
+      std::atomic_ref<std::int64_t>(ran[static_cast<std::size_t>(ctx.me0())])
+          .fetch_add(1);
+    });
+  });
+  EXPECT_EQ(waited_out, 0);
+  EXPECT_EQ(ran[0], kTrips);
+  EXPECT_EQ(ran[1], 0);
 }
 
 // Reduce writes per-process slots in an arena blob and folds them in a

@@ -31,8 +31,10 @@
 
 #include "core/force.hpp"
 #include "core/sentry.hpp"
+#include "machdep/backend.hpp"
 #include "machdep/process.hpp"
 #include "machdep/teampool.hpp"
+#include "machdep/words.hpp"
 #include "util/check.hpp"
 
 namespace core = force::core;
@@ -226,7 +228,8 @@ TEST(PooledForce, NmStripedLockHandsTheWorkerToItsHolder) {
 // (native) and both lock gates (native/locked, sequent): a member that
 // raced into the next episode would claim against the wrong bounds.
 class PooledGate
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {
+};
 
 TEST_P(PooledGate, NmSelfschedReentryRunsEveryTripOnce) {
   constexpr int kEpisodes = 10000;
@@ -258,11 +261,11 @@ TEST_P(PooledGate, NmSelfschedReentryRunsEveryTripOnce) {
 
 INSTANTIATE_TEST_SUITE_P(
     WordAndLockGates, PooledGate,
-    ::testing::Values(std::pair{"native", "auto"},
-                      std::pair{"native", "locked"},
-                      std::pair{"sequent", "auto"}),
+    ::testing::Values(std::pair<std::string, std::string>{"native", "auto"},
+                      std::pair<std::string, std::string>{"native", "locked"},
+                      std::pair<std::string, std::string>{"sequent", "auto"}),
     [](const auto& info) {
-      return std::string(info.param.first) + "_" + info.param.second;
+      return info.param.first + "_" + info.param.second;
     });
 
 TEST(PooledForce, ArenaGenerationIsStableAcrossPooledReentry) {
@@ -390,6 +393,39 @@ TEST(PooledForkForce, ADifferentProgramOnAnArmedPoolIsRejected) {
                force::util::CheckError);
 }
 
+// The PooledGate case on resident fork children: 10 000 back-to-back
+// selfsched episodes whose bounds change every episode, through the gate
+// word in the arena, twice on the same pool.
+TEST(PooledForkForce, SelfschedReentryRunsEveryTripOnce) {
+  constexpr int kEpisodes = 10000;
+  constexpr std::int64_t kMaxTrips = 32;
+  using Hits = std::array<std::int32_t, kEpisodes * kMaxTrips>;
+  force::Force f(fork_pool_config());
+  auto& hits = f.shared<Hits>("hits");
+  const auto program = [&](core::Ctx& ctx) {
+    for (int e = 0; e < kEpisodes; ++e) {
+      ctx.selfsched_do(FORCE_SITE, 0, e % kMaxTrips, 1, [&](std::int64_t t) {
+        std::atomic_ref<std::int32_t>(
+            hits[static_cast<std::size_t>(e * kMaxTrips + t)])
+            .fetch_add(1);
+      });
+    }
+  };
+  for (int round = 1; round <= 2; ++round) {
+    f.run(program);
+    int wrong = 0;
+    for (int e = 0; e < kEpisodes; ++e) {
+      for (std::int64_t t = 0; t < kMaxTrips; ++t) {
+        const int want = t <= e % kMaxTrips ? round : 0;
+        if (hits[static_cast<std::size_t>(e * kMaxTrips + t)] != want) {
+          ++wrong;
+        }
+      }
+    }
+    EXPECT_EQ(wrong, 0) << "round " << round;
+  }
+}
+
 TEST(PooledForkDeath, SigkilledPoolChildIsReportedOnceAndThePoolRecovers) {
   force::Force f(fork_pool_config());
   auto& kill_flag = f.shared<std::int64_t>("kill_flag");
@@ -469,5 +505,105 @@ TEST(PooledForkDeath, SigkilledPoolChildAtAReduceIsReportedAndThePoolRecovers) {
   total = 0;
   f.run(program);
   EXPECT_EQ(total, oracle);
+  EXPECT_LT(seconds_since(t0), 30.0) << "pooled robust join took too long";
+}
+
+TEST(PooledForkDeath, SigkilledPoolChildInASelfschedBodyIsReportedAndRecovers) {
+  // The victim dies inside the body, after arriving at the gate: its
+  // arrival stays in the gate word, so without the death scrub the next
+  // force's first arrival would wait for a departure that never comes.
+  constexpr std::int64_t kTrips = 64;
+  force::Force f(fork_pool_config());
+  auto& kill_flag = f.shared<std::int64_t>("kill_flag");
+  auto& victim_in = f.shared<std::int64_t>("victim_in");
+  auto& hits = f.shared<std::array<std::int64_t, kTrips>>("hits");
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto program = [&](core::Ctx& ctx) {
+    ctx.selfsched_do(FORCE_SITE, 0, kTrips - 1, 1, [&](std::int64_t t) {
+      if (kill_flag != 0 && ctx.me() == 2) {
+        std::atomic_ref<std::int64_t>(victim_in).store(1);
+        raise(SIGKILL);
+      }
+      if (kill_flag != 0) {
+        // Hold this trip until the victim has claimed one, so it surely
+        // dies inside the body (bounded: a failure, never a hang).
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (std::atomic_ref<std::int64_t>(victim_in).load() == 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      }
+      std::atomic_ref<std::int64_t>(hits[static_cast<std::size_t>(t)])
+          .fetch_add(1);
+    });
+  };
+
+  kill_flag = 1;
+  try {
+    f.run(program);
+    FAIL() << "a SIGKILLed pool child must surface as ProcessDeathError";
+  } catch (const md::ProcessDeathError& e) {
+    EXPECT_EQ(e.process(), 2);
+    EXPECT_EQ(e.term_signal(), SIGKILL);
+    EXPECT_NE(e.site().find("selfsched '"), std::string::npos)
+        << "victim site: " << e.site();
+  }
+
+  kill_flag = 0;
+  hits = {};
+  f.run(program);
+  for (std::int64_t t = 0; t < kTrips; ++t) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(t)], 1) << "trip " << t;
+  }
+  EXPECT_LT(seconds_since(t0), 30.0) << "pooled robust join took too long";
+}
+
+TEST(PooledForkDeath, SigkilledPoolChildHoldingABusyAsyncCellRecovers) {
+  // The victim dies inside a Produce's payload window: the cell word stays
+  // busy, so without the death scrub no later Produce or Consume could
+  // ever seize it.
+  force::Force f(fork_pool_config());
+  auto& kill_flag = f.shared<std::int64_t>("kill_flag");
+  auto& got = f.shared<std::int64_t>("got");
+  const core::Site cell_site = FORCE_SITE;
+  const std::string label = "async@" + cell_site.key();
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto program = [&](core::Ctx& ctx) {
+    auto& v = ctx.async_var<std::int64_t>(cell_site);
+    if (kill_flag != 0) {
+      if (ctx.me() == 2) {
+        v.produce(7);
+        (void)v.consume();
+        // Seize the empty cell as Produce does, and die before publishing.
+        auto* words = static_cast<md::AsyncWords<std::int64_t>*>(
+            f.env().arena().resolve(md::kAsyncWords + label));
+        if (md::cell_try_seize(words->cell, md::kCellEmpty)) raise(SIGKILL);
+      }
+      ctx.barrier();
+      return;
+    }
+    // Non-blocking, so a cell left busy fails the test instead of hanging.
+    if (ctx.me() == 1) got = v.try_produce(42) ? 1 : -1;
+    ctx.barrier();
+    if (ctx.me() == 2) {
+      std::int64_t out = 0;
+      if (got == 1) got = v.try_consume(&out) ? out : -2;
+    }
+  };
+
+  kill_flag = 1;
+  try {
+    f.run(program);
+    FAIL() << "a SIGKILLed pool child must surface as ProcessDeathError";
+  } catch (const md::ProcessDeathError& e) {
+    EXPECT_EQ(e.process(), 2);
+    EXPECT_EQ(e.site(), label);
+  }
+
+  kill_flag = 0;
+  got = 0;
+  f.run(program);
+  EXPECT_EQ(got, 42);
   EXPECT_LT(seconds_since(t0), 30.0) << "pooled robust join took too long";
 }
