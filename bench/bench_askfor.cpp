@@ -284,11 +284,11 @@ int main(int argc, char** argv) {
            fb::json_field("wall_ns", fb::json_num(r.wall_ns)),
            fb::json_field("grants_per_sec", fb::json_num(r.per_sec))});
     }
-    const std::string json = fb::render_bench_json(
-        "askfor_grants",
-        {fb::json_field("np", fb::json_num(std::uint64_t(np_grants))),
-         fb::json_field("native_atomic_over_locked", fb::json_num(speedup))},
-        rows);
+    std::vector<std::string> meta = fb::host_meta_fields();
+    meta.push_back(fb::json_field("np", fb::json_num(std::uint64_t(np_grants))));
+    meta.push_back(
+        fb::json_field("native_atomic_over_locked", fb::json_num(speedup)));
+    const std::string json = fb::render_bench_json("askfor_grants", meta, rows);
     if (fb::write_text_file(json_path, json)) {
       std::printf("Recorded grant throughput in %s\n", json_path.c_str());
     } else {

@@ -18,6 +18,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "theforce.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -151,15 +155,29 @@ inline std::string render_bench_json(
   return json;
 }
 
+/// The CPUs this process may run on: its affinity mask on Linux, so a
+/// run under `taskset -c 0` records 1 (hardware_concurrency() counts every
+/// online CPU whatever the pin), and the online count elsewhere.
+inline std::uint64_t host_cpu_count() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<std::uint64_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
+
 /// Host provenance fields recorded in every artifact that carries
 /// host-relative ratios: absolute wall numbers are only comparable against
 /// a baseline from a similar host, and the gate's ratio metrics are
 /// measured back to back on one host precisely so this does not matter.
+/// tools/bench_gate.py refuses to compare artifacts whose host_cpus
+/// differ.
 inline std::vector<std::string> host_meta_fields() {
   std::vector<std::string> fields;
-  fields.push_back(json_field(
-      "host_cpus",
-      json_num(std::uint64_t(std::thread::hardware_concurrency()))));
+  fields.push_back(json_field("host_cpus", json_num(host_cpu_count())));
 #if defined(__linux__)
   fields.push_back(json_field("host_os", json_str("linux")));
 #elif defined(__APPLE__)

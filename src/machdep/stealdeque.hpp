@@ -1,55 +1,64 @@
-// Bounded Chase-Lev work-stealing deque (machine-dependent layer).
+// Bounded Chase-Lev work-stealing deque of records (machine-dependent layer).
 //
 // This is the second lock-free structure gated on
 // MachineSpec::hardware_atomic_rmw (the first is DispatchCounter): a
 // single-owner double-ended queue where the owner pushes and pops at the
 // bottom (LIFO, cache-warm) and any number of thieves steal from the top
 // (FIFO, oldest task first). The Askfor monitor uses one per worker as its
-// dispatch fast path; the monitor's generic lock remains the slow path for
-// seeding, overflow, blocking and termination, so lock-only machines never
-// reach this file.
+// dispatch fast path and keeps the tasks themselves in it: a slot holds a
+// whole trivially copyable record, not an index into shared storage.
+// Lock-only machines never reach this file.
+//
+// Each slot is a row of relaxed std::atomic words, so a record is copied
+// word by word: a thief reads the slot into a private copy before its CAS
+// and hands the copy out only once the CAS won, so a thief that loses has
+// read no memory that raced a non-atomic write (and TSan sees none).
 //
 // The memory ordering follows Le, Pop, Cohen & Zappa Nardelli, "Correct
 // and Efficient Work-Stealing for Weak Memory Models" (PPoPP 2013). The
 // deque is deliberately *bounded*: a full push returns false and the
-// caller routes the token to the monitor's central queue instead - no
+// caller routes the record to the monitor's central queue instead - no
 // allocation, no buffer growth race, and a natural backpressure valve.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 namespace force::machdep {
 
+template <typename R>
 class StealDeque {
+  static_assert(std::is_trivially_copyable_v<R>,
+                "StealDeque records are copied word by word");
+
  public:
   /// Capacity must be a power of two (index masking).
   static constexpr std::size_t kCapacity = 1024;
 
-  StealDeque() {
-    for (auto& slot : buffer_) {
-      slot.store(0, std::memory_order_relaxed);
-    }
-  }
-
-  StealDeque(const StealDeque&) = delete;
-  StealDeque& operator=(const StealDeque&) = delete;
-
   /// Owner only. False when full (caller falls back to the central queue).
-  bool push(std::size_t value) {
+  bool push(const R& record) {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed);
     const std::int64_t t = top_.load(std::memory_order_acquire);
     if (b - t >= static_cast<std::int64_t>(kCapacity)) return false;
-    buffer_[index(b)].store(value, std::memory_order_relaxed);
-    // The value store must be visible before the new bottom is.
+    Words w{};
+    std::memcpy(w.data(), &record, sizeof(R));
+    for (std::size_t k = 0; k < kWords; ++k) {
+      buffer_[index(b)][k].store(w[k], std::memory_order_relaxed);
+    }
+    // The record's stores must be visible before the new bottom is (a
+    // release store too: TSan does not model the fence).
     std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    bottom_.store(b + 1, std::memory_order_release);
     return true;
   }
 
-  /// Owner only: LIFO pop. False when empty.
-  bool pop(std::size_t* value) {
+  /// Owner only: LIFO pop into `*out` (raw storage is fine). False when
+  /// empty.
+  bool pop(R* out) {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
     bottom_.store(b, std::memory_order_relaxed);
     // The bottom decrement must be ordered before the top read, or an
@@ -57,37 +66,39 @@ class StealDeque {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     std::int64_t t = top_.load(std::memory_order_relaxed);
     if (t <= b) {
-      *value = buffer_[index(b)].load(std::memory_order_relaxed);
+      const Words w = read(b);
+      bool won = true;
       if (t == b) {
         // Last element: race the thieves for it via top.
-        const bool won = top_.compare_exchange_strong(
-            t, t + 1, std::memory_order_seq_cst, std::memory_order_relaxed);
+        won = top_.compare_exchange_strong(t, t + 1,
+                                           std::memory_order_seq_cst,
+                                           std::memory_order_relaxed);
         bottom_.store(b + 1, std::memory_order_relaxed);
-        return won;
       }
-      return true;
+      if (won) std::memcpy(static_cast<void*>(out), w.data(), sizeof(R));
+      return won;
     }
     bottom_.store(b + 1, std::memory_order_relaxed);
     return false;
   }
 
-  /// Any thread: FIFO steal. False when empty or when the CAS lost a race
-  /// (callers treat both as "try elsewhere").
-  bool steal(std::size_t* value) {
+  /// Any thread: FIFO steal into `*out`. False when empty or when the CAS
+  /// lost a race (callers treat both as "try elsewhere").
+  bool steal(R* out) {
     std::int64_t t = top_.load(std::memory_order_acquire);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     const std::int64_t b = bottom_.load(std::memory_order_acquire);
     if (t >= b) return false;
-    const std::size_t v = buffer_[index(t)].load(std::memory_order_relaxed);
+    const Words w = read(t);
     if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                       std::memory_order_relaxed)) {
       return false;
     }
-    *value = v;
+    std::memcpy(static_cast<void*>(out), w.data(), sizeof(R));
     return true;
   }
 
-  /// Racy size hint (diagnostics and fast empty checks only).
+  /// Racy size hint (idle scans and diagnostics only).
   [[nodiscard]] std::int64_t size_hint() const {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed);
     const std::int64_t t = top_.load(std::memory_order_relaxed);
@@ -95,15 +106,28 @@ class StealDeque {
   }
 
  private:
+  static constexpr std::size_t kWords =
+      (sizeof(R) + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t);
+  using Words = std::array<std::uint64_t, kWords>;
+  using Slot = std::array<std::atomic<std::uint64_t>, kWords>;
+
   static std::size_t index(std::int64_t i) {
     return static_cast<std::size_t>(i) & (kCapacity - 1);
+  }
+
+  Words read(std::int64_t i) const {
+    Words w;
+    for (std::size_t k = 0; k < kWords; ++k) {
+      w[k] = buffer_[index(i)][k].load(std::memory_order_relaxed);
+    }
+    return w;
   }
 
   // top and bottom on their own cache lines: thieves hammer top, the
   // owner hammers bottom.
   alignas(64) std::atomic<std::int64_t> top_{0};
   alignas(64) std::atomic<std::int64_t> bottom_{0};
-  alignas(64) std::atomic<std::size_t> buffer_[kCapacity];
+  alignas(64) Slot buffer_[kCapacity]{};
 };
 
 }  // namespace force::machdep

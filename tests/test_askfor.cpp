@@ -2,13 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <mutex>
+#include <random>
 #include <set>
+#include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/askfor.hpp"
 #include "core/env.hpp"
+#include "core/force.hpp"
 
 namespace fc = force::core;
 
@@ -252,5 +259,246 @@ TEST(Askfor, WorksOnEveryMachineModel) {
       monitor.work([&](int& t, fc::Askfor<int>&) { sum.fetch_add(t); });
     });
     EXPECT_EQ(sum.load(), 820) << machine;
+  }
+}
+
+// --- termination credits (hardware-RMW engine) ------------------------------------
+
+namespace {
+
+/// splitmix64 finalizer: shapes the random trees and checks wide records.
+std::uint64_t mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// A small random tree over heap ids (children 2id, 2id+1): each node
+/// below `depth` has 0, 1 or 2 children, chosen by the salted hash.
+struct RandomTree {
+  std::uint64_t salt;
+  int depth;
+  [[nodiscard]] int children(std::uint64_t id) const {
+    if (static_cast<int>(std::bit_width(id)) > depth) return 0;
+    return static_cast<int>(mix(id ^ salt) % 3);
+  }
+  /// Nodes and the sum of their ids, walked sequentially.
+  [[nodiscard]] std::pair<std::size_t, std::uint64_t> oracle() const {
+    std::pair<std::size_t, std::uint64_t> r{0, 0};
+    std::vector<std::uint64_t> stack{1};
+    while (!stack.empty()) {
+      const std::uint64_t id = stack.back();
+      stack.pop_back();
+      r.first += 1;
+      r.second += id;
+      for (int c = 0; c < children(id); ++c) stack.push_back(2 * id + c);
+    }
+    return r;
+  }
+};
+
+force::ForceConfig pooled_config(int np) {
+  force::ForceConfig cfg;
+  cfg.nproc = np;
+  cfg.team_pool = true;
+  return cfg;
+}
+
+}  // namespace
+
+TEST(AskforCredit, WideRecordsArriveWholeAcrossSteals) {
+  // A three-word trivially copyable task rides by value through the
+  // deques' atomic slot words: every steal must hand over a whole record
+  // (its check word matches its id), and each record exactly once.
+  struct Wide {
+    std::uint64_t depth;
+    std::uint64_t id;
+    std::uint64_t check;
+  };
+  static_assert(std::is_trivially_copyable_v<Wide> && sizeof(Wide) == 24);
+  const int np = 8;
+  constexpr std::uint64_t kDepth = 10;
+  fc::ForceEnvironment env(test_config(np));
+  fc::Askfor<Wide> monitor(env);
+  std::mutex m;
+  std::multiset<std::uint64_t> ids;
+  std::atomic<int> torn{0};
+  monitor.put({0, 1, mix(1)});
+  on_team(np, [&](int) {
+    monitor.work([&](Wide& task, fc::Askfor<Wide>& self) {
+      if (task.check != mix(task.id)) ++torn;
+      if (task.depth < kDepth) {
+        for (std::uint64_t c = 0; c < 2; ++c) {
+          const std::uint64_t child = 2 * task.id + c;
+          self.put({task.depth + 1, child, mix(child)});
+        }
+      }
+      std::lock_guard<std::mutex> g(m);
+      ids.insert(task.id);
+    });
+  });
+  EXPECT_EQ(torn.load(), 0);
+  const std::size_t nodes = (std::size_t{1} << (kDepth + 1)) - 1;
+  ASSERT_EQ(ids.size(), nodes);
+  for (std::uint64_t id = 1; id <= nodes; ++id) {
+    ASSERT_EQ(ids.count(id), 1u) << id;
+  }
+  EXPECT_EQ(monitor.granted(), nodes);
+}
+
+TEST(AskforCredit, PooledReentryRunsEveryTaskOnceAndCountsEveryGrant) {
+  // A pooled np=4 team re-enters one Askfor site 10 000 times, each entry
+  // with a fresh small random tree: every entry re-arms the monitor, and
+  // its credits must neither leak into the next entry (a lost task or a
+  // hang) nor let a node run twice.
+  force::Force f(pooled_config(4));
+  std::mt19937_64 rng(20260418);
+  fc::Askfor<std::uint64_t>* site = nullptr;
+  std::size_t expected_grants = 0;
+  for (int entry = 0; entry < 10000; ++entry) {
+    const RandomTree tree{rng(), 1 + entry % 5};
+    const auto [nodes, id_sum] = tree.oracle();
+    std::atomic<std::size_t> ran{0};
+    std::atomic<std::uint64_t> ran_sum{0};
+    f.run([&](fc::Ctx& ctx) {
+      auto& af = ctx.askfor<std::uint64_t>(FORCE_SITE);
+      if (ctx.me() == 1) {
+        site = &af;
+        af.put(1);
+      }
+      ctx.barrier();
+      af.work([&](std::uint64_t& id, fc::Askfor<std::uint64_t>& self) {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        ran_sum.fetch_add(id, std::memory_order_relaxed);
+        for (int c = 0; c < tree.children(id); ++c) self.put(2 * id + c);
+      });
+    });
+    expected_grants += nodes;
+    ASSERT_EQ(ran.load(), nodes) << "entry " << entry;
+    ASSERT_EQ(ran_sum.load(), id_sum) << "entry " << entry;
+    ASSERT_EQ(site->granted(), expected_grants) << "entry " << entry;
+  }
+}
+
+TEST(AskforCredit, RegisteredWorkersWaitWhileAMemberHoldsAnOwnDequeTask) {
+  // WaitsWhileAWorkerMightProduce with worker slots: the holder runs a
+  // task it popped from its own deque, covered only by the credit it
+  // kept, and puts a child 20 ms later. Its registered siblings see no
+  // record anywhere in the meantime, yet must not declare the
+  // computation done.
+  fc::ForceEnvironment env(test_config(3));
+  fc::AskforCore core(env);
+  ASSERT_TRUE(core.lock_free());
+  core.put(1);
+  std::atomic<bool> holding{false};
+  std::atomic<bool> child_put{false};
+  std::atomic<int> early_done{0};
+  std::atomic<int> executed{0};
+  {
+    std::jthread holder([&] {
+      fc::AskforCore::WorkerSlot slot(core);
+      std::size_t task = 0;
+      EXPECT_EQ(core.ask(&task), fc::AskforCore::Outcome::kWork);
+      EXPECT_EQ(task, 1u);
+      core.put(2);  // into the holder's own deque
+      core.complete();
+      EXPECT_EQ(core.ask(&task), fc::AskforCore::Outcome::kWork);
+      EXPECT_EQ(task, 2u);  // its own deque, newest first
+      holding = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      child_put = true;
+      core.put(3);
+      core.complete();
+      executed += 2;
+      while (core.ask(&task) == fc::AskforCore::Outcome::kWork) {
+        ++executed;
+        core.complete();
+      }
+    });
+    std::vector<std::jthread> siblings;
+    for (int s = 0; s < 2; ++s) {
+      siblings.emplace_back([&] {
+        while (!holding.load()) std::this_thread::yield();
+        fc::AskforCore::WorkerSlot slot(core);
+        std::size_t task = 0;
+        while (core.ask(&task) == fc::AskforCore::Outcome::kWork) {
+          ++executed;
+          core.complete();
+        }
+        if (!child_put.load()) ++early_done;
+      });
+    }
+  }
+  EXPECT_EQ(early_done.load(), 0);
+  EXPECT_EQ(executed.load(), 3);
+  EXPECT_EQ(core.granted(), 3u);
+  EXPECT_TRUE(core.ended());
+}
+
+TEST(AskforCredit, ReleasedSlotHandsItsLeftoverRecordsOn) {
+  // A worker leaves its loop with records still in its own deque, as a
+  // throwing body does. Its slot must pass them on before returning the
+  // credit that covered them: a worker that arrives afterwards (and may
+  // even inherit the same slot) runs both instead of latching "drained".
+  fc::ForceEnvironment env(test_config(2));
+  fc::AskforCore core(env);
+  core.put(1);
+  std::jthread([&] {
+    fc::AskforCore::WorkerSlot slot(core);
+    std::size_t task = 0;
+    ASSERT_EQ(core.ask(&task), fc::AskforCore::Outcome::kWork);
+    core.put(2);
+    core.put(3);
+  }).join();
+  std::set<std::size_t> got;
+  std::jthread([&] {
+    fc::AskforCore::WorkerSlot slot(core);
+    std::size_t task = 0;
+    while (core.ask(&task) == fc::AskforCore::Outcome::kWork) {
+      got.insert(task);
+      core.complete();
+    }
+  }).join();
+  EXPECT_EQ(got, (std::set<std::size_t>{2, 3}));
+  EXPECT_EQ(core.granted(), 3u);
+}
+
+TEST(AskforCredit, ThrowLeavingOwnDequeRecordsThenTheNextEntryRunsItsTree) {
+  // The body holding the root throws after filling its own deque with the
+  // root's subtrees. The error surfaces from run(); the siblings still run
+  // the handed-off subtrees in that entry, and the next entry of the same
+  // pooled Force runs its whole tree exactly once.
+  constexpr int kDepth = 8;
+  constexpr int kNodes = (1 << (kDepth + 1)) - 1;  // full binary tree
+  force::Force f(pooled_config(4));
+  for (int entry = 0; entry < 2; ++entry) {
+    const bool throwing = entry == 0;
+    std::mutex m;
+    std::multiset<std::uint64_t> ran;
+    auto program = [&](fc::Ctx& ctx) {
+      auto& af = ctx.askfor<std::uint64_t>(FORCE_SITE);
+      if (ctx.me() == 1) af.put(1);
+      ctx.barrier();
+      af.work([&](std::uint64_t& id, fc::Askfor<std::uint64_t>& self) {
+        {
+          std::lock_guard<std::mutex> g(m);
+          ran.insert(id);
+        }
+        if (static_cast<int>(std::bit_width(id)) > kDepth) return;
+        self.put(2 * id);
+        self.put(2 * id + 1);
+        if (throwing && id == 1) throw std::runtime_error("bad root");
+      });
+    };
+    if (throwing) {
+      EXPECT_THROW(f.run(program), std::runtime_error);
+    } else {
+      f.run(program);
+    }
+    ASSERT_EQ(ran.size(), static_cast<std::size_t>(kNodes)) << entry;
+    for (std::uint64_t id = 1; id <= kNodes; ++id) {
+      ASSERT_EQ(ran.count(id), 1u) << "entry " << entry << " id " << id;
+    }
   }
 }

@@ -9,6 +9,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "bench_common.hpp"
 
@@ -64,6 +69,25 @@ std::string sample_doc(double fast_rel, double slow_rel,
   return fb::render_bench_json("apps", meta, rows);
 }
 
+/// sample_doc() with its host_cpus field set to `cpus`, or removed when
+/// `cpus` is negative.
+std::string sample_doc_on(int cpus, double fast_rel, double slow_rel) {
+  std::string doc = sample_doc(fast_rel, slow_rel);
+  const std::string field = fb::json_field(
+      "host_cpus", fb::json_num(std::uint64_t(fb::host_cpu_count())));
+  const auto pos = doc.find(field + ",\n");
+  EXPECT_NE(pos, std::string::npos);
+  if (pos == std::string::npos) return doc;
+  const std::string separator = ",\n  ";
+  const std::string replacement =
+      cpus < 0 ? std::string()
+               : fb::json_field("host_cpus",
+                                fb::json_num(std::uint64_t(cpus))) +
+                     separator;
+  doc.replace(pos, field.size() + separator.size(), replacement);
+  return doc;
+}
+
 class BenchJsonGateTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -91,6 +115,22 @@ TEST(BenchJsonRender, DocumentCarriesSchemaVersionAndBenchName) {
   EXPECT_NE(doc.find("\"results\": ["), std::string::npos);
   EXPECT_NE(doc.find("\"workload\": \"fast\""), std::string::npos);
   EXPECT_NE(doc.find("\"rel_throughput\": 2.000"), std::string::npos);
+}
+
+TEST(BenchJsonRender, HostCpusIsTheAffinityCount) {
+  // A pinned run (taskset) must record the CPUs it could use, not the
+  // host's online count, or its artifact names the wrong host class.
+  std::uint64_t expected = std::thread::hardware_concurrency();
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+  expected = static_cast<std::uint64_t>(CPU_COUNT(&set));
+#endif
+  EXPECT_EQ(fb::host_cpu_count(), expected);
+  const std::string field =
+      fb::json_field("host_cpus", fb::json_num(expected));
+  EXPECT_NE(sample_doc(2.0, 1.0).find(field), std::string::npos);
 }
 
 TEST(BenchJsonRender, EscapesQuotesAndBackslashes) {
@@ -148,6 +188,49 @@ TEST_F(BenchJsonGateTest, SchemaVersionMismatchFailsLoudly) {
   EXPECT_EQ(run(gate() + " --baseline " + base + " --current " + cur +
                 " --metric rel_throughput --max-regression 1.5"),
             2);
+}
+
+TEST_F(BenchJsonGateTest, HostCpusMismatchIsNeitherPassNorFail) {
+  // A 1-CPU baseline against a 4-CPU run: exit 2 whatever the numbers,
+  // even for a current run that would pass or fail the gate outright.
+  const std::string base = write("base.json", sample_doc_on(1, 2.0, 1.0));
+  for (const double slow : {1.0, 0.4}) {
+    const std::string cur = write("cur.json", sample_doc_on(4, 2.0, slow));
+    EXPECT_EQ(run(gate() + " --baseline " + base + " --current " + cur +
+                  " --metric rel_throughput --max-regression 1.5"),
+              2)
+        << slow;
+  }
+}
+
+TEST_F(BenchJsonGateTest, EqualHostCpusGatesAsBefore) {
+  const std::string base = write("base.json", sample_doc_on(4, 2.0, 1.0));
+  const std::string ok = write("ok.json", sample_doc_on(4, 2.0, 0.8));
+  const std::string bad = write("bad.json", sample_doc_on(4, 2.0, 0.4));
+  EXPECT_EQ(run(gate() + " --baseline " + base + " --current " + ok +
+                " --metric rel_throughput --max-regression 1.5"),
+            0);
+  EXPECT_EQ(run(gate() + " --baseline " + base + " --current " + bad +
+                " --metric rel_throughput --max-regression 1.5"),
+            1);
+}
+
+TEST_F(BenchJsonGateTest, ArtifactsWithoutHostCpusGateAsBefore) {
+  // A record from before the field existed (or a bench that does not
+  // write it) gates on its numbers alone, on either side.
+  const std::string bare = write("bare.json", sample_doc_on(-1, 2.0, 1.0));
+  const std::string ok = write("ok.json", sample_doc_on(4, 2.0, 0.8));
+  const std::string bad = write("bad.json", sample_doc_on(-1, 2.0, 0.4));
+  EXPECT_EQ(run(gate() + " --check " + bare), 0);
+  EXPECT_EQ(run(gate() + " --baseline " + bare + " --current " + ok +
+                " --metric rel_throughput --max-regression 1.5"),
+            0);
+  EXPECT_EQ(run(gate() + " --baseline " + bare + " --current " + bad +
+                " --metric rel_throughput --max-regression 1.5"),
+            1);
+  EXPECT_EQ(run(gate() + " --baseline " + ok + " --current " + bad +
+                " --metric rel_throughput --max-regression 1.5"),
+            1);
 }
 
 TEST_F(BenchJsonGateTest, MetricMissingEverywhereIsAnError) {

@@ -162,7 +162,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, DispatchCounterBothEngines,
 // --- StealDeque ------------------------------------------------------------------
 
 TEST(StealDeque, OwnerIsLifoThievesAreFifo) {
-  fm::StealDeque dq;
+  fm::StealDeque<std::size_t> dq;
   for (std::size_t v = 1; v <= 4; ++v) EXPECT_TRUE(dq.push(v));
   std::size_t v = 0;
   EXPECT_TRUE(dq.steal(&v));
@@ -178,8 +178,8 @@ TEST(StealDeque, OwnerIsLifoThievesAreFifo) {
 }
 
 TEST(StealDeque, BoundedPushReportsFull) {
-  fm::StealDeque dq;
-  for (std::size_t v = 0; v < fm::StealDeque::kCapacity; ++v) {
+  fm::StealDeque<std::size_t> dq;
+  for (std::size_t v = 0; v < fm::StealDeque<std::size_t>::kCapacity; ++v) {
     EXPECT_TRUE(dq.push(v));
   }
   EXPECT_FALSE(dq.push(999));
@@ -192,7 +192,7 @@ TEST(StealDeque, BoundedPushReportsFull) {
 TEST(StealDeque, ConcurrentOwnerAndThievesLoseNothing) {
   // One owner interleaving push/pop with three thieves: every pushed
   // value is consumed exactly once across pops and steals.
-  fm::StealDeque dq;
+  fm::StealDeque<std::size_t> dq;
   constexpr std::size_t kValues = 20000;
   std::mutex m;
   std::multiset<std::size_t> consumed;

@@ -43,9 +43,13 @@ recording the conservative envelope of N runs absorbs host noise without
 loosening the budget (docs/VALIDATION.md, baseline refresh policy). All
 non-gated fields are kept from the first input run.
 
+Both artifacts are gated only within one host class: when both carry
+"host_cpus" (the CPUs the bench process could run on) and the counts
+differ, the comparison means nothing and the script exits 2.
+
 Exit codes: 0 ok; 1 a gated metric regressed (or a baseline row/metric
-disappeared from the current run); 2 schema violation, schema_version or
-bench-name mismatch, or usage error.
+disappeared from the current run); 2 schema violation, schema_version,
+bench-name or host_cpus mismatch, or usage error.
 """
 
 import argparse
@@ -115,6 +119,12 @@ def row_identity(row):
     return tuple(sorted((k, v) for k, v in row.items() if isinstance(v, str)))
 
 
+def cpu_list(count):
+    """The taskset list that pins a run to the first `count` CPUs."""
+    count = int(count)
+    return "0" if count <= 1 else f"0-{count - 1}"
+
+
 def parse_metric(spec):
     name, sep, direction = spec.partition(":")
     if not name or (sep and direction not in ("higher", "lower")):
@@ -160,6 +170,17 @@ def gate(baseline, current, metrics, max_regression, baseline_path,
         raise GateError(
             f"bench name mismatch: baseline '{baseline['bench']}' vs "
             f"current '{current['bench']}' - wrong artifact passed?"
+        )
+    base_cpus = baseline.get("host_cpus")
+    cur_cpus = current.get("host_cpus")
+    if is_number(base_cpus) and is_number(cur_cpus) and base_cpus != cur_cpus:
+        raise GateError(
+            f"host class mismatch: baseline {baseline_path} was recorded "
+            f"with host_cpus {base_cpus}, current {current_path} with "
+            f"host_cpus {cur_cpus}. Parallel ratios differ by host class, "
+            "so this is neither a pass nor a fail - rerun pinned to the "
+            f"baseline's class (e.g. taskset -c {cpu_list(base_cpus)}) or "
+            "record a baseline for this one."
         )
 
     current_rows = {}
