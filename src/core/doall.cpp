@@ -48,13 +48,14 @@ void presched_do2(int me0, int np, std::int64_t i_start, std::int64_t i_last,
 // ---------------------------------------------------------------------------
 // SelfschedLoop - the paper's macro expansion, object-ified.
 //
-//   entry:  the EpisodeGate: the first arriver fixes the bounds and resets
+//   entry:  the EpisodeGate: the first arriver fixes the bounds and arms
 //           the dispatch counter; nobody waits for the rest of the team.
-//   body:   claim trips from the DispatchCounter - one fetch-add on
-//           hardware-RMW machines, one generic-lock pass (the paper's
-//           lock(LOOP); K = K_shared; K_shared = K + INCR; unlock(LOOP))
-//           on lock-only machines. If the claim is nonempty, execute and
-//           repeat; otherwise fall through.
+//   body:   claim trips from the DispatchCounter - one fetch-add on the
+//           member's home block (then on the others') on hardware-RMW
+//           machines, one generic-lock pass (the paper's lock(LOOP);
+//           K = K_shared; K_shared = K + INCR; unlock(LOOP)) on lock-only
+//           machines. If the claim is nonempty, execute and repeat;
+//           otherwise fall through.
 //   exit:   the EpisodeGate again: a departure waits for every arrival,
 //           and the last one out re-opens the loop. There is deliberately
 //           NO exit barrier: a process leaves as soon as it draws an
@@ -74,7 +75,7 @@ std::unique_ptr<machdep::DoallSite> make_doall_site(ForceEnvironment& env,
   if (auto remote = env.backend().make_doall_site(key, width)) return remote;
   auto words = env.place_words<machdep::DoallWords>(machdep::kDoallWords + key);
   auto gate = env.new_episode_gate(width, words->gate);
-  auto dispatch = env.new_dispatch_counter(words->dispatch);
+  auto dispatch = env.new_dispatch_counter(width, words->dispatch);
   return std::make_unique<machdep::GateDoallSite>(
       std::move(words), std::move(gate), std::move(dispatch),
       "selfsched '" + key + "'");
@@ -102,16 +103,16 @@ void SelfschedLoop::run_guided(int me0, std::int64_t start, std::int64_t last,
   run_episode(me0, start, last, incr, body, kGuided);
 }
 
-machdep::DispatchClaim SelfschedLoop::claim(std::int64_t chunk,
+machdep::DispatchClaim SelfschedLoop::claim(int me0, std::int64_t chunk,
                                              std::int64_t trips) {
   if (chunk == kGuided) {
     // Guided selfscheduling: claim a fraction of the remaining trips so
     // early claims are big (low dispatch overhead) and late claims small
     // (good load balance at the tail). On the lock-free engine this is a
-    // CAS loop on the remaining-trips value.
-    return site_->claim_fraction(trips, 2 * width_);
+    // CAS loop on the remaining trips of the member's home block.
+    return site_->claim_fraction(me0, trips, 2 * width_);
   }
-  return site_->claim(chunk, trips);
+  return site_->claim(me0, chunk, trips);
 }
 
 void SelfschedLoop::run_episode(int me0, std::int64_t start, std::int64_t last,
@@ -158,7 +159,7 @@ void SelfschedLoop::run_episode(int me0, std::int64_t start, std::int64_t last,
   for (;;) {
     // The lock-free claim has no lock hook, so the fuzzer perturbs here.
     if (sentry != nullptr) sentry->fuzz();
-    const machdep::DispatchClaim c = claim(chunk, trips);
+    const machdep::DispatchClaim c = claim(me0, chunk, trips);
     ++tally.dispatches;
     if (tracer) {
       tracer->instant(me0, util::TraceKind::kLoopDispatch,

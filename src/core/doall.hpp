@@ -15,16 +15,22 @@
 //
 //   SelfschedLoop holds one machdep::DoallSite, picked at construction and
 //   called the same way by every operation. On thread and os-fork it is
-//   machdep::GateDoallSite: the gate and the shared loop index (a
+//   machdep::GateDoallSite: the gate and the loop index (a
 //   machdep::DispatchCounter) over words ForceEnvironment places - in a
 //   block the site owns, or in the MAP_SHARED arena under os-fork. Each
 //   comes in two expansions, chosen once by ForceEnvironment::atomic_words:
 //   with hardware atomic RMW (and always under os-fork) the gate is one
-//   word and a claim is one fetch-add (guided: one CAS), with no lock at
-//   all; on lock-only machines both are the paper's lock expansions,
+//   word and the loop index is one home block of contiguous trips per
+//   member: a claim is one fetch-add on the member's own block (guided:
+//   one CAS), and a member whose block is empty steals from the front of
+//   the others' with the same RMW, with no lock at all. The paper promises
+//   that every index runs once on some process, not which one, so this
+//   claim order is free, and it keeps a row on the member that ran it
+//   last. On lock-only machines both are the paper's lock expansions,
 //   byte-for-byte in lock traffic - BARWIN/BARWOT/ZZNBAR and one generic
-//   lock pass per claim, on locks from MachineModel::new_lock(). The
-//   cluster backend hands out an RPC site instead.
+//   lock pass per claim on one shared index, on locks from
+//   MachineModel::new_lock(). The cluster backend hands out an RPC site
+//   instead.
 //
 // Iteration ranges follow Fortran DO semantics: start/last/incr with
 // positive or negative increments; an empty range executes nothing.
@@ -97,7 +103,8 @@ class SelfschedLoop {
                    std::int64_t incr,
                    const std::function<void(std::int64_t)>& body,
                    std::int64_t chunk);
-  machdep::DispatchClaim claim(std::int64_t chunk, std::int64_t trips);
+  machdep::DispatchClaim claim(int me0, std::int64_t chunk,
+                               std::int64_t trips);
 
   ForceEnvironment& env_;
   int width_;

@@ -179,12 +179,15 @@ class ForceEnvironment {
     return machdep::PlacedWords<Words>(word_arena_, key);
   }
 
-  /// Dispatch-counter factory over the placed `word`, honouring
-  /// atomic_words().
+  /// Dispatch-counter factory for a team of `width` over the placed
+  /// `words`, honouring atomic_words(): the home blocks, or the shared
+  /// word behind a machine lock.
   std::unique_ptr<machdep::DispatchCounter> new_dispatch_counter(
-      std::atomic<std::int64_t>& word) {
-    if (atomic_words()) return std::make_unique<machdep::DispatchCounter>(word);
-    return std::make_unique<machdep::DispatchCounter>(word,
+      int width, machdep::DispatchWords& words) {
+    if (atomic_words()) {
+      return std::make_unique<machdep::DispatchCounter>(words, width);
+    }
+    return std::make_unique<machdep::DispatchCounter>(words,
                                                       machine_->new_lock());
   }
 
@@ -245,13 +248,15 @@ class ForceEnvironment {
   [[nodiscard]] machdep::ForkTeamPool& fork_pool(int nproc);
 
   /// Scrubs every process-shared synchronization blob in the arena after
-  /// a pooled team died mid-protocol: lock words freed, barrier arrival
-  /// counts zeroed, askfor rings and selfsched episodes re-initialized,
-  /// busy async cells emptied. A poisoned team leaves this state wherever
-  /// the victims stood (a dead champion never publishes its episode), so
-  /// the fresh team the next run forks must not inherit it. User data -
-  /// shared variables, full async payloads - is untouched. os-fork only;
-  /// called with no team alive (between pool retirement and respawn).
+  /// a team died mid-protocol: lock words freed, barrier arrival counts
+  /// zeroed, askfor rings and selfsched episodes (gate, dispatch word and
+  /// home blocks) re-initialized, busy async cells emptied. A poisoned
+  /// team leaves this state wherever the victims stood (a dead champion
+  /// never publishes its episode), so the fresh team the next run forks
+  /// must not inherit it. User data - shared variables, full async
+  /// payloads - is untouched. os-fork only; the backend calls it itself
+  /// with no team alive (after the join, or between pool retirement and
+  /// respawn).
   void reset_shared_sync_after_death();
 
   /// Force-entry generation: bumped once at the top of every Force::run,

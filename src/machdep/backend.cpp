@@ -306,13 +306,14 @@ class ClusterDoallSite final : public DoallSite {
     return b;
   }
 
-  DispatchClaim claim(std::int64_t want, std::int64_t limit) override {
+  DispatchClaim claim(int /*me0*/, std::int64_t want,
+                      std::int64_t limit) override {
     const cluster::Claim c =
         cluster::require_client().dispatch_claim(key_, want, limit);
     return DispatchClaim{c.begin, c.count};
   }
 
-  DispatchClaim claim_fraction(std::int64_t limit,
+  DispatchClaim claim_fraction(int /*me0*/, std::int64_t limit,
                                std::int64_t divisor) override {
     const cluster::Claim c =
         cluster::require_client().dispatch_claim_fraction(key_, limit,
@@ -529,7 +530,14 @@ class ShmBackend final : public ExecutionBackend {
                       const std::function<void(int)>& member,
                       const std::type_info* program_type) override {
     if (!team_pool_enabled_) {
-      return ProcessTeam(ProcessModelKind::kOsFork).run(nproc, space, member);
+      try {
+        return ProcessTeam(ProcessModelKind::kOsFork).run(nproc, space,
+                                                          member);
+      } catch (const ProcessDeathError&) {
+        // As below: the next run forks a fresh team over the same arena.
+        reset_shared_sync_after_death();
+        throw;
+      }
     }
     ForkTeamPool& pool = fork_pool(nproc);
     // The pool's resident children re-execute the closure they were
@@ -589,10 +597,15 @@ class ShmBackend final : public ExecutionBackend {
       } else if (prefixed(kDoallWords)) {
         // The victims' arrivals and departures sit in the gate word: clear
         // it so the next episode opens fresh, and its opener re-arms the
-        // dispatch word (cleared too, for a clean slate).
+        // dispatch words (cleared too, for a clean slate: a victim's home
+        // block may still hold unrun trips).
         auto* w = static_cast<DoallWords*>(addr);
         w->gate.store(0, std::memory_order_release);
-        w->dispatch.store(0, std::memory_order_release);
+        w->dispatch.shared.store(0, std::memory_order_release);
+        for (DispatchBlock& b : w->dispatch.blocks) {
+          b.next.store(0, std::memory_order_release);
+          b.end = 0;
+        }
       } else if (prefixed("%askfor/")) {
         auto* a = static_cast<shm::ShmAskforState*>(addr);
         a->monitor.store(0, std::memory_order_release);

@@ -183,11 +183,12 @@ struct DoallBounds {
 };
 
 /// The words of one in-process selfscheduled DOALL site: the entry/exit
-/// gate word, the dispatch word and the bounds the opener publishes.
+/// gate word, the dispatch words (the lock engine's shared loop index and
+/// the word engine's home blocks) and the bounds the opener publishes.
 struct DoallWords {
   alignas(64) std::atomic<std::uint32_t> gate{0};
-  alignas(64) std::atomic<std::int64_t> dispatch{0};
-  DoallBounds bounds;
+  DispatchWords dispatch;
+  alignas(64) DoallBounds bounds;
 };
 
 /// The words of one in-process async variable: the full/empty cell word
@@ -209,8 +210,11 @@ class DoallSite {
   /// divergence detection by the caller).
   virtual DoallBounds enter(std::int64_t start, std::int64_t last,
                             std::int64_t incr, std::int64_t trips) = 0;
-  virtual DispatchClaim claim(std::int64_t want, std::int64_t limit) = 0;
-  virtual DispatchClaim claim_fraction(std::int64_t limit,
+  /// Claims for member `me0` (0-based), which picks its home block where
+  /// the site has them; see DispatchCounter.
+  virtual DispatchClaim claim(int me0, std::int64_t want,
+                              std::int64_t limit) = 0;
+  virtual DispatchClaim claim_fraction(int me0, std::int64_t limit,
                                        std::int64_t divisor) = 0;
   /// Departs the episode (a no-op where the entry is a champion barrier).
   virtual void leave() = 0;

@@ -49,7 +49,7 @@ DoallBounds GateDoallSite::enter(std::int64_t start, std::int64_t last,
   gate_->enter([&] {
     words_->bounds = {start, last, incr, trips};
     // Single writer while the gate is open only to it; the gate publishes.
-    dispatch_->reset(0);
+    dispatch_->reset(trips);
   });
   // Stable until every member has departed, which is after this read.
   return words_->bounds;

@@ -19,7 +19,11 @@
 // site built on it, for the thread and os-fork backends alike: its words
 // are placed by the caller - in a block of its own on thread, in the
 // MAP_SHARED arena (shared scope) under os-fork, which always runs the
-// word gate.
+// word gate. The opener publishes the bounds and arms the
+// DispatchCounter inside open(): with the word gate that is one home
+// block of trips per member, which the ready bit publishes before any
+// member claims, and which no member re-arms before every member of the
+// previous episode has left.
 #pragma once
 
 #include <atomic>
@@ -90,21 +94,23 @@ class GateDoallSite final : public DoallSite {
 
   DoallBounds enter(std::int64_t start, std::int64_t last, std::int64_t incr,
                     std::int64_t trips) override;
-  DispatchClaim claim(std::int64_t want, std::int64_t limit) override {
-    return dispatch_->claim(want, limit);
+  DispatchClaim claim(int me0, std::int64_t want,
+                      std::int64_t limit) override {
+    return dispatch_->claim(me0, want, limit);
   }
-  DispatchClaim claim_fraction(std::int64_t limit,
+  DispatchClaim claim_fraction(int me0, std::int64_t limit,
                                std::int64_t divisor) override {
-    return dispatch_->claim_fraction(limit, divisor);
+    return dispatch_->claim_fraction(me0, limit, divisor);
   }
   void leave() override { gate_->leave(); }
 
  private:
   PlacedWords<DoallWords> words_;
   std::unique_ptr<EpisodeGate> gate_;
-  /// The asynchronous loop index, counted in *trips claimed* (0-based)
-  /// rather than raw index values so claims clamp at the trip count and
-  /// can never overflow, and so chunked/guided/2D all share one engine.
+  /// The asynchronous loop index - home blocks, or the paper's shared
+  /// index - counted in *trips claimed* (0-based) rather than raw index
+  /// values so claims clamp at the trip count and can never overflow, and
+  /// so chunked/guided/2D all share one engine.
   std::unique_ptr<DispatchCounter> dispatch_;
   std::string label_;
 };

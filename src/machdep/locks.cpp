@@ -301,55 +301,85 @@ void CombinedLock::release() {
 // DispatchCounter
 // ---------------------------------------------------------------------------
 
-DispatchCounter::DispatchCounter(std::atomic<std::int64_t>& word)
-    : value_(&word) {}
+DispatchCounter::DispatchCounter(DispatchWords& words, int width)
+    : words_(&words),
+      blocks_(std::min(static_cast<std::uint32_t>(width), kDispatchBlocks)) {
+  FORCE_CHECK(width > 0, "dispatch width must be positive");
+}
 
-DispatchCounter::DispatchCounter(std::atomic<std::int64_t>& word,
+DispatchCounter::DispatchCounter(DispatchWords& words,
                                  std::unique_ptr<BasicLock> lock)
-    : value_(&word), lock_(std::move(lock)) {
+    : words_(&words), lock_(std::move(lock)) {
   FORCE_CHECK(lock_ != nullptr, "lock-engine DispatchCounter needs a lock");
 }
 
-void DispatchCounter::reset(std::int64_t v) {
+void DispatchCounter::reset(std::int64_t trips) {
   // Single-threaded by contract; the caller's gate release publishes it.
-  value_->store(v, std::memory_order_relaxed);
+  if (lock_ == nullptr) {
+    dispatch_arm(words_->blocks, blocks_, trips);
+  } else {
+    words_->shared.store(0, std::memory_order_relaxed);
+  }
 }
 
 std::int64_t DispatchCounter::value() const {
-  if (lock_ == nullptr) return value_->load(std::memory_order_acquire);
+  if (lock_ == nullptr) {
+    // Blocks tile the trips in order: each begins where the last ended.
+    std::int64_t claimed = 0;
+    std::int64_t begin = 0;
+    for (std::uint32_t s = 0; s < blocks_; ++s) {
+      const DispatchBlock& b = words_->blocks[s];
+      claimed += b.next.load(std::memory_order_acquire) - begin;
+      begin = b.end;
+    }
+    return claimed;
+  }
   lock_->acquire();
-  const std::int64_t v = value_->load(std::memory_order_relaxed);
+  const std::int64_t v = words_->shared.load(std::memory_order_relaxed);
   lock_->release();
   return v;
 }
 
-DispatchClaim DispatchCounter::claim(std::int64_t want, std::int64_t limit) {
-  if (lock_ == nullptr) return dispatch_claim(*value_, want, limit);
+DispatchClaim DispatchCounter::claim(int me0, std::int64_t want,
+                                     std::int64_t limit) {
+  if (lock_ == nullptr) {
+    return dispatch_claim_home(
+        words_->blocks, blocks_, home(me0),
+        [want](std::atomic<std::int64_t>& word, std::int64_t end) {
+          return dispatch_claim(word, want, end);
+        });
+  }
   FORCE_CHECK(want >= 1, "dispatch claim must want at least one trip");
   // Lock engine: the paper's expansion - one generic-lock pass per claim,
   // clamped at the limit so an exhausted loop never advances the counter.
   lock_->acquire();
-  const std::int64_t t = value_->load(std::memory_order_relaxed);
+  const std::int64_t t = words_->shared.load(std::memory_order_relaxed);
   if (t < limit) {
-    value_->store(t + std::min(want, limit - t), std::memory_order_relaxed);
+    words_->shared.store(t + std::min(want, limit - t),
+                         std::memory_order_relaxed);
   }
   lock_->release();
   if (t >= limit) return {t, 0};
   return {t, std::min(want, limit - t)};
 }
 
-DispatchClaim DispatchCounter::claim_fraction(std::int64_t limit,
+DispatchClaim DispatchCounter::claim_fraction(int me0, std::int64_t limit,
                                               std::int64_t divisor) {
   if (lock_ == nullptr) {
-    return dispatch_claim_fraction(*value_, limit, divisor);
+    const std::int64_t share = std::max<std::int64_t>(1, divisor / blocks_);
+    return dispatch_claim_home(
+        words_->blocks, blocks_, home(me0),
+        [share](std::atomic<std::int64_t>& word, std::int64_t end) {
+          return dispatch_claim_fraction(word, end, share);
+        });
   }
   FORCE_CHECK(divisor >= 1, "dispatch divisor must be at least one");
   lock_->acquire();
-  const std::int64_t t = value_->load(std::memory_order_relaxed);
+  const std::int64_t t = words_->shared.load(std::memory_order_relaxed);
   std::int64_t want = 0;
   if (t < limit) {
     want = std::max<std::int64_t>(1, (limit - t) / divisor);
-    value_->store(t + want, std::memory_order_relaxed);
+    words_->shared.store(t + want, std::memory_order_relaxed);
   }
   lock_->release();
   return {t, want};

@@ -257,57 +257,75 @@ class SystemLock final : public BasicLock {
 // ---------------------------------------------------------------------------
 // DispatchCounter - the capability-gated dispatch fast path (§4.1.3).
 //
-// Every selfscheduled DOALL claim (and similar central-counter dispatch)
-// is an atomic read-modify-write on one shared integer. Machines whose
-// hardware exposes atomic RMW directly (MachineSpec::hardware_atomic_rmw)
-// run it as a padded std::atomic fetch-add / CAS - no lock, no serialized
-// critical section, no lock-holder preemption. Lock-only machines fall
-// back to exactly the paper's expansion: the counter lives behind one
-// generic lock obtained from the machine model, so every claim remains
-// visible to LockCounters and the lock-scarcity experiments.
+// Every selfscheduled DOALL claim is an atomic read-modify-write. Machines
+// whose hardware exposes atomic RMW directly (MachineSpec::
+// hardware_atomic_rmw) run it on home blocks: the episode's opener arms
+// one contiguous slice of the trips per member, each on a claim word of
+// its own line, and a claim is one fetch-add on the member's home word
+// (guided: one CAS) - no lock, no serialized critical section, no
+// lock-holder preemption, and rows that stay on the member that ran them
+// last episode. A member whose block runs dry steals from the front of
+// the others' blocks with the same RMW. The paper promises only that
+// every index runs once on some process, so the claim order is free.
+// Lock-only machines fall back to exactly the paper's expansion: one
+// shared loop index behind one generic lock obtained from the machine
+// model, so every claim remains visible to LockCounters and the
+// lock-scarcity experiments.
 // ---------------------------------------------------------------------------
 
-/// A monotone trips-claimed counter with two interchangeable engines over
-/// one caller-placed word (its own cache line in the owning construct, or
-/// the MAP_SHARED arena under os-fork): the dispatch word's fetch-add
-/// (words.hpp; hardware RMW machines) or a value guarded by a lock
-/// (everything else). Both engines clamp at `limit`, so the stored value
-/// never runs away past the episode's trip count no matter how many
-/// exhausted processes keep probing (signed-overflow guard).
+/// A trips-claimed dispatch with two engines over caller-placed
+/// DispatchWords (its own block in the owning construct, or the MAP_SHARED
+/// arena under os-fork): the home blocks (words.hpp; hardware RMW
+/// machines) or the shared word guarded by a lock (everything else). Both
+/// clamp at their limit, so no stored value runs away past the episode's
+/// trip count no matter how many exhausted processes keep probing
+/// (signed-overflow guard), and both charge each member one exhausted
+/// claim per episode.
 class DispatchCounter {
  public:
-  /// Lock-free engine (requires hardware_atomic_rmw).
-  explicit DispatchCounter(std::atomic<std::int64_t>& word);
-  /// Lock-guarded engine; `lock` must come from MachineModel::new_lock()
-  /// so claims stay on the machine's instrumented, budgeted locks.
-  DispatchCounter(std::atomic<std::int64_t>& word,
-                  std::unique_ptr<BasicLock> lock);
+  /// Home-block engine for a team of `width` (requires
+  /// hardware_atomic_rmw).
+  DispatchCounter(DispatchWords& words, int width);
+  /// Lock-guarded engine over words.shared; `lock` must come from
+  /// MachineModel::new_lock() so claims stay on the machine's
+  /// instrumented, budgeted locks.
+  DispatchCounter(DispatchWords& words, std::unique_ptr<BasicLock> lock);
 
   DispatchCounter(const DispatchCounter&) = delete;
   DispatchCounter& operator=(const DispatchCounter&) = delete;
 
   [[nodiscard]] bool lock_free() const { return lock_ == nullptr; }
 
-  /// Resets to `v`. NOT thread-safe: callers synchronize externally (the
-  /// DOALL entry gate runs this in the first-arriver critical section and
-  /// publishes it through the gate-lock release).
-  void reset(std::int64_t v);
+  /// Arms an episode of `trips`. NOT thread-safe: callers synchronize
+  /// externally (the DOALL entry gate runs this in the first-arriver
+  /// critical section and publishes it through the gate).
+  void reset(std::int64_t trips);
 
-  /// Current value (diagnostic; one lock pass on the lock engine).
+  /// Trips claimed so far (diagnostic; one lock pass on the lock engine).
   [[nodiscard]] std::int64_t value() const;
 
-  /// Claims up to `want` trips, never past `limit`. Fast path: a single
-  /// fetch-add. A result that lands at or beyond `limit` claims nothing.
-  DispatchClaim claim(std::int64_t want, std::int64_t limit);
+  /// Claims up to `want` trips for member `me0`, never past `limit` (the
+  /// trip count reset() armed). Word engine: a fetch-add on the home
+  /// block, then on the others'. A claim of nothing means the work is
+  /// exhausted.
+  DispatchClaim claim(int me0, std::int64_t want, std::int64_t limit);
 
   /// Guided claim: max(1, remaining / divisor) trips where remaining =
-  /// limit - current. Fast path: a CAS loop. Lock engine: one lock pass,
-  /// like the paper.
-  DispatchClaim claim_fraction(std::int64_t limit, std::int64_t divisor);
+  /// limit - current. Word engine: a CAS on the home block, taking the
+  /// same share of the block (divisor / blocks) as the shared word would
+  /// of the whole. Lock engine: one lock pass, like the paper.
+  DispatchClaim claim_fraction(int me0, std::int64_t limit,
+                               std::int64_t divisor);
 
  private:
-  std::atomic<std::int64_t>* value_;
-  std::unique_ptr<BasicLock> lock_;  // null => lock-free engine
+  [[nodiscard]] std::uint32_t home(int me0) const {
+    const auto m = static_cast<std::uint32_t>(me0);
+    return m < blocks_ ? m : m % blocks_;  // no division on a narrow team
+  }
+
+  DispatchWords* words_;
+  std::uint32_t blocks_ = 1;         // home blocks in use (word engine)
+  std::unique_ptr<BasicLock> lock_;  // null => home-block engine
 };
 
 /// Combined lock (Flex/32): spin for the host's spin window, then block.

@@ -18,7 +18,9 @@
 //   * the full/empty cell word: empty/full/busy, where busy is the window
 //     in which the owner of a seize moves the payload (HepCell,
 //     FullEmptyGate's HEP expansion, every os-fork async variable);
-//   * the clamped dispatch counter (DispatchCounter's lock-free engine).
+//   * the clamped dispatch counter and the home blocks built from it
+//     (DispatchCounter's lock-free engine): one claim word per member,
+//     stolen from with the same RMW once the member's own runs dry.
 #pragma once
 
 #include <algorithm>
@@ -251,21 +253,22 @@ struct DispatchClaim {
 
 /// Claims up to `want` trips below `limit` with one fetch-add. Exactly-once
 /// follows from the RMW total order: successive returns tile [reset, ...)
-/// contiguously. A result at or past `limit` claims nothing and pulls the
-/// runaway value back to `limit`, so unbounded re-probing cannot overflow
-/// the counter; every trip below `limit` has been granted by then.
+/// contiguously. A claim that reaches past `limit` pulls the runaway value
+/// back to `limit`, so unbounded re-probing cannot overflow the counter and
+/// the counter ends the episode at `limit`; every trip below `limit` has
+/// been granted by then. A result at or past `limit` claims nothing.
 inline DispatchClaim dispatch_claim(std::atomic<std::int64_t>& counter,
                                     std::int64_t want, std::int64_t limit) {
   FORCE_CHECK(want >= 1, "dispatch claim must want at least one trip");
   const std::int64_t t = counter.fetch_add(want, std::memory_order_acq_rel);
-  if (t >= limit) {
+  if (t > limit - want) {
     std::int64_t cur = counter.load(std::memory_order_relaxed);
     while (cur > limit &&
            !counter.compare_exchange_weak(cur, limit,
                                           std::memory_order_acq_rel,
                                           std::memory_order_relaxed)) {
     }
-    return {t, 0};
+    if (t >= limit) return {t, 0};
   }
   return {t, std::min(want, limit - t)};
 }
@@ -285,6 +288,66 @@ inline DispatchClaim dispatch_claim_fraction(
       return {t, want};
     }
   }
+}
+
+// --- home-block dispatch ---------------------------------------------------
+
+/// Home blocks per dispatch site. A wider team shares them: member me0's
+/// home is block me0 % kDispatchBlocks, still exactly-once because every
+/// block is claimed by RMW.
+inline constexpr std::uint32_t kDispatchBlocks = 16;
+
+/// One home block: its claim word and its end, on a line of their own, so
+/// a claim at home touches no other member's line.
+struct alignas(64) DispatchBlock {
+  std::atomic<std::int64_t> next{0};
+  std::int64_t end = 0;
+};
+
+/// The dispatch words of one selfsched site: the shared loop index of the
+/// lock engine and the home blocks of the word engine.
+struct DispatchWords {
+  alignas(64) std::atomic<std::int64_t> shared{0};
+  DispatchBlock blocks[kDispatchBlocks];
+};
+
+/// Arms the first `n` blocks as contiguous slices of trips [0, trips) in
+/// member order, their sizes differing by at most one. Single writer: the
+/// caller publishes the blocks (the episode gate's ready bit).
+inline void dispatch_arm(DispatchBlock* blocks, std::uint32_t n,
+                         std::int64_t trips) {
+  // From q and r, not trips * s / n, which can overflow.
+  const std::int64_t q = trips / n;
+  const std::int64_t r = trips % n;
+  std::int64_t begin = 0;
+  for (std::uint32_t s = 0; s < n; ++s) {
+    blocks[s].next.store(begin, std::memory_order_relaxed);
+    begin += q + (s < r ? 1 : 0);
+    blocks[s].end = begin;
+  }
+}
+
+/// One claim for the member whose home is block `home` of `n`: `claim`
+/// (dispatch_claim or dispatch_claim_fraction on a block's word, up to
+/// the block's end) on the home block first, then on the others in member
+/// order from home + 1. Thieves take the front of a block with the same
+/// RMW as its owner. A count of 0 means one full scan found every block
+/// empty: the work is exhausted.
+template <typename Claim>
+DispatchClaim dispatch_claim_home(DispatchBlock* blocks, std::uint32_t n,
+                                  std::uint32_t home, const Claim& claim) {
+  std::uint32_t s = home;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    DispatchBlock& b = blocks[s];
+    // A block stays empty for the rest of the episode, so a plain look
+    // passes it by without an RMW on its owner's line.
+    if (b.next.load(std::memory_order_relaxed) < b.end) {
+      const DispatchClaim c = claim(b.next, b.end);
+      if (c.count > 0) return c;
+    }
+    s = s + 1 == n ? 0 : s + 1;
+  }
+  return {blocks[n - 1].end, 0};
 }
 
 }  // namespace force::machdep

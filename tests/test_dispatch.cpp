@@ -54,16 +54,16 @@ TEST(DispatchCapability, MatchesTheMachineRegistry) {
 }
 
 TEST(DispatchCapability, FactoryHonoursCapabilityAndOverride) {
-  std::atomic<std::int64_t> word{0};
+  fm::DispatchWords words;
   fc::ForceEnvironment auto_env(test_config(2, "native"));
   EXPECT_TRUE(auto_env.atomic_words());
-  EXPECT_TRUE(auto_env.new_dispatch_counter(word)->lock_free());
+  EXPECT_TRUE(auto_env.new_dispatch_counter(2, words)->lock_free());
   fc::ForceEnvironment sequent_env(test_config(2, "sequent"));
   EXPECT_FALSE(sequent_env.atomic_words());
-  EXPECT_FALSE(sequent_env.new_dispatch_counter(word)->lock_free());
+  EXPECT_FALSE(sequent_env.new_dispatch_counter(2, words)->lock_free());
   fc::ForceEnvironment locked_env(test_config(2, "native", "locked"));
   EXPECT_FALSE(locked_env.atomic_words());
-  EXPECT_FALSE(locked_env.new_dispatch_counter(word)->lock_free());
+  EXPECT_FALSE(locked_env.new_dispatch_counter(2, words)->lock_free());
 }
 
 TEST(DispatchCapability, BadDispatchConfigThrows) {
@@ -75,27 +75,33 @@ TEST(DispatchCapability, BadDispatchConfigThrows) {
 
 class DispatchCounterBothEngines : public ::testing::TestWithParam<bool> {
  protected:
-  std::unique_ptr<fm::DispatchCounter> make() {
+  /// A counter for a team of `width`, armed for `trips`.
+  std::unique_ptr<fm::DispatchCounter> make(int width, std::int64_t trips) {
     machine_ = std::make_unique<fm::MachineModel>(fm::machine_spec("native"));
-    if (!GetParam()) return std::make_unique<fm::DispatchCounter>(word_);
-    return std::make_unique<fm::DispatchCounter>(word_, machine_->new_lock());
+    auto counter =
+        GetParam()
+            ? std::make_unique<fm::DispatchCounter>(words_,
+                                                    machine_->new_lock())
+            : std::make_unique<fm::DispatchCounter>(words_, width);
+    counter->reset(trips);
+    return counter;
   }
   std::unique_ptr<fm::MachineModel> machine_;
-  alignas(64) std::atomic<std::int64_t> word_{0};
+  fm::DispatchWords words_;
 };
 
 TEST_P(DispatchCounterBothEngines, TilesTheTripSpaceExactlyOnce) {
-  auto counter = make();
-  EXPECT_EQ(counter->lock_free(), !GetParam());
   constexpr std::int64_t kTrips = 10000;
   constexpr int kThreads = 8;
+  auto counter = make(kThreads, kTrips);
+  EXPECT_EQ(counter->lock_free(), !GetParam());
   std::mutex m;
   std::vector<char> seen(kTrips, 0);
   std::atomic<int> exhausted_claims{0};
   on_team(kThreads, [&](int me) {
     const std::int64_t want = 1 + me % 3;  // mixed chunk sizes
     for (;;) {
-      const fm::DispatchClaim c = counter->claim(want, kTrips);
+      const fm::DispatchClaim c = counter->claim(me, want, kTrips);
       if (c.count == 0) {
         exhausted_claims.fetch_add(1);
         break;
@@ -117,25 +123,25 @@ TEST_P(DispatchCounterBothEngines, TilesTheTripSpaceExactlyOnce) {
 TEST_P(DispatchCounterBothEngines, ClampsInsteadOfRunningAway) {
   // The signed-overflow guard: exhausted processes may keep claiming
   // forever without the stored value drifting past the limit.
-  auto counter = make();
   constexpr std::int64_t kTrips = 10;
-  on_team(4, [&](int) {
+  auto counter = make(4, kTrips);
+  on_team(4, [&](int me) {
     for (int i = 0; i < 1000; ++i) {
-      (void)counter->claim(1 << 20, kTrips);
+      (void)counter->claim(me, 1 << 20, kTrips);
     }
   });
   EXPECT_EQ(counter->value(), kTrips);
 }
 
 TEST_P(DispatchCounterBothEngines, FractionClaimsShrinkAndCover) {
-  auto counter = make();
   constexpr std::int64_t kTrips = 4096;
+  auto counter = make(4, kTrips);
   std::mutex m;
   std::vector<char> seen(kTrips, 0);
   std::vector<std::int64_t> first_claims;
-  on_team(4, [&](int) {
+  on_team(4, [&](int me) {
     for (;;) {
-      const fm::DispatchClaim c = counter->claim_fraction(kTrips, 8);
+      const fm::DispatchClaim c = counter->claim_fraction(me, kTrips, 8);
       if (c.count == 0) break;
       std::lock_guard<std::mutex> g(m);
       if (first_claims.empty()) first_claims.push_back(c.count);
@@ -158,6 +164,72 @@ INSTANTIATE_TEST_SUITE_P(Engines, DispatchCounterBothEngines,
                          [](const auto& info) {
                            return info.param ? "locked" : "atomic";
                          });
+
+// --- home blocks: the word engine's claim order ----------------------------------
+
+TEST(SelfschedAffinity, ClaimsTheHomeBlockFirstThenStealsInMemberOrder) {
+  // 19 trips over 4 members: blocks [0,5) [5,10) [10,15) [15,19). Member 2
+  // runs its own block front to back, then steals from the front of
+  // member 3's, 0's and 1's, then draws its one exhausted claim.
+  fm::DispatchWords words;
+  fm::DispatchCounter counter(words, 4);
+  constexpr std::int64_t kTrips = 19;
+  counter.reset(kTrips);
+  std::vector<std::int64_t> order;
+  for (;;) {
+    const fm::DispatchClaim c = counter.claim(2, 1, kTrips);
+    if (c.count == 0) break;
+    EXPECT_EQ(c.count, 1);
+    order.push_back(c.begin);
+  }
+  std::vector<std::int64_t> want;
+  for (std::int64_t t : {10, 11, 12, 13, 14, 15, 16, 17, 18}) want.push_back(t);
+  for (std::int64_t t = 0; t < 10; ++t) want.push_back(t);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(counter.claim(0, 1, kTrips).count, 0);
+  EXPECT_EQ(counter.value(), kTrips);
+}
+
+TEST(SelfschedAffinity, ChunksAndGuidedClaimsStayInsideABlock) {
+  fm::DispatchWords words;
+  fm::DispatchCounter counter(words, 4);
+  counter.reset(400);  // blocks of 100
+  // A chunk stops at its block's end rather than running into the next.
+  EXPECT_EQ(counter.claim(1, 64, 400).begin, 100);
+  const fm::DispatchClaim tail = counter.claim(1, 64, 400);
+  EXPECT_EQ(tail.begin, 164);
+  EXPECT_EQ(tail.count, 36);
+  // Guided over 4 members (divisor 8): half of the home block's remainder,
+  // the same share the shared word would take of the whole.
+  const fm::DispatchClaim g = counter.claim_fraction(3, 400, 8);
+  EXPECT_EQ(g.begin, 300);
+  EXPECT_EQ(g.count, 50);
+}
+
+TEST(SelfschedAffinity, MembersBeyondTheBlocksShareThem) {
+  // 20 members over 16 blocks: member 17 shares block 1 with member 1.
+  constexpr int kWidth = 20;
+  constexpr std::int64_t kTrips = 32;  // blocks of 2
+  fm::DispatchWords words;
+  fm::DispatchCounter counter(words, kWidth);
+  counter.reset(kTrips);
+  EXPECT_EQ(counter.claim(17, 1, kTrips).begin, 2);
+  EXPECT_EQ(counter.claim(1, 1, kTrips).begin, 3);
+  EXPECT_EQ(counter.claim(17, 1, kTrips).begin, 4);  // stolen from block 2
+}
+
+TEST(SelfschedAffinity, RearmingReplacesEveryBlock) {
+  // An episode left half claimed is fully replaced by the next arming.
+  fm::DispatchWords words;
+  fm::DispatchCounter counter(words, 4);
+  counter.reset(40);
+  (void)counter.claim(0, 3, 40);
+  (void)counter.claim(3, 1, 40);
+  counter.reset(6);  // blocks [0,2) [2,4) [4,5) [5,6)
+  EXPECT_EQ(counter.value(), 0);
+  EXPECT_EQ(counter.claim(3, 1, 6).begin, 5);
+  EXPECT_EQ(counter.claim(3, 1, 6).begin, 0);
+}
 
 // --- StealDeque ------------------------------------------------------------------
 

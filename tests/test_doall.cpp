@@ -4,6 +4,7 @@
 // arbitrary (start, last, incr) including negative increments.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -14,6 +15,7 @@
 
 #include "core/doall.hpp"
 #include "core/env.hpp"
+#include "core/force.hpp"
 
 namespace fc = force::core;
 
@@ -521,3 +523,207 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
+
+// --- affinity dispatch: home blocks first, then stealing ---------------------------
+//
+// On atomic-words machines each member claims from its own home block of
+// trips first and steals from the front of the others' once it runs dry.
+// The paper promises only that every index runs once on some process;
+// these cases pin that promise on thread and on os-fork, whose words live
+// in the MAP_SHARED arena. Results travel through arena variables, since
+// an os-fork child's gtest failure would be invisible.
+
+namespace {
+
+constexpr int kAffinityNp = 4;
+constexpr std::size_t kAffinityMaxTrips = 96;
+
+using TripHits = std::array<std::int64_t, kAffinityMaxTrips>;
+
+void hit(TripHits& hits, std::int64_t t) {
+  std::atomic_ref<std::int64_t>(hits.at(static_cast<std::size_t>(t)))
+      .fetch_add(1);
+}
+
+/// Counts the trips of `hits` that did not run exactly once, where trips
+/// [0, trips) should have and the rest not at all.
+int wrong_trips(const TripHits& hits, std::int64_t trips) {
+  int wrong = 0;
+  for (std::size_t t = 0; t < kAffinityMaxTrips; ++t) {
+    const std::int64_t want = static_cast<std::int64_t>(t) < trips ? 1 : 0;
+    if (hits[t] != want) ++wrong;
+  }
+  return wrong;
+}
+
+}  // namespace
+
+class SelfschedAffinity : public ::testing::TestWithParam<std::string> {
+ protected:
+  force::ForceConfig config(int np) const {
+    force::ForceConfig cfg;
+    cfg.nproc = np;
+    cfg.process_model = GetParam();
+    return cfg;
+  }
+};
+
+TEST_P(SelfschedAffinity, EveryShapeRunsEachTripOnce) {
+  // Trip counts around the block sizes: none, fewer than the blocks, one
+  // per block, and ragged blocks. Shapes: chunk 1, chunk 3, guided, 2-D
+  // (three j values counting down) and a negative increment.
+  constexpr int np = kAffinityNp;
+  constexpr std::array<std::int64_t, 5> kTrips = {0, 1, np - 1, np,
+                                                  4 * np + 3};
+  constexpr std::size_t kShapes = 5;
+  force::Force f(config(np));
+  auto& hits =
+      f.shared<std::array<TripHits, kShapes * kTrips.size()>>("aff_hits");
+  f.run([&](fc::Ctx& ctx) {
+    for (std::size_t k = 0; k < kTrips.size(); ++k) {
+      const std::int64_t n = kTrips[k];
+      const auto shape = [&](std::size_t s) -> TripHits& {
+        return hits[s * kTrips.size() + k];
+      };
+      ctx.selfsched_do(FORCE_SITE, 1, n, 1,
+                       [&](std::int64_t i) { hit(shape(0), i - 1); });
+      ctx.selfsched_do(
+          FORCE_SITE, 1, n, 1, [&](std::int64_t i) { hit(shape(1), i - 1); },
+          3);
+      ctx.guided_do(FORCE_SITE, 1, n, 1,
+                    [&](std::int64_t i) { hit(shape(2), i - 1); });
+      ctx.selfsched_do2(FORCE_SITE, 1, n, 1, 3, 1, -1,
+                        [&](std::int64_t i, std::int64_t j) {
+                          hit(shape(3), (i - 1) * 3 + (3 - j));
+                        });
+      // 2n, 2n-2, ..., 2: n trips.
+      ctx.selfsched_do(FORCE_SITE, 2 * n, 1, -2, [&](std::int64_t i) {
+        hit(shape(4), (2 * n - i) / 2);
+      });
+    }
+  });
+  for (std::size_t s = 0; s < kShapes; ++s) {
+    for (std::size_t k = 0; k < kTrips.size(); ++k) {
+      const std::int64_t trips = s == 3 ? 3 * kTrips[k] : kTrips[k];
+      EXPECT_EQ(wrong_trips(hits[s * kTrips.size() + k], trips), 0)
+          << "shape " << s << ", " << kTrips[k] << " trips";
+    }
+  }
+}
+
+TEST_P(SelfschedAffinity, LateMemberHasItsBlockRunByTheOthers) {
+  // The last member enters only after the others have run every trip,
+  // its whole home block included: with no entry barrier they must steal
+  // it rather than wait for its owner.
+  constexpr int np = kAffinityNp;
+  constexpr std::int64_t kTrips = 4 * np + 3;
+  force::Force f(config(np));
+  auto& hits = f.shared<TripHits>("late_hits");
+  auto& ran = f.shared<std::array<std::int64_t, np>>("late_ran");
+  auto& waited_out = f.shared<std::int64_t>("late_waited_out");
+  f.run([&](fc::Ctx& ctx) {
+    const auto me = static_cast<std::size_t>(ctx.me0());
+    if (ctx.me0() == np - 1) {
+      // Bounded, so a member that waits for its owner fails the test
+      // instead of hanging it.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      for (;;) {
+        std::int64_t done = 0;
+        for (std::int64_t& r : ran) {
+          done += std::atomic_ref<std::int64_t>(r).load();
+        }
+        if (done >= kTrips) break;
+        if (std::chrono::steady_clock::now() > deadline) {
+          waited_out = 1;
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    ctx.selfsched_do(FORCE_SITE, 0, kTrips - 1, 1, [&](std::int64_t t) {
+      hit(hits, t);
+      std::atomic_ref<std::int64_t>(ran[me]).fetch_add(1);
+    });
+  });
+  EXPECT_EQ(waited_out, 0);
+  EXPECT_EQ(ran[np - 1], 0);
+  EXPECT_EQ(wrong_trips(hits, kTrips), 0);
+}
+
+TEST_P(SelfschedAffinity, TeamWiderThanTheBlocksStaysExactlyOnce) {
+  // 20 members over 16 home blocks: members 16-19 share blocks 0-3.
+  constexpr int np = 20;
+  static_assert(np > static_cast<int>(force::machdep::kDispatchBlocks));
+  constexpr std::array<std::int64_t, 5> kTrips = {1, 16, 19, 20, 4 * np + 3};
+  force::Force f(config(np));
+  auto& hits = f.shared<std::array<TripHits, 2 * kTrips.size()>>("wide_hits");
+  f.run([&](fc::Ctx& ctx) {
+    for (std::size_t k = 0; k < kTrips.size(); ++k) {
+      ctx.selfsched_do(FORCE_SITE, 0, kTrips[k] - 1, 1,
+                       [&](std::int64_t t) { hit(hits[k], t); });
+      ctx.guided_do(FORCE_SITE, 0, kTrips[k] - 1, 1, [&](std::int64_t t) {
+        hit(hits[kTrips.size() + k], t);
+      });
+    }
+  });
+  for (std::size_t k = 0; k < kTrips.size(); ++k) {
+    EXPECT_EQ(wrong_trips(hits[k], kTrips[k]), 0) << kTrips[k] << " trips";
+    EXPECT_EQ(wrong_trips(hits[kTrips.size() + k], kTrips[k]), 0)
+        << kTrips[k] << " trips, guided";
+  }
+}
+
+TEST_P(SelfschedAffinity, PooledReentryNeverLeaksABlockIntoTheNextEpisode) {
+  // One site on a pooled team, re-entered 10 000 times over four forces
+  // with a trip count that changes every episode: a block armed by one
+  // episode that survived into the next would run a trip twice, or one
+  // past the new count.
+  constexpr int np = kAffinityNp;
+  constexpr int kRuns = 4;
+  constexpr int kEpisodes = 10000;
+  constexpr std::int64_t kMaxTrips = 41;
+  static_assert(kMaxTrips <= 64, "one bit per trip");
+  force::ForceConfig cfg = config(np);
+  cfg.team_pool = true;
+  force::Force f(cfg);
+  // Per episode: the trips run, one bit each, and how many runs there were.
+  auto& masks = f.shared<std::array<std::uint64_t, kEpisodes>>("reent_masks");
+  auto& counts = f.shared<std::array<std::int64_t, kEpisodes>>("reent_counts");
+  auto& next_run = f.shared<std::int64_t>("reent_run");
+  const auto trips_of = [](int e) { return (e * 7) % kMaxTrips; };
+  for (int run = 0; run < kRuns; ++run) {
+    next_run = run;
+    f.run([&](fc::Ctx& ctx) {
+      const int first = static_cast<int>(next_run) * (kEpisodes / kRuns);
+      for (int e = first; e < first + kEpisodes / kRuns; ++e) {
+        const auto slot = static_cast<std::size_t>(e);
+        ctx.selfsched_do(FORCE_SITE, 0, trips_of(e) - 1, 1,
+                         [&](std::int64_t t) {
+                           std::atomic_ref<std::uint64_t>(masks[slot])
+                               .fetch_or(std::uint64_t{1} << t);
+                           std::atomic_ref<std::int64_t>(counts[slot])
+                               .fetch_add(1);
+                         });
+      }
+    });
+  }
+  int wrong = 0;
+  for (int e = 0; e < kEpisodes; ++e) {
+    const std::int64_t n = trips_of(e);
+    const std::uint64_t all = (std::uint64_t{1} << n) - 1;
+    const auto slot = static_cast<std::size_t>(e);
+    if (counts[slot] != n || masks[slot] != all) ++wrong;
+  }
+  EXPECT_EQ(wrong, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadAndOsFork, SelfschedAffinity,
+                         ::testing::Values("thread", "os-fork"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });

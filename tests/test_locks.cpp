@@ -121,7 +121,14 @@ TEST_P(LockTest, ContentionIsCounted) {
   auto lock = make();
   lock->acquire();
   std::jthread waiter([&] { lock->acquire(); lock->release(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Release only once the waiter has found the lock held: a fixed sleep
+  // loses to a waiter the host has not yet scheduled.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (md::snapshot(counters_).contended_acquires < 1u &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   lock->release();
   waiter.join();
   EXPECT_GE(md::snapshot(counters_).contended_acquires, 1u);

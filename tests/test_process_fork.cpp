@@ -219,6 +219,64 @@ TEST(ForkDeath, SigkillMidAskforIsReportedAndDoesNotHang) {
   EXPECT_LT(seconds_since(t0), 30.0) << "robust join took too long";
 }
 
+// A child SIGKILLed in a selfsched body while its home block still holds
+// unrun trips. The survivors take those trips over, then depart past an
+// exit gate the victim never leaves. The death must be reported with the
+// victim's process number and site, and the death scrub (gate, dispatch
+// word and home blocks) must leave the same force able to run the loop
+// again, every trip once.
+TEST(ForkDeath, SigkillMidSelfschedIsReportedAndDoesNotHang) {
+  constexpr std::int64_t kTrips = 64;  // home blocks of 16
+  force::Force f(fork_config());
+  auto& kill_flag = f.shared<std::int64_t>("kill_flag");
+  auto& victim_in = f.shared<std::int64_t>("victim_in");
+  auto& hits = f.shared<std::array<std::int64_t, kTrips>>("hits");
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto program = [&](core::Ctx& ctx) {
+    ctx.selfsched_do(FORCE_SITE, 0, kTrips - 1, 1, [&](std::int64_t t) {
+      if (kill_flag != 0 && ctx.me() == 3) {
+        // The front of process 3's home block, [32, 48): the rest of the
+        // block is still unrun.
+        std::atomic_ref<std::int64_t>(victim_in).store(t);
+        raise(SIGKILL);
+      }
+      if (kill_flag != 0) {
+        // Hold this trip until the victim has claimed one, so nobody can
+        // steal its block first (bounded: a failure, never a hang).
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (std::atomic_ref<std::int64_t>(victim_in).load() < 0 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      }
+      std::atomic_ref<std::int64_t>(hits[static_cast<std::size_t>(t)])
+          .fetch_add(1);
+    });
+  };
+
+  kill_flag = 1;
+  victim_in = -1;
+  try {
+    f.run(program);
+    FAIL() << "a SIGKILLed child must surface as ProcessDeathError";
+  } catch (const md::ProcessDeathError& e) {
+    EXPECT_EQ(e.process(), 3);
+    EXPECT_EQ(e.term_signal(), SIGKILL);
+    EXPECT_NE(e.site().find("selfsched '"), std::string::npos)
+        << "victim site: " << e.site();
+  }
+  EXPECT_EQ(victim_in, 2 * kTrips / kNproc) << "the victim's first claim";
+
+  kill_flag = 0;
+  hits = {};
+  f.run(program);
+  for (std::int64_t t = 0; t < kTrips; ++t) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(t)], 1) << "trip " << t;
+  }
+  EXPECT_LT(seconds_since(t0), 30.0) << "robust join took too long";
+}
+
 // Nonzero exit: a child throwing an ordinary exception leaves with code 1
 // and its what() preserved in the team control block.
 TEST(ForkDeath, ChildExceptionCarriesMessageAndProcessNumber) {
