@@ -435,9 +435,10 @@ int main(int argc, char** argv) {
                        ? static_cast<int>(cli.get_int("reps"))
                        : (quick ? 5 : 7);
 
-  // Workload sizes. The tree's frontier stays well under the os-fork
-  // askfor ring capacity (4096): the widest level is 2^(full_depth-1)
-  // plus the hash-decided tails.
+  // Workload sizes. The tree's frontier stays well under the capacity of
+  // the os-fork Askfor central queue (4096 tasks beyond the members'
+  // deques): the widest level is 2^(full_depth-1) plus the hash-decided
+  // tails.
   const int cmfd_n = quick ? 24 : 48;
   const double cmfd_tol = 1e-4;
   const int cmfd_cap = quick ? 400 : 600;

@@ -141,7 +141,12 @@ GrantThroughput measure_grants(const std::string& machine,
   cfg.machine = machine;
   cfg.dispatch = dispatch_mode;
   force::core::ForceEnvironment env(cfg);
-  using TreeTask = std::pair<int, int>;  // (depth, lane)
+  // Trivially copyable, so a task rides by value through the deques (a
+  // std::pair is not, and would be boxed on the heap per put).
+  struct TreeTask {
+    int depth;
+    int lane;
+  };
   force::core::Askfor<TreeTask> monitor(env);
   // One root per process, seeded centrally; all expansion happens inside
   // worker bodies, i.e. on the per-worker deques when the fast path is on.
@@ -152,9 +157,9 @@ GrantThroughput measure_grants(const std::string& machine,
   g.wall_ns = force::bench::time_ns([&] {
     force::bench::on_team(np, [&](int) {
       monitor.work([&](TreeTask& t, force::core::Askfor<TreeTask>& self) {
-        if (t.first < depth) {
-          self.put({t.first + 1, t.second});
-          self.put({t.first + 1, t.second});
+        if (t.depth < depth) {
+          self.put({t.depth + 1, t.lane});
+          self.put({t.depth + 1, t.lane});
         }
       });
     });

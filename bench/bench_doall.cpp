@@ -272,12 +272,13 @@ int main(int argc, char** argv) {
            fb::json_field("wall_ns", fb::json_num(r.wall_ns)),
            fb::json_field("dispatches_per_sec", fb::json_num(r.per_sec))});
     }
-    const std::string json = fb::render_bench_json(
-        "doall_dispatch",
-        {fb::json_field("np", fb::json_num(std::uint64_t(np))),
-         fb::json_field("chunk", fb::json_num(std::uint64_t(1))),
-         fb::json_field("native_atomic_over_locked", fb::json_num(speedup))},
-        rows);
+    std::vector<std::string> meta = fb::host_meta_fields();
+    meta.push_back(fb::json_field("np", fb::json_num(std::uint64_t(np))));
+    meta.push_back(fb::json_field("chunk", fb::json_num(std::uint64_t(1))));
+    meta.push_back(
+        fb::json_field("native_atomic_over_locked", fb::json_num(speedup)));
+    const std::string json =
+        fb::render_bench_json("doall_dispatch", meta, rows);
     if (fb::write_text_file(json_path, json)) {
       std::printf("Recorded dispatch throughput in %s\n", json_path.c_str());
     } else {

@@ -7,10 +7,21 @@
 //
 // BasicAskforCore<R> is the monitor: task records plus the bookkeeping
 // needed to distinguish "no work right now, but a working process may
-// still put() more" (wait) from "no work and nobody working" (done).
-// Askfor<T> is the typed façade with the canonical worker loop. Tasks
-// travel by value: a trivially copyable T is its own record, any other T
-// (thread backend only) one owning pointer to a boxed copy.
+// still put() more" (wait) from "no work and nobody working" (done), and
+// the canonical worker loop. Askfor<T> is the typed façade. Tasks travel
+// by value: a trivially copyable T is its own record, any other T (thread
+// backend only) one owning pointer to a boxed copy.
+//
+// One engine serves thread and os-fork. Its shared state is one blob of
+// words (machdep::AskforWords: the counters, the latches and a slot per
+// member) placed by ForceEnvironment::place_words at kAskforWords + key:
+// private to the engine on thread, in the MAP_SHARED arena under os-fork,
+// where every member process meets at the same words. Only the central
+// queue's storage depends on that scope: an unbounded std::deque on
+// private scope, a ring of kSharedCentralCapacity records inside the blob
+// on shared scope (a put() beyond it is a checked error). The cluster
+// backend, which has no shared memory, hands out a coordinator monitor
+// instead; Askfor<T> holds whichever of the two as one machdep::AskforRing.
 //
 // Dispatch has two engines, selected by the machine's atomic-RMW
 // capability (ForceEnvironment::atomic_words):
@@ -44,6 +55,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -88,19 +100,33 @@ inline thread_local AskforBinding askfor_binding;
 
 /// The monitor over trivially copyable records R: put() takes a record by
 /// value, ask() copies the granted one into `*record` (raw storage is
-/// fine).
+/// fine). Direct users drive put/ask/complete; Askfor<T> drives it through
+/// machdep::AskforRing, whose entry points also re-arm the monitor for
+/// the current force entry.
 template <typename R>
-class BasicAskforCore {
+class BasicAskforCore final : public machdep::AskforRing {
  public:
-  explicit BasicAskforCore(ForceEnvironment& env)
+  explicit BasicAskforCore(ForceEnvironment& env,
+                           const std::string& key = "askfor")
       : env_(env),
-        monitor_(env.new_lock(machdep::LockRole::kMutex, "askfor.monitor")) {
-    if (env.atomic_words()) {
-      nslots_ = env.nproc();
-      slots_ = std::make_unique<Slot[]>(static_cast<std::size_t>(nslots_));
+        label_("askfor '" + key + "'"),
+        // Keyed by site: os-fork keys a lock's arena word by its label.
+        monitor_(env.new_lock(machdep::LockRole::kMutex,
+                              "askfor.monitor/" + key)),
+        words_(place(env, key)),
+        slots_(reinterpret_cast<Slot*>(words_->slots())),
+        nslots_(static_cast<int>(words_->nslots)) {
+    FORCE_CHECK(words_->slot_bytes == sizeof(Slot),
+                label_ + " is already placed for another task type");
+    if (words_->ring_capacity > 0) {
+      shared_queue_ = reinterpret_cast<R*>(words_->ring());
     }
   }
-  ~BasicAskforCore() { drop_queued(true); }
+  ~BasicAskforCore() override {
+    // Shared words outlive this process's handle; private ones die here,
+    // and their boxed records with them.
+    if (words_.scope() == machdep::WordScope::kPrivate) drop_queued(true);
+  }
 
   enum class Outcome {
     kWork,  ///< a record was granted; caller must complete() afterwards
@@ -132,10 +158,11 @@ class BasicAskforCore {
     ~WorkerSlot() {
       askfor_binding = saved_;
       if (slot_ < 0) return;
-      Slot& s = core_.slots_[slot_];
+      machdep::AskforSlotHead& s = core_.slots_[slot_].head;
       if (s.credit) {
         core_.monitor_->acquire();
-        core_.drain(s.deque, !core_.probend_.load(std::memory_order_relaxed));
+        core_.drain(core_.slots_[slot_].deque,
+                    !core_.words_->probend.load(std::memory_order_relaxed));
         core_.monitor_->release();
         core_.drop_credit(slot_);
       }
@@ -160,10 +187,11 @@ class BasicAskforCore {
   /// Adds a record (callable from inside a granted task).
   void put(R record) {
     if (Sentry* sn = env_.sentry()) sn->fuzz();
+    machdep::AskforWords& w = *words_;
     if (!lock_free()) {
       // Lock engine: the Argonne monitor shape, one lock pass.
       monitor_->acquire();
-      if (!probend_.load(std::memory_order_relaxed)) {
+      if (!w.probend.load(std::memory_order_relaxed)) {
         // A drained latch that beat this put is provisional: with the seed
         // put inside the force (the leader puts, everyone works), a
         // sibling's first ask can find the queue empty with nobody working
@@ -173,15 +201,15 @@ class BasicAskforCore {
         // loop just sit at the next barrier while the remaining members
         // (at least the seeder itself) drain the work - fewer hands, same
         // answer. A probend stays final: those records drop, as ever.
-        ended_.store(false, std::memory_order_relaxed);
-        queue_.push_back(record);
+        w.ended.store(false, std::memory_order_relaxed);
+        push_central(record);  // private scope: unbounded
       } else {
         drop_record(record);
       }
       monitor_->release();
       return;
     }
-    if (probend_.load(std::memory_order_acquire)) {
+    if (w.probend.load(std::memory_order_acquire)) {
       drop_record(record);  // dropped, as ever
       return;
     }
@@ -189,7 +217,7 @@ class BasicAskforCore {
     if (slot >= 0) {
       // Own deque, covered by this worker's credit: no shared write. A
       // worker that puts before it ever asked takes its credit here.
-      if (!slots_[slot].credit) {
+      if (!slots_[slot].head.credit) {
         take_credit(slot);
         reopen_drained();
       }
@@ -198,17 +226,17 @@ class BasicAskforCore {
     // Unregistered thread, or the bounded deque is full: central queue.
     // Count the record *before* it becomes visible so termination
     // detection can never see an empty system while it is mid-publish.
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
+    w.inflight.fetch_add(1, std::memory_order_acq_rel);
     reopen_drained();
     monitor_->acquire();
-    if (probend_.load(std::memory_order_relaxed)) {
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      drop_record(record);
-    } else {
-      queue_.push_back(record);
-      central_count_.fetch_add(1, std::memory_order_release);
-    }
+    const bool dropped = w.probend.load(std::memory_order_relaxed);
+    const bool queued = !dropped && push_central(record);
+    if (queued) w.central_count.fetch_add(1, std::memory_order_release);
     monitor_->release();
+    if (queued) return;
+    w.inflight.fetch_sub(1, std::memory_order_acq_rel);
+    drop_record(record);
+    FORCE_CHECK(dropped, overflow_message());
   }
 
   /// Blocks until a record is granted or the computation completes.
@@ -221,74 +249,82 @@ class BasicAskforCore {
   /// been fully processed (its put() calls, if any, already made). A
   /// registered worker's credit outlives its tasks: a no-op for it.
   void complete() {
+    machdep::AskforWords& w = *words_;
     if (lock_free()) {
       if (current_slot() >= 0) return;
       const std::uint64_t old =
-          inflight_.fetch_sub(kWorkingOne, std::memory_order_acq_rel);
+          w.inflight.fetch_sub(kWorkingOne, std::memory_order_acq_rel);
       if ((old >> 32) == 0) {
-        inflight_.fetch_add(kWorkingOne, std::memory_order_acq_rel);
+        w.inflight.fetch_add(kWorkingOne, std::memory_order_acq_rel);
         FORCE_CHECK(false, "complete() without a granted task");
       }
       return;
     }
     monitor_->acquire();
-    const bool granted = working_ > 0;
-    if (granted) --working_;
+    const bool granted = w.working > 0;
+    if (granted) --w.working;
     monitor_->release();
     FORCE_CHECK(granted, "complete() without a granted task");
   }
 
+  // --- machdep::AskforRing --------------------------------------------------
+
+  void put(const void* record) override {
+    rearm(env_.run_generation());
+    put(*static_cast<const R*>(record));
+  }
+
+  /// The canonical worker loop, registered with the fast path (a no-op on
+  /// lock-only machines) for its duration; every record it is granted is
+  /// dropped once `run` is done with it.
+  std::size_t work(void* record, const std::function<void()>& run) override {
+    rearm(env_.run_generation());
+    machdep::Waiter::note_site(label_.c_str(), words_.scope());
+    WorkerSlot worker(*this);
+    R* granted = static_cast<R*>(record);
+    std::size_t executed = 0;
+    while (ask(granted) == Outcome::kWork) {
+      try {
+        run();
+      } catch (...) {
+        drop_record(*granted);
+        complete();
+        throw;
+      }
+      drop_record(*granted);
+      ++executed;
+      complete();
+    }
+    return executed;
+  }
+
   /// Ends the computation immediately; subsequent and pending ask()s
   /// return kDone. Idempotent.
-  void probend() {
+  void probend() override {
+    rearm(env_.run_generation());
+    machdep::AskforWords& w = *words_;
     monitor_->acquire();
-    // probend_ first: a reader that sees ended_ without the monitor must
+    // probend first: a reader that sees ended without the monitor must
     // never mistake an explicit end for a provisional drain and re-open it
-    // (the re-open paths re-check probend_ under the monitor regardless).
-    probend_.store(true, std::memory_order_release);
-    ended_.store(true, std::memory_order_release);
+    // (the re-open paths re-check probend under the monitor regardless).
+    w.probend.store(true, std::memory_order_release);
+    w.ended.store(true, std::memory_order_release);
     drop_queued(false);
     monitor_->release();
   }
 
-  /// Re-arms the monitor for force-entry generation `gen`: a pooled team
-  /// re-enters the same force (and so the same construct sites) many
-  /// times, and the drained/probend latch must reset per entry. Leftover
-  /// records of an aborted episode are dropped in the same monitor pass,
-  /// before the new generation is published. No-op once the monitor has
-  /// seen `gen`; must only run at episode boundaries (no worker inside
-  /// ask()/complete()).
-  void rearm_for(std::uint32_t gen) {
-    if (seen_generation_.load(std::memory_order_acquire) == gen) return;
-    monitor_->acquire();
-    if (seen_generation_.load(std::memory_order_relaxed) != gen) {
-      // Fresh force entry on a reused site: clear the previous episode.
-      // The generation stamp is the last write, so racing first-ops of
-      // the same entry see either the old generation (and reset
-      // themselves, idempotently, under the monitor) or a fully reset
-      // monitor.
-      drop_queued(true);
-      working_ = 0;
-      inflight_.store(0, std::memory_order_release);
-      probend_.store(false, std::memory_order_release);
-      ended_.store(false, std::memory_order_release);
-      seen_generation_.store(gen, std::memory_order_release);
-    }
-    monitor_->release();
-  }
-
-  [[nodiscard]] bool ended() const {
+  [[nodiscard]] bool ended() const override {
     if (!lock_free()) monitor_->acquire();
-    const bool e = ended_.load(std::memory_order_acquire);
+    const bool e = words_->ended.load(std::memory_order_acquire);
     if (!lock_free()) monitor_->release();
     return e;
   }
 
-  [[nodiscard]] std::size_t granted() const {
+  [[nodiscard]] std::uint64_t granted() const override {
     if (!lock_free()) monitor_->acquire();
-    std::size_t g = granted_.load(std::memory_order_acquire);
+    std::uint64_t g = words_->granted.load(std::memory_order_acquire);
     for (int i = 0; i < nslots_; ++i) {
-      g += slots_[i].grants.load(std::memory_order_relaxed);
+      g += slots_[i].head.grants.load(std::memory_order_relaxed);
     }
     if (!lock_free()) monitor_->release();
     return g;
@@ -298,9 +334,56 @@ class BasicAskforCore {
   [[nodiscard]] bool lock_free() const { return nslots_ > 0; }
 
  private:
+  /// One member's slot: its head (claim, credit, grant tally) on its own
+  /// cache lines, then its deque. The holder tallies grants with a relaxed
+  /// increment (exclusive line, no contention); the tally is cumulative
+  /// and granted() sums it, while the env-stats delta is flushed when the
+  /// slot is released. `credit` and `stats_reported` are touched only by
+  /// the holder; the release/acquire pair on `taken` hands them to the
+  /// next one.
+  struct Slot {
+    machdep::AskforSlotHead head;
+    machdep::StealDeque<R> deque;
+  };
+  static_assert(std::is_trivially_destructible_v<Slot>);
+
+  /// The shared-scope central queue's capacity; a put beyond this many
+  /// records queued outside the members' deques is a checked error.
+  static constexpr std::uint32_t kSharedCentralCapacity = 4096;
+
   /// One working unit (a credit) in the packed inflight counter: pending
   /// central-queue records in the low 32 bits, credits in the high 32.
   static constexpr std::uint64_t kWorkingOne = std::uint64_t{1} << 32;
+
+  /// The words: a slot per member where the machine has atomic RMW (none
+  /// on the lock engine), and the central ring on shared scope.
+  static machdep::PlacedWords<machdep::AskforWords> place(
+      ForceEnvironment& env, const std::string& key) {
+    const auto nslots =
+        static_cast<std::uint32_t>(env.atomic_words() ? env.nproc() : 0);
+    const std::uint32_t capacity =
+        env.word_scope() == machdep::WordScope::kShared
+            ? kSharedCentralCapacity
+            : 0;
+    const std::size_t bytes = sizeof(machdep::AskforWords) +
+                              std::size_t{nslots} * sizeof(Slot) +
+                              std::size_t{capacity} * sizeof(R);
+    return env.place_words<machdep::AskforWords>(
+        machdep::kAskforWords + key, bytes, [nslots, capacity](void* blob) {
+          auto* w = ::new (blob) machdep::AskforWords();
+          w->nslots = nslots;
+          w->slot_bytes = sizeof(Slot);
+          w->ring_capacity = capacity;
+          for (std::uint32_t i = 0; i < nslots; ++i) {
+            ::new (&w->slot(i)) Slot();
+          }
+        });
+  }
+
+  [[nodiscard]] std::string overflow_message() const {
+    return label_ + ": more than " + std::to_string(kSharedCentralCapacity) +
+           " tasks queued outside the members' deques under os-fork";
+  }
 
   [[nodiscard]] int current_slot() const {
     return askfor_binding.core == this ? askfor_binding.slot : -1;
@@ -309,7 +392,7 @@ class BasicAskforCore {
   int grab_slot() {
     for (int i = 0; i < nslots_; ++i) {
       bool expected = false;
-      if (slots_[i].taken.compare_exchange_strong(
+      if (slots_[i].head.taken.compare_exchange_strong(
               expected, true, std::memory_order_acq_rel,
               std::memory_order_relaxed)) {
         return i;
@@ -321,12 +404,12 @@ class BasicAskforCore {
   }
 
   void take_credit(int slot) {
-    inflight_.fetch_add(kWorkingOne, std::memory_order_acq_rel);
-    if (slot >= 0) slots_[slot].credit = true;
+    words_->inflight.fetch_add(kWorkingOne, std::memory_order_acq_rel);
+    if (slot >= 0) slots_[slot].head.credit = true;
   }
   void drop_credit(int slot) {
-    if (slot >= 0) slots_[slot].credit = false;
-    inflight_.fetch_sub(kWorkingOne, std::memory_order_acq_rel);
+    if (slot >= 0) slots_[slot].head.credit = false;
+    words_->inflight.fetch_sub(kWorkingOne, std::memory_order_acq_rel);
   }
 
   void idle(std::optional<Sentry::WaitScope>& wait) {
@@ -336,24 +419,28 @@ class BasicAskforCore {
     if (sn != nullptr && !wait.has_value()) {
       wait.emplace(sn, Sentry::WaitKind::kAskfor, this, "askfor");
     }
-    machdep::Waiter::yield();
+    // On shared scope the yield throws once a dead sibling poisoned the
+    // team: its credit can never come back.
+    machdep::Waiter::note_site(label_.c_str(), words_.scope());
+    machdep::Waiter::yield(words_.scope());
   }
 
   Outcome ask_fast(R* record) {
+    machdep::AskforWords& w = *words_;
     const int slot = current_slot();
     std::optional<Sentry::WaitScope> wait;
     for (;;) {
       if (Sentry* sn = env_.sentry()) sn->fuzz();
-      if (ended_.load(std::memory_order_acquire) && stays_ended()) {
-        if (slot >= 0 && slots_[slot].credit) drop_credit(slot);
+      if (w.ended.load(std::memory_order_acquire) && stays_ended()) {
+        if (slot >= 0 && slots_[slot].head.credit) drop_credit(slot);
         return Outcome::kDone;
       }
-      if (slot < 0 || !slots_[slot].credit) {
+      if (slot < 0 || !slots_[slot].head.credit) {
         // Idle: read before writing. Nothing in flight anywhere - no
         // record pending and nobody who could create one - ends the
         // computation; otherwise a credit is taken only when a size hint
         // shows a record to take.
-        if (inflight_.load(std::memory_order_acquire) == 0) {
+        if (w.inflight.load(std::memory_order_acquire) == 0) {
           if (latch_drained()) return Outcome::kDone;
           continue;
         }
@@ -381,19 +468,22 @@ class BasicAskforCore {
       const int victim = slot >= 0 ? (slot + 1 + i) % nslots_ : i;
       if (victim != slot && slots_[victim].deque.steal(record)) return true;
     }
-    if (central_count_.load(std::memory_order_acquire) <= 0) return false;
+    machdep::AskforWords& w = *words_;
+    if (w.central_count.load(std::memory_order_acquire) <= 0) return false;
     monitor_->acquire();
     const bool got = pop_central(record);
     if (got) {
-      central_count_.fetch_sub(1, std::memory_order_release);
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
+      w.central_count.fetch_sub(1, std::memory_order_release);
+      w.inflight.fetch_sub(1, std::memory_order_acq_rel);
     }
     monitor_->release();
     return got;
   }
 
   [[nodiscard]] bool work_visible() const {
-    if (central_count_.load(std::memory_order_acquire) > 0) return true;
+    if (words_->central_count.load(std::memory_order_acquire) > 0) {
+      return true;
+    }
     for (int i = 0; i < nslots_; ++i) {
       if (slots_[i].deque.size_hint() > 0) return true;
     }
@@ -403,12 +493,12 @@ class BasicAskforCore {
   void note_grant(int slot) {
     if (slot >= 0) {
       // Exclusive cache line: a relaxed increment, not a shared fetch-add.
-      std::atomic<std::uint64_t>& tally = slots_[slot].grants;
+      std::atomic<std::uint64_t>& tally = slots_[slot].head.grants;
       tally.store(tally.load(std::memory_order_relaxed) + 1,
                   std::memory_order_relaxed);
       return;
     }
-    granted_.fetch_add(1, std::memory_order_relaxed);
+    words_->granted.fetch_add(1, std::memory_order_relaxed);
     env_.stats().askfor_grants.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -417,8 +507,8 @@ class BasicAskforCore {
   /// right after the latch fired (put() re-opens, but this asker may
   /// observe the latch first): re-open under the monitor and keep serving.
   bool stays_ended() {
-    if (probend_.load(std::memory_order_acquire) ||
-        inflight_.load(std::memory_order_acquire) == 0) {
+    if (words_->probend.load(std::memory_order_acquire) ||
+        words_->inflight.load(std::memory_order_acquire) == 0) {
       return true;
     }
     reopen_drained();
@@ -428,10 +518,11 @@ class BasicAskforCore {
   /// Latch the decision under the monitor so every process agrees (and so
   /// a racing probend cannot interleave half-way).
   bool latch_drained() {
+    machdep::AskforWords& w = *words_;
     monitor_->acquire();
-    bool done = ended_.load(std::memory_order_relaxed);
-    if (!done && inflight_.load(std::memory_order_acquire) == 0) {
-      ended_.store(true, std::memory_order_release);
+    bool done = w.ended.load(std::memory_order_relaxed);
+    if (!done && w.inflight.load(std::memory_order_acquire) == 0) {
+      w.ended.store(true, std::memory_order_release);
       done = true;
     }
     monitor_->release();
@@ -444,32 +535,34 @@ class BasicAskforCore {
   /// - and ask re-opens too when it sees counts behind the latch, so the
   /// record survives either side of the race.
   void reopen_drained() {
-    if (!ended_.load(std::memory_order_acquire)) return;
+    machdep::AskforWords& w = *words_;
+    if (!w.ended.load(std::memory_order_acquire)) return;
     monitor_->acquire();
-    if (!probend_.load(std::memory_order_relaxed)) {
-      ended_.store(false, std::memory_order_release);
+    if (!w.probend.load(std::memory_order_relaxed)) {
+      w.ended.store(false, std::memory_order_release);
     }
     monitor_->release();
   }
 
   Outcome ask_locked(R* record) {
+    machdep::AskforWords& w = *words_;
     std::optional<Sentry::WaitScope> wait;
     for (;;) {
       monitor_->acquire();
-      if (ended_.load(std::memory_order_relaxed)) {
+      if (w.ended.load(std::memory_order_relaxed)) {
         monitor_->release();
         return Outcome::kDone;
       }
       if (pop_central(record)) {
-        ++working_;
+        ++w.working;
         note_grant(-1);
         monitor_->release();
         return Outcome::kWork;
       }
-      if (working_ == 0) {
+      if (w.working == 0) {
         // No work queued and nobody who could create any: the computation
         // has drained. Latch the end so every process agrees.
-        ended_.store(true, std::memory_order_relaxed);
+        w.ended.store(true, std::memory_order_relaxed);
         monitor_->release();
         return Outcome::kDone;
       }
@@ -479,11 +572,57 @@ class BasicAskforCore {
     }
   }
 
+  /// Re-arms the monitor for force-entry generation `gen`: a pooled team
+  /// re-enters the same force (and so the same construct sites) many
+  /// times, and the drained/probend latch must reset per entry. Leftover
+  /// records of an aborted episode are dropped in the same monitor pass,
+  /// before the new generation is published. No-op once the monitor has
+  /// seen `gen`; must only run at episode boundaries (no worker inside
+  /// ask()/complete()).
+  void rearm(std::uint32_t gen) {
+    machdep::AskforWords& w = *words_;
+    if (w.seen_generation.load(std::memory_order_acquire) == gen) return;
+    monitor_->acquire();
+    if (w.seen_generation.load(std::memory_order_relaxed) != gen) {
+      // Fresh force entry on a reused site: clear the previous episode.
+      // The generation stamp is the last write, so racing first-ops of
+      // the same entry see either the old generation (and reset
+      // themselves, idempotently, under the monitor) or a fully reset
+      // monitor.
+      drop_queued(true);
+      w.working = 0;
+      w.inflight.store(0, std::memory_order_release);
+      w.probend.store(false, std::memory_order_release);
+      w.ended.store(false, std::memory_order_release);
+      w.seen_generation.store(gen, std::memory_order_release);
+    }
+    monitor_->release();
+  }
+
   // The central queue, guarded by *monitor_ (as is everything below).
+  bool push_central(const R& record) {
+    if (shared_queue_ == nullptr) {
+      queue_.push_back(record);
+      return true;
+    }
+    machdep::AskforWords& w = *words_;
+    if (w.ring_tail - w.ring_head >= w.ring_capacity) return false;
+    std::memcpy(static_cast<void*>(&shared_queue_[w.ring_tail % w.ring_capacity]),
+                &record, sizeof(R));
+    ++w.ring_tail;
+    return true;
+  }
   bool pop_central(R* record) {
-    if (queue_.empty()) return false;
-    std::memcpy(static_cast<void*>(record), &queue_.front(), sizeof(R));
-    queue_.pop_front();
+    if (shared_queue_ == nullptr) {
+      if (queue_.empty()) return false;
+      std::memcpy(static_cast<void*>(record), &queue_.front(), sizeof(R));
+      queue_.pop_front();
+      return true;
+    }
+    machdep::AskforWords& w = *words_;
+    if (w.ring_head == w.ring_tail) return false;
+    std::memcpy(static_cast<void*>(record),
+                &shared_queue_[w.ring_head++ % w.ring_capacity], sizeof(R));
     return true;
   }
 
@@ -498,114 +637,74 @@ class BasicAskforCore {
         drop_record(*record);
         continue;
       }
-      queue_.push_back(*record);
-      inflight_.fetch_add(1, std::memory_order_acq_rel);
-      central_count_.fetch_add(1, std::memory_order_release);
+      const bool queued = push_central(*record);
+      FORCE_CHECK(queued, overflow_message());
+      words_->inflight.fetch_add(1, std::memory_order_acq_rel);
+      words_->central_count.fetch_add(1, std::memory_order_release);
     }
   }
 
   /// Drops the central queue's records, and every deque's with `deques`.
   void drop_queued(bool deques) {
-    for (R& record : queue_) drop_record(record);
-    queue_.clear();
-    central_count_.store(0, std::memory_order_release);
+    alignas(R) unsigned char raw[sizeof(R)];
+    R* record = reinterpret_cast<R*>(raw);
+    while (pop_central(record)) drop_record(*record);
+    words_->central_count.store(0, std::memory_order_release);
     for (int i = 0; deques && i < nslots_; ++i) {
       drain(slots_[i].deque, false, true);
+      slots_[i].deque.reset();
     }
   }
 
   ForceEnvironment& env_;
+  std::string label_;
   std::unique_ptr<machdep::BasicLock> monitor_;
-  std::deque<R> queue_;  // central queue, guarded by *monitor_
-  int working_ = 0;      // lock engine only, guarded by *monitor_
-
-  // Shared by both engines. The lock engine only touches them under the
-  // monitor (the atomics are then just storage); the fast path reads them
-  // lock-free.
-  std::atomic<bool> ended_{false};
-  /// True when ended_ was set by probend() rather than the drained latch.
-  /// The distinction matters for seeding: a drain is provisional - put()
-  /// racing behind it re-opens the monitor, so a seed put from inside the
-  /// force (the leader puts, everyone works) is never silently lost when a
-  /// sibling's first ask latched "drained" first - while a probend is
-  /// final for the force entry and later put()s are dropped, as ever.
-  std::atomic<bool> probend_{false};
-  std::atomic<std::size_t> granted_{0};
-  /// Force-entry generation this monitor was last (re-)armed for; atomic
-  /// so the common "already armed" probe in rearm_for stays lock-free.
-  std::atomic<std::uint32_t> seen_generation_{0};
-
-  // Fast path only (empty on lock-only machines):
-  int nslots_ = 0;
-  /// Per-worker state on its own cache lines. The holder tallies grants
-  /// with a relaxed increment (exclusive line, no contention); the tally
-  /// is cumulative and granted() sums it, while the env-stats delta is
-  /// flushed when the slot is released. `credit` and `stats_reported` are
-  /// touched only by the holder; the release/acquire pair on `taken`
-  /// hands them to the next one.
-  struct alignas(64) Slot {
-    std::atomic<bool> taken{false};
-    bool credit = false;
-    std::atomic<std::uint64_t> grants{0};
-    std::uint64_t stats_reported = 0;
-    machdep::StealDeque<R> deque;
-  };
-  std::unique_ptr<Slot[]> slots_;
-  /// Central-queue records (low 32 bits) and credits (high 32 bits),
-  /// packed so one load decides termination race-free. Every record is
-  /// covered: in the central queue by its pending unit, in a deque by its
-  /// owner's credit, in a taker's hands by the credit or unit it took
-  /// *before* popping or stealing. So 0 means no record anywhere and
-  /// nobody who could create one.
-  std::atomic<std::uint64_t> inflight_{0};
-  /// Hint that queue_ is nonempty, so the fast path only pays a monitor
-  /// pass when there is central work to fetch.
-  std::atomic<std::int64_t> central_count_{0};
+  /// ended/probend: the lock engine only touches them under the monitor
+  /// (the atomics are then just storage); the fast path reads them
+  /// lock-free. A probend is final for the force entry (later put()s
+  /// drop), a drain is provisional (a put() racing behind it re-opens).
+  /// inflight covers every record: in the central queue by its pending
+  /// unit, in a deque by its owner's credit, in a taker's hands by the
+  /// credit or unit it took *before* popping or stealing - so 0 means no
+  /// record anywhere and nobody who could create one. central_count hints
+  /// that the central queue is nonempty, so the fast path only pays a
+  /// monitor pass when there is central work to fetch.
+  machdep::PlacedWords<machdep::AskforWords> words_;
+  Slot* slots_;  // nslots_ of them, in the words
+  int nslots_;   // 0 on lock-only machines
+  std::deque<R> queue_;        // central queue on private scope
+  R* shared_queue_ = nullptr;  // central queue on shared scope, in the words
 };
 
 /// The monitor over plain word records, for direct users of the protocol.
 using AskforCore = BasicAskforCore<std::size_t>;
 
-/// Typed askfor: moves tasks by value through the monitor and runs the
-/// canonical worker loop. Every process of the force calls work() with the
-/// same site-shared instance; any process may seed() or put() tasks. The
-/// worker body receives a reference to this process's copy of the granted
-/// task.
+/// Typed askfor: moves tasks by value through one machdep::AskforRing and
+/// runs the canonical worker loop. Every process of the force calls work()
+/// with the same site-shared instance; any process may seed() or put()
+/// tasks. The worker body receives a reference to this process's copy of
+/// the granted task.
 ///
-/// Under the separate-process backends the monitor is a backend engine
-/// keyed by the construct's site key (a fixed-capacity FIFO ring in the
-/// MAP_SHARED arena under os-fork; a coordinator monitor under cluster); T
-/// must then be trivially copyable, and mutations of the granted copy do
-/// not write back into the ring.
+/// The ring is the cluster's coordinator monitor where the backend hands
+/// one out (keyed by the construct's site key), else the in-process engine
+/// above. Tasks cross address spaces by memcpy there and under os-fork, so
+/// only the thread backend takes a T that is not trivially copyable, and
+/// mutations of the granted copy never write back into the monitor.
 template <typename T>
 class Askfor {
   using Record = AskforRecord<T>;
-  using Core = BasicAskforCore<Record>;
 
  public:
   explicit Askfor(ForceEnvironment& env, const std::string& key = "askfor")
-      : env_(&env) {
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      ring_ = env.backend().make_askfor_ring(key, kForkRingCapacity,
-                                             sizeof(T));
-    } else {
-      // Null engine + supported capability = the thread monitor below;
-      // backends that cannot memcpy tasks across reject here.
-      env.require(machdep::Capability::kNonTrivialPayloads,
-                  "Askfor task type", key);
-    }
-    if (ring_ == nullptr) core_ = std::make_unique<Core>(env);
-  }
+      : ring_(make_ring(env, key)) {}
 
   /// Adds a task; thread-safe, callable before or during work().
   void put(T task) {
-    maybe_rearm();
-    if (ring_ != nullptr) {
+    if constexpr (std::is_trivially_copyable_v<T>) {
       ring_->put(&task);
-    } else if constexpr (std::is_trivially_copyable_v<T>) {
-      core_->put(task);
     } else {
-      core_->put(Record{new T(std::move(task))});
+      const Record record{new T(std::move(task))};
+      ring_->put(&record);
     }
   }
 
@@ -613,97 +712,40 @@ class Askfor {
   /// `body(task, *this)`; the body may put() new tasks and may probend().
   /// Returns the number of tasks this process executed.
   std::size_t work(const std::function<void(T&, Askfor<T>&)>& body) {
-    maybe_rearm();
-    if (ring_ != nullptr) return work_ring(body);
-    // Register with the dispatch fast path for the duration of the loop
-    // (no-op on lock-only machines).
-    typename Core::WorkerSlot worker(*core_);
-    std::size_t executed = 0;
     // Raw storage: the grant copy fully initializes it, and T need not be
     // default constructible.
     alignas(Record) unsigned char raw[sizeof(Record)];
     Record* record = reinterpret_cast<Record*>(raw);
-    while (core_->ask(record) == Core::Outcome::kWork) {
-      try {
-        body(task_of(*record), *this);
-      } catch (...) {
-        drop_record(*record);
-        core_->complete();
-        throw;
-      }
-      drop_record(*record);
-      ++executed;
-      core_->complete();
-    }
-    return executed;
+    return ring_->work(raw, [&] { body(task_of(*record), *this); });
   }
 
   /// Aborts the computation (e.g. a search hit).
-  void probend() {
-    maybe_rearm();
-    if (ring_ != nullptr) {
-      ring_->probend();
-      return;
-    }
-    core_->probend();
-  }
+  void probend() { ring_->probend(); }
 
-  [[nodiscard]] bool ended() const {
-    if (ring_ != nullptr) return ring_->ended();
-    return core_->ended();
-  }
+  [[nodiscard]] bool ended() const { return ring_->ended(); }
   [[nodiscard]] std::size_t granted() const {
-    if (ring_ != nullptr) {
-      return static_cast<std::size_t>(ring_->granted());
-    }
-    return core_->granted();
+    return static_cast<std::size_t>(ring_->granted());
   }
 
  private:
-  /// Ring capacity under os-fork; put() beyond this many queued-but-
-  /// ungranted tasks is a checked error (the thread engine's unbounded
-  /// central queue cannot be shared across address spaces).
-  static constexpr std::uint32_t kForkRingCapacity = 4096;
+  static std::unique_ptr<machdep::AskforRing> make_ring(
+      ForceEnvironment& env, const std::string& key) {
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      if (auto remote = env.backend().make_askfor_ring(key, sizeof(T))) {
+        return remote;
+      }
+    } else {
+      // Boxed records are pointers into this address space: backends that
+      // cannot share one reject here.
+      env.require(machdep::Capability::kNonTrivialPayloads,
+                  "Askfor task type", key);
+    }
+    return std::make_unique<BasicAskforCore<Record>>(env, key);
+  }
 
   static T& task_of(T& task) { return task; }
   static T& task_of(AskforBox<T>& box) { return *box.task; }
 
-  /// Pooled teams re-enter the same force over long-lived construct sites:
-  /// the first put/work/probend of a new force entry resets the previous
-  /// entry's drained/probend latch and drops its leftover tasks.
-  void maybe_rearm() {
-    if (ring_ != nullptr) {
-      // The engine decides what re-arming means on its substrate (the
-      // cluster monitor is born fresh per team, so its rearm is a no-op).
-      ring_->rearm(env_->run_generation());
-      return;
-    }
-    core_->rearm_for(env_->run_generation());
-  }
-
-  std::size_t work_ring(const std::function<void(T&, Askfor<T>&)>& body) {
-    std::size_t executed = 0;
-    // Raw storage instead of T{}: the grant memcpy fully initializes it,
-    // and T need not be default constructible (only trivially copyable,
-    // which the constructor already checked).
-    alignas(T) unsigned char raw[sizeof(T)];
-    T* task = reinterpret_cast<T*>(raw);
-    while (ring_->ask(raw)) {
-      try {
-        body(*task, *this);
-      } catch (...) {
-        ring_->complete();
-        throw;
-      }
-      ++executed;
-      ring_->complete();
-    }
-    return executed;
-  }
-
-  ForceEnvironment* env_;
-  std::unique_ptr<Core> core_;  // thread backend only
-  /// Backend monitor engine; null on the thread backend.
   std::unique_ptr<machdep::AskforRing> ring_;
 };
 

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -178,6 +179,16 @@ class ForceEnvironment {
   machdep::PlacedWords<Words> place_words(const std::string& key) {
     return machdep::PlacedWords<Words>(word_arena_, key);
   }
+  /// Places words with a trailing array: `bytes` in all, constructed once
+  /// by `init` (the first member process to reach them under os-fork).
+  template <typename Words>
+  machdep::PlacedWords<Words> place_words(
+      const std::string& key, std::size_t bytes,
+      const std::function<void(void*)>& init) {
+    return machdep::PlacedWords<Words>(word_arena_, key, bytes, init);
+  }
+  /// Where place_words puts words: shared under os-fork, else private.
+  [[nodiscard]] machdep::WordScope word_scope() const { return word_scope_; }
 
   /// Dispatch-counter factory for a team of `width` over the placed
   /// `words`, honouring atomic_words(): the home blocks, or the shared
@@ -249,8 +260,9 @@ class ForceEnvironment {
 
   /// Scrubs every process-shared synchronization blob in the arena after
   /// a team died mid-protocol: lock words freed, barrier arrival counts
-  /// zeroed, askfor rings and selfsched episodes (gate, dispatch word and
-  /// home blocks) re-initialized, busy async cells emptied. A poisoned
+  /// zeroed, askfor monitors (counters, slots) and selfsched episodes
+  /// (gate, dispatch word and home blocks) re-initialized, busy async
+  /// cells emptied. A poisoned
   /// team leaves this state wherever the victims stood (a dead champion
   /// never publishes its episode), so the fresh team the next run forks
   /// must not inherit it. User data - shared variables, full async

@@ -2,8 +2,8 @@
 // process substrate realizes the Force's constructs. ThreadBackend and
 // ShmBackend hand out no construct engines - both run the constructs'
 // in-process expansions, ShmBackend with their words placed in its
-// MAP_SHARED arena (plus the askfor ring, which has no in-process twin
-// yet) - and ClusterBackend turns every construct into a coordinator RPC.
+// MAP_SHARED arena - and ClusterBackend turns every construct into a
+// coordinator RPC.
 #include "machdep/backend.hpp"
 
 #include "machdep/arena.hpp"
@@ -168,8 +168,7 @@ std::unique_ptr<DoallSite> ExecutionBackend::make_doall_site(
 }
 
 std::unique_ptr<AskforRing> ExecutionBackend::make_askfor_ring(
-    const std::string& /*key*/, std::uint32_t /*capacity*/,
-    std::size_t /*task_bytes*/) {
+    const std::string& /*key*/, std::size_t /*task_bytes*/) {
   return nullptr;
 }
 
@@ -197,52 +196,7 @@ void ExecutionBackend::reset_shared_sync_after_death() {
   FORCE_CHECK(false, "sync-state death recovery is an os-fork concern");
 }
 
-// ---------------------------------------------------------------------------
-// The os-fork askfor ring (machdep/shm over the MAP_SHARED arena).
-// ---------------------------------------------------------------------------
-
 namespace {
-
-class ShmAskforRing final : public AskforRing {
- public:
-  ShmAskforRing(SharedArena* arena, const std::string& key,
-                std::uint32_t capacity, std::size_t task_bytes)
-      : label_("askfor '" + key + "'") {
-    const auto stride = static_cast<std::uint32_t>(task_bytes);
-    void* blob = arena->allocate_once(
-        "%askfor/" + key, shm::shm_askfor_bytes(capacity, stride),
-        alignof(shm::ShmAskforState), VarClass::kShared,
-        [capacity, stride](void* p) {
-          shm::shm_askfor_init(p, capacity, stride);
-        });
-    state_ = static_cast<shm::ShmAskforState*>(blob);
-  }
-
-  void put(const void* task) override { shm::shm_askfor_put(*state_, task); }
-
-  bool ask(void* out) override {
-    return shm::shm_askfor_ask(*state_, out, label_.c_str());
-  }
-
-  void complete() override { shm::shm_askfor_complete(*state_); }
-  void probend() override { shm::shm_askfor_probend(*state_); }
-
-  [[nodiscard]] bool ended() override {
-    return shm::shm_askfor_ended(*state_);
-  }
-
-  [[nodiscard]] std::uint64_t granted() override {
-    return state_->granted.load(std::memory_order_relaxed);
-  }
-
-  void rearm(std::uint32_t gen) override {
-    shm::shm_askfor_rearm(*state_, gen);
-  }
-
- private:
-  shm::ShmAskforState* state_;
-  std::string label_;
-};
 
 // ---------------------------------------------------------------------------
 // Cluster engines (coordinator RPCs via the member's ClusterClient).
@@ -346,37 +300,39 @@ class ClusterAskforRing final : public AskforRing {
     c.askfor_put(key_, task, bytes_);
   }
 
-  bool ask(void* out) override {
+  std::size_t work(void* task, const std::function<void()>& run) override {
     cluster::ClusterClient& c = cluster::require_client();
-    c.note_site(label_);
-    return c.askfor_ask(key_, out, bytes_);
-  }
-
-  void complete() override {
-    cluster::require_client().askfor_complete(key_);
+    std::size_t executed = 0;
+    for (;;) {
+      c.note_site(label_);
+      if (!c.askfor_ask(key_, task, bytes_)) return executed;
+      try {
+        run();
+      } catch (...) {
+        c.askfor_complete(key_);
+        throw;
+      }
+      ++executed;
+      c.askfor_complete(key_);
+    }
   }
 
   void probend() override {
     cluster::require_client().askfor_probend(key_);
   }
 
-  [[nodiscard]] bool ended() override {
+  [[nodiscard]] bool ended() const override {
     bool ended = false;
     std::uint64_t granted = 0;
     cluster::require_client().askfor_status(key_, &ended, &granted);
     return ended;
   }
 
-  [[nodiscard]] std::uint64_t granted() override {
+  [[nodiscard]] std::uint64_t granted() const override {
     bool ended = false;
     std::uint64_t granted = 0;
     cluster::require_client().askfor_status(key_, &ended, &granted);
     return granted;
-  }
-
-  void rearm(std::uint32_t /*gen*/) override {
-    // The coordinator's monitor table is born fresh with each cluster team
-    // (no pooled re-entry), so generations never need re-arming.
   }
 
  private:
@@ -501,12 +457,6 @@ class ShmBackend final : public ExecutionBackend {
     return ProcessModel::kOsFork;
   }
 
-  [[nodiscard]] std::unique_ptr<AskforRing> make_askfor_ring(
-      const std::string& key, std::uint32_t capacity,
-      std::size_t task_bytes) override {
-    return std::make_unique<ShmAskforRing>(arena_, key, capacity, task_bytes);
-  }
-
   [[nodiscard]] SharedArena* word_arena() override { return arena_; }
 
   [[nodiscard]] std::unique_ptr<BasicLock> new_lock(
@@ -606,16 +556,24 @@ class ShmBackend final : public ExecutionBackend {
           b.next.store(0, std::memory_order_release);
           b.end = 0;
         }
-      } else if (prefixed("%askfor/")) {
-        auto* a = static_cast<shm::ShmAskforState*>(addr);
-        a->monitor.store(0, std::memory_order_release);
-        a->head = 0;
-        a->tail = 0;
-        a->working = 0;
-        a->ended = 0;
-        // Back to "never armed": the next entry's first operation runs the
-        // full generation re-arm.
-        a->seen_gen.store(0, std::memory_order_release);
+      } else if (prefixed(kAskforWords)) {
+        // The victims' credits and slots can never be returned, and their
+        // records died with them: clear the counters, the central ring and
+        // every slot's claim and credit, and go back to "never armed", so
+        // the next entry's first operation runs the full re-arm (which
+        // also empties the deques).
+        auto* w = static_cast<AskforWords*>(addr);
+        w->inflight.store(0, std::memory_order_release);
+        w->central_count.store(0, std::memory_order_release);
+        w->working = 0;
+        w->ring_head = w->ring_tail;
+        w->ended.store(false, std::memory_order_release);
+        w->probend.store(false, std::memory_order_release);
+        for (std::uint32_t i = 0; i < w->nslots; ++i) {
+          w->slot(i).taken.store(false, std::memory_order_release);
+          w->slot(i).credit = false;
+        }
+        w->seen_generation.store(0, std::memory_order_release);
       } else if (prefixed(kAsyncWords)) {
         // Busy means a victim died inside the payload window and the bytes
         // are undefined: drop to empty. Full cells are user data and stay.
@@ -653,10 +611,7 @@ class ClusterBackend final : public ExecutionBackend {
   }
 
   [[nodiscard]] std::unique_ptr<AskforRing> make_askfor_ring(
-      const std::string& key, std::uint32_t /*capacity*/,
-      std::size_t task_bytes) override {
-    // The coordinator's monitor queue grows on demand; capacity is an
-    // os-fork ring concern.
+      const std::string& key, std::size_t task_bytes) override {
     return std::make_unique<ClusterAskforRing>(key, task_bytes);
   }
 

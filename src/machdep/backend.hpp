@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <typeinfo>
 #include <vector>
@@ -130,9 +131,9 @@ struct CapabilityRow {
 // backend hands out an engine per construct (only for trivially copyable
 // payloads: the capability table rejects the rest before an engine is
 // requested); thread and os-fork get none and run the in-process engines
-// (GateDoallSite, core's async cell and central-sense barrier), whose
-// words ForceEnvironment places through word_arena() under the arena keys
-// below.
+// (GateDoallSite, core's Askfor monitor, async cell and central-sense
+// barrier), whose words ForceEnvironment places through word_arena() under
+// the arena keys below.
 // ---------------------------------------------------------------------------
 
 /// A construct's words, placed once: at `key` in the backend's word arena
@@ -155,15 +156,37 @@ class PlacedWords {
     own_ = std::make_unique<Words>();
     words_ = own_.get();
   }
+  /// Words with a trailing array sized at placement: `bytes` from the
+  /// first word, constructed once by `init`.
+  PlacedWords(SharedArena* arena, const std::string& key, std::size_t bytes,
+              const std::function<void(void*)>& init) {
+    static_assert(std::is_trivially_destructible_v<Words>,
+                  "variable-length words are freed as raw bytes");
+    if (arena != nullptr) {
+      words_ = static_cast<Words*>(arena->allocate_once(
+          key, bytes, alignof(Words), VarClass::kShared, init));
+      return;
+    }
+    blob_.reset(::operator new(bytes, std::align_val_t{alignof(Words)}));
+    init(blob_.get());
+    words_ = static_cast<Words*>(blob_.get());
+  }
 
   Words& operator*() const { return *words_; }
   Words* operator->() const { return words_; }
   [[nodiscard]] WordScope scope() const {
-    return own_ != nullptr ? WordScope::kPrivate : WordScope::kShared;
+    return own_ != nullptr || blob_ != nullptr ? WordScope::kPrivate
+                                               : WordScope::kShared;
   }
 
  private:
+  struct FreeBlob {
+    void operator()(void* p) const {
+      ::operator delete(p, std::align_val_t{alignof(Words)});
+    }
+  };
   std::unique_ptr<Words> own_;
+  std::unique_ptr<void, FreeBlob> blob_;
   Words* words_ = nullptr;
 };
 
@@ -172,6 +195,7 @@ class PlacedWords {
 inline constexpr const char* kBarrierWords = "%barrier/";  ///< EpisodeBarrier
 inline constexpr const char* kDoallWords = "%ssdo/";       ///< DoallWords
 inline constexpr const char* kAsyncWords = "%async/";     ///< AsyncWords<T>
+inline constexpr const char* kAskforWords = "%askfor/";   ///< AskforWords
 
 /// Episode bounds of one selfscheduled DOALL site, as published by the
 /// episode's opener.
@@ -200,6 +224,48 @@ struct AsyncWords {
   T payload{};
 };
 
+/// The head of one member's slot in an Askfor site's words: the slot's
+/// claim flag, the credit its holder keeps, and its grant tally. The
+/// slot's steal deque of task records follows it.
+struct alignas(64) AskforSlotHead {
+  std::atomic<bool> taken{false};
+  bool credit = false;
+  std::atomic<std::uint64_t> grants{0};
+  std::uint64_t stats_reported = 0;
+};
+
+/// The words of one in-process Askfor monitor (core/askfor.hpp), one blob
+/// whose length is set at placement: this head, then `nslots` member
+/// slots of `slot_bytes` each (an AskforSlotHead and its deque), then on
+/// shared scope the central queue's ring of `ring_capacity` records.
+/// Death recovery reads only this head and the slot heads.
+struct AskforWords {
+  /// Central-queue records (low 32 bits) and credits (high 32 bits).
+  alignas(64) std::atomic<std::uint64_t> inflight{0};
+  std::atomic<std::int64_t> central_count{0};
+  std::atomic<std::uint64_t> granted{0};  ///< grants to slotless callers
+  std::atomic<std::uint32_t> seen_generation{0};
+  std::atomic<bool> ended{false};
+  std::atomic<bool> probend{false};
+  std::int32_t working = 0;  ///< lock engine's granted, uncompleted tasks
+  std::uint32_t nslots = 0;
+  std::uint32_t slot_bytes = 0;
+  std::uint32_t ring_capacity = 0;  ///< 0: the central queue is private
+  std::uint32_t ring_head = 0;      ///< monotonic, guarded by the monitor
+  std::uint32_t ring_tail = 0;      ///< monotonic, guarded by the monitor
+
+  [[nodiscard]] std::byte* slots() {
+    return reinterpret_cast<std::byte*>(this + 1);
+  }
+  [[nodiscard]] AskforSlotHead& slot(std::uint32_t i) {
+    return *reinterpret_cast<AskforSlotHead*>(
+        slots() + static_cast<std::size_t>(i) * slot_bytes);
+  }
+  [[nodiscard]] std::byte* ring() {
+    return slots() + static_cast<std::size_t>(nslots) * slot_bytes;
+  }
+};
+
 /// One selfscheduled DOALL site: episode entry (the opener publishes the
 /// bounds and re-arms the dispatch counter), the claim loop and the exit.
 class DoallSite {
@@ -225,15 +291,15 @@ class AskforRing {
  public:
   virtual ~AskforRing() = default;
   virtual void put(const void* task) = 0;
-  /// Blocks for work; copies the granted task into `out` and returns true,
-  /// or returns false when the computation is over (drained or probend).
-  virtual bool ask(void* out) = 0;
-  virtual void complete() = 0;
+  /// One member's worker loop: copies each granted task into `task`
+  /// (storage of the task's size and alignment), calls `run`, completes
+  /// the task, and returns the number run once the computation is over
+  /// (drained or probend). A throwing `run` completes its task and
+  /// propagates.
+  virtual std::size_t work(void* task, const std::function<void()>& run) = 0;
   virtual void probend() = 0;
-  [[nodiscard]] virtual bool ended() = 0;
-  [[nodiscard]] virtual std::uint64_t granted() = 0;
-  /// Re-arms the ring for force-entry generation `gen` (pooled team reuse).
-  virtual void rearm(std::uint32_t gen) = 0;
+  [[nodiscard]] virtual bool ended() const = 0;
+  [[nodiscard]] virtual std::uint64_t granted() const = 0;
 };
 
 /// One async full/empty cell over a payload of fixed type.
@@ -278,7 +344,7 @@ class ExecutionBackend {
   [[nodiscard]] virtual std::unique_ptr<DoallSite> make_doall_site(
       const std::string& site, int width);
   [[nodiscard]] virtual std::unique_ptr<AskforRing> make_askfor_ring(
-      const std::string& key, std::uint32_t capacity, std::size_t task_bytes);
+      const std::string& key, std::size_t task_bytes);
   [[nodiscard]] virtual std::unique_ptr<AsyncCell> make_async_cell(
       const std::string& label, std::size_t payload_bytes);
   [[nodiscard]] virtual std::unique_ptr<BarrierEngine> make_team_barrier(

@@ -109,146 +109,4 @@ SharedMapping::~SharedMapping() {
   if (data_ != nullptr) ::munmap(data_, bytes_);
 }
 
-// --- process-shared askfor monitor -----------------------------------------
-
-std::size_t shm_askfor_bytes(std::uint32_t capacity, std::uint32_t stride) {
-  return sizeof(ShmAskforState) +
-         static_cast<std::size_t>(capacity) * stride;
-}
-
-namespace {
-std::byte* ring_base(ShmAskforState& a) {
-  return reinterpret_cast<std::byte*>(&a + 1);
-}
-
-std::byte* ring_slot(ShmAskforState& a, std::uint32_t index) {
-  return ring_base(a) + static_cast<std::size_t>(index % a.capacity) * a.stride;
-}
-
-void bump_version(ShmAskforState& a) {
-  a.version.fetch_add(1, std::memory_order_release);
-  Waiter::wake(a.version, WordScope::kShared, Wake::kAll);
-}
-
-void enter(ShmAskforState& a) {
-  word_lock_acquire(a.monitor, WordScope::kShared);
-}
-
-void leave(ShmAskforState& a) {
-  word_lock_release(a.monitor, WordScope::kShared);
-}
-}  // namespace
-
-void shm_askfor_init(void* blob, std::uint32_t capacity,
-                     std::uint32_t stride) {
-  FORCE_CHECK(capacity > 0 && stride > 0, "askfor ring needs a shape");
-  auto* a = ::new (blob) ShmAskforState();
-  a->capacity = capacity;
-  a->stride = stride;
-}
-
-void shm_askfor_rearm(ShmAskforState& a, std::uint32_t gen) {
-  if (a.seen_gen.load(std::memory_order_acquire) == gen) return;
-  enter(a);
-  if (a.seen_gen.load(std::memory_order_relaxed) != gen) {
-    // Fresh force entry on a reused site: clear the previous episode. Any
-    // tokens still queued belonged to a probend()ed computation; the
-    // stamp is the last write so racing first-ops of the same generation
-    // see a fully reset ring.
-    a.head = 0;
-    a.tail = 0;
-    a.working = 0;
-    a.ended = 0;
-    a.seen_gen.store(gen, std::memory_order_release);
-  }
-  leave(a);
-}
-
-void shm_askfor_put(ShmAskforState& a, const void* task) {
-  enter(a);
-  if (a.ended == kShmAskforProbend) {  // explicitly ended: dropped, as ever
-    leave(a);
-    return;
-  }
-  // A drain is provisional: with the seed put() inside the force (only the
-  // leader puts, everyone works), a sibling's first ask can find the ring
-  // empty with nobody working and latch "drained" before the seed lands -
-  // on a parked pool every member wakes hot at once, so the race is live,
-  // not theoretical. The seed must never be lost: re-open the ring. The
-  // raced siblings may already have left their work() loop; they just sit
-  // at the next barrier while the remaining members (at least the seeder
-  // itself) drain the work - fewer hands, same answer.
-  if (a.ended == kShmAskforDrained) a.ended = 0;
-  const bool full = a.tail - a.head >= a.capacity;
-  if (full) {
-    leave(a);
-    FORCE_CHECK(false,
-                "os-fork askfor ring overflow; reduce fan-out or enlarge "
-                "the per-site task capacity");
-  }
-  std::memcpy(ring_slot(a, a.tail), task, a.stride);
-  ++a.tail;
-  leave(a);
-  bump_version(a);
-}
-
-bool shm_askfor_ask(ShmAskforState& a, void* out, const char* label) {
-  note_site(label);
-  for (;;) {
-    check_poison();
-    enter(a);
-    if (a.ended != 0) {
-      leave(a);
-      return false;
-    }
-    if (a.head != a.tail) {
-      std::memcpy(out, ring_slot(a, a.head), a.stride);
-      ++a.head;
-      ++a.working;
-      a.granted.fetch_add(1, std::memory_order_relaxed);
-      leave(a);
-      return true;
-    }
-    if (a.working == 0) {
-      // Drained: no tokens anywhere and nobody who could put() more.
-      // Latch the end so every parked process leaves too.
-      a.ended = kShmAskforDrained;
-      leave(a);
-      bump_version(a);
-      return false;
-    }
-    // No work *right now*, but a working process may still put() more:
-    // wait on the version word until something changes.
-    const std::uint32_t v = a.version.load(std::memory_order_acquire);
-    leave(a);
-    Waiter().await(a.version, [v](std::uint32_t now) { return now != v; },
-                   WordScope::kShared);
-  }
-}
-
-void shm_askfor_complete(ShmAskforState& a) {
-  enter(a);
-  --a.working;
-  const bool drained = a.working == 0 && a.head == a.tail;
-  leave(a);
-  // Wake parked askers so the drained case latches promptly (put() has
-  // already bumped the version for the new-work case).
-  if (drained) bump_version(a);
-}
-
-void shm_askfor_probend(ShmAskforState& a) {
-  enter(a);
-  a.ended = kShmAskforProbend;
-  leave(a);
-  bump_version(a);
-}
-
-bool shm_askfor_ended(const ShmAskforState& a) {
-  auto& m = const_cast<ShmAskforState&>(a);
-  enter(m);
-  const bool e = m.ended != 0;
-  leave(m);
-  return e;
-}
-
 }  // namespace force::machdep::shm

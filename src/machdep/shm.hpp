@@ -2,9 +2,9 @@
 // on address-free words in MAP_SHARED mappings (FUTEX_WAIT / FUTEX_WAKE
 // without the PRIVATE flag, so the wait queue is keyed by physical page;
 // a bounded sleep-poll elsewhere), the team-poison word, the last-known
-// site slot, the mappings themselves, and the Askfor ring. The lock,
-// barrier, full/empty and dispatch words are the same ones the thread
-// backend uses (machdep/words.hpp), placed in the arena and run with
+// site slot and the mappings themselves. The lock, barrier, full/empty,
+// dispatch and Askfor words are the same ones the thread backend uses
+// (machdep/words.hpp, core/askfor.hpp), placed in the arena and run with
 // WordScope::kShared.
 //
 // Liveness contract: every blocking wait on a shared word is a
@@ -136,65 +136,5 @@ class ShmLock final : public BasicLock {
   std::atomic<std::uint32_t>* word_;
   std::string label_;
 };
-
-// --- process-shared askfor monitor -----------------------------------------
-
-/// The Askfor monitor over shared memory: a fixed-capacity FIFO ring of
-/// fixed-stride task records behind one word lock, with a version word for
-/// sleeping. head/tail are monotonic (index = value % capacity). Tasks
-/// are trivially-copyable bytes; a granted task is copied OUT of the ring
-/// (cross-process pointers into a growing queue cannot work), which is
-/// the one semantic difference from the thread engines' stable-storage
-/// references.
-struct ShmAskforState {
-  std::atomic<std::uint32_t> monitor{0};  ///< word lock (words.hpp)
-  std::atomic<std::uint32_t> version{0};  ///< bumped on put/complete/probend
-  std::atomic<std::uint64_t> granted{0};
-  std::uint32_t capacity = 0;
-  std::uint32_t stride = 0;
-  std::uint32_t head = 0;     ///< guarded by monitor
-  std::uint32_t tail = 0;     ///< guarded by monitor
-  std::int32_t working = 0;   ///< guarded by monitor
-  /// End latch, guarded by the monitor: 0 open, kShmAskforDrained when the
-  /// termination check found no work and nobody working, kShmAskforProbend
-  /// after an explicit probend(). The distinction matters for seeding: a
-  /// drain is provisional (a put() racing behind it re-opens the monitor,
-  /// so a seed is never silently lost), a probend is final for the entry.
-  std::uint32_t ended = 0;
-  /// Force-entry generation this ring was last (re-)armed for. A pooled
-  /// team re-enters the same force repeatedly over the same arena, so the
-  /// drained/probend latch must reset per entry - the first operation of a
-  /// new generation clears the episode state. Atomic so the common "same
-  /// generation" probe stays outside the monitor.
-  std::atomic<std::uint32_t> seen_gen{0};
-  // capacity * stride task bytes follow this header in the arena blob.
-};
-
-/// ShmAskforState::ended values beyond 0 (open).
-inline constexpr std::uint32_t kShmAskforDrained = 1;
-inline constexpr std::uint32_t kShmAskforProbend = 2;
-
-/// Bytes of the whole blob (header + ring storage).
-[[nodiscard]] std::size_t shm_askfor_bytes(std::uint32_t capacity,
-                                           std::uint32_t stride);
-
-/// Initializes a raw blob (called once under the arena's construct-once
-/// protocol).
-void shm_askfor_init(void* blob, std::uint32_t capacity,
-                     std::uint32_t stride);
-
-/// Re-arms the ring for force-entry generation `gen` (pooled team reuse):
-/// resets the drained/probend latch, the ring indexes and the working
-/// count. A no-op when the ring has already seen `gen`. Must only be
-/// called at episode boundaries (no worker inside ask/complete).
-void shm_askfor_rearm(ShmAskforState& a, std::uint32_t gen);
-
-void shm_askfor_put(ShmAskforState& a, const void* task);
-/// Blocks for work; copies the granted task into `out` and returns true,
-/// or returns false when the computation is over (drained or probend).
-bool shm_askfor_ask(ShmAskforState& a, void* out, const char* label);
-void shm_askfor_complete(ShmAskforState& a);
-void shm_askfor_probend(ShmAskforState& a);
-[[nodiscard]] bool shm_askfor_ended(const ShmAskforState& a);
 
 }  // namespace force::machdep::shm

@@ -6,8 +6,9 @@
 // bottom (LIFO, cache-warm) and any number of thieves steal from the top
 // (FIFO, oldest task first). The Askfor monitor uses one per worker as its
 // dispatch fast path and keeps the tasks themselves in it: a slot holds a
-// whole trivially copyable record, not an index into shared storage.
-// Lock-only machines never reach this file.
+// whole trivially copyable record, not an index into shared storage. The
+// deque is all atomic words, so it works the same placed in the os-fork
+// arena. Lock-only machines never reach this file.
 //
 // Each slot is a row of relaxed std::atomic words, so a record is copied
 // word by word: a thief reads the slot into a private copy before its CAS
@@ -96,6 +97,13 @@ class StealDeque {
     }
     std::memcpy(static_cast<void*>(out), w.data(), sizeof(R));
     return true;
+  }
+
+  /// Empties the deque without reading it, also from a torn state (an
+  /// owner killed mid-pop). Only while no owner or thief is inside.
+  void reset() {
+    top_.store(0, std::memory_order_relaxed);
+    bottom_.store(0, std::memory_order_relaxed);
   }
 
   /// Racy size hint (idle scans and diagnostics only).

@@ -37,7 +37,10 @@ int Waiter::host_window() {
   return window;
 }
 
-void Waiter::yield() { member_yield(); }
+void Waiter::yield(WordScope scope) {
+  if (scope == WordScope::kShared) shm::check_poison();
+  member_yield();
+}
 
 template <typename T>
 void Waiter::sleep(const std::atomic<T>& word, T seen, WordScope scope) {

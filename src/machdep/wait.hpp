@@ -107,8 +107,10 @@ class Waiter {
   [[nodiscard]] bool slept() const { return slept_; }
 
   /// The fiber-aware yield: a continuation switch on a pooled N:M member,
-  /// an OS yield on a plain thread.
-  static void yield();
+  /// an OS yield on a plain thread. A poll loop over shared-scope words
+  /// passes their scope, so it throws shm::TeamPoisoned once the team's
+  /// poison word is set.
+  static void yield(WordScope scope = WordScope::kPrivate);
   /// `n` cpu-relax instructions: a backoff delay, not a probe.
   static void relax(std::uint32_t n = 1) {
     for (std::uint32_t i = 0; i < n; ++i) {

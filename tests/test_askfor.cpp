@@ -1,6 +1,7 @@
 // Tests for the Askfor monitor (paper §3.3, [LO83]).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -9,6 +10,7 @@
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -502,3 +504,182 @@ TEST(AskforCredit, ThrowLeavingOwnDequeRecordsThenTheNextEntryRunsItsTree) {
     }
   }
 }
+
+// --- one engine on thread and os-fork ----------------------------------------
+
+namespace {
+
+/// Eight binary subtrees seeded by one root task, each heap-numbered
+/// 1..kLaneIds-1 (nine levels).
+constexpr std::uint32_t kLanes = 8;
+constexpr std::uint32_t kLaneIds = 512;
+
+struct LaneTask {
+  std::uint32_t lane;  ///< kLanes marks the seeding root
+  std::uint32_t id;
+};
+
+/// Runs per task, in the arena so os-fork members count into the parent's.
+using LaneHits = std::array<std::atomic<std::uint32_t>, kLanes * kLaneIds + 1>;
+
+/// The per-entry tree and its tallies, in the arena: a resident os-fork
+/// pool re-runs the closure it was forked with, so it reads its inputs
+/// from here rather than from the parent's stack.
+struct TreeEntry {
+  std::uint64_t salt;
+  int depth;
+  std::atomic<std::uint64_t> ran;
+  std::atomic<std::uint64_t> ran_sum;
+};
+
+class AskforBackend : public ::testing::TestWithParam<std::string> {
+ protected:
+  force::ForceConfig config(int np, bool pool = false) const {
+    force::ForceConfig cfg;
+    cfg.nproc = np;
+    cfg.process_model = GetParam();
+    cfg.team_pool = pool;
+    return cfg;
+  }
+};
+
+/// Runs one random tree per entry through `af` on `f` and checks every
+/// node ran once; returns the nodes of all entries.
+std::size_t run_random_trees(force::Force& f, fc::Askfor<std::uint64_t>& af,
+                             int entries, std::uint64_t seed) {
+  auto& entry = f.shared<TreeEntry>("askfor_tree_entry");
+  std::mt19937_64 rng(seed);
+  std::size_t total = 0;
+  for (int e = 0; e < entries; ++e) {
+    const RandomTree tree{rng(), 1 + e % 10};
+    const auto [nodes, id_sum] = tree.oracle();
+    entry.salt = tree.salt;
+    entry.depth = tree.depth;
+    entry.ran = 0;
+    entry.ran_sum = 0;
+    f.run([&](fc::Ctx& ctx) {
+      const RandomTree mine{entry.salt, entry.depth};
+      if (ctx.me() == 1) af.put(1);
+      ctx.barrier();
+      af.work([&](std::uint64_t& id, fc::Askfor<std::uint64_t>& self) {
+        entry.ran.fetch_add(1, std::memory_order_relaxed);
+        entry.ran_sum.fetch_add(id, std::memory_order_relaxed);
+        for (int c = 0; c < mine.children(id); ++c) self.put(2 * id + c);
+      });
+    });
+    EXPECT_EQ(entry.ran.load(), nodes) << "entry " << e;
+    EXPECT_EQ(entry.ran_sum.load(), id_sum) << "entry " << e;
+    total += nodes;
+  }
+  return total;
+}
+
+}  // namespace
+
+TEST_P(AskforBackend, OneSeederManyThievesRunEveryTaskOnce) {
+  // The root puts all eight subtree roots into its own deque, so the
+  // other members start only by stealing, and every task puts two more.
+  force::Force f(config(4));
+  auto& hits = f.shared<LaneHits>("askfor_lane_hits");
+  fc::Askfor<LaneTask> af(f.env(), "askfor-steal-heavy");
+  f.run([&](fc::Ctx& ctx) {
+    if (ctx.leader()) af.put({kLanes, 0});
+    ctx.barrier();
+    af.work([&](LaneTask& t, fc::Askfor<LaneTask>& self) {
+      if (t.lane == kLanes) {
+        for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+          self.put({lane, 1});
+        }
+      } else if (2 * t.id < kLaneIds) {
+        self.put({t.lane, 2 * t.id});
+        self.put({t.lane, 2 * t.id + 1});
+      }
+      hits[t.lane * kLaneIds + t.id].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  EXPECT_EQ(hits[kLanes * kLaneIds].load(), 1u) << "root";
+  for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+    for (std::uint32_t id = 1; id < kLaneIds; ++id) {
+      ASSERT_EQ(hits[lane * kLaneIds + id].load(), 1u)
+          << "lane " << lane << " id " << id;
+    }
+  }
+  EXPECT_EQ(af.granted(), kLanes * (kLaneIds - 1) + 1);
+}
+
+TEST_P(AskforBackend, RandomTreesRunEveryNodeOnce) {
+  force::Force f(config(4));
+  fc::Askfor<std::uint64_t> af(f.env(), "askfor-trees");
+  const std::size_t nodes = run_random_trees(f, af, 30, 20261018);
+  EXPECT_EQ(af.granted(), nodes);
+}
+
+TEST_P(AskforBackend, PooledReentryRunsEveryTaskOnceAndCountsEveryGrant) {
+  // One site re-entered by a pooled team: each entry re-arms the monitor,
+  // and the grant tally the parent reads spans every entry.
+  force::Force f(config(4, true));
+  fc::Askfor<std::uint64_t> af(f.env(), "askfor-pooled-trees");
+  const std::size_t nodes = run_random_trees(f, af, 300, 20261019);
+  EXPECT_EQ(af.granted(), nodes);
+}
+
+TEST_P(AskforBackend, ProbendStopsEveryMember) {
+  constexpr int kTasks = 2000;
+  force::Force f(config(4));
+  auto& executed = f.shared<std::atomic<int>>("askfor_probend_executed");
+  fc::Askfor<int> af(f.env(), "askfor-probend");
+  f.run([&](fc::Ctx& ctx) {
+    if (ctx.leader()) {
+      for (int i = 0; i < kTasks; ++i) af.put(i);
+    }
+    ctx.barrier();
+    af.work([&](int& task, fc::Askfor<int>& self) {
+      executed.fetch_add(1, std::memory_order_relaxed);
+      if (task == 17) self.probend();
+    });
+  });
+  EXPECT_TRUE(af.ended());
+  EXPECT_GE(executed.load(), 18);
+  EXPECT_LT(executed.load(), kTasks);
+}
+
+TEST_P(AskforBackend, GrantedTaskPutsFiveThousandChildren) {
+  // More children than one member's deque holds: the rest queue centrally
+  // (a bounded ring under os-fork), and each runs once. The siblings join
+  // only once every child is queued, so nothing drains the queue early.
+  constexpr std::uint32_t kChildren = 5000;
+  force::Force f(config(4));
+  auto& hits =
+      f.shared<std::array<std::atomic<std::uint32_t>, kChildren + 1>>(
+          "askfor_fanout_hits");
+  auto& queued = f.shared<std::atomic<bool>>("askfor_fanout_queued");
+  fc::Askfor<std::uint32_t> af(f.env(), "askfor-fanout");
+  f.run([&](fc::Ctx& ctx) {
+    if (ctx.leader()) {
+      af.put(0);
+    } else {
+      while (!queued.load()) std::this_thread::yield();
+    }
+    af.work([&](std::uint32_t& task, fc::Askfor<std::uint32_t>& self) {
+      if (task == 0) {
+        for (std::uint32_t c = 1; c <= kChildren; ++c) self.put(c);
+        queued = true;
+      }
+      hits[task].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::uint32_t t = 0; t <= kChildren; ++t) {
+    ASSERT_EQ(hits[t].load(), 1u) << "task " << t;
+  }
+  EXPECT_EQ(af.granted(), kChildren + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadAndOsFork, AskforBackend,
+                         ::testing::Values("thread", "os-fork"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });

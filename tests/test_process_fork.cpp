@@ -219,6 +219,51 @@ TEST(ForkDeath, SigkillMidAskforIsReportedAndDoesNotHang) {
   EXPECT_LT(seconds_since(t0), 30.0) << "robust join took too long";
 }
 
+// A child SIGKILLed in an Askfor body right after putting two children
+// into its own deque: its credit never comes back, so the survivors idle
+// until the team poison releases them, well inside the 5 s grace after
+// which the parent would SIGKILL them. The victim's site is the Askfor,
+// and the death scrub must leave the same site able to run its whole tree
+// again, every task once.
+TEST(ForkDeath, SigkillHoldingAnAskforCreditIsReportedAndTheSiteRunsAgain) {
+  constexpr std::uint64_t kNodes = 255;  // heap ids 1..255
+  force::Force f(fork_config());
+  auto& kill_flag = f.shared<std::int64_t>("askfor_kill_flag");
+  auto& hits = f.shared<std::array<std::int64_t, kNodes + 1>>("askfor_hits");
+  const auto program = [&](core::Ctx& ctx) {
+    auto& af = ctx.askfor<std::uint64_t>(FORCE_SITE);
+    if (ctx.leader()) af.put(1);
+    ctx.barrier();
+    af.work([&](std::uint64_t& id, core::Askfor<std::uint64_t>& self) {
+      if (2 * id < kNodes) {
+        self.put(2 * id);
+        self.put(2 * id + 1);
+      }
+      if (kill_flag != 0 && id == 1) raise(SIGKILL);
+      std::atomic_ref<std::int64_t>(hits[id]).fetch_add(1);
+    });
+  };
+
+  kill_flag = 1;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    f.run(program);
+    FAIL() << "a SIGKILLed child must surface as ProcessDeathError";
+  } catch (const md::ProcessDeathError& e) {
+    EXPECT_EQ(e.term_signal(), SIGKILL);
+    EXPECT_NE(e.site().find("askfor"), std::string::npos)
+        << "victim site: " << e.site();
+  }
+  EXPECT_LT(seconds_since(t0), 4.0) << "survivors missed the team poison";
+
+  kill_flag = 0;
+  hits = {};
+  f.run(program);
+  for (std::uint64_t id = 1; id <= kNodes; ++id) {
+    EXPECT_EQ(hits[id], 1) << "task " << id;
+  }
+}
+
 // A child SIGKILLed in a selfsched body while its home block still holds
 // unrun trips. The survivors take those trips over, then depart past an
 // exit gate the victim never leaves. The death must be reported with the
