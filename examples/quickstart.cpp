@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     if (ctx.me() == 1) token.produce(ctx.np());
     ctx.barrier([&] {
       int v = token.consume();
-      std::printf("async token consumed: %d (hardware full/empty: %s)\n", v,
+      std::printf("async token consumed: %d (full/empty cell word: %s)\n", v,
                   token.uses_hardware_path() ? "yes" : "no");
     });
   });

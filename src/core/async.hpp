@@ -11,12 +11,17 @@
 // Async<T> holds one machdep::AsyncCell, picked at construction and
 // called the same way by every operation. On thread and os-fork it is the
 // in-process cell below: the payload moves through one machdep
-// FullEmptyGate - the HEP's tagged cell, or the §4.2 E/F lock pair on
-// every other machine (machdep/fullempty.hpp) - and every operation is
-// written once as seize -> sentry hooks -> move payload -> publish. Under
-// os-fork its cell word and payload live in the arena blob
-// kAsyncWords + label and the gate is always the cell word. The cluster
-// backend, which has no shared memory, hands out an RPC cell instead.
+// FullEmptyGate - the full/empty cell word on the HEP (its tagged cell)
+// and on native (atomic RMW, unbudgeted locks), or the §4.2 E/F lock pair
+// on every other machine and on native under dispatch="locked"
+// (machdep/fullempty.hpp, ForceEnvironment::new_full_empty_gate) - and
+// every operation is written once as seize -> sentry hooks -> move
+// payload -> publish. A handoff on the cell word writes only that word's
+// line and the payload beside it: the Produce/Consume counts go to the
+// calling thread's shard of RuntimeStats. Under os-fork its cell word and
+// payload live in the arena blob kAsyncWords + label and the gate is
+// always the cell word. The cluster backend, which has no shared memory,
+// hands out an RPC cell instead.
 #pragma once
 
 #include <memory>
@@ -178,8 +183,10 @@ class Async {
   /// from inside their cell.
   [[nodiscard]] bool is_full() const { return cell_->is_full(); }
 
-  /// True if this variable uses the tagged-cell gate (the HEP's
-  /// expansion, and every variable whose words are in the os-fork arena).
+  /// True if this variable runs the full/empty cell word rather than the
+  /// E/F lock pair: the HEP's expansion, native's (atomic RMW) unless
+  /// dispatch="locked", and every variable whose words are in the os-fork
+  /// arena.
   [[nodiscard]] bool uses_hardware_path() const { return hardware_; }
 
  private:

@@ -242,7 +242,9 @@ std::unique_ptr<machdep::EpisodeGate> ForceEnvironment::new_episode_gate(
 
 machdep::FullEmptyGate ForceEnvironment::new_full_empty_gate(
     const std::string& label, std::atomic<std::uint32_t>& cell) {
-  if (machine_->spec().hardware_full_empty || word_arena_ != nullptr) {
+  const machdep::MachineSpec& spec = machine_->spec();
+  if (spec.hardware_full_empty || word_arena_ != nullptr ||
+      (atomic_words() && machdep::atomic_full_empty(spec))) {
     return machdep::FullEmptyGate(cell, word_scope_);
   }
   return machdep::FullEmptyGate(

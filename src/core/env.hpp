@@ -24,6 +24,7 @@
 #include "machdep/linkage.hpp"
 #include "machdep/machine.hpp"
 #include "core/site.hpp"
+#include "util/counter.hpp"
 #include "util/rng.hpp"
 #include "util/trace.hpp"
 
@@ -48,8 +49,11 @@ struct ForceConfig {
   /// "auto" (default) follows the machine's hardware_atomic_rmw: selfsched
   /// dispatch and entry gate and the default barrier run on the atomic
   /// words (machdep/words.hpp), and Askfor steals work, where the hardware
-  /// has atomic RMW. "locked" means the paper's lock expansions for all of
-  /// them, as on lock-only machines (benches/tests comparing the two).
+  /// has atomic RMW; async variables also run the full/empty cell word
+  /// where the machine's locks are unbudgeted (native; see
+  /// new_full_empty_gate). "locked" means the paper's lock expansions for
+  /// all of them, the E/F pair included, as on lock-only machines
+  /// (benches/tests comparing the two).
   std::string dispatch = "auto";
   /// Process backend. "machine" (default) uses the machine model's
   /// thread-emulated process creation; "os-fork" spawns real child
@@ -112,15 +116,18 @@ struct ForceConfig {
 };
 
 /// Machine-independent runtime statistics, aggregated across processes.
+/// Each field is sharded per thread (util/counter.hpp), so members bumping
+/// a counter on a hot path do not share its cache line; a read sums the
+/// shards.
 struct RuntimeStats {
-  std::atomic<std::uint64_t> barrier_episodes{0};
-  std::atomic<std::uint64_t> critical_entries{0};
-  std::atomic<std::uint64_t> doall_iterations{0};
-  std::atomic<std::uint64_t> doall_dispatches{0};  ///< selfsched index grabs
-  std::atomic<std::uint64_t> produces{0};
-  std::atomic<std::uint64_t> consumes{0};
-  std::atomic<std::uint64_t> askfor_grants{0};
-  std::atomic<std::uint64_t> pcase_blocks{0};
+  util::ShardedCounter barrier_episodes;
+  util::ShardedCounter critical_entries;
+  util::ShardedCounter doall_iterations;
+  util::ShardedCounter doall_dispatches;  ///< selfsched index grabs
+  util::ShardedCounter produces;
+  util::ShardedCounter consumes;
+  util::ShardedCounter askfor_grants;
+  util::ShardedCounter pcase_blocks;
 
   void reset();
 };
@@ -208,8 +215,11 @@ class ForceEnvironment {
       int width, std::atomic<std::uint32_t>& word);
 
   /// Full/empty gate of the in-process async variable `label`: the placed
-  /// `cell` word where hardware_full_empty or the words are in the arena,
-  /// else the §4.2 E/F lock pair.
+  /// `cell` word where the machine has hardware_full_empty, where the
+  /// words are in the arena, or where atomic_words() holds on a machine
+  /// that passes machdep::atomic_full_empty (atomic RMW, unbudgeted
+  /// locks: `native`); else the §4.2 E/F lock pair, which keeps a
+  /// lock-budgeted machine's async variables on its scarce locks.
   machdep::FullEmptyGate new_full_empty_gate(const std::string& label,
                                              std::atomic<std::uint32_t>& cell);
 

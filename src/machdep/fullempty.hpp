@@ -3,9 +3,13 @@
 // The paper expands Produce/Consume two ways, chosen by the machine:
 //
 //   * the HEP: one tagged memory cell - the full/empty cell word of
-//     machdep/words.hpp, as in HepCell - and no locks at all;
-//   * every other machine: two locks E and F, where empty == (E locked,
-//     F unlocked) and full == (F locked, E unlocked):
+//     machdep/words.hpp, as in HepCell - and no locks at all. `native`
+//     runs the same word by compare-and-swap: it has atomic RMW and its
+//     locks are not a budgeted resource (machdep::atomic_full_empty), so
+//     the lower level uses what the machine has (§4.1);
+//   * every other machine (and native under dispatch="locked"): two locks
+//     E and F, where empty == (E locked, F unlocked) and full == (F
+//     locked, E unlocked):
 //         Produce: Lock F;  write;  Unlock E.
 //         Consume: Lock E;  read;   Unlock F.
 //     Note the cross-thread unlock: this is why Force locks are binary
@@ -32,8 +36,9 @@ namespace force::machdep {
 
 class FullEmptyGate {
  public:
-  /// The HEP gate: the caller's cell word, waited on in `scope`; no
-  /// locks. The word starts empty.
+  /// The cell-word gate (the HEP's tagged cell, native's atomic RMW): the
+  /// caller's cell word, waited on in `scope`; no locks. The word starts
+  /// empty.
   FullEmptyGate(std::atomic<std::uint32_t>& cell, WordScope scope)
       : cell_(&cell), scope_(scope) {}
   /// The lock gate over the §4.2 pair `e`/`f` plus the Void guard, noting
@@ -95,13 +100,13 @@ class FullEmptyGate {
   /// Snapshot of the state (Isfull).
   [[nodiscard]] bool is_full() const { return cell_is_full(*cell_); }
 
-  /// True for the HEP tagged-cell expansion.
+  /// True for the cell-word expansion (no locks).
   [[nodiscard]] bool hardware() const { return e_ == nullptr; }
 
  private:
   std::atomic<std::uint32_t>* cell_;
   WordScope scope_ = WordScope::kPrivate;
-  std::unique_ptr<BasicLock> e_;  // lock expansion (null on the HEP)
+  std::unique_ptr<BasicLock> e_;  // lock expansion (null on the cell word)
   std::unique_ptr<BasicLock> f_;
   std::unique_ptr<BasicLock> void_guard_;
 };

@@ -223,6 +223,10 @@ const std::vector<MachineSpec>& registry() {
 
 }  // namespace
 
+bool atomic_full_empty(const MachineSpec& spec) {
+  return spec.hardware_atomic_rmw && spec.lock_budget < 0;
+}
+
 std::vector<std::string> machine_names() {
   std::vector<std::string> names;
   for (const auto& m : registry()) names.push_back(m.name);

@@ -47,6 +47,16 @@ struct MachineSpec {
   CostParameters costs{};
 };
 
+/// The machine half of the async-cell rule (paper §4.1: the lower level
+/// uses what the machine has): true when the machine runs its async
+/// variables on the full/empty cell word through atomic RMW rather than
+/// on the §4.2 E/F lock pair - it has hardware_atomic_rmw and its locks
+/// are not a budgeted resource (lock_budget < 0). Of the registered
+/// machines only `native` qualifies; the Cray-2 and the Alliant keep E/F,
+/// so their async variables still spend their lock budget (E9). The HEP's
+/// tagged cell is the separate hardware_full_empty case.
+bool atomic_full_empty(const MachineSpec& spec);
+
 /// Names of all registered machines, in canonical order.
 std::vector<std::string> machine_names();
 

@@ -729,10 +729,17 @@ void install_machine_macros(MacroProcessor& mp, TranslateContext& ctx,
     mp.define("md_private_bind", "$1 $2{};  // private to this process");
   }
 
+  // The runtime's gate rule (ForceEnvironment::new_full_empty_gate): the
+  // HEP's tagged cell, the cell word on an atomic-RMW machine whose locks
+  // are unbudgeted, the E/F pair everywhere else.
   if (spec.hardware_full_empty) {
     mp.define("md_async_bind",
               "auto& $2 = ctx.async_named<$1>(\"$2\");  "
               "// hardware full/empty tagged cell");
+  } else if (machdep::atomic_full_empty(spec)) {
+    mp.define("md_async_bind",
+              "auto& $2 = ctx.async_named<$1>(\"$2\");  "
+              "// full/empty cell word (atomic RMW)");
   } else {
     mp.define("md_async_bind",
               "auto& $2 = ctx.async_named<$1>(\"$2\");  "

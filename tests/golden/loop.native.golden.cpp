@@ -14,7 +14,7 @@ static void LOOPDEMO_body(force::core::Ctx& ctx) {
   (void)ctx;
   auto& TOTAL = ctx.shared<std::int64_t>("TOTAL");  // run-time shared pages (padded)
   auto& GRID = ctx.shared<std::array<double, 16>>("GRID");  // run-time shared pages (padded)
-  auto& TOKEN = ctx.async_named<std::int64_t>("TOKEN");  // full/empty built from two generic locks (E/F)
+  auto& TOKEN = ctx.async_named<std::int64_t>("TOKEN");  // full/empty cell word (atomic RMW)
   std::int64_t I{};  // private to this process
   std::int64_t LOCALSUM{};  // private to this process
   // end of declarations

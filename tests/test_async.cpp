@@ -1,6 +1,8 @@
 // Tests for asynchronous variables (paper §3.2, §3.4, §4.2): full/empty
-// semantics via the two-lock software scheme and the HEP hardware path,
-// conservation under contention, Copy, Void and state tests.
+// semantics via the two-lock software scheme and the full/empty cell word
+// (the HEP's tagged cell, native's atomic RMW), which expansion each
+// machine takes, conservation under contention, Copy, Void and state
+// tests, a pooled N:M pipeline, and the sharded runtime counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "core/async.hpp"
+#include "core/force.hpp"
 
 namespace fc = force::core;
 
@@ -23,8 +26,8 @@ fc::ForceConfig test_config(const std::string& machine) {
 }
 }  // namespace
 
-// Parameterized over machine models: "hep" exercises the hardware path,
-// everything else the two-lock scheme.
+// Parameterized over machine models: "hep" and "native" exercise the cell
+// word, "encore" and "cray2" the two-lock scheme.
 class AsyncTest : public ::testing::TestWithParam<std::string> {
  protected:
   AsyncTest() : env_(test_config(GetParam())) {}
@@ -217,4 +220,111 @@ TEST(AsyncPaths, SoftwareLockTrafficIsVisible) {
   // Produce: lock F, unlock E; Consume: lock E, unlock F.
   EXPECT_EQ(delta.acquires, 2u);
   EXPECT_EQ(delta.releases, 2u);
+}
+
+TEST(AsyncPaths, NativeRunsTheCellWord) {
+  // Atomic RMW and unbudgeted locks: no E/F pair is allocated, and a
+  // handoff touches no lock.
+  fc::ForceEnvironment nat(test_config("native"));
+  const auto locks = nat.machine().lock_stats().logical_locks;
+  fc::Async<int> v(nat);
+  EXPECT_TRUE(v.uses_hardware_path());
+  EXPECT_EQ(nat.machine().lock_stats().logical_locks, locks);
+  const auto before = force::machdep::snapshot(nat.machine().counters());
+  v.produce(1);
+  EXPECT_EQ(v.consume(), 1);
+  const auto delta =
+      force::machdep::snapshot(nat.machine().counters()) - before;
+  EXPECT_EQ(delta.acquires, 0u);
+  EXPECT_EQ(delta.releases, 0u);
+}
+
+TEST(AsyncPaths, LockedDispatchAndLockBudgetsKeepTheLockPair) {
+  // dispatch="locked" restores the paper's expansion on native; the Cray-2
+  // and the Alliant have atomic RMW but a lock budget, so their async
+  // variables still spend it (E9).
+  fc::ForceConfig locked = test_config("native");
+  locked.dispatch = "locked";
+  for (const fc::ForceConfig& cfg :
+       {locked, test_config("cray2"), test_config("alliant")}) {
+    SCOPED_TRACE(cfg.machine + "/" + cfg.dispatch);
+    fc::ForceEnvironment env(cfg);
+    const auto locks = env.machine().lock_stats().logical_locks;
+    fc::Async<int> v(env);
+    EXPECT_FALSE(v.uses_hardware_path());
+    EXPECT_EQ(env.machine().lock_stats().logical_locks - locks, 3u);
+    const auto before = force::machdep::snapshot(env.machine().counters());
+    v.produce(1);
+    EXPECT_EQ(v.consume(), 1);
+    const auto delta =
+        force::machdep::snapshot(env.machine().counters()) - before;
+    EXPECT_EQ(delta.acquires, 2u);
+    EXPECT_EQ(delta.releases, 2u);
+  }
+}
+
+// --- pooled N:M pipeline -------------------------------------------------------
+
+TEST(AsyncPipeline, PooledNmNativeRingDeliversEveryItemOnceInOrder) {
+  // Four stages on two workers: a stage blocked on a cell word must yield
+  // its worker to the stage it waits for. Stage s passes item i through
+  // cell i % kDepth of ring s; the sink must see 0, 1, ... exactly once.
+  constexpr int kStages = 4;
+  constexpr std::size_t kDepth = 4;
+  constexpr std::int64_t kItems = 10000;
+  force::ForceConfig cfg;
+  cfg.nproc = kStages;
+  cfg.machine = "native";
+  cfg.pool_workers = 2;
+  force::Force f(cfg);
+  std::int64_t received = 0;
+  std::int64_t out_of_order = 0;
+  f.run([&](force::Ctx& ctx) {
+    auto& rings = ctx.async_array<std::int64_t>(FORCE_SITE,
+                                                (kStages - 1) * kDepth);
+    const auto stage = static_cast<std::size_t>(ctx.me0());
+    for (std::int64_t i = 0; i < kItems; ++i) {
+      const std::size_t cell = static_cast<std::size_t>(i) % kDepth;
+      const std::int64_t v =
+          stage == 0 ? i : rings[(stage - 1) * kDepth + cell].consume();
+      if (stage + 1 < kStages) {
+        rings[stage * kDepth + cell].produce(v);
+      } else {
+        ++received;
+        if (v != i) ++out_of_order;
+      }
+    }
+  });
+  EXPECT_EQ(received, kItems);
+  EXPECT_EQ(out_of_order, 0);
+  // The sharded counters sum every member's Produce and Consume.
+  constexpr auto kHandoffs = static_cast<std::uint64_t>((kStages - 1) * kItems);
+  EXPECT_EQ(f.env().stats().produces.load(), kHandoffs);
+  EXPECT_EQ(f.env().stats().consumes.load(), kHandoffs);
+}
+
+// --- sharded runtime counters -------------------------------------------------
+
+TEST(ShardedCounter, ConcurrentAddsSumExactlyAndResetClearsEveryShard) {
+  // Each thread counts on its own shard; the read sums them exactly, and
+  // RuntimeStats::reset() clears every shard, not only the caller's.
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kAdds = 100000;
+  fc::RuntimeStats stats;
+  {
+    std::vector<std::jthread> team;
+    for (int t = 0; t < kThreads; ++t) {
+      team.emplace_back([&] {
+        for (std::uint64_t i = 0; i < kAdds; ++i) {
+          stats.produces.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+  }
+  EXPECT_EQ(stats.produces.load(), kThreads * kAdds);
+  EXPECT_EQ(stats.consumes.load(), 0u);
+  stats.reset();
+  EXPECT_EQ(stats.produces.load(), 0u);
+  stats.produces.fetch_add(3);
+  EXPECT_EQ(stats.produces.load(), 3u);
 }

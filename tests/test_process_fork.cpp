@@ -264,6 +264,46 @@ TEST(ForkDeath, SigkillHoldingAnAskforCreditIsReportedAndTheSiteRunsAgain) {
   }
 }
 
+// The death scrub itself, read from the parent, which maps the same arena:
+// a victim SIGKILLed holding its Askfor slot and credit leaves `taken` and
+// `credit` set in the site's words, and the next entry's generation re-arm
+// does not clear them (a slot left taken only makes one survivor run
+// slotless), so only the scrub gives the per-member deques back.
+TEST(ForkDeath, DeathScrubClearsEveryAskforSlotAndCredit) {
+  force::Force f(fork_config());
+  try {
+    f.run([](core::Ctx& ctx) {
+      auto& af = ctx.askfor<std::uint64_t>(FORCE_SITE);
+      if (ctx.leader()) af.put(1);
+      ctx.barrier();
+      af.work([&](std::uint64_t& id, core::Askfor<std::uint64_t>& self) {
+        if (id < 64) {
+          self.put(2 * id);
+          self.put(2 * id + 1);
+        }
+        if (id == 1) raise(SIGKILL);  // holds its slot, credit and children
+      });
+    });
+    FAIL() << "a SIGKILLed child must surface as ProcessDeathError";
+  } catch (const md::ProcessDeathError& e) {
+    EXPECT_EQ(e.term_signal(), SIGKILL);
+  }
+  int sites = 0;
+  f.env().arena().for_each_allocation(
+      [&](const std::string& name, void* addr, std::size_t) {
+        if (name.rfind(md::kAskforWords, 0) != 0) return;
+        ++sites;
+        auto* w = static_cast<md::AskforWords*>(addr);
+        EXPECT_EQ(w->inflight.load(), 0u) << name;
+        ASSERT_EQ(w->nslots, static_cast<std::uint32_t>(kNproc)) << name;
+        for (std::uint32_t i = 0; i < w->nslots; ++i) {
+          EXPECT_FALSE(w->slot(i).taken.load()) << name << " slot " << i;
+          EXPECT_FALSE(w->slot(i).credit) << name << " slot " << i;
+        }
+      });
+  EXPECT_EQ(sites, 1);
+}
+
 // A child SIGKILLed in a selfsched body while its home block still holds
 // unrun trips. The survivors take those trips over, then depart past an
 // exit gate the victim never leaves. The death must be reported with the
