@@ -37,15 +37,25 @@ std::vector<Record> diff(const unsigned char* data, std::size_t n,
   std::vector<Record> out;
   std::size_t i = 0;
   while (i < n) {
-    // Every RPC flush scans the whole used arena, so clean words are
-    // skipped whole; the byte steps below still place each record exactly
-    // at its first and last changed byte.
-    while (i + sizeof(std::uint64_t) <= n &&
+    // Every release flush scans the whole used arena and most find nothing,
+    // so a clean block is skipped with one memcmp and a clean word inside a
+    // dirty block with another; the byte steps below still place each
+    // record exactly at its first and last changed byte.
+    if (i % kDiffBlockBytes == 0) {
+      const std::size_t len = std::min(kDiffBlockBytes, n - i);
+      if (std::memcmp(data + i, shadow->data() + i, len) == 0) {
+        i += len;
+        continue;
+      }
+    }
+    const std::size_t block_end =
+        std::min(n, (i / kDiffBlockBytes + 1) * kDiffBlockBytes);
+    while (i + sizeof(std::uint64_t) <= block_end &&
            std::memcmp(data + i, shadow->data() + i,
                        sizeof(std::uint64_t)) == 0) {
       i += sizeof(std::uint64_t);
     }
-    if (i >= n) break;
+    if (i >= block_end) continue;
     if (data[i] == (*shadow)[i]) {
       ++i;
       continue;
@@ -105,6 +115,7 @@ namespace {
 RuntimeConfig g_config;       // what the next cluster run will use
 RuntimeConfig g_saved_config; // ScopedRuntimeConfig restore slot
 ClusterClient* g_client = nullptr;  // member-process client (post-fork)
+Traffic g_last_traffic;             // the last run's coordinator tally
 }  // namespace
 
 ScopedRuntimeConfig::ScopedRuntimeConfig(RuntimeConfig cfg) {
@@ -117,6 +128,8 @@ ScopedRuntimeConfig::~ScopedRuntimeConfig() { g_config = g_saved_config; }
 const RuntimeConfig& runtime_config() { return g_config; }
 
 ClusterClient* client() { return g_client; }
+
+Traffic last_run_traffic() { return g_last_traffic; }
 
 ClusterClient& require_client() {
   FORCE_CHECK(g_client != nullptr,
@@ -210,17 +223,21 @@ void ClusterClient::drain_pending() {
   }
 }
 
-void ClusterClient::flush() {
-  if (arena_ == nullptr) return;
+net::Writer ClusterClient::release_request() {
+  if (arena_ == nullptr) return plain_request();
   drain_pending();
   const std::size_t used = arena_->bytes_used();
   const auto* base =
       reinterpret_cast<const unsigned char*>(arena_->raw_bytes());
-  const std::vector<dsm::Record> recs = dsm::diff(base, used, &shadow_);
-  if (recs.empty()) return;
   net::Writer w;
-  dsm::encode_records(&w, recs);
-  conn_.send_frame(net::MsgType::kUpdates, w.data());
+  dsm::encode_records(&w, dsm::diff(base, used, &shadow_));
+  return w;
+}
+
+net::Writer ClusterClient::plain_request() {
+  net::Writer w;
+  dsm::encode_records(&w, {});
+  return w;
 }
 
 void ClusterClient::apply_updates(net::Reader* r) {
@@ -236,8 +253,7 @@ void ClusterClient::apply_updates(net::Reader* r) {
 
 void ClusterClient::barrier_arrive(const std::string& key, int width,
                                    const std::function<void()>* section) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   w.u32(static_cast<std::uint32_t>(width));
   w.u8(section != nullptr ? 1 : 0);
@@ -250,8 +266,7 @@ void ClusterClient::barrier_arrive(const std::string& key, int width,
     net::Reader r(payload);
     apply_updates(&r);
     (*section)();
-    flush();
-    net::Writer done;
+    net::Writer done = release_request();
     done.str(key);
     conn_.send_frame(net::MsgType::kBarrierSectionDone, done.data());
     recv_expect({net::MsgType::kBarrierRelease}, &payload);
@@ -261,8 +276,7 @@ void ClusterClient::barrier_arrive(const std::string& key, int width,
 }
 
 void ClusterClient::lock_acquire(const std::string& key) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   conn_.send_frame(net::MsgType::kLockAcquire, w.data());
   std::vector<unsigned char> payload;
@@ -272,8 +286,7 @@ void ClusterClient::lock_acquire(const std::string& key) {
 }
 
 bool ClusterClient::lock_try_acquire(const std::string& key) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   conn_.send_frame(net::MsgType::kLockTry, w.data());
   std::vector<unsigned char> payload;
@@ -286,14 +299,13 @@ bool ClusterClient::lock_try_acquire(const std::string& key) {
 }
 
 void ClusterClient::lock_release(const std::string& key) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   conn_.send_frame(net::MsgType::kLockRelease, w.data());
 }
 
 void ClusterClient::dispatch_reset(const std::string& key) {
-  net::Writer w;
+  net::Writer w = plain_request();
   w.str(key);
   conn_.send_frame(net::MsgType::kDispatchReset, w.data());
   std::vector<unsigned char> payload;
@@ -313,7 +325,7 @@ Claim ClusterClient::dispatch_claim_fraction(const std::string& key,
 
 Claim ClusterClient::claim_rpc(const std::string& key, std::int64_t want,
                                std::int64_t limit, std::int64_t divisor) {
-  net::Writer w;
+  net::Writer w = plain_request();
   w.str(key);
   w.i64(want);
   w.i64(limit);
@@ -330,8 +342,7 @@ Claim ClusterClient::claim_rpc(const std::string& key, std::int64_t want,
 
 void ClusterClient::askfor_put(const std::string& key, const void* task,
                                std::size_t n) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   w.bytes(task, n);
   conn_.send_frame(net::MsgType::kAskforPut, w.data());
@@ -339,8 +350,7 @@ void ClusterClient::askfor_put(const std::string& key, const void* task,
 
 bool ClusterClient::askfor_ask(const std::string& key, void* task,
                                std::size_t n) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   conn_.send_frame(net::MsgType::kAskforAsk, w.data());
   std::vector<unsigned char> payload;
@@ -358,22 +368,20 @@ bool ClusterClient::askfor_ask(const std::string& key, void* task,
 }
 
 void ClusterClient::askfor_complete(const std::string& key) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   conn_.send_frame(net::MsgType::kAskforComplete, w.data());
 }
 
 void ClusterClient::askfor_probend(const std::string& key) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   conn_.send_frame(net::MsgType::kAskforProbend, w.data());
 }
 
 void ClusterClient::askfor_status(const std::string& key, bool* ended,
                                   std::uint64_t* granted) {
-  net::Writer w;
+  net::Writer w = plain_request();
   w.str(key);
   conn_.send_frame(net::MsgType::kAskforStatus, w.data());
   std::vector<unsigned char> payload;
@@ -388,8 +396,7 @@ void ClusterClient::askfor_status(const std::string& key, bool* ended,
 
 void ClusterClient::cell_produce(const std::string& key, const void* value,
                                  std::size_t n) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   w.bytes(value, n);
   conn_.send_frame(net::MsgType::kCellProduce, w.data());
@@ -412,8 +419,7 @@ void read_cell_value(net::Reader* r, void* value, std::size_t n) {
 
 void ClusterClient::cell_consume(const std::string& key, void* value,
                                  std::size_t n) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   w.u8(0);
   conn_.send_frame(net::MsgType::kCellConsume, w.data());
@@ -426,8 +432,7 @@ void ClusterClient::cell_consume(const std::string& key, void* value,
 
 void ClusterClient::cell_copy(const std::string& key, void* value,
                               std::size_t n) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   w.u8(1);
   conn_.send_frame(net::MsgType::kCellConsume, w.data());
@@ -440,8 +445,7 @@ void ClusterClient::cell_copy(const std::string& key, void* value,
 
 bool ClusterClient::cell_try_produce(const std::string& key, const void* value,
                                      std::size_t n) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   w.bytes(value, n);
   conn_.send_frame(net::MsgType::kCellTryProduce, w.data());
@@ -456,8 +460,7 @@ bool ClusterClient::cell_try_produce(const std::string& key, const void* value,
 
 bool ClusterClient::cell_try_consume(const std::string& key, void* value,
                                      std::size_t n) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   conn_.send_frame(net::MsgType::kCellTryConsume, w.data());
   std::vector<unsigned char> payload;
@@ -472,8 +475,7 @@ bool ClusterClient::cell_try_consume(const std::string& key, void* value,
 }
 
 void ClusterClient::cell_void(const std::string& key) {
-  flush();
-  net::Writer w;
+  net::Writer w = release_request();
   w.str(key);
   conn_.send_frame(net::MsgType::kCellVoid, w.data());
   std::vector<unsigned char> payload;
@@ -481,8 +483,7 @@ void ClusterClient::cell_void(const std::string& key) {
 }
 
 void ClusterClient::join() {
-  flush();
-  conn_.send_frame(net::MsgType::kJoin, nullptr, 0);
+  conn_.send_frame(net::MsgType::kJoin, release_request().data());
   std::vector<unsigned char> payload;
   recv_expect({net::MsgType::kJoinAck}, &payload);
 }
@@ -645,6 +646,8 @@ class Coordinator {
     return death_.proc0 >= 0;
   }
 
+  [[nodiscard]] const Traffic& traffic() const { return traffic_; }
+
  private:
   // --- transport ----------------------------------------------------------
 
@@ -652,16 +655,9 @@ class Coordinator {
                const std::vector<unsigned char>& payload) {
     PeerIO& p = peers_[static_cast<std::size_t>(peer)];
     if (!p.conn.valid() || p.eof) return;
-    unsigned char hdr[net::kFrameHeaderBytes];
-    net::FrameHeader h;
-    h.type = static_cast<std::uint16_t>(type);
-    h.payload_bytes = static_cast<std::uint32_t>(payload.size());
-    net::encode_frame_header(h, hdr);
+    ++traffic_.replies_out;
     // A failed send means the peer is gone; the reaper owns that story.
-    if (!net::send_all(p.conn.fd(), hdr, sizeof hdr)) return;
-    if (!payload.empty()) {
-      (void)net::send_all(p.conn.fd(), payload.data(), payload.size());
-    }
+    (void)net::write_frame(p.conn.fd(), type, payload.data(), payload.size());
   }
 
   void poll_and_read() {
@@ -744,8 +740,15 @@ class Coordinator {
 
   // --- update log ---------------------------------------------------------
 
-  void append_and_apply(const std::vector<dsm::Record>& recs) {
-    for (const dsm::Record& rec : recs) {
+  /// Appends a peer's release records to the log and the master arena.
+  void append_and_apply(int peer, std::vector<dsm::Record> recs) {
+    PeerIO& p = peers_[static_cast<std::size_t>(peer)];
+    // A peer that had seen the whole log already holds every byte its own
+    // records set, so they need not come back to it.
+    const bool caught_up = p.synced == log_.size();
+    for (dsm::Record& rec : recs) {
+      ++traffic_.records_in;
+      traffic_.record_bytes_in += rec.bytes.size();
       if (arena_ != nullptr) {
         const std::size_t end =
             static_cast<std::size_t>(rec.offset) + rec.bytes.size();
@@ -755,8 +758,9 @@ class Coordinator {
                         rec.offset,
                     rec.bytes.data(), rec.bytes.size());
       }
-      log_.push_back(rec);
+      log_.push_back(std::move(rec));
     }
+    if (caught_up) p.synced = log_.size();
   }
 
   /// Appends the log suffix this peer has not seen and marks it seen.
@@ -767,6 +771,7 @@ class Coordinator {
     for (std::size_t i = from; i < log_.size(); ++i) {
       w->u64(log_[i].offset);
       w->bytes(log_[i].bytes.data(), log_[i].bytes.size());
+      traffic_.record_bytes_out += log_[i].bytes.size();
     }
     p.synced = log_.size();
   }
@@ -785,7 +790,6 @@ class Coordinator {
     switch (t) {
       case net::MsgType::kSite:
       case net::MsgType::kError:
-      case net::MsgType::kUpdates:
       case net::MsgType::kLockRelease:
       case net::MsgType::kAskforPut:
       case net::MsgType::kAskforComplete:
@@ -802,15 +806,18 @@ class Coordinator {
     net::Reader r(body, n);
     // Provenance frames are served even after poisoning.
     if (type == net::MsgType::kSite) {
+      ++traffic_.notes_in;
       std::string site;
       if (r.str(&site)) peers_[static_cast<std::size_t>(peer)].site = site;
       return;
     }
     if (type == net::MsgType::kError) {
+      ++traffic_.notes_in;
       std::string what;
       if (r.str(&what)) peers_[static_cast<std::size_t>(peer)].error = what;
       return;
     }
+    ++traffic_.requests_in;
     if (poisoned_) {
       // The team is dead: every parked or future request gets poison so
       // survivors unwind instead of waiting on a construct that will
@@ -818,19 +825,20 @@ class Coordinator {
       if (is_reply_expected(type)) send_to(peer, net::MsgType::kPoison, {});
       return;
     }
+    if (type == net::MsgType::kHello) {
+      std::uint32_t proc = 0;
+      FORCE_CHECK(r.u32(&proc) && proc == static_cast<std::uint32_t>(peer),
+                  "cluster hello from the wrong peer");
+      send_to(peer, net::MsgType::kHelloAck, {});
+      return;
+    }
+    // Every construct request leads with the sender's release records;
+    // applying them first keeps the release ahead of the construct it
+    // precedes.
+    std::vector<dsm::Record> recs;
+    if (!dsm::decode_records(&r, &recs)) return;
+    if (!recs.empty()) append_and_apply(peer, std::move(recs));
     switch (type) {
-      case net::MsgType::kHello: {
-        std::uint32_t proc = 0;
-        FORCE_CHECK(r.u32(&proc) && proc == static_cast<std::uint32_t>(peer),
-                    "cluster hello from the wrong peer");
-        send_to(peer, net::MsgType::kHelloAck, {});
-        return;
-      }
-      case net::MsgType::kUpdates: {
-        std::vector<dsm::Record> recs;
-        if (dsm::decode_records(&r, &recs)) append_and_apply(recs);
-        return;
-      }
       case net::MsgType::kBarrierArrive: return on_barrier_arrive(peer, &r);
       case net::MsgType::kBarrierSectionDone:
         return on_barrier_section_done(peer, &r);
@@ -1162,6 +1170,7 @@ class Coordinator {
   SharedArena* arena_;
   std::vector<PeerIO> peers_;
   std::vector<dsm::Record> log_;
+  Traffic traffic_;
   std::map<std::string, LockState> locks_;
   std::map<std::string, BarrierState> barriers_;
   std::map<std::string, DispatchState> dispatches_;
@@ -1266,6 +1275,7 @@ SpawnStats run_cluster_team(int nproc, PrivateSpace* space,
   Coordinator::Death death;
   const bool died = coord.serve(&death);
   stats.join_ns = util::now_ns() - t1;
+  g_last_traffic = coord.traffic();
 
   if (died) {
     const int exit_code =

@@ -7,24 +7,32 @@
 // coordinator (Unix-domain socketpair by default, loopback TCP with
 // cluster_transport="tcp"). Every synchronization construct - barrier, lock,
 // dispatch counter, askfor monitor, async variable - is a keyed state table
-// on the coordinator driven by request/response frames. The protocol is
-// strictly request -> response: a peer that is waiting is always parked in
+// on the coordinator driven by request/response frames (protocol version
+// 2). A construct RPC is exactly one request frame, and every frame, either
+// way, leaves in one sendmsg(2) of header and payload. The protocol is
+// strictly request -> response (lock release and askfor put, complete and
+// probend are one-way requests): a peer that is waiting is always parked in
 // recv, so coordinator replies can never deadlock; the only unsolicited
 // coordinator frame is kPoison (team death).
 //
 // Software distributed shared arena. Each peer's arena is a private
 // copy-on-write image of the parent's; a shadow copy tracks what the
 // coordinator has last been told. At every RELEASE point (barrier arrival,
-// lock release, askfor put/complete, async produce, join) the peer byte-diffs
-// arena against shadow and ships the changed runs; the coordinator appends
-// them to a global monotone update log and applies them to the master arena.
+// lock acquire and release, askfor put/ask/complete/probend, async
+// operations, join) the peer diffs arena against shadow - one memcmp per
+// clean 4 KB block, exact byte runs inside a dirty one - and the changed
+// runs ride at the head of the request itself as a records block (count 0
+// when clean; claims, dispatch resets and status reads always send 0). The
+// coordinator applies that block before it serves the construct, appending
+// the records to a global monotone update log and to the master arena.
 // At every ACQUIRE point (lock grant, barrier release, askfor grant, async
 // value) the reply carries the log suffix the peer has not yet seen, which
-// the peer applies to both arena and shadow. Under the Force's data-race-free
-// discipline (shared writes happen under locks, barriers order phases) this
-// write-through/log-replay scheme makes release-point arena contents
-// deterministic - the fuzz tests in tests/test_cluster_proto.cpp drive the
-// pure diff/apply half directly.
+// the peer applies to both arena and shadow; a peer that had seen the
+// whole log when it flushed is not sent its own records back. Under the
+// Force's data-race-free discipline (shared writes happen under locks,
+// barriers order phases) this write-through/log-replay scheme makes
+// release-point arena contents deterministic - the fuzz tests in
+// tests/test_cluster_proto.cpp drive the pure diff/apply half directly.
 //
 // Death. Identical in shape to the os-fork backend: the coordinator reaps
 // with waitpid(WNOHANG); the first abnormal exit poisons the team (kPoison
@@ -59,9 +67,15 @@ struct Record {
   std::vector<unsigned char> bytes;
 };
 
+/// The diff's skip granule: a block-aligned run of this many bytes that
+/// equals the shadow costs one memcmp.
+inline constexpr std::size_t kDiffBlockBytes = 4096;
+
 /// Byte-diffs data[0, n) against `shadow`, appending one Record per changed
 /// run and updating shadow to match. The shadow is zero-extended first, so
-/// freshly allocated arena space is shipped once in full.
+/// freshly allocated arena space is shipped once in full. Clean
+/// kDiffBlockBytes blocks are skipped whole; a run may straddle blocks and
+/// is still one record.
 std::vector<Record> diff(const unsigned char* data, std::size_t n,
                          std::vector<unsigned char>* shadow);
 
@@ -116,10 +130,8 @@ class ClusterClient {
   /// (sent only when it changes; feeds ProcessDeathError provenance).
   void note_site(const std::string& site);
 
-  /// Ships dirty arena bytes to the coordinator (a RELEASE point).
-  void flush();
-
-  /// Barrier arrival: flush, arrive, run `section` if elected champion,
+  /// Barrier arrival: arrive with this peer's release records, run
+  /// `section` if elected champion (its writes ride the section-done frame),
   /// block until the whole episode releases (applying updates).
   void barrier_arrive(const std::string& key, int width,
                       const std::function<void()>* section);
@@ -151,7 +163,8 @@ class ClusterClient {
   bool cell_try_consume(const std::string& key, void* value, std::size_t n);
   void cell_void(const std::string& key);
 
-  /// Final flush + orderly goodbye; the member exits cleanly after this.
+  /// Orderly goodbye carrying the final flush; the member exits cleanly
+  /// after this.
   void join();
 
   /// Best-effort: ships an exception message for death provenance.
@@ -163,6 +176,13 @@ class ClusterClient {
 
  private:
   void handshake();
+  /// A construct request payload that starts with this peer's release
+  /// flush: the dirty arena runs, diffed against the shadow, as a records
+  /// block (count 0 when clean). Every RELEASE point sends one.
+  net::Writer release_request();
+  /// A request payload that starts with an empty records block (claims,
+  /// dispatch resets and status reads are not release points).
+  static net::Writer plain_request();
   Claim claim_rpc(const std::string& key, std::int64_t want,
                   std::int64_t limit, std::int64_t divisor);
   void apply_updates(net::Reader* r);
@@ -186,6 +206,22 @@ class ClusterClient {
 [[nodiscard]] ClusterClient* client();
 /// As above but FORCE_CHECKs that a client is installed.
 [[nodiscard]] ClusterClient& require_client();
+
+/// What the coordinator of one cluster run received and sent. Hello and
+/// join count as requests; a construct RPC is one request frame, whose
+/// release records count below.
+struct Traffic {
+  std::uint64_t requests_in = 0;       // peer frames other than notes
+  std::uint64_t notes_in = 0;          // one-way site and error notes
+  std::uint64_t replies_out = 0;       // coordinator frames, poison included
+  std::uint64_t records_in = 0;        // release records in requests
+  std::uint64_t record_bytes_in = 0;   // their changed bytes
+  std::uint64_t record_bytes_out = 0;  // changed bytes in acquire replies
+};
+
+/// The tally of the last cluster run this process coordinated (zeros
+/// before the first).
+[[nodiscard]] Traffic last_run_traffic();
 
 /// Half-closes the calling member's coordinator link (torn-connection
 /// fault injection). No-op outside a cluster member.

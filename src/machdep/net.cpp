@@ -8,6 +8,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -68,12 +69,32 @@ void Conn::shutdown_both() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
-bool send_all(int fd, const unsigned char* data, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
+bool write_frame(int fd, MsgType type, const void* payload, std::size_t n) {
+  unsigned char hdr[kFrameHeaderBytes];
+  FrameHeader h;
+  h.type = static_cast<std::uint16_t>(type);
+  h.payload_bytes = static_cast<std::uint32_t>(n);
+  encode_frame_header(h, hdr);
+  iovec iov[2] = {{hdr, sizeof hdr}, {const_cast<void*>(payload), n}};
+  iovec* next = iov;
+  std::size_t left = n == 0 ? 1 : 2;
+  while (left > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = left;
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w > 0) {
-      sent += static_cast<std::size_t>(w);
+      // Drop the iovecs sent whole and trim the one the write stopped in.
+      auto sent = static_cast<std::size_t>(w);
+      while (left > 0 && sent >= next->iov_len) {
+        sent -= next->iov_len;
+        ++next;
+        --left;
+      }
+      if (left > 0) {
+        next->iov_base = static_cast<unsigned char*>(next->iov_base) + sent;
+        next->iov_len -= sent;
+      }
       continue;
     }
     if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -91,17 +112,9 @@ void Conn::send_frame(MsgType type, const void* payload, std::size_t n) {
   FORCE_CHECK(fd_ >= 0, "send_frame on a closed cluster connection");
   FORCE_CHECK(n <= kMaxPayloadBytes,
               "cluster frame payload exceeds kMaxPayloadBytes");
-  unsigned char hdr[kFrameHeaderBytes];
-  FrameHeader h;
-  h.type = static_cast<std::uint16_t>(type);
-  h.payload_bytes = static_cast<std::uint32_t>(n);
-  encode_frame_header(h, hdr);
-  const bool ok =
-      send_all(fd_, hdr, sizeof hdr) &&
-      (n == 0 ||
-       send_all(fd_, static_cast<const unsigned char*>(payload), n));
-  FORCE_CHECK(ok, "cluster connection closed while sending a frame (the "
-                  "coordinator is gone)");
+  FORCE_CHECK(write_frame(fd_, type, payload, n),
+              "cluster connection closed while sending a frame (the "
+              "coordinator is gone)");
 }
 
 namespace {
@@ -192,7 +205,7 @@ Conn& Conn::operator=(Conn&& other) noexcept {
 }
 void Conn::close() { fd_ = -1; }
 void Conn::shutdown_both() {}
-bool send_all(int, const unsigned char*, std::size_t) { return false; }
+bool write_frame(int, MsgType, const void*, std::size_t) { return false; }
 void Conn::send_frame(MsgType, const void*, std::size_t) {
   FORCE_CHECK(false, "the cluster transport requires a POSIX platform");
 }

@@ -32,7 +32,9 @@ namespace force::machdep::net {
 inline constexpr std::uint32_t kFrameMagic = 0x4652434Eu;
 
 /// Bumped whenever the frame layout or any payload layout changes.
-inline constexpr std::uint16_t kProtocolVersion = 1;
+/// Version 2: every construct request opens with the sender's release
+/// records.
+inline constexpr std::uint16_t kProtocolVersion = 2;
 
 /// Fixed size of the frame header on the wire.
 inline constexpr std::size_t kFrameHeaderBytes = 12;
@@ -43,13 +45,16 @@ inline constexpr std::size_t kFrameHeaderBytes = 12;
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u * 1024u * 1024u;
 
 /// Every message the coordinator and peers exchange. The numeric values
-/// are wire-visible; append only, never renumber.
+/// are wire-visible; append only, never renumber (5 was the version-1
+/// update frame). Every peer -> coord payload other than kHello, kSite and
+/// kError is a construct request: it starts with a {records} block, the
+/// sender's release flush (count 0 when clean or not a release point),
+/// ahead of the fields listed here.
 enum class MsgType : std::uint16_t {
   kHello = 1,         // peer -> coord: {proc0 u32}
   kHelloAck = 2,      // coord -> peer: {}
   kSite = 3,          // peer -> coord (one-way): {site str}
   kError = 4,         // peer -> coord (one-way): {what str}
-  kUpdates = 5,       // peer -> coord (one-way): {records}
   kBarrierArrive = 6, // peer -> coord: {key str, width u32, has_section u8}
   kBarrierRunSection = 7,  // coord -> champion: {records}
   kBarrierSectionDone = 8, // champion -> coord: {key str}
@@ -229,8 +234,8 @@ class Conn {
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
   [[nodiscard]] int fd() const { return fd_; }
 
-  /// Writes one complete frame (blocking until fully sent). Throws
-  /// via FORCE_CHECK on a broken pipe or malformed size.
+  /// Writes one complete frame with write_frame (blocking until fully
+  /// sent). Throws via FORCE_CHECK on a broken pipe or malformed size.
   void send_frame(MsgType type, const void* payload, std::size_t n);
   void send_frame(MsgType type, const std::vector<unsigned char>& payload) {
     send_frame(type, payload.data(), payload.size());
@@ -264,9 +269,11 @@ enum class Transport {
 /// first = coordinator end, second = peer end.
 std::pair<Conn, Conn> connected_pair(Transport transport);
 
-/// Sends every byte of `data` on `fd`, waiting via poll(2) when the socket
-/// buffer is full. Returns false if the far side has gone away (EPIPE /
-/// ECONNRESET) - callers decide whether that is fatal.
-bool send_all(int fd, const unsigned char* data, std::size_t n);
+/// Sends one frame of `type` on `fd`: header and payload leave in one
+/// sendmsg(2) of two iovecs, with no copy, so the receiver wakes once per
+/// frame. Partial writes resume where they stopped, waiting via poll(2)
+/// when the socket buffer is full. Returns false if the far side has gone
+/// away (EPIPE / ECONNRESET) - callers decide whether that is fatal.
+bool write_frame(int fd, MsgType type, const void* payload, std::size_t n);
 
 }  // namespace force::machdep::net

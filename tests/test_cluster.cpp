@@ -16,6 +16,9 @@
 //     are enforced at runtime with matching diagnostics: Pcase, Resolve,
 //     non-trivially-copyable askfor payloads, Isfull, the sentry, tracing
 //     and team pools are all rejected with cluster-specific messages.
+//   * the coordinator's traffic tally shows each construct RPC as one
+//     request frame carrying its own release records, and a clean flush
+//     as no record at all.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -325,4 +328,80 @@ TEST(ClusterDsm, LockHandoffCarriesLatestWrites) {
     ctx.barrier();
   });
   EXPECT_EQ(counter, 100);
+  // Each critical is two request frames, acquire and release, and each
+  // release carries the one record of its increment.
+  const md::cluster::Traffic t = md::cluster::last_run_traffic();
+  EXPECT_EQ(t.requests_in, 4u * (2u * 25u + 3u));
+  EXPECT_EQ(t.records_in, 100u);
+}
+
+// --- coordinator traffic -----------------------------------------------------
+//
+// The coordinator runs in the parent, so its tally of one run is read back
+// here: a construct RPC must be one request frame, with its release records
+// inside it, and a clean flush must ship no record at all.
+
+TEST(ClusterTraffic, PlainBarriersAreOneRequestFrameEachAndShipNoRecords) {
+  constexpr int kNproc = 3;
+  constexpr int kBarriers = 10;
+  force::Force f(cluster_config(kNproc));
+  f.run([](fc::Ctx& ctx) {
+    for (int i = 0; i < kBarriers; ++i) ctx.barrier();
+  });
+  const md::cluster::Traffic t = md::cluster::last_run_traffic();
+  // Per peer: hello, one arrival per barrier, join.
+  EXPECT_EQ(t.requests_in,
+            static_cast<std::uint64_t>(kNproc * (kBarriers + 2)));
+  // Per peer: hello ack, one release per barrier, join ack.
+  EXPECT_EQ(t.replies_out,
+            static_cast<std::uint64_t>(kNproc * (kBarriers + 2)));
+  EXPECT_EQ(t.records_in, 0u);
+  EXPECT_EQ(t.record_bytes_in, 0u);
+  EXPECT_EQ(t.record_bytes_out, 0u);
+  // The barrier's site is noted once per peer, on its first arrival.
+  EXPECT_EQ(t.notes_in, static_cast<std::uint64_t>(kNproc));
+}
+
+TEST(ClusterTraffic, OneEightByteWriteIsOneEightByteRecord) {
+  constexpr int kNproc = 3;
+  force::Force f(cluster_config(kNproc));
+  auto& word = f.shared<std::int64_t>("word");
+  word = 0;
+  f.run([&](fc::Ctx& ctx) {
+    // Every byte changes, so the diff finds one 8-byte run.
+    if (ctx.me() == 1) word = 0x0102030405060708;
+    ctx.barrier();
+    if (word != 0x0102030405060708) {
+      throw std::runtime_error("the barrier release lost the write");
+    }
+  });
+  EXPECT_EQ(word, 0x0102030405060708);
+  const md::cluster::Traffic t = md::cluster::last_run_traffic();
+  EXPECT_EQ(t.records_in, 1u);
+  EXPECT_EQ(t.record_bytes_in, 8u);
+  // The release carries it to the two other peers; the writer had seen
+  // the whole log, so its own record does not come back to it.
+  EXPECT_EQ(t.record_bytes_out, static_cast<std::uint64_t>(8 * (kNproc - 1)));
+  EXPECT_EQ(t.requests_in, static_cast<std::uint64_t>(kNproc * 3));
+}
+
+TEST(ClusterTraffic, AskforPutAskAndCompleteAreOneFrameEach) {
+  constexpr int kNproc = 3;
+  constexpr int kTasks = 12;
+  force::Force f(cluster_config(kNproc));
+  f.run([](fc::Ctx& ctx) {
+    auto& af = ctx.askfor<std::int64_t>(FORCE_SITE);
+    if (ctx.leader()) {
+      for (int t = 0; t < kTasks; ++t) af.put(t);
+    }
+    af.work([](std::int64_t&, fc::Askfor<std::int64_t>&) {});
+    ctx.barrier();
+  });
+  const md::cluster::Traffic t = md::cluster::last_run_traffic();
+  // Hello, barrier and join per peer; one frame per put and per complete;
+  // one ask per granted task plus each peer's last, empty-handed ask.
+  EXPECT_EQ(t.requests_in, static_cast<std::uint64_t>(kNproc * 3 + kTasks +
+                                                      kTasks +
+                                                      (kTasks + kNproc)));
+  EXPECT_EQ(t.records_in, 0u);
 }
