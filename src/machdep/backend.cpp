@@ -199,189 +199,6 @@ void ExecutionBackend::reset_shared_sync_after_death() {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Cluster engines (coordinator RPCs via the member's ClusterClient).
-// ---------------------------------------------------------------------------
-
-class ClusterBarrierEngine final : public BarrierEngine {
- public:
-  ClusterBarrierEngine(int width, std::string key)
-      : width_(width),
-        key_(std::move(key)),
-        label_("barrier '" + key_ + "'") {}
-
-  void arrive(int /*proc0*/, const std::function<void()>* section) override {
-    cluster::ClusterClient& c = cluster::require_client();
-    c.note_site(label_);
-    c.barrier_arrive(key_, width_, section);
-  }
-
-  [[nodiscard]] const char* name() const override { return "cluster"; }
-
- private:
-  int width_;
-  std::string key_;
-  std::string label_;
-};
-
-class ClusterDoallSite final : public DoallSite {
- public:
-  /// Episode bounds in the DSM-coherent arena: written by the entry
-  /// champion inside the barrier section (a release point), read by every
-  /// member after the episode release (an acquire point).
-  struct Bounds {
-    std::int64_t start = 0;
-    std::int64_t last = 0;
-    std::int64_t incr = 1;
-    std::int64_t trips = 0;
-  };
-
-  ClusterDoallSite(SharedArena* arena, const std::string& site, int width)
-      : key_("%ssdo/" + site),
-        label_("selfsched '" + site + "'"),
-        entry_(width, key_ + "/entry"),
-        bounds_(&arena->get_or_create<Bounds>(key_)) {}
-
-  DoallBounds enter(std::int64_t start, std::int64_t last, std::int64_t incr,
-                    std::int64_t trips) override {
-    const std::function<void()> section = [this, start, last, incr, trips] {
-      bounds_->start = start;
-      bounds_->last = last;
-      bounds_->incr = incr;
-      bounds_->trips = trips;
-      cluster::require_client().dispatch_reset(key_);
-    };
-    entry_.arrive(0, &section);
-    cluster::require_client().note_site(label_);
-    DoallBounds b;
-    b.start = bounds_->start;
-    b.last = bounds_->last;
-    b.incr = bounds_->incr;
-    b.trips = bounds_->trips;
-    return b;
-  }
-
-  DispatchClaim claim(int /*me0*/, std::int64_t want,
-                      std::int64_t limit) override {
-    const cluster::Claim c =
-        cluster::require_client().dispatch_claim(key_, want, limit);
-    return DispatchClaim{c.begin, c.count};
-  }
-
-  DispatchClaim claim_fraction(int /*me0*/, std::int64_t limit,
-                               std::int64_t divisor) override {
-    const cluster::Claim c =
-        cluster::require_client().dispatch_claim_fraction(key_, limit,
-                                                          divisor);
-    return DispatchClaim{c.begin, c.count};
-  }
-
-  void leave() override {
-    // The champion entry barrier already fences re-entry: nobody can open
-    // the next episode before every member has left this one's claim loop.
-  }
-
- private:
-  std::string key_;
-  std::string label_;
-  ClusterBarrierEngine entry_;
-  Bounds* bounds_;
-};
-
-class ClusterAskforRing final : public AskforRing {
- public:
-  ClusterAskforRing(std::string key, std::size_t task_bytes)
-      : key_(std::move(key)),
-        label_("askfor '" + key_ + "'"),
-        bytes_(task_bytes) {}
-
-  void put(const void* task) override {
-    cluster::ClusterClient& c = cluster::require_client();
-    c.note_site(label_);
-    c.askfor_put(key_, task, bytes_);
-  }
-
-  std::size_t work(void* task, const std::function<void()>& run) override {
-    cluster::ClusterClient& c = cluster::require_client();
-    std::size_t executed = 0;
-    for (;;) {
-      c.note_site(label_);
-      if (!c.askfor_ask(key_, task, bytes_)) return executed;
-      try {
-        run();
-      } catch (...) {
-        c.askfor_complete(key_);
-        throw;
-      }
-      ++executed;
-      c.askfor_complete(key_);
-    }
-  }
-
-  void probend() override {
-    cluster::require_client().askfor_probend(key_);
-  }
-
-  [[nodiscard]] bool ended() const override {
-    bool ended = false;
-    std::uint64_t granted = 0;
-    cluster::require_client().askfor_status(key_, &ended, &granted);
-    return ended;
-  }
-
-  [[nodiscard]] std::uint64_t granted() const override {
-    bool ended = false;
-    std::uint64_t granted = 0;
-    cluster::require_client().askfor_status(key_, &ended, &granted);
-    return granted;
-  }
-
- private:
-  std::string key_;
-  std::string label_;
-  std::size_t bytes_;
-};
-
-class ClusterAsyncCell final : public AsyncCell {
- public:
-  ClusterAsyncCell(std::string label, std::size_t payload_bytes)
-      : label_(std::move(label)), bytes_(payload_bytes) {}
-
-  void produce(const void* value) override {
-    cluster::ClusterClient& c = cluster::require_client();
-    c.note_site(label_);
-    c.cell_produce(label_, value, bytes_);
-  }
-  void consume(void* out) override {
-    cluster::ClusterClient& c = cluster::require_client();
-    c.note_site(label_);
-    c.cell_consume(label_, out, bytes_);
-  }
-  void copy(void* out) override {
-    cluster::ClusterClient& c = cluster::require_client();
-    c.note_site(label_);
-    c.cell_copy(label_, out, bytes_);
-  }
-  bool try_produce(const void* value) override {
-    return cluster::require_client().cell_try_produce(label_, value, bytes_);
-  }
-  bool try_consume(void* out) override {
-    return cluster::require_client().cell_try_consume(label_, out, bytes_);
-  }
-  void void_state() override { cluster::require_client().cell_void(label_); }
-
-  [[nodiscard]] bool is_full() override {
-    FORCE_CHECK(false,
-                capability_reject_message(ProcessModel::kCluster,
-                                          Capability::kIsfull, "Isfull",
-                                          label_));
-  }
-
- private:
-  std::string label_;
-  std::size_t bytes_;
-};
-
-// ---------------------------------------------------------------------------
 // ThreadBackend: machine-model locks and teams; the constructs run their
 // in-process expansions over words in their own objects.
 // ---------------------------------------------------------------------------
@@ -593,7 +410,8 @@ class ShmBackend final : public ExecutionBackend {
 };
 
 // ---------------------------------------------------------------------------
-// ClusterBackend: separate processes, every construct a coordinator RPC.
+// ClusterBackend: separate processes, every construct a coordinator RPC
+// (its engines live in machdep/cluster.cpp beside the coordinator).
 // ---------------------------------------------------------------------------
 
 class ClusterBackend final : public ExecutionBackend {
@@ -607,22 +425,22 @@ class ClusterBackend final : public ExecutionBackend {
 
   [[nodiscard]] std::unique_ptr<DoallSite> make_doall_site(
       const std::string& site, int width) override {
-    return std::make_unique<ClusterDoallSite>(arena_, site, width);
+    return cluster::make_doall_site(arena_, site, width);
   }
 
   [[nodiscard]] std::unique_ptr<AskforRing> make_askfor_ring(
       const std::string& key, std::size_t task_bytes) override {
-    return std::make_unique<ClusterAskforRing>(key, task_bytes);
+    return cluster::make_askfor_ring(key, task_bytes);
   }
 
   [[nodiscard]] std::unique_ptr<AsyncCell> make_async_cell(
       const std::string& label, std::size_t payload_bytes) override {
-    return std::make_unique<ClusterAsyncCell>(label, payload_bytes);
+    return cluster::make_async_cell(label, payload_bytes);
   }
 
   [[nodiscard]] std::unique_ptr<BarrierEngine> make_team_barrier(
       int width, const std::string& key) override {
-    return std::make_unique<ClusterBarrierEngine>(width, key);
+    return cluster::make_team_barrier(width, key);
   }
 
   [[nodiscard]] std::unique_ptr<BasicLock> new_lock(
@@ -631,7 +449,7 @@ class ClusterBackend final : public ExecutionBackend {
     // One keyed lock cell on the coordinator. Same label discipline as
     // the shm backend: construct-unique labels mean every member contends
     // on the same coordinator cell.
-    return std::make_unique<cluster::ClusterLock>(label);
+    return cluster::make_lock(label);
   }
 
   [[nodiscard]] ProcessTeam process_team() const override {

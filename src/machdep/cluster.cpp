@@ -20,6 +20,7 @@
 #endif
 
 #include "machdep/arena.hpp"
+#include "machdep/backend.hpp"
 #include "machdep/shm.hpp"
 #include "util/check.hpp"
 #include "util/timing.hpp"
@@ -93,18 +94,6 @@ void encode_records(net::Writer* w, const std::vector<Record>& recs) {
   }
 }
 
-bool decode_records(net::Reader* r, std::vector<Record>* out) {
-  std::uint32_t count = 0;
-  if (!r->u32(&count)) return false;
-  out->clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Record rec;
-    if (!r->u64(&rec.offset) || !r->bytes(&rec.bytes)) return false;
-    out->push_back(std::move(rec));
-  }
-  return true;
-}
-
 }  // namespace dsm
 
 // ---------------------------------------------------------------------------
@@ -114,8 +103,7 @@ bool decode_records(net::Reader* r, std::vector<Record>* out) {
 namespace {
 RuntimeConfig g_config;       // what the next cluster run will use
 RuntimeConfig g_saved_config; // ScopedRuntimeConfig restore slot
-ClusterClient* g_client = nullptr;  // member-process client (post-fork)
-Traffic g_last_traffic;             // the last run's coordinator tally
+Traffic g_last_traffic;       // the last run's coordinator tally
 }  // namespace
 
 ScopedRuntimeConfig::ScopedRuntimeConfig(RuntimeConfig cfg) {
@@ -125,380 +113,406 @@ ScopedRuntimeConfig::ScopedRuntimeConfig(RuntimeConfig cfg) {
 
 ScopedRuntimeConfig::~ScopedRuntimeConfig() { g_config = g_saved_config; }
 
-const RuntimeConfig& runtime_config() { return g_config; }
-
-ClusterClient* client() { return g_client; }
-
 Traffic last_run_traffic() { return g_last_traffic; }
 
-ClusterClient& require_client() {
+// ---------------------------------------------------------------------------
+// Peer-side link: transport and DSM only. Every construct operation below
+// is one call() (or, one-way, post()) of {records, key, body}.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Whether a request of this type carries the sender's release flush.
+/// Claims, dispatch resets and status reads are not release points, and
+/// hello comes before the member has run.
+bool releases(net::MsgType type) {
+  return type != net::MsgType::kHello &&
+         type != net::MsgType::kDispatchReset &&
+         type != net::MsgType::kDispatchClaim &&
+         type != net::MsgType::kAskforStatus;
+}
+
+class ClusterClient {
+ public:
+  ClusterClient(net::Conn conn, int proc0, SharedArena* arena)
+      : conn_(std::move(conn)), arena_(arena) {
+    if (arena_ != nullptr) {
+      // The shadow starts as a full copy of the already-used arena so the
+      // first flush diffs against real initial contents, not zeros - a
+      // zeroed shadow would make the first flush re-send (and potentially
+      // clobber) every nonzero byte the parent initialized before the fork.
+      const std::size_t used = arena_->bytes_used();
+      const auto* base = reinterpret_cast<const unsigned char*>(
+          arena_->raw_bytes());
+      shadow_.assign(base, base + used);
+    }
+    net::Writer hello;
+    hello.u32(static_cast<std::uint32_t>(proc0));
+    (void)call(net::MsgType::kHello, "", hello);
+  }
+
+  /// One construct RPC: sends the request, blocks for its kReply and
+  /// applies the reply's records. Returns a Reader over the reply body,
+  /// valid until the next call. kPoison throws shm::TeamPoisoned so the
+  /// member unwinds and exits 103.
+  net::Reader call(net::MsgType type, const std::string& key,
+                   const net::Writer& body = {}) {
+    post(type, key, body);
+    net::MsgType got{};
+    FORCE_CHECK(conn_.recv_frame(&got, &reply_),
+                "cluster coordinator connection closed (the parent "
+                "process is gone)");
+    if (got == net::MsgType::kPoison) throw shm::TeamPoisoned();
+    FORCE_CHECK(got == net::MsgType::kReply,
+                "unexpected frame type from the cluster coordinator");
+    net::Reader r(reply_);
+    drain_pending();
+    FORCE_CHECK(dsm::visit_records(&r,
+                                   [this](std::uint64_t offset,
+                                          const unsigned char* data,
+                                          std::size_t n) {
+                                     apply_record(offset, data, n);
+                                   }),
+                "malformed update records from the cluster coordinator");
+    return r;
+  }
+
+  /// Sends the request {records, key, body} alone: the one-way requests
+  /// (lock release, askfor put, complete and probend) get no reply.
+  void post(net::MsgType type, const std::string& key,
+            const net::Writer& body = {}) {
+    net::Writer w;
+    dsm::encode_records(&w, releases(type) ? flush()
+                                           : std::vector<dsm::Record>{});
+    w.str(key);
+    w.raw(body.data().data(), body.data().size());
+    conn_.send_frame(type, w.data());
+  }
+
+  /// Best-effort: ships an exception message for death provenance.
+  void report_error(const std::string& what) noexcept {
+    try {
+      net::Writer w;
+      w.str(what);
+      conn_.send_frame(net::MsgType::kError, w.data());
+    } catch (...) {
+      // Best-effort only: the socket may already be gone.
+    }
+  }
+
+  /// Half-closes the socket so the coordinator sees EOF while this
+  /// process is still alive.
+  void sever_connection_for_test() { conn_.shutdown_both(); }
+
+ private:
+  /// This peer's release flush: the dirty arena runs, diffed against the
+  /// shadow.
+  std::vector<dsm::Record> flush() {
+    if (arena_ == nullptr) return {};
+    drain_pending();
+    const auto* base =
+        reinterpret_cast<const unsigned char*>(arena_->raw_bytes());
+    return dsm::diff(base, arena_->bytes_used(), &shadow_);
+  }
+
+  void apply_record(std::uint64_t offset, const unsigned char* data,
+                    std::size_t n) {
+    if (arena_ == nullptr || n == 0) return;
+    const std::size_t used = arena_->bytes_used();
+    if (offset >= used) {
+      // Ahead of this peer's local allocation cursor: hold it until the
+      // allocation (and its constructor) has run here, then overlay.
+      pending_.push_back({offset, std::vector<unsigned char>(data, data + n)});
+      return;
+    }
+    const std::size_t can =
+        std::min<std::size_t>(n, used - static_cast<std::size_t>(offset));
+    auto* base = reinterpret_cast<unsigned char*>(arena_->raw_bytes());
+    std::memcpy(base + offset, data, can);
+    if (shadow_.size() < offset + can) shadow_.resize(offset + can, 0);
+    std::memcpy(shadow_.data() + offset, data, can);
+    if (can < n) {
+      pending_.push_back(
+          {offset + can, std::vector<unsigned char>(data + can, data + n)});
+    }
+  }
+
+  void drain_pending() {
+    if (pending_.empty()) return;
+    std::vector<dsm::Record> retry = std::move(pending_);
+    pending_.clear();
+    for (const dsm::Record& rec : retry) {
+      apply_record(rec.offset, rec.bytes.data(), rec.bytes.size());
+    }
+  }
+
+  net::Conn conn_;
+  SharedArena* arena_;
+  std::vector<unsigned char> shadow_;
+  std::vector<dsm::Record> pending_;  // records ahead of local allocation
+  std::vector<unsigned char> reply_;  // the last reply, which call() views
+};
+
+ClusterClient* g_client = nullptr;  // member-process link (post-fork)
+
+ClusterClient& member_link() {
   FORCE_CHECK(g_client != nullptr,
               "cluster construct used outside a cluster member process");
   return *g_client;
 }
 
-void sever_connection_for_test() {
-  if (g_client != nullptr) g_client->sever_connection_for_test();
+std::uint8_t read_flag(net::Reader* r) {
+  std::uint8_t v = 0;
+  FORCE_CHECK(r->u8(&v), "malformed reply from the cluster coordinator");
+  return v;
+}
+
+/// Copies a length-prefixed value of exactly `n` bytes out of a reply.
+void read_value(net::Reader* r, void* out, std::size_t n) {
+  const unsigned char* data = nullptr;
+  std::size_t len = 0;
+  FORCE_CHECK(r->view(&data, &len) && len == n,
+              "cluster payload size mismatch on the wire");
+  std::memcpy(out, data, n);
 }
 
 // ---------------------------------------------------------------------------
-// Peer-side client.
+// Construct engines: the member half of each construct's RPCs. The
+// coordinator half, which decodes these bodies, is Coordinator::serve_request.
 // ---------------------------------------------------------------------------
 
-ClusterClient::ClusterClient(net::Conn conn, int proc0, SharedArena* arena)
-    : conn_(std::move(conn)), proc0_(proc0), arena_(arena) {
-  if (arena_ != nullptr) {
-    // The shadow starts as a full copy of the already-used arena so the
-    // first flush diffs against real initial contents, not zeros - a
-    // zeroed shadow would make the first flush re-send (and potentially
-    // clobber) every nonzero byte the parent initialized before the fork.
-    const std::size_t used = arena_->bytes_used();
-    const auto* base = reinterpret_cast<const unsigned char*>(
-        arena_->raw_bytes());
-    shadow_.assign(base, base + used);
-  }
-  handshake();
-}
+class ClusterBarrier final : public BarrierEngine {
+ public:
+  ClusterBarrier(int width, std::string key)
+      : width_(width), key_(std::move(key)) {}
 
-void ClusterClient::handshake() {
-  net::Writer w;
-  w.u32(static_cast<std::uint32_t>(proc0_));
-  conn_.send_frame(net::MsgType::kHello, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kHelloAck}, &payload);
-}
-
-net::MsgType ClusterClient::recv_expect(
-    std::initializer_list<net::MsgType> allowed,
-    std::vector<unsigned char>* payload) {
-  for (;;) {
-    net::MsgType type;
-    const bool got = conn_.recv_frame(&type, payload);
-    FORCE_CHECK(got, "cluster coordinator connection closed (the parent "
-                     "process is gone)");
-    if (type == net::MsgType::kPoison) throw shm::TeamPoisoned();
-    for (net::MsgType a : allowed) {
-      if (type == a) return type;
-    }
-    FORCE_CHECK(false, "unexpected frame type from the cluster coordinator");
-  }
-}
-
-void ClusterClient::note_site(const std::string& site) {
-  if (site == last_site_) return;
-  last_site_ = site;
-  net::Writer w;
-  w.str(site);
-  conn_.send_frame(net::MsgType::kSite, w.data());
-}
-
-void ClusterClient::apply_record(std::uint64_t offset,
-                                 const unsigned char* data, std::size_t n) {
-  if (arena_ == nullptr || n == 0) return;
-  const std::size_t used = arena_->bytes_used();
-  if (offset >= used) {
-    // Ahead of this peer's local allocation cursor: hold it until the
-    // allocation (and its constructor) has run here, then overlay.
-    pending_.push_back({offset, std::vector<unsigned char>(data, data + n)});
-    return;
-  }
-  const std::size_t can =
-      std::min<std::size_t>(n, used - static_cast<std::size_t>(offset));
-  auto* base = reinterpret_cast<unsigned char*>(arena_->raw_bytes());
-  std::memcpy(base + offset, data, can);
-  if (shadow_.size() < offset + can) shadow_.resize(offset + can, 0);
-  std::memcpy(shadow_.data() + offset, data, can);
-  if (can < n) {
-    pending_.push_back(
-        {offset + can, std::vector<unsigned char>(data + can, data + n)});
-  }
-}
-
-void ClusterClient::drain_pending() {
-  if (pending_.empty()) return;
-  std::vector<dsm::Record> retry = std::move(pending_);
-  pending_.clear();
-  for (const dsm::Record& rec : retry) {
-    apply_record(rec.offset, rec.bytes.data(), rec.bytes.size());
-  }
-}
-
-net::Writer ClusterClient::release_request() {
-  if (arena_ == nullptr) return plain_request();
-  drain_pending();
-  const std::size_t used = arena_->bytes_used();
-  const auto* base =
-      reinterpret_cast<const unsigned char*>(arena_->raw_bytes());
-  net::Writer w;
-  dsm::encode_records(&w, dsm::diff(base, used, &shadow_));
-  return w;
-}
-
-net::Writer ClusterClient::plain_request() {
-  net::Writer w;
-  dsm::encode_records(&w, {});
-  return w;
-}
-
-void ClusterClient::apply_updates(net::Reader* r) {
-  std::vector<dsm::Record> recs;
-  FORCE_CHECK(dsm::decode_records(r, &recs),
-              "malformed update records from the cluster coordinator");
-  if (arena_ == nullptr) return;
-  drain_pending();
-  for (const dsm::Record& rec : recs) {
-    apply_record(rec.offset, rec.bytes.data(), rec.bytes.size());
-  }
-}
-
-void ClusterClient::barrier_arrive(const std::string& key, int width,
-                                   const std::function<void()>* section) {
-  net::Writer w = release_request();
-  w.str(key);
-  w.u32(static_cast<std::uint32_t>(width));
-  w.u8(section != nullptr ? 1 : 0);
-  conn_.send_frame(net::MsgType::kBarrierArrive, w.data());
-  std::vector<unsigned char> payload;
-  net::MsgType type = recv_expect(
-      {net::MsgType::kBarrierRunSection, net::MsgType::kBarrierRelease},
-      &payload);
-  if (type == net::MsgType::kBarrierRunSection) {
-    net::Reader r(payload);
-    apply_updates(&r);
+  void arrive(int /*proc0*/, const std::function<void()>* section) override {
+    ClusterClient& c = member_link();
+    net::Writer body;
+    body.u32(static_cast<std::uint32_t>(width_));
+    body.u8(section != nullptr ? 1 : 0);
+    net::Reader r = c.call(net::MsgType::kBarrierArrive, key_, body);
+    if (read_flag(&r) == 0) return;
+    // Elected champion: run the section with every earlier arrival's
+    // writes applied; its own writes ride the section-done request, whose
+    // reply is this member's release.
     (*section)();
-    net::Writer done = release_request();
-    done.str(key);
-    conn_.send_frame(net::MsgType::kBarrierSectionDone, done.data());
-    recv_expect({net::MsgType::kBarrierRelease}, &payload);
+    (void)c.call(net::MsgType::kBarrierSectionDone, key_);
   }
-  net::Reader r(payload);
-  apply_updates(&r);
-}
 
-void ClusterClient::lock_acquire(const std::string& key) {
-  net::Writer w = release_request();
-  w.str(key);
-  conn_.send_frame(net::MsgType::kLockAcquire, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kLockGranted}, &payload);
-  net::Reader r(payload);
-  apply_updates(&r);
-}
+  [[nodiscard]] const char* name() const override { return "cluster"; }
 
-bool ClusterClient::lock_try_acquire(const std::string& key) {
-  net::Writer w = release_request();
-  w.str(key);
-  conn_.send_frame(net::MsgType::kLockTry, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kLockTryReply}, &payload);
-  net::Reader r(payload);
-  std::uint8_t ok = 0;
-  FORCE_CHECK(r.u8(&ok), "malformed lock-try reply");
-  if (ok != 0) apply_updates(&r);
-  return ok != 0;
-}
+ private:
+  int width_;
+  std::string key_;
+};
 
-void ClusterClient::lock_release(const std::string& key) {
-  net::Writer w = release_request();
-  w.str(key);
-  conn_.send_frame(net::MsgType::kLockRelease, w.data());
-}
+class ClusterDoallSite final : public DoallSite {
+ public:
+  /// The episode bounds live in the DSM-coherent arena: written by the
+  /// entry champion inside the barrier section (a release point), read by
+  /// every member after the episode release (an acquire point).
+  ClusterDoallSite(SharedArena* arena, const std::string& site, int width)
+      : site_(site),
+        entry_(width, kDoallWords + site + "/entry"),
+        bounds_(&arena->get_or_create<DoallBounds>(kDoallWords + site)) {}
 
-void ClusterClient::dispatch_reset(const std::string& key) {
-  net::Writer w = plain_request();
-  w.str(key);
-  conn_.send_frame(net::MsgType::kDispatchReset, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kDispatchResetAck}, &payload);
-}
+  DoallBounds enter(std::int64_t start, std::int64_t last, std::int64_t incr,
+                    std::int64_t trips) override {
+    const std::function<void()> section = [&] {
+      *bounds_ = DoallBounds{start, last, incr, trips};
+      (void)member_link().call(net::MsgType::kDispatchReset, site_);
+    };
+    entry_.arrive(0, &section);
+    return *bounds_;
+  }
 
-Claim ClusterClient::dispatch_claim(const std::string& key, std::int64_t want,
-                                    std::int64_t limit) {
-  return claim_rpc(key, want, limit, 0);
-}
+  DispatchClaim claim(int /*me0*/, std::int64_t want,
+                      std::int64_t limit) override {
+    return claim_rpc(want, limit, 0);
+  }
 
-Claim ClusterClient::dispatch_claim_fraction(const std::string& key,
-                                             std::int64_t limit,
-                                             std::int64_t divisor) {
-  return claim_rpc(key, 0, limit, divisor);
-}
+  DispatchClaim claim_fraction(int /*me0*/, std::int64_t limit,
+                               std::int64_t divisor) override {
+    return claim_rpc(0, limit, divisor);
+  }
 
-Claim ClusterClient::claim_rpc(const std::string& key, std::int64_t want,
-                               std::int64_t limit, std::int64_t divisor) {
-  net::Writer w = plain_request();
-  w.str(key);
-  w.i64(want);
-  w.i64(limit);
-  w.i64(divisor);
-  conn_.send_frame(net::MsgType::kDispatchClaim, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kDispatchClaimReply}, &payload);
-  net::Reader r(payload);
-  Claim c;
-  FORCE_CHECK(r.i64(&c.begin) && r.i64(&c.count),
-              "malformed dispatch claim reply");
-  return c;
-}
+  void leave() override {
+    // The champion entry barrier already fences re-entry: nobody can open
+    // the next episode before every member has left this one's claim loop.
+  }
 
-void ClusterClient::askfor_put(const std::string& key, const void* task,
-                               std::size_t n) {
-  net::Writer w = release_request();
-  w.str(key);
-  w.bytes(task, n);
-  conn_.send_frame(net::MsgType::kAskforPut, w.data());
-}
+ private:
+  DispatchClaim claim_rpc(std::int64_t want, std::int64_t limit,
+                          std::int64_t divisor) {
+    net::Writer body;
+    body.i64(want);
+    body.i64(limit);
+    body.i64(divisor);
+    net::Reader r =
+        member_link().call(net::MsgType::kDispatchClaim, site_, body);
+    DispatchClaim c;
+    FORCE_CHECK(r.i64(&c.begin) && r.i64(&c.count),
+                "malformed dispatch claim reply");
+    return c;
+  }
 
-bool ClusterClient::askfor_ask(const std::string& key, void* task,
-                               std::size_t n) {
-  net::Writer w = release_request();
-  w.str(key);
-  conn_.send_frame(net::MsgType::kAskforAsk, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kAskforGrant}, &payload);
-  net::Reader r(payload);
-  std::uint8_t has = 0;
-  FORCE_CHECK(r.u8(&has), "malformed askfor grant");
-  apply_updates(&r);
-  if (has == 0) return false;
-  std::vector<unsigned char> bytes;
-  FORCE_CHECK(r.bytes(&bytes) && bytes.size() == n,
-              "askfor task payload size mismatch on the wire");
-  std::memcpy(task, bytes.data(), n);
-  return true;
-}
+  std::string site_;
+  ClusterBarrier entry_;
+  DoallBounds* bounds_;
+};
 
-void ClusterClient::askfor_complete(const std::string& key) {
-  net::Writer w = release_request();
-  w.str(key);
-  conn_.send_frame(net::MsgType::kAskforComplete, w.data());
-}
+class ClusterAskforRing final : public AskforRing {
+ public:
+  ClusterAskforRing(std::string key, std::size_t task_bytes)
+      : key_(std::move(key)), bytes_(task_bytes) {}
 
-void ClusterClient::askfor_probend(const std::string& key) {
-  net::Writer w = release_request();
-  w.str(key);
-  conn_.send_frame(net::MsgType::kAskforProbend, w.data());
-}
+  void put(const void* task) override {
+    net::Writer body;
+    body.bytes(task, bytes_);
+    member_link().post(net::MsgType::kAskforPut, key_, body);
+  }
 
-void ClusterClient::askfor_status(const std::string& key, bool* ended,
-                                  std::uint64_t* granted) {
-  net::Writer w = plain_request();
-  w.str(key);
-  conn_.send_frame(net::MsgType::kAskforStatus, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kAskforStatusReply}, &payload);
-  net::Reader r(payload);
-  std::uint8_t e = 0;
-  std::uint64_t g = 0;
-  FORCE_CHECK(r.u8(&e) && r.u64(&g), "malformed askfor status reply");
-  *ended = e != 0;
-  *granted = g;
-}
+  std::size_t work(void* task, const std::function<void()>& run) override {
+    ClusterClient& c = member_link();
+    std::size_t executed = 0;
+    for (;;) {
+      net::Reader r = c.call(net::MsgType::kAskforAsk, key_);
+      if (read_flag(&r) == 0) return executed;
+      read_value(&r, task, bytes_);
+      try {
+        run();
+      } catch (...) {
+        c.post(net::MsgType::kAskforComplete, key_);
+        throw;
+      }
+      ++executed;
+      c.post(net::MsgType::kAskforComplete, key_);
+    }
+  }
 
-void ClusterClient::cell_produce(const std::string& key, const void* value,
-                                 std::size_t n) {
-  net::Writer w = release_request();
-  w.str(key);
-  w.bytes(value, n);
-  conn_.send_frame(net::MsgType::kCellProduce, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kCellProduceAck}, &payload);
-  net::Reader r(payload);
-  apply_updates(&r);
-}
+  void probend() override {
+    member_link().post(net::MsgType::kAskforProbend, key_);
+  }
 
-namespace {
+  [[nodiscard]] bool ended() const override { return status().first; }
+  [[nodiscard]] std::uint64_t granted() const override {
+    return status().second;
+  }
 
-void read_cell_value(net::Reader* r, void* value, std::size_t n) {
-  std::vector<unsigned char> bytes;
-  FORCE_CHECK(r->bytes(&bytes) && bytes.size() == n,
-              "async value payload size mismatch on the wire");
-  std::memcpy(value, bytes.data(), n);
-}
+ private:
+  [[nodiscard]] std::pair<bool, std::uint64_t> status() const {
+    net::Reader r = member_link().call(net::MsgType::kAskforStatus, key_);
+    std::uint8_t ended = 0;
+    std::uint64_t granted = 0;
+    FORCE_CHECK(r.u8(&ended) && r.u64(&granted),
+                "malformed askfor status reply");
+    return {ended != 0, granted};
+  }
+
+  std::string key_;
+  std::size_t bytes_;
+};
+
+class ClusterAsyncCell final : public AsyncCell {
+ public:
+  ClusterAsyncCell(std::string label, std::size_t payload_bytes)
+      : label_(std::move(label)), bytes_(payload_bytes) {}
+
+  void produce(const void* value) override {
+    (void)member_link().call(net::MsgType::kCellProduce, label_,
+                             value_body(value));
+  }
+  void consume(void* out) override { take(out, false); }
+  void copy(void* out) override { take(out, true); }
+  bool try_produce(const void* value) override {
+    net::Reader r = member_link().call(net::MsgType::kCellTryProduce, label_,
+                                       value_body(value));
+    return read_flag(&r) != 0;
+  }
+  bool try_consume(void* out) override {
+    net::Reader r = member_link().call(net::MsgType::kCellTryConsume, label_);
+    if (read_flag(&r) == 0) return false;
+    read_value(&r, out, bytes_);
+    return true;
+  }
+  void void_state() override {
+    (void)member_link().call(net::MsgType::kCellVoid, label_);
+  }
+
+  [[nodiscard]] bool is_full() override {
+    FORCE_CHECK(false,
+                capability_reject_message(ProcessModel::kCluster,
+                                          Capability::kIsfull, "Isfull",
+                                          label_));
+  }
+
+ private:
+  [[nodiscard]] net::Writer value_body(const void* value) const {
+    net::Writer body;
+    body.bytes(value, bytes_);
+    return body;
+  }
+  void take(void* out, bool copy) {
+    net::Writer body;
+    body.u8(copy ? 1 : 0);
+    net::Reader r = member_link().call(net::MsgType::kCellConsume, label_, body);
+    read_value(&r, out, bytes_);
+  }
+
+  std::string label_;
+  std::size_t bytes_;
+};
+
+class ClusterLock final : public BasicLock {
+ public:
+  explicit ClusterLock(std::string label) : label_(std::move(label)) {}
+
+  void acquire() override {
+    (void)member_link().call(net::MsgType::kLockAcquire, label_);
+  }
+  bool try_acquire() override {
+    net::Reader r = member_link().call(net::MsgType::kLockTry, label_);
+    return read_flag(&r) != 0;
+  }
+  void release() override {
+    member_link().post(net::MsgType::kLockRelease, label_);
+  }
+  const char* mechanism() const override { return "cluster-rpc"; }
+
+ private:
+  std::string label_;
+};
 
 }  // namespace
 
-void ClusterClient::cell_consume(const std::string& key, void* value,
-                                 std::size_t n) {
-  net::Writer w = release_request();
-  w.str(key);
-  w.u8(0);
-  conn_.send_frame(net::MsgType::kCellConsume, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kCellValue}, &payload);
-  net::Reader r(payload);
-  apply_updates(&r);
-  read_cell_value(&r, value, n);
+std::unique_ptr<BarrierEngine> make_team_barrier(int width, std::string key) {
+  return std::make_unique<ClusterBarrier>(width, std::move(key));
 }
 
-void ClusterClient::cell_copy(const std::string& key, void* value,
-                              std::size_t n) {
-  net::Writer w = release_request();
-  w.str(key);
-  w.u8(1);
-  conn_.send_frame(net::MsgType::kCellConsume, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kCellValue}, &payload);
-  net::Reader r(payload);
-  apply_updates(&r);
-  read_cell_value(&r, value, n);
+std::unique_ptr<DoallSite> make_doall_site(SharedArena* arena,
+                                           const std::string& site,
+                                           int width) {
+  return std::make_unique<ClusterDoallSite>(arena, site, width);
 }
 
-bool ClusterClient::cell_try_produce(const std::string& key, const void* value,
-                                     std::size_t n) {
-  net::Writer w = release_request();
-  w.str(key);
-  w.bytes(value, n);
-  conn_.send_frame(net::MsgType::kCellTryProduce, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kCellTryReply}, &payload);
-  net::Reader r(payload);
-  std::uint8_t ok = 0;
-  FORCE_CHECK(r.u8(&ok), "malformed async try reply");
-  if (ok != 0) apply_updates(&r);
-  return ok != 0;
+std::unique_ptr<AskforRing> make_askfor_ring(std::string key,
+                                             std::size_t task_bytes) {
+  return std::make_unique<ClusterAskforRing>(std::move(key), task_bytes);
 }
 
-bool ClusterClient::cell_try_consume(const std::string& key, void* value,
-                                     std::size_t n) {
-  net::Writer w = release_request();
-  w.str(key);
-  conn_.send_frame(net::MsgType::kCellTryConsume, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kCellTryReply}, &payload);
-  net::Reader r(payload);
-  std::uint8_t ok = 0;
-  FORCE_CHECK(r.u8(&ok), "malformed async try reply");
-  if (ok == 0) return false;
-  apply_updates(&r);
-  read_cell_value(&r, value, n);
-  return true;
+std::unique_ptr<AsyncCell> make_async_cell(std::string label,
+                                           std::size_t payload_bytes) {
+  return std::make_unique<ClusterAsyncCell>(std::move(label), payload_bytes);
 }
 
-void ClusterClient::cell_void(const std::string& key) {
-  net::Writer w = release_request();
-  w.str(key);
-  conn_.send_frame(net::MsgType::kCellVoid, w.data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kCellVoidAck}, &payload);
+std::unique_ptr<BasicLock> make_lock(std::string label) {
+  return std::make_unique<ClusterLock>(std::move(label));
 }
 
-void ClusterClient::join() {
-  conn_.send_frame(net::MsgType::kJoin, release_request().data());
-  std::vector<unsigned char> payload;
-  recv_expect({net::MsgType::kJoinAck}, &payload);
+void sever_connection_for_test() {
+  if (g_client != nullptr) g_client->sever_connection_for_test();
 }
-
-void ClusterClient::report_error(const std::string& what) noexcept {
-  try {
-    net::Writer w;
-    w.str(what);
-    conn_.send_frame(net::MsgType::kError, w.data());
-  } catch (...) {
-    // Best-effort only: the socket may already be gone.
-  }
-}
-
-void ClusterClient::sever_connection_for_test() { conn_.shutdown_both(); }
 
 #if defined(__unix__) || defined(__APPLE__)
 
@@ -517,26 +531,48 @@ struct PeerIO {
   bool joined = false;  // sent kJoin (subsequent EOF is orderly)
   bool eof = false;     // socket is gone
   bool torn = false;    // EOF while the process still ran (half-closed link)
-  std::string site = "startup";
+  // The construct of the last request, for death provenance (site_label).
+  net::MsgType site_type = net::MsgType::kHello;
+  std::string site_key;
   std::string error;
   std::vector<unsigned char> inbuf;
   std::size_t inpos = 0;
-  std::size_t synced = 0;  // update-log records this peer has seen
+  std::size_t synced = 0;  // update-log entries this peer has seen
 };
+
+/// The construct a request belongs to, as death provenance names it.
+std::string site_label(net::MsgType type, const std::string& key) {
+  switch (type) {
+    case net::MsgType::kHello:
+      return "startup";
+    case net::MsgType::kBarrierArrive:
+    case net::MsgType::kBarrierSectionDone:
+      return "barrier '" + key + "'";
+    case net::MsgType::kDispatchReset:
+    case net::MsgType::kDispatchClaim:
+      return "selfsched '" + key + "'";
+    case net::MsgType::kAskforPut:
+    case net::MsgType::kAskforAsk:
+    case net::MsgType::kAskforComplete:
+    case net::MsgType::kAskforProbend:
+    case net::MsgType::kAskforStatus:
+      return "askfor '" + key + "'";
+    default:
+      return key;  // locks and async variables are keyed by their label
+  }
+}
+
+/// The requests that get no reply.
+bool is_one_way(net::MsgType type) {
+  return type == net::MsgType::kLockRelease ||
+         type == net::MsgType::kAskforPut ||
+         type == net::MsgType::kAskforComplete ||
+         type == net::MsgType::kAskforProbend;
+}
 
 struct LockState {
   int held_by = -1;
   std::deque<int> waiters;
-};
-
-struct BarrierState {
-  std::vector<int> arrivers;
-  bool has_section = false;
-  bool section_running = false;
-};
-
-struct DispatchState {
-  std::int64_t value = 0;
 };
 
 struct AskforState {
@@ -556,6 +592,15 @@ struct CellState {
     bool copy;
   };
   std::deque<Waiter> consumers;
+};
+
+/// One release record in the coordinator's update log: its bytes sit at
+/// [start, start + len) of the log's byte buffer.
+struct LogEntry {
+  std::uint64_t offset = 0;
+  std::size_t start = 0;
+  std::size_t len = 0;
+  int author = -1;
 };
 
 class Coordinator {
@@ -612,7 +657,7 @@ class Coordinator {
           death_.proc0 = static_cast<int>(i);
           death_.pid = pid;
           death_.status = status;
-          death_.site = p.site;
+          death_.site = site_label(p.site_type, p.site_key);
           death_.error = p.error;
           poison_team();
           poisoned_at = util::now_ns();
@@ -740,40 +785,50 @@ class Coordinator {
 
   // --- update log ---------------------------------------------------------
 
-  /// Appends a peer's release records to the log and the master arena.
-  void append_and_apply(int peer, std::vector<dsm::Record> recs) {
-    PeerIO& p = peers_[static_cast<std::size_t>(peer)];
-    // A peer that had seen the whole log already holds every byte its own
-    // records set, so they need not come back to it.
-    const bool caught_up = p.synced == log_.size();
-    for (dsm::Record& rec : recs) {
-      ++traffic_.records_in;
-      traffic_.record_bytes_in += rec.bytes.size();
-      if (arena_ != nullptr) {
-        const std::size_t end =
-            static_cast<std::size_t>(rec.offset) + rec.bytes.size();
-        FORCE_CHECK(end <= arena_->capacity(),
-                    "cluster DSM update outside the arena");
-        std::memcpy(reinterpret_cast<unsigned char*>(arena_->raw_bytes()) +
-                        rec.offset,
-                    rec.bytes.data(), rec.bytes.size());
-      }
-      log_.push_back(std::move(rec));
+  /// Appends one release record of `author` to the log and the master
+  /// arena, straight from the request payload.
+  void append_record(int author, std::uint64_t offset,
+                     const unsigned char* data, std::size_t n) {
+    ++traffic_.records_in;
+    traffic_.record_bytes_in += n;
+    if (arena_ != nullptr) {
+      FORCE_CHECK(offset <= arena_->capacity() &&
+                      n <= arena_->capacity() - offset,
+                  "cluster DSM update outside the arena");
+      std::memcpy(reinterpret_cast<unsigned char*>(arena_->raw_bytes()) +
+                      offset,
+                  data, n);
     }
-    if (caught_up) p.synced = log_.size();
+    log_.push_back({offset, log_bytes_.size(), n, author});
+    log_bytes_.insert(log_bytes_.end(), data, data + n);
   }
 
-  /// Appends the log suffix this peer has not seen and marks it seen.
-  void write_updates(net::Writer* w, int peer) {
+  /// Sends `peer` its one kReply: the log suffix it has not seen, minus its
+  /// own records (it holds those bytes already), then the body `fill`
+  /// writes.
+  template <typename Fill>
+  void reply(int peer, Fill&& fill) {
     PeerIO& p = peers_[static_cast<std::size_t>(peer)];
-    const std::size_t from = std::min(p.synced, log_.size());
-    w->u32(static_cast<std::uint32_t>(log_.size() - from));
-    for (std::size_t i = from; i < log_.size(); ++i) {
-      w->u64(log_[i].offset);
-      w->bytes(log_[i].bytes.data(), log_[i].bytes.size());
-      traffic_.record_bytes_out += log_[i].bytes.size();
+    std::uint32_t count = 0;
+    for (std::size_t i = p.synced; i < log_.size(); ++i) {
+      count += log_[i].author != peer ? 1 : 0;
+    }
+    net::Writer w;
+    w.u32(count);
+    for (std::size_t i = p.synced; i < log_.size(); ++i) {
+      const LogEntry& e = log_[i];
+      if (e.author == peer) continue;
+      w.u64(e.offset);
+      w.bytes(log_bytes_.data() + e.start, e.len);
+      traffic_.record_bytes_out += e.len;
     }
     p.synced = log_.size();
+    fill(&w);
+    send_to(peer, net::MsgType::kReply, w.data());
+  }
+
+  void reply(int peer) {
+    reply(peer, [](net::Writer*) {});
   }
 
   // --- construct servicing ------------------------------------------------
@@ -786,289 +841,235 @@ class Coordinator {
     }
   }
 
-  static bool is_reply_expected(net::MsgType t) {
-    switch (t) {
-      case net::MsgType::kSite:
-      case net::MsgType::kError:
-      case net::MsgType::kLockRelease:
-      case net::MsgType::kAskforPut:
-      case net::MsgType::kAskforComplete:
-      case net::MsgType::kAskforProbend:
-      case net::MsgType::kPoison:
-        return false;
-      default:
-        return true;
-    }
-  }
-
   void handle_frame(int peer, net::MsgType type, const unsigned char* body,
                     std::size_t n) {
+    PeerIO& p = peers_[static_cast<std::size_t>(peer)];
     net::Reader r(body, n);
-    // Provenance frames are served even after poisoning.
-    if (type == net::MsgType::kSite) {
-      ++traffic_.notes_in;
-      std::string site;
-      if (r.str(&site)) peers_[static_cast<std::size_t>(peer)].site = site;
-      return;
-    }
+    // Provenance is served even after poisoning.
     if (type == net::MsgType::kError) {
       ++traffic_.notes_in;
       std::string what;
-      if (r.str(&what)) peers_[static_cast<std::size_t>(peer)].error = what;
+      if (r.str(&what)) p.error = what;
       return;
     }
     ++traffic_.requests_in;
+    // Every request leads with the sender's release records, applied first
+    // so the release stays ahead of the construct it precedes, and the
+    // construct's key, which is also the peer's site from here on.
+    if (!dsm::visit_records(&r,
+                            [this, peer](std::uint64_t offset,
+                                         const unsigned char* data,
+                                         std::size_t len) {
+                              append_record(peer, offset, data, len);
+                            }) ||
+        !r.str(&key_)) {
+      return;  // a child of our own fork never sends a malformed request
+    }
+    if (type != net::MsgType::kJoin) {
+      p.site_type = type;
+      p.site_key = key_;
+    }
     if (poisoned_) {
       // The team is dead: every parked or future request gets poison so
       // survivors unwind instead of waiting on a construct that will
       // never complete.
-      if (is_reply_expected(type)) send_to(peer, net::MsgType::kPoison, {});
+      if (!is_one_way(type)) send_to(peer, net::MsgType::kPoison, {});
       return;
     }
-    if (type == net::MsgType::kHello) {
-      std::uint32_t proc = 0;
-      FORCE_CHECK(r.u32(&proc) && proc == static_cast<std::uint32_t>(peer),
-                  "cluster hello from the wrong peer");
-      send_to(peer, net::MsgType::kHelloAck, {});
-      return;
-    }
-    // Every construct request leads with the sender's release records;
-    // applying them first keeps the release ahead of the construct it
-    // precedes.
-    std::vector<dsm::Record> recs;
-    if (!dsm::decode_records(&r, &recs)) return;
-    if (!recs.empty()) append_and_apply(peer, std::move(recs));
+    serve_request(peer, type, &r);
+  }
+
+  /// Serves one construct request; `r` is positioned at its body.
+  void serve_request(int peer, net::MsgType type, net::Reader* r) {
     switch (type) {
-      case net::MsgType::kBarrierArrive: return on_barrier_arrive(peer, &r);
-      case net::MsgType::kBarrierSectionDone:
-        return on_barrier_section_done(peer, &r);
-      case net::MsgType::kLockAcquire: return on_lock_acquire(peer, &r);
-      case net::MsgType::kLockTry: return on_lock_try(peer, &r);
-      case net::MsgType::kLockRelease: return on_lock_release(peer, &r);
-      case net::MsgType::kDispatchReset: {
-        std::string key;
-        if (!r.str(&key)) return;
-        dispatches_[key].value = 0;
-        send_to(peer, net::MsgType::kDispatchResetAck, {});
-        return;
+      case net::MsgType::kHello: {
+        std::uint32_t proc = 0;
+        FORCE_CHECK(r->u32(&proc) && proc == static_cast<std::uint32_t>(peer),
+                    "cluster hello from the wrong peer");
+        return reply(peer);
       }
-      case net::MsgType::kDispatchClaim: return on_dispatch_claim(peer, &r);
-      case net::MsgType::kAskforPut: return on_askfor_put(peer, &r);
-      case net::MsgType::kAskforAsk: return on_askfor_ask(peer, &r);
-      case net::MsgType::kAskforComplete: return on_askfor_complete(peer, &r);
-      case net::MsgType::kAskforProbend: return on_askfor_probend(peer, &r);
-      case net::MsgType::kAskforStatus: {
-        std::string key;
-        if (!r.str(&key)) return;
-        AskforState& st = askfors_[key];
-        net::Writer w;
-        w.u8(st.ended != 0 ? 1 : 0);
-        w.u64(st.granted);
-        send_to(peer, net::MsgType::kAskforStatusReply, w.take());
-        return;
-      }
-      case net::MsgType::kCellProduce: return on_cell_produce(peer, &r);
-      case net::MsgType::kCellConsume: return on_cell_consume(peer, &r);
-      case net::MsgType::kCellTryProduce:
-        return on_cell_try_produce(peer, &r);
-      case net::MsgType::kCellTryConsume:
-        return on_cell_try_consume(peer, &r);
-      case net::MsgType::kCellVoid: return on_cell_void(peer, &r);
-      case net::MsgType::kJoin: {
+      case net::MsgType::kJoin:
         peers_[static_cast<std::size_t>(peer)].joined = true;
-        send_to(peer, net::MsgType::kJoinAck, {});
+        return reply(peer);
+      case net::MsgType::kBarrierArrive: {
+        std::uint32_t width = 0;
+        std::uint8_t has_section = 0;
+        if (!r->u32(&width) || !r->u8(&has_section)) return;
+        std::vector<int>& arrivers = barriers_[key_];
+        arrivers.push_back(peer);
+        if (arrivers.size() < width) return;
+        if (has_section != 0) {
+          // The last arriver is the champion: it runs the one-process
+          // section with every earlier arrival's updates already applied,
+          // and its section-done request releases the episode.
+          return reply(peer, [](net::Writer* w) { w->u8(1); });
+        }
+        return release_barrier(&arrivers);
+      }
+      case net::MsgType::kBarrierSectionDone:
+        return release_barrier(&barriers_[key_]);
+      case net::MsgType::kLockAcquire: {
+        LockState& st = locks_[key_];
+        if (st.held_by >= 0) {
+          st.waiters.push_back(peer);
+          return;
+        }
+        st.held_by = peer;
+        return reply(peer);
+      }
+      case net::MsgType::kLockTry: {
+        LockState& st = locks_[key_];
+        const bool ok = st.held_by < 0;
+        if (ok) st.held_by = peer;
+        return reply(peer, [ok](net::Writer* w) { w->u8(ok ? 1 : 0); });
+      }
+      case net::MsgType::kLockRelease: {
+        LockState& st = locks_[key_];
+        if (st.held_by != peer) return;  // stale release from a dying peer
+        st.held_by = -1;
+        if (st.waiters.empty()) return;
+        st.held_by = st.waiters.front();
+        st.waiters.pop_front();
+        return reply(st.held_by);
+      }
+      case net::MsgType::kDispatchReset:
+        dispatches_[key_].store(0, std::memory_order_relaxed);
+        return reply(peer);
+      case net::MsgType::kDispatchClaim: {
+        std::int64_t want = 0, limit = 0, divisor = 0;
+        if (!r->i64(&want) || !r->i64(&limit) || !r->i64(&divisor)) return;
+        // The in-process dispatch word's claim arithmetic: claims tile
+        // [0, limit) exactly once, clamped at the limit.
+        std::atomic<std::int64_t>& word = dispatches_[key_];
+        const DispatchClaim c =
+            divisor == 0 ? dispatch_claim(word, want, limit)
+                         : dispatch_claim_fraction(word, limit, divisor);
+        return reply(peer, [&c](net::Writer* w) {
+          w->i64(c.begin);
+          w->i64(c.count);
+        });
+      }
+      case net::MsgType::kAskforPut: {
+        std::vector<unsigned char> task;
+        if (!r->bytes(&task)) return;
+        AskforState& st = askfors_[key_];
+        if (st.ended == 2) return;  // probend is final: late puts are dropped
+        st.ended = 0;  // a put re-opens a provisionally drained pool
+        st.tasks.push_back(std::move(task));
+        if (st.parked.empty()) return;
+        const int asker = st.parked.front();
+        st.parked.pop_front();
+        return grant_task(&st, asker);
+      }
+      case net::MsgType::kAskforAsk: {
+        AskforState& st = askfors_[key_];
+        if (st.ended != 0) return grant_no_task(peer);
+        if (!st.tasks.empty()) return grant_task(&st, peer);
+        if (st.working > 0) {
+          // Someone may still put child tasks; park until put or drain.
+          st.parked.push_back(peer);
+          return;
+        }
+        st.ended = 1;  // drained (provisional: a put re-opens)
+        return grant_no_task(peer);
+      }
+      case net::MsgType::kAskforComplete: {
+        AskforState& st = askfors_[key_];
+        if (st.working > 0) --st.working;
+        if (st.working == 0 && st.tasks.empty() && st.ended == 0) {
+          st.ended = 1;
+          end_parked(&st);
+        }
         return;
+      }
+      case net::MsgType::kAskforProbend: {
+        AskforState& st = askfors_[key_];
+        st.ended = 2;
+        st.tasks.clear();
+        return end_parked(&st);
+      }
+      case net::MsgType::kAskforStatus: {
+        const AskforState& st = askfors_[key_];
+        return reply(peer, [&st](net::Writer* w) {
+          w->u8(st.ended != 0 ? 1 : 0);
+          w->u64(st.granted);
+        });
+      }
+      case net::MsgType::kCellProduce: {
+        std::vector<unsigned char> value;
+        if (!r->bytes(&value)) return;
+        CellState& st = cells_[key_];
+        st.producers.push_back({peer, std::move(value)});
+        return settle_cell(&st);
+      }
+      case net::MsgType::kCellConsume: {
+        std::uint8_t copy = 0;
+        if (!r->u8(&copy)) return;
+        CellState& st = cells_[key_];
+        st.consumers.push_back({peer, copy != 0});
+        return settle_cell(&st);
+      }
+      case net::MsgType::kCellTryProduce: {
+        std::vector<unsigned char> value;
+        if (!r->bytes(&value)) return;
+        CellState& st = cells_[key_];
+        const bool ok = !st.full && st.producers.empty();
+        if (ok) {
+          st.full = true;
+          st.payload = std::move(value);
+        }
+        reply(peer, [ok](net::Writer* w) { w->u8(ok ? 1 : 0); });
+        return settle_cell(&st);
+      }
+      case net::MsgType::kCellTryConsume: {
+        CellState& st = cells_[key_];
+        const bool ok = st.full;
+        reply(peer, [&st, ok](net::Writer* w) {
+          w->u8(ok ? 1 : 0);
+          if (ok) w->bytes(st.payload.data(), st.payload.size());
+        });
+        if (ok) {
+          st.full = false;
+          st.payload.clear();
+        }
+        return settle_cell(&st);
+      }
+      case net::MsgType::kCellVoid: {
+        CellState& st = cells_[key_];
+        st.full = false;
+        st.payload.clear();
+        reply(peer);
+        return settle_cell(&st);
       }
       default:
-        return;  // unknown/unsolicited: ignore (forward compatibility)
+        return;  // not a request this protocol version serves
     }
   }
 
-  void on_barrier_arrive(int peer, net::Reader* r) {
-    std::string key;
-    std::uint32_t width = 0;
-    std::uint8_t has_section = 0;
-    if (!r->str(&key) || !r->u32(&width) || !r->u8(&has_section)) return;
-    BarrierState& st = barriers_[key];
-    st.arrivers.push_back(peer);
-    st.has_section = has_section != 0;
-    if (st.arrivers.size() < width) return;
-    if (st.has_section) {
-      // The last arriver is the champion: it runs the one-process section
-      // with every earlier arrival's updates already applied.
-      st.section_running = true;
-      const int champion = st.arrivers.back();
-      net::Writer w;
-      write_updates(&w, champion);
-      send_to(champion, net::MsgType::kBarrierRunSection, w.take());
-      return;
+  void release_barrier(std::vector<int>* arrivers) {
+    for (int arriver : *arrivers) {
+      reply(arriver, [](net::Writer* w) { w->u8(0); });
     }
-    release_barrier(key);
+    arrivers->clear();
   }
 
-  void on_barrier_section_done(int /*peer*/, net::Reader* r) {
-    std::string key;
-    if (!r->str(&key)) return;
-    release_barrier(key);
-  }
-
-  void release_barrier(const std::string& key) {
-    BarrierState& st = barriers_[key];
-    for (int arriver : st.arrivers) {
-      net::Writer w;
-      write_updates(&w, arriver);
-      send_to(arriver, net::MsgType::kBarrierRelease, w.take());
-    }
-    barriers_.erase(key);
-  }
-
-  void on_lock_acquire(int peer, net::Reader* r) {
-    std::string key;
-    if (!r->str(&key)) return;
-    LockState& st = locks_[key];
-    if (st.held_by < 0) {
-      st.held_by = peer;
-      net::Writer w;
-      write_updates(&w, peer);
-      send_to(peer, net::MsgType::kLockGranted, w.take());
-    } else {
-      st.waiters.push_back(peer);
-    }
-  }
-
-  void on_lock_try(int peer, net::Reader* r) {
-    std::string key;
-    if (!r->str(&key)) return;
-    LockState& st = locks_[key];
-    net::Writer w;
-    if (st.held_by < 0) {
-      st.held_by = peer;
-      w.u8(1);
-      write_updates(&w, peer);
-    } else {
-      w.u8(0);
-    }
-    send_to(peer, net::MsgType::kLockTryReply, w.take());
-  }
-
-  void on_lock_release(int peer, net::Reader* r) {
-    std::string key;
-    if (!r->str(&key)) return;
-    LockState& st = locks_[key];
-    if (st.held_by != peer) return;  // stale release from a dying peer
-    st.held_by = -1;
-    if (!st.waiters.empty()) {
-      const int next = st.waiters.front();
-      st.waiters.pop_front();
-      st.held_by = next;
-      net::Writer w;
-      write_updates(&w, next);
-      send_to(next, net::MsgType::kLockGranted, w.take());
-    }
-  }
-
-  void on_dispatch_claim(int peer, net::Reader* r) {
-    std::string key;
-    std::int64_t want = 0, limit = 0, divisor = 0;
-    if (!r->str(&key) || !r->i64(&want) || !r->i64(&limit) ||
-        !r->i64(&divisor)) {
-      return;
-    }
-    DispatchState& st = dispatches_[key];
-    const std::int64_t t = st.value;
-    std::int64_t count = 0;
-    if (t < limit) {
-      // Mirrors DispatchCounter::claim / claim_fraction (locks.cpp):
-      // claims tile [0, limit) exactly once, clamped at the limit.
-      count = divisor == 0
-                  ? std::min(want, limit - t)
-                  : std::max<std::int64_t>(1, (limit - t) / divisor);
-      st.value = t + count;
-    }
-    net::Writer w;
-    w.i64(t);
-    w.i64(count);
-    send_to(peer, net::MsgType::kDispatchClaimReply, w.take());
-  }
-
-  void grant_task(const std::string& key, AskforState* st, int peer) {
-    net::Writer w;
-    w.u8(1);
-    write_updates(&w, peer);
-    w.bytes(st->tasks.front().data(), st->tasks.front().size());
+  void grant_task(AskforState* st, int peer) {
+    reply(peer, [st](net::Writer* w) {
+      w->u8(1);
+      w->bytes(st->tasks.front().data(), st->tasks.front().size());
+    });
     st->tasks.pop_front();
     ++st->working;
     ++st->granted;
-    send_to(peer, net::MsgType::kAskforGrant, w.take());
-    (void)key;
   }
 
   void grant_no_task(int peer) {
-    net::Writer w;
-    w.u8(0);
-    write_updates(&w, peer);
-    send_to(peer, net::MsgType::kAskforGrant, w.take());
+    reply(peer, [](net::Writer* w) { w->u8(0); });
   }
 
-  void on_askfor_put(int peer, net::Reader* r) {
-    std::string key;
-    std::vector<unsigned char> task;
-    if (!r->str(&key) || !r->bytes(&task)) return;
-    AskforState& st = askfors_[key];
-    if (st.ended == 2) return;  // probend is final: late puts are dropped
-    st.ended = 0;               // a put re-opens a provisionally drained pool
-    st.tasks.push_back(std::move(task));
-    if (!st.parked.empty()) {
-      const int asker = st.parked.front();
-      st.parked.pop_front();
-      grant_task(key, &st, asker);
-    }
-    (void)peer;
-  }
-
-  void on_askfor_ask(int peer, net::Reader* r) {
-    std::string key;
-    if (!r->str(&key)) return;
-    AskforState& st = askfors_[key];
-    if (st.ended != 0) {
-      grant_no_task(peer);
-      return;
-    }
-    if (!st.tasks.empty()) {
-      grant_task(key, &st, peer);
-      return;
-    }
-    if (st.working > 0) {
-      // Someone may still put child tasks; park until put or drain.
-      st.parked.push_back(peer);
-      return;
-    }
-    st.ended = 1;  // drained (provisional: a put re-opens)
-    grant_no_task(peer);
-  }
-
-  void on_askfor_complete(int peer, net::Reader* r) {
-    std::string key;
-    if (!r->str(&key)) return;
-    AskforState& st = askfors_[key];
-    if (st.working > 0) --st.working;
-    if (st.working == 0 && st.tasks.empty() && st.ended == 0) {
-      st.ended = 1;
-      for (int asker : st.parked) grant_no_task(asker);
-      st.parked.clear();
-    }
-    (void)peer;
-  }
-
-  void on_askfor_probend(int peer, net::Reader* r) {
-    std::string key;
-    if (!r->str(&key)) return;
-    AskforState& st = askfors_[key];
-    st.ended = 2;
-    st.tasks.clear();
-    for (int asker : st.parked) grant_no_task(asker);
-    st.parked.clear();
-    (void)peer;
+  void end_parked(AskforState* st) {
+    for (int asker : st->parked) grant_no_task(asker);
+    st->parked.clear();
   }
 
   /// Drains a cell's wait queues as far as its full/empty state allows:
@@ -1080,10 +1081,9 @@ class Coordinator {
         if (st->consumers.empty()) return;
         const CellState::Waiter wtr = st->consumers.front();
         st->consumers.pop_front();
-        net::Writer w;
-        write_updates(&w, wtr.peer);
-        w.bytes(st->payload.data(), st->payload.size());
-        send_to(wtr.peer, net::MsgType::kCellValue, w.take());
+        reply(wtr.peer, [st](net::Writer* w) {
+          w->bytes(st->payload.data(), st->payload.size());
+        });
         if (!wtr.copy) {
           st->full = false;
           st->payload.clear();
@@ -1094,86 +1094,20 @@ class Coordinator {
         st->producers.pop_front();
         st->full = true;
         st->payload = std::move(bytes);
-        net::Writer w;
-        write_updates(&w, producer);
-        send_to(producer, net::MsgType::kCellProduceAck, w.take());
+        reply(producer);
       }
     }
   }
 
-  void on_cell_produce(int peer, net::Reader* r) {
-    std::string key;
-    std::vector<unsigned char> value;
-    if (!r->str(&key) || !r->bytes(&value)) return;
-    CellState& st = cells_[key];
-    st.producers.push_back({peer, std::move(value)});
-    settle_cell(&st);
-  }
-
-  void on_cell_consume(int peer, net::Reader* r) {
-    std::string key;
-    std::uint8_t copy = 0;
-    if (!r->str(&key) || !r->u8(&copy)) return;
-    CellState& st = cells_[key];
-    st.consumers.push_back({peer, copy != 0});
-    settle_cell(&st);
-  }
-
-  void on_cell_try_produce(int peer, net::Reader* r) {
-    std::string key;
-    std::vector<unsigned char> value;
-    if (!r->str(&key) || !r->bytes(&value)) return;
-    CellState& st = cells_[key];
-    net::Writer w;
-    if (!st.full && st.producers.empty()) {
-      st.full = true;
-      st.payload = std::move(value);
-      w.u8(1);
-      write_updates(&w, peer);
-      send_to(peer, net::MsgType::kCellTryReply, w.take());
-      settle_cell(&st);
-    } else {
-      w.u8(0);
-      send_to(peer, net::MsgType::kCellTryReply, w.take());
-    }
-  }
-
-  void on_cell_try_consume(int peer, net::Reader* r) {
-    std::string key;
-    if (!r->str(&key)) return;
-    CellState& st = cells_[key];
-    net::Writer w;
-    if (st.full) {
-      w.u8(1);
-      write_updates(&w, peer);
-      w.bytes(st.payload.data(), st.payload.size());
-      st.full = false;
-      st.payload.clear();
-      send_to(peer, net::MsgType::kCellTryReply, w.take());
-      settle_cell(&st);
-    } else {
-      w.u8(0);
-      send_to(peer, net::MsgType::kCellTryReply, w.take());
-    }
-  }
-
-  void on_cell_void(int peer, net::Reader* r) {
-    std::string key;
-    if (!r->str(&key)) return;
-    CellState& st = cells_[key];
-    st.full = false;
-    st.payload.clear();
-    send_to(peer, net::MsgType::kCellVoidAck, {});
-    settle_cell(&st);
-  }
-
   SharedArena* arena_;
   std::vector<PeerIO> peers_;
-  std::vector<dsm::Record> log_;
+  std::vector<LogEntry> log_;
+  std::vector<unsigned char> log_bytes_;  // every logged record's bytes
+  std::string key_;  // the key of the request being served
   Traffic traffic_;
   std::map<std::string, LockState> locks_;
-  std::map<std::string, BarrierState> barriers_;
-  std::map<std::string, DispatchState> dispatches_;
+  std::map<std::string, std::vector<int>> barriers_;  // arrivers
+  std::map<std::string, std::atomic<std::int64_t>> dispatches_;
   std::map<std::string, AskforState> askfors_;
   std::map<std::string, CellState> cells_;
   bool poisoned_ = false;
@@ -1190,7 +1124,7 @@ SpawnStats run_cluster_team(int nproc, PrivateSpace* space,
                             const std::function<void(int)>& entry) {
   SpawnStats stats;
   stats.processes = nproc;
-  const RuntimeConfig cfg = runtime_config();
+  const RuntimeConfig cfg = g_config;
 
   const std::int64_t t0 = util::now_ns();
   if (space != nullptr) {
@@ -1227,7 +1161,8 @@ SpawnStats run_cluster_team(int nproc, PrivateSpace* space,
         g_client = &member;
         try {
           entry(proc);
-          member.join();
+          // The orderly goodbye carries the final flush.
+          (void)member.call(net::MsgType::kJoin, "");
           std::fflush(nullptr);
           std::_Exit(0);
         } catch (const shm::TeamPoisoned&) {

@@ -7,13 +7,16 @@
 // coordinator (Unix-domain socketpair by default, loopback TCP with
 // cluster_transport="tcp"). Every synchronization construct - barrier, lock,
 // dispatch counter, askfor monitor, async variable - is a keyed state table
-// on the coordinator driven by request/response frames (protocol version
-// 2). A construct RPC is exactly one request frame, and every frame, either
-// way, leaves in one sendmsg(2) of header and payload. The protocol is
-// strictly request -> response (lock release and askfor put, complete and
-// probend are one-way requests): a peer that is waiting is always parked in
-// recv, so coordinator replies can never deadlock; the only unsolicited
-// coordinator frame is kPoison (team death).
+// on the coordinator, and every construct operation is one RPC (protocol
+// version 3): a request frame {records, key, body} and, unless it is one
+// of the four one-way requests (lock release, askfor put, complete and
+// probend), one kReply {records, body}. Each construct's engine, the
+// member-side half, lives in cluster.cpp beside the coordinator handler
+// that decodes its bodies, so each wire format is known in one file. Every
+// frame, either way, leaves in one sendmsg(2) of header and payload. A
+// peer that is waiting is always parked in recv, so coordinator replies can
+// never deadlock; the only unsolicited coordinator frame is kPoison (team
+// death).
 //
 // Software distributed shared arena. Each peer's arena is a private
 // copy-on-write image of the parent's; a shadow copy tracks what the
@@ -24,25 +27,28 @@
 // runs ride at the head of the request itself as a records block (count 0
 // when clean; claims, dispatch resets and status reads always send 0). The
 // coordinator applies that block before it serves the construct, appending
-// the records to a global monotone update log and to the master arena.
-// At every ACQUIRE point (lock grant, barrier release, askfor grant, async
-// value) the reply carries the log suffix the peer has not yet seen, which
-// the peer applies to both arena and shadow; a peer that had seen the
-// whole log when it flushed is not sent its own records back. Under the
+// the bytes to a global monotone update log, tagged with their author, and
+// to the master arena. EVERY reply is an acquire point: it carries the log
+// suffix the peer has not yet seen, minus the peer's own records, which the
+// peer applies to both arena and shadow straight from the frame. Under the
 // Force's data-race-free discipline (shared writes happen under locks,
-// barriers order phases) this write-through/log-replay scheme makes
-// release-point arena contents deterministic - the fuzz tests in
+// barriers order phases) no record a peer has not seen can overlap bytes it
+// wrote since, so this write-through/log-replay scheme makes release-point
+// arena contents deterministic - the fuzz tests in
 // tests/test_cluster_proto.cpp drive the pure diff/apply half directly.
 //
 // Death. Identical in shape to the os-fork backend: the coordinator reaps
 // with waitpid(WNOHANG); the first abnormal exit poisons the team (kPoison
 // to every live peer, SIGKILL stragglers after a grace period) and surfaces
-// as ProcessDeathError with pid/signal/exit-code/site provenance. EOF on a
-// live peer's connection is a torn link: the peer is killed and reported.
+// as ProcessDeathError with pid/signal/exit-code/site provenance. The site
+// is the construct of the peer's last request, read from its type and key;
+// a peer's exception text arrives as a one-way kError. EOF on a live peer's
+// connection is a torn link: the peer is killed and reported.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,7 +58,11 @@
 
 namespace force::machdep {
 class SharedArena;
-}
+class AskforRing;     // machdep/backend.hpp
+class AsyncCell;      // machdep/backend.hpp
+class BarrierEngine;  // machdep/backend.hpp
+class DoallSite;      // machdep/backend.hpp
+}  // namespace force::machdep
 
 namespace force::machdep::cluster {
 
@@ -84,9 +94,26 @@ std::vector<Record> diff(const unsigned char* data, std::size_t n,
 void apply(std::vector<unsigned char>* image, const std::vector<Record>& recs,
            std::size_t capacity);
 
+/// A records block: {count u32, count x {offset u64, bytes}}.
 void encode_records(net::Writer* w, const std::vector<Record>& recs);
-/// Returns false (without UB) on malformed input.
-bool decode_records(net::Reader* r, std::vector<Record>* out);
+
+/// Walks a records block in place, calling visit(offset, data, n) once per
+/// record with a view into the Reader's span - no record is copied out.
+/// Returns false (without UB) on malformed input, after visiting the
+/// records before the fault.
+template <typename Visit>
+bool visit_records(net::Reader* r, Visit&& visit) {
+  std::uint32_t count = 0;
+  if (!r->u32(&count)) return false;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint64_t offset = 0;
+    const unsigned char* data = nullptr;
+    std::size_t n = 0;
+    if (!r->u64(&offset) || !r->view(&data, &n)) return false;
+    visit(offset, data, n);
+  }
+  return true;
+}
 
 }  // namespace dsm
 
@@ -109,114 +136,39 @@ class ScopedRuntimeConfig {
   ScopedRuntimeConfig& operator=(const ScopedRuntimeConfig&) = delete;
 };
 
-[[nodiscard]] const RuntimeConfig& runtime_config();
-
 // ---------------------------------------------------------------------------
-// Peer-side client: one per member process, installed globally after fork.
+// Construct engines: each call is one coordinator RPC from the calling
+// member process. They may be built in any process (the coordinator builds
+// lock objects it never acquires); the member's link is looked up per call.
 // ---------------------------------------------------------------------------
 
-struct Claim {
-  std::int64_t begin = 0;
-  std::int64_t count = 0;
-};
-
-class ClusterClient {
- public:
-  ClusterClient(net::Conn conn, int proc0, SharedArena* arena);
-
-  [[nodiscard]] int proc0() const { return proc0_; }
-
-  /// Updates the coordinator's last-known-construct-site for this peer
-  /// (sent only when it changes; feeds ProcessDeathError provenance).
-  void note_site(const std::string& site);
-
-  /// Barrier arrival: arrive with this peer's release records, run
-  /// `section` if elected champion (its writes ride the section-done frame),
-  /// block until the whole episode releases (applying updates).
-  void barrier_arrive(const std::string& key, int width,
-                      const std::function<void()>* section);
-
-  void lock_acquire(const std::string& key);
-  bool lock_try_acquire(const std::string& key);
-  void lock_release(const std::string& key);
-
-  void dispatch_reset(const std::string& key);
-  Claim dispatch_claim(const std::string& key, std::int64_t want,
-                       std::int64_t limit);
-  Claim dispatch_claim_fraction(const std::string& key, std::int64_t limit,
-                                std::int64_t divisor);
-
-  void askfor_put(const std::string& key, const void* task, std::size_t n);
-  /// Blocks for a task (or end-of-work). Returns true and fills `task`
-  /// when granted; false when the pool has drained or probend was called.
-  bool askfor_ask(const std::string& key, void* task, std::size_t n);
-  void askfor_complete(const std::string& key);
-  void askfor_probend(const std::string& key);
-  void askfor_status(const std::string& key, bool* ended,
-                     std::uint64_t* granted);
-
-  void cell_produce(const std::string& key, const void* value, std::size_t n);
-  void cell_consume(const std::string& key, void* value, std::size_t n);
-  void cell_copy(const std::string& key, void* value, std::size_t n);
-  bool cell_try_produce(const std::string& key, const void* value,
-                        std::size_t n);
-  bool cell_try_consume(const std::string& key, void* value, std::size_t n);
-  void cell_void(const std::string& key);
-
-  /// Orderly goodbye carrying the final flush; the member exits cleanly
-  /// after this.
-  void join();
-
-  /// Best-effort: ships an exception message for death provenance.
-  void report_error(const std::string& what) noexcept;
-
-  /// Fault-injection hook: half-closes the socket so the coordinator sees
-  /// EOF while this process is still alive.
-  void sever_connection_for_test();
-
- private:
-  void handshake();
-  /// A construct request payload that starts with this peer's release
-  /// flush: the dirty arena runs, diffed against the shadow, as a records
-  /// block (count 0 when clean). Every RELEASE point sends one.
-  net::Writer release_request();
-  /// A request payload that starts with an empty records block (claims,
-  /// dispatch resets and status reads are not release points).
-  static net::Writer plain_request();
-  Claim claim_rpc(const std::string& key, std::int64_t want,
-                  std::int64_t limit, std::int64_t divisor);
-  void apply_updates(net::Reader* r);
-  void drain_pending();
-  void apply_record(std::uint64_t offset, const unsigned char* data,
-                    std::size_t n);
-  /// Blocks for a frame of one of the `allowed` types; kPoison anywhere
-  /// throws shm::TeamPoisoned so the member unwinds and exits 103.
-  net::MsgType recv_expect(std::initializer_list<net::MsgType> allowed,
-                           std::vector<unsigned char>* payload);
-
-  net::Conn conn_;
-  int proc0_;
-  SharedArena* arena_;
-  std::vector<unsigned char> shadow_;
-  std::vector<dsm::Record> pending_;  // records ahead of local allocation
-  std::string last_site_;
-};
-
-/// The member process's client (null outside a cluster member).
-[[nodiscard]] ClusterClient* client();
-/// As above but FORCE_CHECKs that a client is installed.
-[[nodiscard]] ClusterClient& require_client();
+/// A keyed team barrier of `width` members; the last arriver runs the
+/// section.
+std::unique_ptr<BarrierEngine> make_team_barrier(int width, std::string key);
+/// A selfscheduled DOALL site: a champion entry barrier whose section
+/// publishes the bounds in `arena`, then one claim RPC per grant.
+std::unique_ptr<DoallSite> make_doall_site(SharedArena* arena,
+                                           const std::string& site,
+                                           int width);
+std::unique_ptr<AskforRing> make_askfor_ring(std::string key,
+                                             std::size_t task_bytes);
+std::unique_ptr<AsyncCell> make_async_cell(std::string label,
+                                           std::size_t payload_bytes);
+/// One keyed lock cell per label. Like ShmLock, labels are
+/// construct-unique, so every member that reaches the same construct
+/// contends on the same coordinator-side cell.
+std::unique_ptr<BasicLock> make_lock(std::string label);
 
 /// What the coordinator of one cluster run received and sent. Hello and
 /// join count as requests; a construct RPC is one request frame, whose
 /// release records count below.
 struct Traffic {
   std::uint64_t requests_in = 0;       // peer frames other than notes
-  std::uint64_t notes_in = 0;          // one-way site and error notes
+  std::uint64_t notes_in = 0;          // one-way error notes
   std::uint64_t replies_out = 0;       // coordinator frames, poison included
   std::uint64_t records_in = 0;        // release records in requests
   std::uint64_t record_bytes_in = 0;   // their changed bytes
-  std::uint64_t record_bytes_out = 0;  // changed bytes in acquire replies
+  std::uint64_t record_bytes_out = 0;  // changed bytes in replies
 };
 
 /// The tally of the last cluster run this process coordinated (zeros
@@ -226,33 +178,6 @@ struct Traffic {
 /// Half-closes the calling member's coordinator link (torn-connection
 /// fault injection). No-op outside a cluster member.
 void sever_connection_for_test();
-
-/// BasicLock over coordinator RPCs: one keyed lock cell per label. Like
-/// ShmLock, labels are construct-unique, so every member that reaches the
-/// same construct contends on the same coordinator-side cell. The lock is
-/// constructed freely in any process (including the coordinator, where
-/// lock objects exist but are never acquired); the client is looked up at
-/// acquire time.
-class ClusterLock final : public BasicLock {
- public:
-  explicit ClusterLock(std::string label) : label_(std::move(label)) {}
-
-  void acquire() override {
-    ClusterClient& c = require_client();
-    c.note_site(label_);
-    c.lock_acquire(label_);
-  }
-  bool try_acquire() override {
-    return require_client().lock_try_acquire(label_);
-  }
-  void release() override { require_client().lock_release(label_); }
-  const char* mechanism() const override { return "cluster-rpc"; }
-
-  [[nodiscard]] const std::string& label() const { return label_; }
-
- private:
-  std::string label_;
-};
 
 // ---------------------------------------------------------------------------
 // Team entry: fork peers, serve the coordinator loop, reap, report.

@@ -33,8 +33,8 @@ inline constexpr std::uint32_t kFrameMagic = 0x4652434Eu;
 
 /// Bumped whenever the frame layout or any payload layout changes.
 /// Version 2: every construct request opens with the sender's release
-/// records.
-inline constexpr std::uint16_t kProtocolVersion = 2;
+/// records. Version 3: one reply frame (kReply) answers every request.
+inline constexpr std::uint16_t kProtocolVersion = 3;
 
 /// Fixed size of the frame header on the wire.
 inline constexpr std::size_t kFrameHeaderBytes = 12;
@@ -45,50 +45,43 @@ inline constexpr std::size_t kFrameHeaderBytes = 12;
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u * 1024u * 1024u;
 
 /// Every message the coordinator and peers exchange. The numeric values
-/// are wire-visible; append only, never renumber (5 was the version-1
-/// update frame). Every peer -> coord payload other than kHello, kSite and
-/// kError is a construct request: it starts with a {records} block, the
-/// sender's release flush (count 0 when clean or not a release point),
-/// ahead of the fields listed here.
+/// are wire-visible: never renumber, and never reuse a retired value
+/// (5 was version 1's update frame; 2, 3, 7, 9, 11, 13, 16, 18, 21, 25,
+/// 27, 29, 32, 34 and 36 were version 2's site note and its per-construct
+/// reply frames).
+///
+/// A construct is one RPC. Every peer -> coord frame but kError is a
+/// request whose payload is {records, key str, body}: the records block is
+/// the sender's release flush (count 0 when clean or not a release point),
+/// the key names the construct's state on the coordinator, and the body is
+/// listed here (machdep/cluster.cpp encodes and decodes it). Every request
+/// but the four one-way ones gets exactly one kReply: {records, body}, the
+/// records being the log suffix the peer has not seen, so every reply is
+/// an acquire point.
 enum class MsgType : std::uint16_t {
-  kHello = 1,         // peer -> coord: {proc0 u32}
-  kHelloAck = 2,      // coord -> peer: {}
-  kSite = 3,          // peer -> coord (one-way): {site str}
-  kError = 4,         // peer -> coord (one-way): {what str}
-  kBarrierArrive = 6, // peer -> coord: {key str, width u32, has_section u8}
-  kBarrierRunSection = 7,  // coord -> champion: {records}
-  kBarrierSectionDone = 8, // champion -> coord: {key str}
-  kBarrierRelease = 9,     // coord -> peer: {records}
-  kLockAcquire = 10,  // peer -> coord: {key str}
-  kLockGranted = 11,  // coord -> peer: {records}
-  kLockTry = 12,      // peer -> coord: {key str}
-  kLockTryReply = 13, // coord -> peer: {ok u8, records if ok}
-  kLockRelease = 14,  // peer -> coord (one-way): {key str}
-  kDispatchReset = 15,      // peer -> coord: {key str}
-  kDispatchResetAck = 16,   // coord -> peer: {}
-  kDispatchClaim = 17,      // peer -> coord: {key str, want i64, limit i64,
-                            //                 divisor i64 (0 = plain claim)}
-  kDispatchClaimReply = 18, // coord -> peer: {begin i64, count i64}
-  kAskforPut = 19,      // peer -> coord (one-way): {key str, task bytes}
-  kAskforAsk = 20,      // peer -> coord: {key str}
-  kAskforGrant = 21,    // coord -> peer: {has_task u8, records, task bytes}
-  kAskforComplete = 22, // peer -> coord (one-way): {key str}
-  kAskforProbend = 23,  // peer -> coord (one-way): {key str}
-  kAskforStatus = 24,   // peer -> coord: {key str}
-  kAskforStatusReply = 25, // coord -> peer: {ended u8, granted u64}
-  kCellProduce = 26,    // peer -> coord: {key str, value bytes}
-  kCellProduceAck = 27, // coord -> peer: {records}
-  kCellConsume = 28,    // peer -> coord: {key str, copy u8}
-  kCellValue = 29,      // coord -> peer: {records, value bytes}
-  kCellTryProduce = 30, // peer -> coord: {key str, value bytes}
-  kCellTryConsume = 31, // peer -> coord: {key str}
-  kCellTryReply = 32,   // coord -> peer: {ok u8, records, value bytes if ok}
-  kCellVoid = 33,       // peer -> coord: {key str}
-  kCellVoidAck = 34,    // coord -> peer: {}
-  kJoin = 35,           // peer -> coord: {}
-  kJoinAck = 36,        // coord -> peer: {}
-  kPoison = 37,         // coord -> peer (one-way, the only unsolicited
-                        // coordinator frame): {}
+  kHello = 1,          // {proc0 u32} -> {}
+  kError = 4,          // peer -> coord (one-way, no records): {what str}
+  kBarrierArrive = 6,  // {width u32, has_section u8} -> {run_section u8}
+  kBarrierSectionDone = 8,  // {} -> {run_section u8 = 0}, the release
+  kLockAcquire = 10,   // {} -> {}
+  kLockTry = 12,       // {} -> {ok u8}
+  kLockRelease = 14,   // one-way: {}
+  kDispatchReset = 15, // {} -> {}
+  kDispatchClaim = 17, // {want i64, limit i64, divisor i64 (0 = plain)}
+                       //   -> {begin i64, count i64}
+  kAskforPut = 19,     // one-way: {task bytes}
+  kAskforAsk = 20,     // {} -> {has_task u8, task bytes if has_task}
+  kAskforComplete = 22,  // one-way: {}
+  kAskforProbend = 23,   // one-way: {}
+  kAskforStatus = 24,    // {} -> {ended u8, granted u64}
+  kCellProduce = 26,     // {value bytes} -> {}
+  kCellConsume = 28,     // {copy u8} -> {value bytes}
+  kCellTryProduce = 30,  // {value bytes} -> {ok u8}
+  kCellTryConsume = 31,  // {} -> {ok u8, value bytes if ok}
+  kCellVoid = 33,        // {} -> {}
+  kJoin = 35,            // {} -> {}
+  kPoison = 37,  // coord -> peer (unsolicited, team death): {}
+  kReply = 38,   // coord -> peer: {records, body}
 };
 
 struct FrameHeader {
@@ -122,14 +115,21 @@ DecodeStatus decode_frame_header(const unsigned char* data, std::size_t len,
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<unsigned char>(v)); }
-  void u16(std::uint16_t v) { raw_le(&v, sizeof v); }
-  void u32(std::uint32_t v) { raw_le(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw_le(&v, sizeof v); }
+  // Little-endian hosts only (matches the rest of machdep); a
+  // static_assert in net.cpp enforces the assumption.
+  void u16(std::uint16_t v) { raw(&v, sizeof v); }
+  void u32(std::uint32_t v) { raw(&v, sizeof v); }
+  void u64(std::uint64_t v) { raw(&v, sizeof v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
   /// Length-prefixed byte run.
   void bytes(const void* data, std::size_t n) {
     u32(static_cast<std::uint32_t>(n));
+    raw(data, n);
+  }
+
+  /// Bytes as they are, with no length prefix.
+  void raw(const void* data, std::size_t n) {
     const auto* p = static_cast<const unsigned char*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
@@ -143,12 +143,6 @@ class Writer {
   [[nodiscard]] std::vector<unsigned char> take() { return std::move(buf_); }
 
  private:
-  void raw_le(const void* v, std::size_t n) {
-    // Little-endian hosts only (matches the rest of machdep); a
-    // static_assert in net.cpp enforces the assumption.
-    const auto* p = static_cast<const unsigned char*>(v);
-    buf_.insert(buf_.end(), p, p + n);
-  }
   std::vector<unsigned char> buf_;
 };
 
@@ -172,22 +166,32 @@ class Reader {
     return true;
   }
 
+  /// Length-prefixed byte run, viewed in place: *data points into the
+  /// Reader's span and stays valid as long as that span does.
+  bool view(const unsigned char** data, std::size_t* n) {
+    std::uint32_t len = 0;
+    if (!u32(&len)) return false;
+    if (static_cast<std::size_t>(end_ - p_) < len) return fail();
+    *data = p_;
+    *n = len;
+    p_ += len;
+    return true;
+  }
+
   /// Length-prefixed byte run into an owned buffer.
   bool bytes(std::vector<unsigned char>* out) {
-    std::uint32_t n = 0;
-    if (!u32(&n)) return false;
-    if (static_cast<std::size_t>(end_ - p_) < n) return fail();
-    out->assign(p_, p_ + n);
-    p_ += n;
+    const unsigned char* p = nullptr;
+    std::size_t n = 0;
+    if (!view(&p, &n)) return false;
+    out->assign(p, p + n);
     return true;
   }
 
   bool str(std::string* out) {
-    std::uint32_t n = 0;
-    if (!u32(&n)) return false;
-    if (static_cast<std::size_t>(end_ - p_) < n) return fail();
-    out->assign(reinterpret_cast<const char*>(p_), n);
-    p_ += n;
+    const unsigned char* p = nullptr;
+    std::size_t n = 0;
+    if (!view(&p, &n)) return false;
+    out->assign(reinterpret_cast<const char*>(p), n);
     return true;
   }
 

@@ -17,8 +17,8 @@
 //     non-trivially-copyable askfor payloads, Isfull, the sentry, tracing
 //     and team pools are all rejected with cluster-specific messages.
 //   * the coordinator's traffic tally shows each construct RPC as one
-//     request frame carrying its own release records, and a clean flush
-//     as no record at all.
+//     request frame carrying its own release records, a clean flush as
+//     no record at all, and no record sent back to its writer.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -111,6 +111,43 @@ TEST(ClusterDeath, SigkillMidAskforReleasesParkedSurvivors) {
     }
   });
   EXPECT_LT(secs, 30.0);
+}
+
+TEST(ClusterDeath, SigkillAfterProduceAndInSelfschedBodyNameTheConstruct) {
+  // The coordinator reads a peer's site from its last request, so a death
+  // right after an async Produce names the variable, and one inside a
+  // selfsched body names the loop whose trip it claimed.
+  force::Force f(cluster_config(3));
+  try {
+    f.run([](fc::Ctx& ctx) {
+      auto& v = ctx.async_var<std::int64_t>(FORCE_SITE);
+      if (ctx.me() == 2) {
+        v.produce(7);
+        raise(SIGKILL);
+      }
+      ctx.barrier();
+    });
+    FAIL() << "expected ProcessDeathError";
+  } catch (const md::ProcessDeathError& e) {
+    EXPECT_EQ(e.process(), 2);
+    EXPECT_NE(e.site().find("async"), std::string::npos)
+        << "victim site: " << e.site();
+  }
+  force::Force g(cluster_config(3));
+  try {
+    g.run([](fc::Ctx& ctx) {
+      // Exactly one member claims trip 1.
+      ctx.selfsched_do(FORCE_SITE, 1, 30, 1, [](std::int64_t i) {
+        if (i == 1) raise(SIGKILL);
+      });
+      ctx.barrier();
+    });
+    FAIL() << "expected ProcessDeathError";
+  } catch (const md::ProcessDeathError& e) {
+    EXPECT_EQ(e.term_signal(), SIGKILL);
+    EXPECT_NE(e.site().find("selfsched"), std::string::npos)
+        << "victim site: " << e.site();
+  }
 }
 
 TEST(ClusterDeath, FreshForceSucceedsAfterPeerDeath) {
@@ -358,8 +395,8 @@ TEST(ClusterTraffic, PlainBarriersAreOneRequestFrameEachAndShipNoRecords) {
   EXPECT_EQ(t.records_in, 0u);
   EXPECT_EQ(t.record_bytes_in, 0u);
   EXPECT_EQ(t.record_bytes_out, 0u);
-  // The barrier's site is noted once per peer, on its first arrival.
-  EXPECT_EQ(t.notes_in, static_cast<std::uint64_t>(kNproc));
+  // The coordinator reads each peer's site from its requests: no notes.
+  EXPECT_EQ(t.notes_in, 0u);
 }
 
 TEST(ClusterTraffic, OneEightByteWriteIsOneEightByteRecord) {
@@ -379,10 +416,37 @@ TEST(ClusterTraffic, OneEightByteWriteIsOneEightByteRecord) {
   const md::cluster::Traffic t = md::cluster::last_run_traffic();
   EXPECT_EQ(t.records_in, 1u);
   EXPECT_EQ(t.record_bytes_in, 8u);
-  // The release carries it to the two other peers; the writer had seen
-  // the whole log, so its own record does not come back to it.
+  // The release carries it to the two other peers; its own record does
+  // not come back to the writer.
   EXPECT_EQ(t.record_bytes_out, static_cast<std::uint64_t>(8 * (kNproc - 1)));
   EXPECT_EQ(t.requests_in, static_cast<std::uint64_t>(kNproc * 3));
+}
+
+TEST(ClusterTraffic, EveryPeersOwnWordReachesOnlyTheOthers) {
+  // Every peer flushes one 8-byte record at the same barrier, so all but
+  // the first arriver are behind the log when they flush: none of them
+  // may be sent its own record back.
+  constexpr int kNproc = 4;
+  force::Force f(cluster_config(kNproc));
+  auto& words = f.shared<std::array<std::uint64_t, kNproc>>("words");
+  words = {};
+  const auto word_of = [](int me) {
+    return 0x0102030405060708ull * static_cast<std::uint64_t>(me);
+  };
+  f.run([&](fc::Ctx& ctx) {
+    words[static_cast<std::size_t>(ctx.me() - 1)] = word_of(ctx.me());
+    ctx.barrier();
+    for (int p = 1; p <= kNproc; ++p) {
+      if (words[static_cast<std::size_t>(p - 1)] != word_of(p)) {
+        throw std::runtime_error("the barrier release lost a peer's word");
+      }
+    }
+  });
+  const md::cluster::Traffic t = md::cluster::last_run_traffic();
+  EXPECT_EQ(t.records_in, static_cast<std::uint64_t>(kNproc));
+  EXPECT_EQ(t.record_bytes_in, static_cast<std::uint64_t>(8 * kNproc));
+  EXPECT_EQ(t.record_bytes_out,
+            static_cast<std::uint64_t>(8 * kNproc * (kNproc - 1)));
 }
 
 TEST(ClusterTraffic, AskforPutAskAndCompleteAreOneFrameEach) {

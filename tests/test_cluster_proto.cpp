@@ -85,15 +85,19 @@ TEST(ClusterProto, VersionMismatchRejected) {
 
 TEST(ClusterProto, VersionOneHeaderRejected) {
   // Version 1 sent release records in a separate frame ahead of the
-  // request; a version-2 coordinator must refuse that stream outright.
-  net::FrameHeader in;
-  in.version = 1;
-  in.type = static_cast<std::uint16_t>(net::MsgType::kBarrierArrive);
-  unsigned char buf[net::kFrameHeaderBytes];
-  net::encode_frame_header(in, buf);
-  net::FrameHeader out;
-  EXPECT_EQ(net::decode_frame_header(buf, sizeof buf, &out),
-            net::DecodeStatus::kBadVersion);
+  // request, and version 2 answered each construct with its own reply
+  // type; a version-3 coordinator must refuse either stream outright.
+  for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
+    net::FrameHeader in;
+    in.version = version;
+    in.type = static_cast<std::uint16_t>(net::MsgType::kBarrierArrive);
+    unsigned char buf[net::kFrameHeaderBytes];
+    net::encode_frame_header(in, buf);
+    net::FrameHeader out;
+    EXPECT_EQ(net::decode_frame_header(buf, sizeof buf, &out),
+              net::DecodeStatus::kBadVersion)
+        << "version " << version;
+  }
 }
 
 TEST(ClusterProto, OversizedPayloadRejected) {
@@ -181,13 +185,24 @@ TEST(ClusterProto, ReaderSurvivesArbitraryBytes) {
     bool prev_ok = true;
     for (int op = 0; op < 16; ++op) {
       bool got = false;
-      switch (op % 6) {
+      switch (op % 7) {
         case 0: { std::uint8_t v; got = r.u8(&v); break; }
         case 1: { std::uint16_t v; got = r.u16(&v); break; }
         case 2: { std::uint32_t v; got = r.u32(&v); break; }
         case 3: { std::uint64_t v; got = r.u64(&v); break; }
         case 4: { std::string v; got = r.str(&v); break; }
-        default: { std::vector<unsigned char> v; got = r.bytes(&v); break; }
+        case 5: { std::vector<unsigned char> v; got = r.bytes(&v); break; }
+        default: {
+          const unsigned char* p = nullptr;
+          std::size_t n = 0;
+          got = r.view(&p, &n);
+          // A view never reaches past the span it was cut from.
+          if (got) {
+            EXPECT_GE(p, soup.data());
+            EXPECT_LE(p + n, soup.data() + soup.size());
+          }
+          break;
+        }
       }
       // The ok() latch never recovers: once a read fails, all fail.
       if (!prev_ok) {
@@ -201,6 +216,20 @@ TEST(ClusterProto, ReaderSurvivesArbitraryBytes) {
 
 // --- DSM records codec -------------------------------------------------------
 
+namespace {
+
+/// Copies a records block out of the Reader through the in-place visitor.
+bool decode(net::Reader* r, std::vector<dsm::Record>* out) {
+  out->clear();
+  return dsm::visit_records(
+      r, [out](std::uint64_t offset, const unsigned char* data,
+               std::size_t n) {
+        out->push_back({offset, std::vector<unsigned char>(data, data + n)});
+      });
+}
+
+}  // namespace
+
 TEST(ClusterProto, RecordsRoundTrip) {
   std::vector<dsm::Record> in;
   in.push_back({0, {1, 2, 3}});
@@ -211,7 +240,7 @@ TEST(ClusterProto, RecordsRoundTrip) {
   dsm::encode_records(&w, in);
   net::Reader r(w.data());
   std::vector<dsm::Record> out;
-  ASSERT_TRUE(dsm::decode_records(&r, &out));
+  ASSERT_TRUE(decode(&r, &out));
   ASSERT_EQ(out.size(), in.size());
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_EQ(out[i].offset, in[i].offset);
@@ -229,7 +258,7 @@ TEST(ClusterProto, TruncatedRecordsRejected) {
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     net::Reader r(full.data(), cut);
     std::vector<dsm::Record> out;
-    EXPECT_FALSE(dsm::decode_records(&r, &out)) << "cut " << cut;
+    EXPECT_FALSE(decode(&r, &out)) << "cut " << cut;
   }
 }
 
@@ -405,22 +434,29 @@ TEST(ClusterDsm, DiffMatchesTheByteReference) {
 
 TEST(ClusterDsm, SeededMessageSequenceFuzzIsDeterministicAtReleasePoints) {
   // A miniature cluster run, all in-process: kPeers images diverge through
-  // random private writes (each peer owns a disjoint stripe, the Force's
-  // data-race-free discipline), flush at random moments into a global
-  // update log (the coordinator), and sync the log suffix at "barriers".
-  // After every barrier all images and the master must be bit-identical -
-  // the deterministic-release-point contract the real transport relies on.
-  // It runs on a one-block arena with dense writes and on arenas of
-  // several blocks (one not a whole number of blocks) whose writes leave
-  // most blocks clean.
+  // random private writes, flush at random moments into a global update
+  // log whose entries carry their author (the coordinator), and receive
+  // the log suffix they have not seen, minus their own entries, both at
+  // random moments (any reply is an acquire) and at "barriers". Each phase
+  // gives every 16-byte stripe to one peer, and the owner rotates at every
+  // barrier - the Force's data-race-free discipline, with writes that
+  // overlap across phases. After every barrier all images and the master
+  // must be bit-identical - the deterministic-release-point contract the
+  // real transport relies on. It runs on a one-block arena with dense
+  // writes and on arenas of several blocks (one not a whole number of
+  // blocks) whose writes leave most blocks clean.
   constexpr int kPeers = 4;
   constexpr int kBarriers = 20;
+  struct Entry {
+    dsm::Record rec;
+    int author;
+  };
   for (const std::size_t kBytes : {std::size_t{1024}, 3 * kBlock + 77,
                                    6 * kBlock}) {
     SCOPED_TRACE("arena bytes " + std::to_string(kBytes));
     std::mt19937 rng(0x5EEDu);
     std::vector<unsigned char> master(kBytes, 0);
-    std::vector<dsm::Record> log;
+    std::vector<Entry> log;
     std::vector<std::size_t> synced(kPeers, 0);  // log index each peer has seen
     std::vector<std::vector<unsigned char>> image(
         kPeers, std::vector<unsigned char>(kBytes, 0));
@@ -437,43 +473,47 @@ TEST(ClusterDsm, SeededMessageSequenceFuzzIsDeterministicAtReleasePoints) {
       dsm::encode_records(&w, recs);
       net::Reader r(w.data());
       std::vector<dsm::Record> decoded;
-      ASSERT_TRUE(dsm::decode_records(&r, &decoded));
+      ASSERT_TRUE(decode(&r, &decoded));
       dsm::apply(&master, decoded, kBytes);
       master.resize(kBytes, 0);
-      for (auto& rec : decoded) log.push_back(std::move(rec));
+      for (auto& rec : decoded) log.push_back({std::move(rec), p});
     };
-    const auto sync = [&](int p) {
-      // ...and applies the log suffix it has not seen to image AND shadow.
+    const auto deliver = [&](int p) {
+      // ...and applies the others' entries it has not seen to image AND
+      // shadow.
       const auto sp = static_cast<std::size_t>(p);
       for (std::size_t i = synced[sp]; i < log.size(); ++i) {
-        dsm::apply(&image[sp], {log[i]}, kBytes);
-        dsm::apply(&shadow[sp], {log[i]}, kBytes);
+        if (log[i].author == p) continue;
+        dsm::apply(&image[sp], {log[i].rec}, kBytes);
+        dsm::apply(&shadow[sp], {log[i].rec}, kBytes);
       }
       image[sp].resize(kBytes, 0);
       synced[sp] = log.size();
     };
 
     for (int b = 0; b < kBarriers; ++b) {
-      // Random phase: interleaved private writes and voluntary flushes.
+      // Random phase: interleaved private writes, voluntary flushes and
+      // replies.
       for (int step = 0; step < 200; ++step) {
         const int p = static_cast<int>(rng() % kPeers);
-        if (rng() % 8 == 0) {
+        const unsigned pick = rng() % 8;
+        if (pick == 0) {
           flush(p);
+        } else if (pick == 1) {
+          deliver(p);
         } else {
-          // Disjoint stripes: peer p owns bytes where (offset / 16) %
-          // kPeers == p this phase. Race-free by construction, like Force
-          // programs.
+          // Stripe s belongs to peer (s + b) % kPeers this phase.
           const std::size_t stripe =
               (rng() % (kBytes / 16 / kPeers)) * kPeers +
-              static_cast<std::size_t>(p);
+              static_cast<std::size_t>((p + kPeers - b % kPeers) % kPeers);
           const std::size_t off = stripe * 16 + rng() % 16;
           image[static_cast<std::size_t>(p)][off] =
               static_cast<unsigned char>(rng());
         }
       }
-      // Barrier: everyone flushes, then everyone syncs the full log.
+      // Barrier: everyone flushes, then everyone receives the full log.
       for (int p = 0; p < kPeers; ++p) flush(p);
-      for (int p = 0; p < kPeers; ++p) sync(p);
+      for (int p = 0; p < kPeers; ++p) deliver(p);
       for (int p = 0; p < kPeers; ++p) {
         ASSERT_EQ(image[static_cast<std::size_t>(p)], master)
             << "peer " << p << " diverged after barrier " << b;
@@ -549,11 +589,12 @@ TEST_P(ClusterFrames, PayloadAboveTheSocketBufferArrivesWholeToASlowReader) {
 }
 
 TEST_P(ClusterFrames, ZeroLengthPayload) {
-  sender_.send_frame(net::MsgType::kJoinAck, nullptr, 0);
+  // The team-death frame is the one frame with no payload at all.
+  sender_.send_frame(net::MsgType::kPoison, nullptr, 0);
   net::MsgType type{};
   std::vector<unsigned char> got(3, 0xAA);
   ASSERT_TRUE(receiver_.recv_frame(&type, &got));
-  EXPECT_EQ(type, net::MsgType::kJoinAck);
+  EXPECT_EQ(type, net::MsgType::kPoison);
   EXPECT_TRUE(got.empty());
 }
 
@@ -578,22 +619,28 @@ TEST_P(ClusterFrames, BackToBackFramesAreBothParsed) {
 }
 
 TEST_P(ClusterFrames, VersionOneFrameIsRejectedOnTheWire) {
-  net::FrameHeader h;
-  h.version = 1;
-  h.type = static_cast<std::uint16_t>(net::MsgType::kJoin);
-  unsigned char hdr[net::kFrameHeaderBytes];
-  net::encode_frame_header(h, hdr);
-  ASSERT_EQ(::send(sender_.fd(), hdr, sizeof hdr, MSG_NOSIGNAL),
-            static_cast<ssize_t>(sizeof hdr));
-  net::MsgType type{};
-  std::vector<unsigned char> got;
-  try {
-    (void)receiver_.recv_frame(&type, &got);
-    FAIL() << "expected the version-1 frame to be rejected";
-  } catch (const force::util::CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("protocol version mismatch"),
-              std::string::npos)
-        << e.what();
+  // Versions 1 and 2 both; each frame goes down a fresh connection, since
+  // a rejected header leaves its stream unusable.
+  for (const std::uint16_t version : {std::uint16_t{1}, std::uint16_t{2}}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    auto [receiver, sender] = net::connected_pair(GetParam());
+    net::FrameHeader h;
+    h.version = version;
+    h.type = static_cast<std::uint16_t>(net::MsgType::kJoin);
+    unsigned char hdr[net::kFrameHeaderBytes];
+    net::encode_frame_header(h, hdr);
+    ASSERT_EQ(::send(sender.fd(), hdr, sizeof hdr, MSG_NOSIGNAL),
+              static_cast<ssize_t>(sizeof hdr));
+    net::MsgType type{};
+    std::vector<unsigned char> got;
+    try {
+      (void)receiver.recv_frame(&type, &got);
+      ADD_FAILURE() << "expected the old-version frame to be rejected";
+    } catch (const force::util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("protocol version mismatch"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -604,7 +651,7 @@ TEST_P(ClusterFrames, SendToAClosedPeerReportsTheFarSideGone) {
   // few more surface the reset.
   bool ok = true;
   for (int i = 0; i < 64 && ok; ++i) {
-    ok = net::write_frame(sender_.fd(), net::MsgType::kSite, &byte, 1);
+    ok = net::write_frame(sender_.fd(), net::MsgType::kError, &byte, 1);
   }
   EXPECT_FALSE(ok);
 }
