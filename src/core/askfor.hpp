@@ -21,7 +21,9 @@
 // private scope, a ring of kSharedCentralCapacity records inside the blob
 // on shared scope (a put() beyond it is a checked error). The cluster
 // backend, which has no shared memory, hands out a coordinator monitor
-// instead; Askfor<T> holds whichever of the two as one machdep::AskforRing.
+// instead; Askfor<T> holds whichever of the two as one machdep::AskforRing,
+// the in-process one wrapped by ForceEnvironment::observed, whose decorator
+// fuzzes every put and grant when the sentry is on.
 //
 // Dispatch has two engines, selected by the machine's atomic-RMW
 // capability (ForceEnvironment::atomic_words):
@@ -186,7 +188,6 @@ class BasicAskforCore final : public machdep::AskforRing {
 
   /// Adds a record (callable from inside a granted task).
   void put(R record) {
-    if (Sentry* sn = env_.sentry()) sn->fuzz();
     machdep::AskforWords& w = *words_;
     if (!lock_free()) {
       // Lock engine: the Argonne monitor shape, one lock pass.
@@ -430,7 +431,6 @@ class BasicAskforCore final : public machdep::AskforRing {
     const int slot = current_slot();
     std::optional<Sentry::WaitScope> wait;
     for (;;) {
-      if (Sentry* sn = env_.sentry()) sn->fuzz();
       if (w.ended.load(std::memory_order_acquire) && stays_ended()) {
         if (slot >= 0 && slots_[slot].head.credit) drop_credit(slot);
         return Outcome::kDone;
@@ -740,7 +740,7 @@ class Askfor {
       env.require(machdep::Capability::kNonTrivialPayloads,
                   "Askfor task type", key);
     }
-    return std::make_unique<BasicAskforCore<Record>>(env, key);
+    return env.observed(std::make_unique<BasicAskforCore<Record>>(env, key));
   }
 
   static T& task_of(T& task) { return task; }

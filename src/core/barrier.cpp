@@ -1,5 +1,6 @@
 #include "core/barrier.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "core/env.hpp"
@@ -196,16 +197,43 @@ std::vector<std::string> barrier_algorithm_names() {
   return {"paper-lock", "central-sense", "tree", "dissemination"};
 }
 
+bool parse_barrier_kind(const std::string& name, BarrierKind* out) {
+  if (name == "auto") {
+    *out = BarrierKind::kAuto;
+    return true;
+  }
+  const std::vector<std::string> names = barrier_algorithm_names();
+  const auto it = std::find(names.begin(), names.end(), name);
+  if (it == names.end()) return false;
+  // The algorithms follow kAuto in barrier_algorithm_names() order.
+  *out = static_cast<BarrierKind>(1 + (it - names.begin()));
+  return true;
+}
+
+std::unique_ptr<BarrierAlgorithm> make_barrier_algorithm(BarrierKind kind,
+                                                         ForceEnvironment& env,
+                                                         int width) {
+  switch (kind) {
+    case BarrierKind::kPaperLock:
+      return std::make_unique<PaperLockBarrier>(env, width);
+    case BarrierKind::kCentralSense:
+      return std::make_unique<CentralSenseBarrier>(width);
+    case BarrierKind::kTree:
+      return std::make_unique<TreeBarrier>(width);
+    case BarrierKind::kDissemination:
+      return std::make_unique<DisseminationBarrier>(width);
+    case BarrierKind::kAuto:
+      break;
+  }
+  FORCE_CHECK(false, "'auto' names no barrier algorithm by itself");
+}
+
 std::unique_ptr<BarrierAlgorithm> make_barrier_algorithm(
     const std::string& name, ForceEnvironment& env, int width) {
-  if (name == "paper-lock")
-    return std::make_unique<PaperLockBarrier>(env, width);
-  if (name == "central-sense")
-    return std::make_unique<CentralSenseBarrier>(width);
-  if (name == "tree") return std::make_unique<TreeBarrier>(width);
-  if (name == "dissemination")
-    return std::make_unique<DisseminationBarrier>(width);
-  FORCE_CHECK(false, "unknown barrier algorithm: " + name);
+  BarrierKind kind = BarrierKind::kAuto;
+  FORCE_CHECK(parse_barrier_kind(name, &kind) && kind != BarrierKind::kAuto,
+              "unknown barrier algorithm: " + name);
+  return make_barrier_algorithm(kind, env, width);
 }
 
 }  // namespace force::core

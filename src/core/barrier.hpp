@@ -44,11 +44,8 @@ class BarrierAlgorithm {
   virtual void arrive(int proc0, const std::function<void()>& section) = 0;
   void arrive(int proc0) { arrive(proc0, no_section()); }
 
-  /// The canonical empty barrier section. The no-section overload used to
-  /// materialize a fresh std::function temporary from nullptr at every
-  /// call; all no-section arrivals now share this one empty instance, and
-  /// every algorithm routes through run_section()/has_section() below so
-  /// the emptiness check lives in exactly one place.
+  /// The one empty barrier section every no-section arrival shares;
+  /// algorithms test it through run_section()/has_section() below.
   static const std::function<void()>& no_section();
 
   [[nodiscard]] virtual const char* name() const = 0;
@@ -168,10 +165,22 @@ class EngineBarrier final : public BarrierAlgorithm {
   std::unique_ptr<machdep::BarrierEngine> engine_;
 };
 
-/// Names accepted by make_barrier / ForceConfig::barrier_algorithm.
+/// ForceConfig::barrier_algorithm, parsed once: kAuto, or one of the four
+/// algorithms above in barrier_algorithm_names() order.
+enum class BarrierKind { kAuto, kPaperLock, kCentralSense, kTree, kDissemination };
+
+/// Parses a barrier_algorithm name ("auto" included); false when unknown.
+[[nodiscard]] bool parse_barrier_kind(const std::string& name,
+                                      BarrierKind* out);
+
+/// Names of the four algorithms (the E2 sweep and the tests iterate them).
 std::vector<std::string> barrier_algorithm_names();
 
-/// Factory; throws on unknown names.
+/// Factories; `kind` must not be kAuto, and the by-name one throws on an
+/// unknown name.
+std::unique_ptr<BarrierAlgorithm> make_barrier_algorithm(BarrierKind kind,
+                                                         ForceEnvironment& env,
+                                                         int width);
 std::unique_ptr<BarrierAlgorithm> make_barrier_algorithm(
     const std::string& name, ForceEnvironment& env, int width);
 

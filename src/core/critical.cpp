@@ -5,7 +5,7 @@
 namespace force::core {
 
 CriticalSection::CriticalSection(ForceEnvironment& env, std::string label)
-    : lock_(env.new_lock(machdep::LockRole::kMutex, std::move(label))),
+    : lock_(env.new_critical_lock(std::move(label))),
       env_(env) {}
 
 void CriticalSection::enter(const std::function<void()>& body) {

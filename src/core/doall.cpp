@@ -1,10 +1,7 @@
 #include "core/doall.hpp"
 
 #include "core/env.hpp"
-#include "core/sentry.hpp"
 #include "util/check.hpp"
-#include "util/timing.hpp"
-#include "util/trace.hpp"
 
 namespace force::core {
 
@@ -63,31 +60,16 @@ void presched_do2(int me0, int np, std::int64_t i_start, std::int64_t i_last,
 //
 // That is machdep::GateDoallSite, on thread and os-fork alike; only its
 // words move into the arena under os-fork. The cluster backend hands out
-// its own site, with a champion entry barrier on the coordinator.
+// its own site, with a champion entry barrier on the coordinator. Either
+// comes from ForceEnvironment::make_doall_site, which wraps it in the
+// observer layer's decorator when the sentry or the tracer is on.
 // ---------------------------------------------------------------------------
-
-namespace {
-
-std::unique_ptr<machdep::DoallSite> make_doall_site(ForceEnvironment& env,
-                                                    int width,
-                                                    const std::string& key) {
-  FORCE_CHECK(width > 0, "selfsched loop width must be positive");
-  if (auto remote = env.backend().make_doall_site(key, width)) return remote;
-  auto words = env.place_words<machdep::DoallWords>(machdep::kDoallWords + key);
-  auto gate = env.new_episode_gate(width, words->gate);
-  auto dispatch = env.new_dispatch_counter(width, words->dispatch);
-  return std::make_unique<machdep::GateDoallSite>(
-      std::move(words), std::move(gate), std::move(dispatch),
-      "selfsched '" + key + "'");
-}
-
-}  // namespace
 
 SelfschedLoop::SelfschedLoop(ForceEnvironment& env, int width,
                              const std::string& key)
     : env_(env),
       width_(width),
-      site_(make_doall_site(env, width, key.empty() ? "anon" : key)) {}
+      site_(env.make_doall_site(width, key.empty() ? "anon" : key)) {}
 
 void SelfschedLoop::run(int me0, std::int64_t start, std::int64_t last,
                         std::int64_t incr,
@@ -120,8 +102,6 @@ void SelfschedLoop::run_episode(int me0, std::int64_t start, std::int64_t last,
                                 const std::function<void(std::int64_t)>& body,
                                 std::int64_t chunk) {
   FORCE_CHECK(me0 >= 0 && me0 < width_, "bad selfsched process id");
-  // The gate word has no lock hook, so the fuzzer perturbs here.
-  if (Sentry* sentry = env_.sentry()) sentry->fuzz();
   const machdep::DoallBounds bounds =
       site_->enter(start, last, incr, loop_trip_count(start, last, incr));
   // Departure must be reported even if the body throws, or the loop could
@@ -137,8 +117,6 @@ void SelfschedLoop::run_episode(int me0, std::int64_t start, std::int64_t last,
   // wedged in the exit protocol forever.
   FORCE_CHECK(last == bounds.last && incr == bounds.incr,
               "selfsched DO reached with divergent loop bounds");
-  util::Tracer* tracer = env_.tracer();
-  const std::int64_t trace_begin = tracer ? util::now_ns() : 0;
   // Stats are tallied per process and flushed once per episode: two shared
   // fetch-adds per *claim* would serialize the processes on the stats
   // cache lines and swamp the lock-free dispatch itself. Flushed from the
@@ -155,25 +133,14 @@ void SelfschedLoop::run_episode(int me0, std::int64_t start, std::int64_t last,
   // Bounds are episode-stable (SPMD-checked above), so the hot loop works
   // from the call arguments; the trip count was fixed by the first arriver.
   const std::int64_t trips = bounds.trips;
-  Sentry* sentry = env_.sentry();
   for (;;) {
-    // The lock-free claim has no lock hook, so the fuzzer perturbs here.
-    if (sentry != nullptr) sentry->fuzz();
     const machdep::DispatchClaim c = claim(me0, chunk, trips);
     ++tally.dispatches;
-    if (tracer) {
-      tracer->instant(me0, util::TraceKind::kLoopDispatch,
-                      start + c.begin * incr);
-    }
     if (c.count == 0) break;
     for (std::int64_t t = c.begin; t < c.begin + c.count; ++t) {
       body(start + t * incr);
       ++tally.iterations;
     }
-  }
-  if (tracer) {
-    tracer->record(me0, util::TraceKind::kLoopRun, trace_begin,
-                   util::now_ns());
   }
 }
 

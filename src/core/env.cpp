@@ -88,9 +88,8 @@ ForceEnvironment::ForceEnvironment(ForceConfig config)
     config_.team_pool = true;
     require(machdep::Capability::kNmScheduling, "N:M member scheduling", "");
     // Two members multiplexed on one OS thread defeat the sentry's
-    // per-thread bookkeeping (ThreadScope, vector clocks, locksets).
-    // Explicit configs are an error; the FORCE_SENTRY family is dropped
-    // below, as for os-fork.
+    // per-thread bookkeeping. Explicit configs are an error; the
+    // FORCE_SENTRY family is dropped below, as for os-fork.
     FORCE_CHECK(!config_.sentry && config_.schedule_fuzz == 0,
                 "the sentry cannot observe N:M pooled members (two members "
                 "share one OS thread); validate with a 1:1 team");
@@ -117,6 +116,10 @@ ForceEnvironment::ForceEnvironment(ForceConfig config)
               "ForceConfig::dispatch must be 'auto' or 'locked'");
   dispatch_ = config_.dispatch == "locked" ? Dispatch::kLocked
                                            : Dispatch::kAuto;
+  FORCE_CHECK(parse_barrier_kind(config_.barrier_algorithm, &barrier_kind_),
+              "ForceConfig::barrier_algorithm '" + config_.barrier_algorithm +
+                  "' is not recognized; valid values: 'auto', 'paper-lock', "
+                  "'central-sense', 'tree' or 'dissemination'");
   FORCE_CHECK(machdep::net::parse_transport(config_.cluster_transport,
                                             &transport_),
               "ForceConfig::cluster_transport (or FORCE_CLUSTER_TRANSPORT) '" +
@@ -187,16 +190,8 @@ std::unique_ptr<machdep::BasicLock> ForceEnvironment::new_lock(
   return backend_->new_lock(role, label, sentry_.get());
 }
 
-machdep::TeamPool& ForceEnvironment::team_pool() {
-  return backend_->team_pool();
-}
-
 machdep::ForkTeamPool& ForceEnvironment::fork_pool(int nproc) {
   return backend_->fork_pool(nproc);
-}
-
-void ForceEnvironment::reset_shared_sync_after_death() {
-  backend_->reset_shared_sync_after_death();
 }
 
 std::uint32_t ForceEnvironment::run_generation() const {
@@ -207,27 +202,26 @@ void ForceEnvironment::begin_team_entry() {
   run_generation_->fetch_add(1, std::memory_order_acq_rel);
 }
 
-machdep::ProcessTeam ForceEnvironment::process_team() const {
-  return backend_->process_team();
-}
-
 BarrierAlgorithm& ForceEnvironment::global_barrier() {
   return *global_barrier_;
 }
 
 std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_barrier(int width) {
-  return make_barrier(width, config_.barrier_algorithm);
+  require(machdep::Capability::kThreadBarrierAlgorithms,
+          "thread barrier algorithms", "");
+  BarrierKind kind = barrier_kind_;
+  if (kind == BarrierKind::kAuto) {
+    kind = atomic_words() ? BarrierKind::kCentralSense
+                          : BarrierKind::kPaperLock;
+  }
+  return observed(make_barrier_algorithm(kind, *this, width));
 }
 
 std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_barrier(
     int width, const std::string& algorithm) {
   require(machdep::Capability::kThreadBarrierAlgorithms,
           "thread barrier algorithms", "");
-  if (algorithm == "auto") {
-    return make_barrier_algorithm(
-        atomic_words() ? "central-sense" : "paper-lock", *this, width);
-  }
-  return make_barrier_algorithm(algorithm, *this, width);
+  return observed(make_barrier_algorithm(algorithm, *this, width));
 }
 
 std::unique_ptr<machdep::EpisodeGate> ForceEnvironment::new_episode_gate(
@@ -265,6 +259,18 @@ std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_team_barrier(
       backend_->make_team_barrier(width, key);
   if (engine == nullptr) return make_barrier(width);
   return std::make_unique<EngineBarrier>(width, std::move(engine));
+}
+
+std::unique_ptr<machdep::DoallSite> ForceEnvironment::make_doall_site(
+    int width, const std::string& key) {
+  FORCE_CHECK(width > 0, "selfsched loop width must be positive");
+  if (auto remote = backend_->make_doall_site(key, width)) return remote;
+  auto words = place_words<machdep::DoallWords>(machdep::kDoallWords + key);
+  auto gate = new_episode_gate(width, words->gate);
+  auto dispatch = new_dispatch_counter(width, words->dispatch);
+  return observed(std::make_unique<machdep::GateDoallSite>(
+      std::move(words), std::move(gate), std::move(dispatch),
+      "selfsched '" + key + "'"));
 }
 
 util::Xoshiro256 ForceEnvironment::rng_for(int proc0) const {

@@ -32,6 +32,7 @@ namespace force::core {
 
 class BarrierAlgorithm;  // core/barrier.hpp
 class Sentry;            // core/sentry.hpp
+enum class BarrierKind;  // core/barrier.hpp
 
 /// Configuration of one Force program execution.
 struct ForceConfig {
@@ -41,10 +42,14 @@ struct ForceConfig {
   /// Machine model name: hep, flex32, encore, sequent, alliant, cray2,
   /// or native (default).
   std::string machine = "native";
-  /// Barrier algorithm for ctx.barrier() and reduce: "auto" (default) is
-  /// central-sense on the atomic words (see `dispatch`), paper-lock (the
-  /// paper's two-lock/counter structure) otherwise. An explicit paper-lock,
-  /// central-sense, tree or dissemination overrides it (the E2 sweep).
+  /// Barrier algorithm of ctx.barrier(), Resolve and Reduce, parsed once
+  /// at construction: "auto" (default) is central-sense on the atomic
+  /// words (see `dispatch`), paper-lock (the paper's two-lock/counter
+  /// structure) otherwise; an explicit paper-lock, central-sense, tree or
+  /// dissemination overrides it (the E2 sweep). Any other name fails
+  /// construction on every backend. os-fork and cluster accept the five
+  /// names but always run their keyed team barrier: no thread algorithm
+  /// spans address spaces.
   std::string barrier_algorithm = "auto";
   /// "auto" (default) follows the machine's hardware_atomic_rmw: selfsched
   /// dispatch and entry gate and the default barrier run on the atomic
@@ -81,14 +86,17 @@ struct ForceConfig {
   /// Base seed; process p draws from substream p of this seed.
   std::uint64_t seed = 0x464f524345u;  // "FORCE"
   /// Record an execution trace (barrier episodes, sections, critical
-  /// occupancy, DOALL participation and dispatches). Export it with
-  /// env().tracer()->write_chrome_json(path). Off by default: the only
-  /// cost when off is a pointer test per construct.
+  /// occupancy, DOALL participation and dispatches), one ring per member.
+  /// Export it with env().tracer()->write_chrome_json(path). Recorded by
+  /// decorators the environment puts around the construct engines
+  /// (core/observe.cpp); off by default, and when off the engines are
+  /// built undecorated, so the constructs pay nothing for it.
   bool trace = false;
   std::size_t trace_events_per_process = 64u << 10;
   /// Enable the sentry (runtime race/deadlock validation, core/sentry.hpp).
-  /// Same cost model as tracing: a pointer test per construct when off.
-  /// Also switched on by the FORCE_SENTRY=1 environment variable so the
+  /// It observes the constructs through the same decorators as tracing,
+  /// so when off only the blocking waits and Async's full/empty window
+  /// still test a pointer. Also switched on by FORCE_SENTRY=1, so the
   /// whole test suite can be validated without editing every test.
   bool sentry = false;
   /// Schedule-fuzz seed for the sentry (0 = no fuzzing). Deterministic:
@@ -153,18 +161,13 @@ class ForceEnvironment {
   [[nodiscard]] SiteTable& sites() { return sites_; }
   [[nodiscard]] RuntimeStats& stats() { return stats_; }
 
-  /// Generic lock factory (budget-aware, instrumented).
-  std::unique_ptr<machdep::BasicLock> new_lock() {
-    return machine_->new_lock();
-  }
-
   /// Lock factory for construct-internal locks that the sentry should
   /// observe. `role` tells the deadlock detector how the lock is used
   /// (kMutex: acquire/release by the same process, participates in the
   /// lock-order graph and locksets; kSemaphore: cross-process release is
   /// part of the protocol, e.g. async full/empty pairs and barrier
   /// turnstiles). `label` gives reports a human-readable name. When the
-  /// sentry is off this is exactly new_lock().
+  /// sentry is off this is exactly the machine's lock.
   std::unique_ptr<machdep::BasicLock> new_lock(machdep::LockRole role,
                                                std::string label);
 
@@ -243,14 +246,6 @@ class ForceEnvironment {
   void require(machdep::Capability cap, const std::string& construct,
                const std::string& site) const;
 
-  /// The team that Force::run spawns: the machine model's emulated team,
-  /// or the backend's separate-process team.
-  [[nodiscard]] machdep::ProcessTeam process_team() const;
-
-  /// True when this environment keeps its team pooled across force
-  /// entries (ForceConfig::team_pool / FORCE_TEAM_POOL).
-  [[nodiscard]] bool team_pool_enabled() const { return config_.team_pool; }
-
   /// Worker-thread count of the pooled team: pool_workers when set,
   /// otherwise one worker per member except member 0, which the driver
   /// thread runs inline (still 1:1 - every member owns an OS thread).
@@ -259,27 +254,10 @@ class ForceEnvironment {
     return config_.nproc > 1 ? config_.nproc - 1 : 1;
   }
 
-  /// The persistent thread-axis team, created (and its workers parked) on
-  /// first use. Thread-backed process models only.
-  [[nodiscard]] machdep::TeamPool& team_pool();
-
   /// The persistent process-axis team sized for `nproc` resident fork
   /// children, created on first use (and recreated if the width changes).
   /// os-fork backend only.
   [[nodiscard]] machdep::ForkTeamPool& fork_pool(int nproc);
-
-  /// Scrubs every process-shared synchronization blob in the arena after
-  /// a team died mid-protocol: lock words freed, barrier arrival counts
-  /// zeroed, askfor monitors (counters, slots) and selfsched episodes
-  /// (gate, dispatch word and home blocks) re-initialized, busy async
-  /// cells emptied. A poisoned
-  /// team leaves this state wherever the victims stood (a dead champion
-  /// never publishes its episode), so the fresh team the next run forks
-  /// must not inherit it. User data - shared variables, full async
-  /// payloads - is untouched. os-fork only; the backend calls it itself
-  /// with no team alive (after the join, or between pool retirement and
-  /// respawn).
-  void reset_shared_sync_after_death();
 
   /// Force-entry generation: bumped once at the top of every Force::run,
   /// before the team is (re-)armed. Long-lived construct sites compare it
@@ -295,9 +273,9 @@ class ForceEnvironment {
   [[nodiscard]] BarrierAlgorithm& global_barrier();
 
   /// Builds a barrier instance for `width` processes with the configured
-  /// (or an explicitly named) algorithm; used by sited barriers and by
-  /// Resolve components. Under the fork backend the default-algorithm
-  /// overload is rejected (callers must key a process-shared barrier).
+  /// (or an explicitly named) algorithm; used by Resolve's component and
+  /// join barriers. Rejected where thread barrier algorithms are (callers
+  /// there must key a process-shared barrier).
   std::unique_ptr<BarrierAlgorithm> make_barrier(int width);
   std::unique_ptr<BarrierAlgorithm> make_barrier(int width,
                                                  const std::string& algorithm);
@@ -309,6 +287,27 @@ class ForceEnvironment {
   /// race-free; on thread, a barrier with the configured algorithm.
   std::unique_ptr<BarrierAlgorithm> make_team_barrier(int width,
                                                       const std::string& key);
+
+  /// The selfscheduled DOALL site at `key` for a team of `width`: the
+  /// backend's engine where it hands one out (cluster), else the gate and
+  /// dispatch counter over words placed at kDoallWords + key.
+  std::unique_ptr<machdep::DoallSite> make_doall_site(int width,
+                                                      const std::string& key);
+
+  /// The lock of a critical section, in the kMutex role.
+  std::unique_ptr<machdep::BasicLock> new_critical_lock(std::string label);
+
+  /// The observer layer (core/observe.cpp): wraps a construct engine in a
+  /// decorator that runs the sentry's and the tracer's hooks around it,
+  /// or hands it back untouched when both are off. Every engine factory
+  /// above goes through it (Askfor<T> calls it on its monitor), so
+  /// construct bodies never test sentry() or tracer().
+  std::unique_ptr<BarrierAlgorithm> observed(
+      std::unique_ptr<BarrierAlgorithm> barrier);
+  std::unique_ptr<machdep::DoallSite> observed(
+      std::unique_ptr<machdep::DoallSite> site);
+  std::unique_ptr<machdep::AskforRing> observed(
+      std::unique_ptr<machdep::AskforRing> ring);
 
   /// Per-process deterministic RNG substream.
   [[nodiscard]] util::Xoshiro256 rng_for(int proc0) const;
@@ -333,9 +332,11 @@ class ForceEnvironment {
   /// destroyed after it.
   std::unique_ptr<Sentry> sentry_;
   machdep::ProcessModel model_ = machdep::ProcessModel::kThread;
-  /// ForceConfig::dispatch and ::cluster_transport, parsed once.
+  /// ForceConfig::dispatch, ::cluster_transport and ::barrier_algorithm,
+  /// parsed once (::machine resolves to the MachineSpec behind machine_).
   enum class Dispatch { kAuto, kLocked };
   Dispatch dispatch_ = Dispatch::kAuto;
+  BarrierKind barrier_kind_{};  // set by the constructor
   machdep::net::Transport transport_ = machdep::net::Transport::kUnix;
   /// The selected substrate. Declared after machine_ and arena_ (which it
   /// references) so it is destroyed first; it owns the pooled teams, whose

@@ -1,5 +1,6 @@
 #include "core/force.hpp"
 
+#include "machdep/fiber.hpp"
 #include "util/check.hpp"
 
 namespace force::core {
@@ -43,28 +44,20 @@ void ResolveBuilder::run() {
   const ComponentAssignment a = assign_component(parent_.me0(), sizes);
   Component& mine = components_[static_cast<std::size_t>(a.component)];
 
-  // The Unify join is a barrier over the whole team, so it carries the
-  // same happens-before edges as any barrier when the sentry is on.
-  Sentry* sn = env.sentry();
-  BarrierAlgorithm& join = st.join_barrier();
-  const auto arrive_join = [&] {
-    if (sn != nullptr) sn->barrier_publish(&join);
-    join.arrive(parent_.me0());
-    if (sn != nullptr) sn->barrier_join(&join);
-  };
-
   // Sub-context: remapped rank/width, component-sized barrier, and a
   // namespaced construct-site space so nested constructs get fresh state.
   Ctx sub(parent_.env_, parent_.subs_, a.rank, a.width,
           site_key_ + "#" + mine.name, &st.component_barrier(a.component));
+  // The Unify join: a barrier over the whole team.
+  BarrierAlgorithm& join = st.join_barrier();
   try {
     mine.body(sub);
   } catch (...) {
     // Unify even on failure so other components are not wedged forever.
-    arrive_join();
+    join.arrive(parent_.me0());
     throw;
   }
-  arrive_join();
+  join.arrive(parent_.me0());
 }
 
 Force::Force(ForceConfig config)
@@ -107,14 +100,11 @@ machdep::SpawnStats Force::run(const std::function<void(Ctx&)>& program) {
   }
 
   const int np = env_->nproc();
-  const auto member = [this, np, sn, &program](int proc0) {
+  const auto member = [this, np, &program](int proc0) {
+    // The sentry and the observer layer know the member by this index.
+    machdep::MemberScope identity(proc0);
     Ctx ctx(env_.get(), &subs_, proc0, np, "", &env_->global_barrier());
-    if (sn != nullptr) {
-      Sentry::ThreadScope scope(*sn, proc0);
-      program(ctx);
-    } else {
-      program(ctx);
-    }
+    program(ctx);
   };
 
   // The backend owns the whole team lifetime: pools, spawn, join, death

@@ -64,22 +64,19 @@ class Ctx {
 
   // --- synchronization ----------------------------------------------------
 
-  /// Barrier over this team; no section.
-  void barrier() { barrier_impl(BarrierAlgorithm::no_section()); }
-  /// Barrier with a barrier section: one arbitrary process executes
-  /// `section` while the others are suspended (paper §3.4).
-  void barrier(const std::function<void()>& section) {
-    barrier_impl(section);
+  /// Barrier over this team, optionally with a barrier section: one
+  /// arbitrary process executes `section` while the others are suspended
+  /// (paper §3.4).
+  void barrier(const std::function<void()>& section =
+                   BarrierAlgorithm::no_section()) {
+    team_barrier_->arrive(me0_, section);
+    if (me0_ == 0) {
+      env_->stats().barrier_episodes.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   /// Critical section at `site`: mutual exclusion among the whole force.
-  /// The traced span covers wait + occupancy.
   void critical(const Site& site, const std::function<void()>& body) {
-    if (auto* tr = env_->tracer()) {
-      util::Tracer::Span span(tr, me0_, util::TraceKind::kCritical);
-      critical_section(site).enter(body);
-      return;
-    }
     critical_section(site).enter(body);
   }
   /// The underlying section object (for RAII-style Guard use).
@@ -304,51 +301,6 @@ class Ctx {
     return state<Reduction<T>>(site, "%reduce", [this, &site] {
       return std::make_unique<Reduction<T>>(*env_, np_, site_key(site));
     });
-  }
-
-  void barrier_impl(const std::function<void()>& section) {
-    Sentry* sn = env_->sentry();
-    if (sn == nullptr) {
-      barrier_arrive(section);
-    } else {
-      // Publishing also fuzzes: a barrier word has no lock hook to do it.
-      sn->barrier_publish(team_barrier_);
-      if (section) {
-        barrier_arrive([&] {
-          // The section runs after every process has arrived (and hence
-          // published), so joining first orders the section's accesses
-          // after everything from the preceding episode ...
-          sn->barrier_join(team_barrier_);
-          section();
-          // ... and republishing while the rest of the team is still
-          // parked orders them before every process's join below.
-          sn->barrier_publish(team_barrier_);
-        });
-      } else {
-        barrier_arrive(section);
-      }
-      sn->barrier_join(team_barrier_);
-    }
-    if (me0_ == 0) {
-      env_->stats().barrier_episodes.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  void barrier_arrive(const std::function<void()>& section) {
-    if (auto* tr = env_->tracer()) {
-      const std::int64_t t0 = util::now_ns();
-      if (section) {
-        team_barrier_->arrive(me0_, [&] {
-          util::Tracer::Span span(tr, me0_, util::TraceKind::kSection);
-          section();
-        });
-      } else {
-        team_barrier_->arrive(me0_);
-      }
-      tr->record(me0_, util::TraceKind::kBarrier, t0, util::now_ns());
-    } else {
-      team_barrier_->arrive(me0_, section);
-    }
   }
 
   SelfschedLoop& selfsched_loop(const Site& site) {

@@ -12,7 +12,9 @@
 // taken beyond the barrier's own. The slots live in the arena blob
 // `%reduce/<key>`, and the barrier orders every slot write before the
 // section and the section's writes before every departure, so the same
-// path runs under thread, os-fork and cluster.
+// path runs under thread, os-fork and cluster. The barrier is the
+// environment's team barrier, so a Reduce episode carries the same
+// happens-before edges and trace spans as ctx.barrier().
 #pragma once
 
 #include <algorithm>
@@ -26,7 +28,6 @@
 
 #include "core/barrier.hpp"
 #include "core/env.hpp"
-#include "core/sentry.hpp"
 #include "machdep/backend.hpp"
 
 namespace force::core {
@@ -41,7 +42,7 @@ class Reduction {
   /// that reaches the same site meets the same barrier and slots.
   Reduction(ForceEnvironment& env, int width,
             const std::string& key = "reduce")
-      : width_(width), sentry_(env.sentry()) {
+      : width_(width) {
     const auto cells = static_cast<std::size_t>(width) + 1;
     if constexpr (std::is_trivially_copyable_v<T>) {
       cells_ = static_cast<T*>(env.arena().allocate_once(
@@ -71,8 +72,6 @@ class Reduction {
     T* const result = cells_;
     T* const slot = cells_ + 1;
     slot[me0] = local;
-    // The barrier word has no lock hook, so the fuzzer perturbs here.
-    if (sentry_ != nullptr) sentry_->fuzz();
     // Nobody reads a slot outside the section, and the result is rewritten
     // only by the next episode's section, which cannot run before every
     // process has copied this one out and arrived again: one barrier per
@@ -88,7 +87,6 @@ class Reduction {
 
  private:
   int width_;
-  Sentry* sentry_;  // null when validation is off
   T* cells_ = nullptr;  // {result, slot[0..width-1]}: arena blob or owned
   std::vector<T> owned_cells_;
   std::unique_ptr<BarrierAlgorithm> barrier_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "machdep/fiber.hpp"
 #include "machdep/wait.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -10,16 +11,6 @@
 namespace force::core {
 
 namespace {
-
-/// The calling thread's sentry binding; set by ThreadScope. A plain
-/// thread_local pair is enough: one force process runs on one thread at a
-/// time, and nested scopes (Resolve sub-teams reuse the root registration)
-/// save and restore.
-struct TlsBinding {
-  Sentry* owner = nullptr;
-  int slot = -1;
-};
-thread_local TlsBinding tls_binding;
 
 /// Per-thread fuzz generator, reseeded when the (sentry, slot) binding
 /// changes so the stream is a pure function of (seed, slot, draw count)
@@ -68,24 +59,12 @@ Sentry::~Sentry() {
 }
 
 // ---------------------------------------------------------------------------
-// Thread identity and run fork/join edges.
+// Member identity and run fork/join edges.
 // ---------------------------------------------------------------------------
 
-Sentry::ThreadScope::ThreadScope(Sentry& sentry, int slot)
-    : saved_owner_(tls_binding.owner), saved_slot_(tls_binding.slot) {
-  FORCE_CHECK(slot >= 0 && slot < sentry.nproc_,
-              "sentry thread slot out of range");
-  tls_binding.owner = &sentry;
-  tls_binding.slot = slot;
-}
-
-Sentry::ThreadScope::~ThreadScope() {
-  tls_binding.owner = saved_owner_;
-  tls_binding.slot = saved_slot_;
-}
-
 int Sentry::calling_slot() const {
-  return tls_binding.owner == this ? tls_binding.slot : -1;
+  const int slot = machdep::this_member();
+  return slot < nproc_ ? slot : -1;
 }
 
 void Sentry::begin_run() {

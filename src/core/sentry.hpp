@@ -27,10 +27,15 @@
 //     interleavings (ForceConfig::schedule_fuzz, --schedule-fuzz=<seed>
 //     in the test binaries).
 //
-// Cost model mirrors the Tracer: when ForceConfig::sentry is off the
-// environment holds a null Sentry pointer and every construct pays one
-// pointer test. When on, hooks serialize on one internal mutex - the
-// sentry is a validation mode, not a production mode.
+// Cost model, shared with the Tracer: barriers, DOALL sites and Askfor
+// monitors are observed through decorators ForceEnvironment puts around
+// their engines (core/observe.cpp), locks through ObservedLock; with
+// ForceConfig::sentry off they are built undecorated and cost nothing.
+// Only the blocking waits (Produce/Consume, the Askfor idle wait) and
+// Async's full/empty window still test the environment's null pointer in
+// the construct body, because a wait registration must span the wait
+// itself. When on, hooks serialize on one internal mutex - the sentry is
+// a validation mode, not a production mode.
 #pragma once
 
 #include <atomic>
@@ -75,23 +80,7 @@ class Sentry final : public machdep::LockObserver {
   Sentry(const Sentry&) = delete;
   Sentry& operator=(const Sentry&) = delete;
 
-  // --- thread identity ------------------------------------------------------
-
-  /// Binds the calling thread to force-process slot `slot` (0-based) for
-  /// the scope's lifetime. Installed by the driver around each process
-  /// body; unregistered threads degrade gracefully (fuzz and stall hooks
-  /// only, no race/lockset tracking).
-  class ThreadScope {
-   public:
-    ThreadScope(Sentry& sentry, int slot);
-    ~ThreadScope();
-    ThreadScope(const ThreadScope&) = delete;
-    ThreadScope& operator=(const ThreadScope&) = delete;
-
-   private:
-    Sentry* saved_owner_;
-    int saved_slot_;
-  };
+  // --- run fork/join --------------------------------------------------------
 
   /// Fork edge: seeds every slot's clock from the root clock. Called by
   /// the driver before the team starts.
@@ -223,6 +212,10 @@ class Sentry final : public machdep::LockObserver {
   void unregister_wait_locked(std::uint64_t token);
   void scan_for_stalls_locked();
   void scan_for_wait_cycles_locked();
+  /// The calling member's slot: its driver index (machdep::this_member,
+  /// bound by Force::run), or -1 on a thread outside the force, which
+  /// degrades gracefully (fuzz and stall hooks only, no race/lockset
+  /// tracking).
   [[nodiscard]] int calling_slot() const;
 
   void watchdog_main();

@@ -184,16 +184,8 @@ std::unique_ptr<BarrierEngine> ExecutionBackend::make_team_barrier(
 
 SharedArena* ExecutionBackend::word_arena() { return nullptr; }
 
-TeamPool& ExecutionBackend::team_pool() {
-  FORCE_CHECK(false, "the thread team pool cannot drive os-fork processes");
-}
-
 ForkTeamPool& ExecutionBackend::fork_pool(int /*nproc*/) {
   FORCE_CHECK(false, "the fork team pool needs process_model = \"os-fork\"");
-}
-
-void ExecutionBackend::reset_shared_sync_after_death() {
-  FORCE_CHECK(false, "sync-state death recovery is an os-fork concern");
 }
 
 namespace {
@@ -224,10 +216,6 @@ class ThreadBackend final : public ExecutionBackend {
                                           label);
   }
 
-  [[nodiscard]] ProcessTeam process_team() const override {
-    return machine_->process_team();
-  }
-
   SpawnStats run_team(int nproc, PrivateSpace* space,
                       const std::function<void(int)>& member,
                       const std::type_info* /*program_type*/) override {
@@ -245,7 +233,9 @@ class ThreadBackend final : public ExecutionBackend {
     return stats;
   }
 
-  [[nodiscard]] TeamPool& team_pool() override {
+ private:
+  /// The persistent thread team, created (its workers parked) on first use.
+  TeamPool& team_pool() {
     if (team_pool_ == nullptr) {
       team_pool_ =
           std::make_unique<TeamPool>(pool_workers_, member_stack_bytes_);
@@ -253,7 +243,6 @@ class ThreadBackend final : public ExecutionBackend {
     return *team_pool_;
   }
 
- private:
   MachineModel* machine_;
   bool team_pool_enabled_;
   int pool_workers_;
@@ -287,10 +276,6 @@ class ShmBackend final : public ExecutionBackend {
     auto* word =
         &arena_->get_or_create<std::atomic<std::uint32_t>>("%lock/" + label);
     return std::make_unique<shm::ShmLock>(word, label);
-  }
-
-  [[nodiscard]] ProcessTeam process_team() const override {
-    return ProcessTeam(ProcessModelKind::kOsFork);
   }
 
   SpawnStats run_team(int nproc, PrivateSpace* space,
@@ -346,7 +331,16 @@ class ShmBackend final : public ExecutionBackend {
     return *fork_pool_;
   }
 
-  void reset_shared_sync_after_death() override {
+ private:
+  /// Scrubs every process-shared synchronization blob in the arena after
+  /// a team died mid-protocol: lock words freed, barrier arrival counts
+  /// zeroed, askfor monitors and selfsched episodes re-initialized, busy
+  /// async cells emptied. The victims left that state wherever they stood
+  /// (a dead champion never publishes its episode), so the fresh team the
+  /// next run forks must not inherit it. User data - shared variables,
+  /// full async payloads - is untouched. Runs with no team alive (after
+  /// the join, or between pool retirement and respawn).
+  void reset_shared_sync_after_death() {
     arena_->for_each_allocation([](const std::string& name, void* addr,
                                    std::size_t) {
       const auto prefixed = [&name](const char* p) {
@@ -402,7 +396,6 @@ class ShmBackend final : public ExecutionBackend {
     });
   }
 
- private:
   SharedArena* arena_;
   bool team_pool_enabled_;
   std::unique_ptr<ForkTeamPool> fork_pool_;
@@ -450,10 +443,6 @@ class ClusterBackend final : public ExecutionBackend {
     // the shm backend: construct-unique labels mean every member contends
     // on the same coordinator cell.
     return cluster::make_lock(label);
-  }
-
-  [[nodiscard]] ProcessTeam process_team() const override {
-    return ProcessTeam(ProcessModelKind::kCluster);
   }
 
   SpawnStats run_team(int nproc, PrivateSpace* space,

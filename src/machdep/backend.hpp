@@ -45,7 +45,6 @@
 namespace force::machdep {
 
 class MachineModel;    // machdep/machine.hpp
-class TeamPool;        // machdep/teampool.hpp
 class ForkTeamPool;    // machdep/teampool.hpp
 
 // ---------------------------------------------------------------------------
@@ -366,8 +365,6 @@ class ExecutionBackend {
 
   // --- team lifetime -------------------------------------------------------
 
-  [[nodiscard]] virtual ProcessTeam process_team() const = 0;
-
   /// One force: spawns/arms the team, runs `member` for [0, nproc), joins,
   /// reports deaths. `program_type` identifies the program closure (the
   /// os-fork pool pins one program per armed team).
@@ -375,14 +372,8 @@ class ExecutionBackend {
                               const std::function<void(int)>& member,
                               const std::type_info* program_type) = 0;
 
-  /// The persistent thread team pool (ThreadBackend only; others throw).
-  [[nodiscard]] virtual TeamPool& team_pool();
   /// The persistent fork team pool at width `nproc` (ShmBackend only).
   [[nodiscard]] virtual ForkTeamPool& fork_pool(int nproc);
-
-  /// Scrubs shared synchronization state after a member death so the
-  /// owning environment stays usable (ShmBackend only; others throw).
-  virtual void reset_shared_sync_after_death();
 };
 
 /// Everything a backend needs from the environment, captured at selection

@@ -28,6 +28,16 @@
 
 namespace force::machdep {
 
+namespace {
+thread_local int t_member = -1;
+}  // namespace
+
+int this_member() { return t_member; }
+
+MemberScope::MemberScope(int index) : saved_(t_member) { t_member = index; }
+
+MemberScope::~MemberScope() { t_member = saved_; }
+
 #if defined(FORCE_HAVE_UCONTEXT)
 
 namespace {
@@ -117,10 +127,12 @@ void member_yield() {
     return;
   }
   Fiber* f = s->current;
+  const int member = t_member;
   asan_leave_fiber(s, f, /*final_exit=*/false);
   swapcontext(&f->ctx, &s->main_ctx);
   // Resumed by the scheduler on the same thread; re-read its state.
   asan_fiber_arrived(g_sched, f, /*first=*/false);
+  t_member = member;
 }
 
 MemberScheduler::MemberScheduler(std::size_t stack_bytes)
@@ -138,6 +150,7 @@ void MemberScheduler::run(std::vector<std::function<void()>> bodies) {
   SchedState state;
   SchedState* saved = g_sched;
   g_sched = &state;
+  const int saved_member = t_member;
 
   std::vector<Fiber> fibers(bodies.size());
   for (std::size_t i = 0; i < bodies.size(); ++i) {
@@ -182,6 +195,7 @@ void MemberScheduler::run(std::vector<std::function<void()>> bodies) {
   }
 
   g_sched = saved;
+  t_member = saved_member;  // a finished member's scope restored a sibling's
 
   // All fibers have run to completion (the loop above only exits at
   // unfinished == 0), so their stacks are dead and safe to recycle - even

@@ -35,6 +35,24 @@ namespace force::machdep {
 /// scheduler otherwise. Waits call it through machdep::Waiter.
 void member_yield();
 
+/// The driver index (0..nproc-1) of the force member the caller runs, or
+/// -1 outside one. Each multiplexed continuation keeps its own: the value
+/// is saved and restored across member_yield().
+[[nodiscard]] int this_member();
+
+/// Binds the caller to member `index` for the scope's lifetime; the
+/// driver installs one around each member body.
+class MemberScope {
+ public:
+  explicit MemberScope(int index);
+  ~MemberScope();
+  MemberScope(const MemberScope&) = delete;
+  MemberScope& operator=(const MemberScope&) = delete;
+
+ private:
+  int saved_;
+};
+
 /// Runs a batch of member bodies to completion on the calling thread,
 /// multiplexing them as ucontext continuations. Exceptions thrown by a
 /// body are caught into the member's slot; run() rethrows the first one

@@ -1,15 +1,19 @@
 // Execution tracing for Force programs.
 //
-// A lightweight per-process ring-buffer tracer: constructs record begin/end
-// events (barrier episodes, critical sections, loop dispatches, async
-// accesses) with nanosecond timestamps; the collected timeline exports to
+// A lightweight per-member ring-buffer tracer: constructs record begin/end
+// events (barrier episodes and sections, critical sections, DOALL
+// participation and dispatches) with nanosecond timestamps, and programs
+// may add their own spans; the collected timeline exports to
 // the Chrome trace-event JSON format (load via chrome://tracing or
 // https://ui.perfetto.dev) so the interleaving of a Force program can be
 // inspected visually.
 //
-// Recording is off unless a Tracer is installed, and the hot-path cost of
-// the disabled case is one pointer test. Buffers are fixed-capacity rings:
-// a long run keeps the most recent events rather than growing unboundedly.
+// A Force records through decorators that its environment puts around the
+// construct engines when ForceConfig::trace is on (core/observe.cpp), each
+// event into the ring of the member's driver index; with tracing off the
+// engines are built undecorated, so the disabled case costs nothing.
+// Buffers are fixed-capacity rings: a long run keeps the most recent
+// events rather than growing unboundedly.
 #pragma once
 
 #include <atomic>

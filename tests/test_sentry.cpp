@@ -152,6 +152,38 @@ TEST(SentrySeededBugs, ProduceWithNoConsumeStalls) {
   }
 }
 
+TEST(SentrySeededBugs, AskforTerminationWaitStalls) {
+  // One task that outlives the stall threshold: its sibling idles in the
+  // Askfor termination wait the whole time, and the watchdog must name
+  // that wait - once.
+  for (const std::string machine : {"native", "encore"}) {
+    SCOPED_TRACE(machine);
+    fc::ForceConfig cfg = sentry_config(2, machine, 0);
+    cfg.sentry_stall_ms = 100;
+    fc::Force f(cfg);
+    f.run([&](fc::Ctx& ctx) {
+      auto& monitor = ctx.askfor<int>(FORCE_SITE);
+      if (ctx.leader()) monitor.put(1);
+      ctx.barrier();
+      monitor.work([](int&, fc::Askfor<int>&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(600));
+      });
+    });
+    auto* sn = f.env().sentry();
+    ASSERT_NE(sn, nullptr);
+    EXPECT_EQ(sn->report_count(fc::Sentry::ReportKind::kStall), 1u);
+    std::size_t named = 0;
+    for (const fc::Sentry::Report& r : sn->reports()) {
+      if (r.kind == fc::Sentry::ReportKind::kStall &&
+          r.what.find("Askfor termination wait") != std::string::npos) {
+        ++named;
+      }
+    }
+    EXPECT_EQ(named, 1u) << "the idle sibling's wait is not registered on "
+                         << machine;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Clean programs: zero findings, even with the fuzzer widening schedules.
 // ---------------------------------------------------------------------------
@@ -204,6 +236,36 @@ TEST(SentryClean, BarrierEpisodesOrderUnlockedPhases) {
       });
       ctx.note_read(FORCE_SITE, &value);
       EXPECT_EQ(value, 42);
+    });
+    auto* sn = f.env().sentry();
+    ASSERT_NE(sn, nullptr);
+    EXPECT_EQ(sn->total_reports(), 0u)
+        << "false positive on " << machine << ": "
+        << (sn->reports().empty() ? std::string()
+                                  : sn->reports().front().what);
+  }
+}
+
+TEST(SentryClean, ReduceEpisodesOrderUnlockedPhases) {
+  // A Reduce is a barrier episode: a write before it is ordered before
+  // every read after it, like ctx.barrier() in the test above.
+  for (const std::string machine : {"native", "encore"}) {
+    SCOPED_TRACE(machine);
+    fc::Force f(sentry_config(4, machine, 37));
+    f.shared<long>("reduce_phase_value");  // link-time machines
+    f.run([&](fc::Ctx& ctx) {
+      auto& value = ctx.shared<long>("reduce_phase_value");
+      if (ctx.leader()) {
+        value = 41;
+        ctx.note_write(FORCE_SITE, &value);
+      }
+      const long sum = ctx.reduce<long>(FORCE_SITE, ctx.me(),
+                                        [](long a, long b) { return a + b; });
+      EXPECT_EQ(sum, 10);
+      if (!ctx.leader()) {
+        ctx.note_read(FORCE_SITE, &value);
+        EXPECT_EQ(value, 41);
+      }
     });
     auto* sn = f.env().sentry();
     ASSERT_NE(sn, nullptr);

@@ -233,3 +233,69 @@ TEST(TraceIntegration, ExportsARunnableTimeline) {
   EXPECT_NE(json.find("\"name\":\"barrier\""), std::string::npos);
   EXPECT_GE(f.env().tracer()->total_recorded(), 6u);
 }
+
+namespace {
+
+/// Events of `kind` in member `proc`'s ring.
+long ring_count(const std::vector<fu::TraceEvent>& events, int proc,
+                fu::TraceKind kind) {
+  return std::count_if(events.begin(), events.end(),
+                       [&](const fu::TraceEvent& e) {
+                         return e.proc == proc && e.kind == kind;
+                       });
+}
+
+}  // namespace
+
+// Every ring has one writer, the member it is named after: a traced
+// construct records under the member's driver index, not the rank it holds
+// inside a Resolve component.
+TEST(TraceIntegration, ResolveComponentsRecordUnderTheirOwnMember) {
+  constexpr int kBarriers = 5;
+  fc::ForceConfig cfg;
+  cfg.nproc = 4;
+  cfg.trace = true;
+  force::Force f(cfg);
+  f.run([](fc::Ctx& ctx) {
+    const auto component = [](fc::Ctx& sub) {
+      for (int e = 0; e < kBarriers; ++e) sub.barrier();
+      sub.critical(FORCE_SITE, [] {});
+      sub.selfsched_do(FORCE_SITE, 1, 8, 1, [](std::int64_t) {});
+    };
+    ctx.resolve(FORCE_SITE)
+        .component("left", 1, component)
+        .component("right", 1, component)
+        .run();
+  });
+  const auto events = f.env().tracer()->all_events();
+  for (int proc = 0; proc < cfg.nproc; ++proc) {
+    SCOPED_TRACE(proc);
+    // The component's barriers plus the Unify join.
+    EXPECT_EQ(ring_count(events, proc, fu::TraceKind::kBarrier), kBarriers + 1);
+    EXPECT_EQ(ring_count(events, proc, fu::TraceKind::kCritical), 1);
+    EXPECT_EQ(ring_count(events, proc, fu::TraceKind::kLoopRun), 1);
+  }
+}
+
+// N:M pooled members share worker threads; each must still record into
+// the ring of its own driver index.
+TEST(TraceIntegration, NmMembersRecordIntoTheirOwnRings) {
+  constexpr int kBarriers = 50;
+  fc::ForceConfig cfg;
+  cfg.nproc = 4;
+  cfg.pool_workers = 2;
+  cfg.trace = true;
+  force::Force f(cfg);
+  f.run([](fc::Ctx& ctx) {
+    for (int e = 0; e < kBarriers; ++e) ctx.barrier();
+    ctx.critical(FORCE_SITE, [] {});
+    ctx.selfsched_do(FORCE_SITE, 1, 8, 1, [](std::int64_t) {});
+  });
+  const auto events = f.env().tracer()->all_events();
+  for (int proc = 0; proc < cfg.nproc; ++proc) {
+    SCOPED_TRACE(proc);
+    EXPECT_EQ(ring_count(events, proc, fu::TraceKind::kBarrier), kBarriers);
+    EXPECT_EQ(ring_count(events, proc, fu::TraceKind::kCritical), 1);
+    EXPECT_EQ(ring_count(events, proc, fu::TraceKind::kLoopRun), 1);
+  }
+}
