@@ -113,8 +113,7 @@ class BasicAskforCore final : public machdep::AskforRing {
       : env_(env),
         label_("askfor '" + key + "'"),
         // Keyed by site: os-fork keys a lock's arena word by its label.
-        monitor_(env.new_lock(machdep::LockRole::kMutex,
-                              "askfor.monitor/" + key)),
+        monitor_(env.new_lock(LockRole::kMutex, "askfor.monitor/" + key)),
         words_(place(env, key)),
         slots_(reinterpret_cast<Slot*>(words_->slots())),
         nslots_(static_cast<int>(words_->nslots)) {

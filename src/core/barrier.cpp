@@ -24,11 +24,9 @@ const std::function<void()>& BarrierAlgorithm::no_section() {
 
 PaperLockBarrier::PaperLockBarrier(ForceEnvironment& env, int width)
     : width_(width),
-      mutex_(env.new_lock(machdep::LockRole::kMutex, "barrier.mutex")),
-      turnstile1_(env.new_lock(machdep::LockRole::kSemaphore,
-                               "barrier.turnstile1")),
-      turnstile2_(env.new_lock(machdep::LockRole::kSemaphore,
-                               "barrier.turnstile2")) {
+      mutex_(env.new_lock(LockRole::kMutex, "barrier.mutex")),
+      turnstile1_(env.new_lock(LockRole::kSemaphore, "barrier.turnstile1")),
+      turnstile2_(env.new_lock(LockRole::kSemaphore, "barrier.turnstile2")) {
   FORCE_CHECK(width_ > 0, "barrier width must be positive");
   turnstile1_->acquire();  // phase-1 gate starts closed
 }

@@ -167,7 +167,7 @@ ForceEnvironment::ForceEnvironment(ForceConfig config)
   word_arena_ = backend_->word_arena();
   if (word_arena_ != nullptr) word_scope_ = machdep::WordScope::kShared;
   run_generation_ = place_words<std::atomic<std::uint32_t>>("%force/run_gen");
-  // Last: the barrier's locks may be ObservedLocks referencing sentry_.
+  // Last: the barrier's locks may be observed, referencing sentry_.
   global_barrier_ = make_team_barrier(config_.nproc, "%force/global");
 }
 
@@ -185,12 +185,7 @@ ForceEnvironment::~ForceEnvironment() {
   }
 }
 
-std::unique_ptr<machdep::BasicLock> ForceEnvironment::new_lock(
-    machdep::LockRole role, std::string label) {
-  return backend_->new_lock(role, label, sentry_.get());
-}
-
-machdep::ForkTeamPool& ForceEnvironment::fork_pool(int nproc) {
+machdep::ForkTeam& ForceEnvironment::fork_pool(int nproc) {
   return backend_->fork_pool(nproc);
 }
 
@@ -230,8 +225,8 @@ std::unique_ptr<machdep::EpisodeGate> ForceEnvironment::new_episode_gate(
     return std::make_unique<machdep::EpisodeGate>(width, word, word_scope_);
   }
   return std::make_unique<machdep::EpisodeGate>(
-      width, new_lock(machdep::LockRole::kSemaphore, "doall.barwin"),
-      new_lock(machdep::LockRole::kSemaphore, "doall.barwot"));
+      width, new_lock(LockRole::kSemaphore, "doall.barwin"),
+      new_lock(LockRole::kSemaphore, "doall.barwot"));
 }
 
 machdep::FullEmptyGate ForceEnvironment::new_full_empty_gate(
@@ -242,9 +237,9 @@ machdep::FullEmptyGate ForceEnvironment::new_full_empty_gate(
     return machdep::FullEmptyGate(cell, word_scope_);
   }
   return machdep::FullEmptyGate(
-      cell, new_lock(machdep::LockRole::kSemaphore, label + ".E"),
-      new_lock(machdep::LockRole::kSemaphore, label + ".F"),
-      new_lock(machdep::LockRole::kMutex, label + ".void"));
+      cell, new_lock(LockRole::kSemaphore, label + ".E"),
+      new_lock(LockRole::kSemaphore, label + ".F"),
+      new_lock(LockRole::kMutex, label + ".void"));
 }
 
 std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_team_barrier(

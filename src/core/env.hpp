@@ -34,6 +34,17 @@ class BarrierAlgorithm;  // core/barrier.hpp
 class Sentry;            // core/sentry.hpp
 enum class BarrierKind;  // core/barrier.hpp
 
+/// How a construct *uses* a lock it owns. The machine layer does not care
+/// (every Force lock is a binary semaphore), but the sentry does: only
+/// mutex-role locks enter its locksets and lock-order graph, because
+/// semaphore-role locks are legitimately released by a process other than
+/// the acquirer.
+enum class LockRole {
+  kMutex,     ///< acquired and released by the same process, critical-style
+  kSemaphore  ///< signalling use (async E/F pairs, barrier turnstiles,
+              ///< DOALL gates): cross-process release is expected
+};
+
 /// Configuration of one Force program execution.
 struct ForceConfig {
   /// Number of processes in the force. The whole point of the Force is
@@ -162,13 +173,10 @@ class ForceEnvironment {
   [[nodiscard]] RuntimeStats& stats() { return stats_; }
 
   /// Lock factory for construct-internal locks that the sentry should
-  /// observe. `role` tells the deadlock detector how the lock is used
-  /// (kMutex: acquire/release by the same process, participates in the
-  /// lock-order graph and locksets; kSemaphore: cross-process release is
-  /// part of the protocol, e.g. async full/empty pairs and barrier
-  /// turnstiles). `label` gives reports a human-readable name. When the
-  /// sentry is off this is exactly the machine's lock.
-  std::unique_ptr<machdep::BasicLock> new_lock(machdep::LockRole role,
+  /// observe (core/observe.cpp): `role` says how the construct uses the
+  /// lock, `label` names it in reports and keys it on the backend. When
+  /// the sentry is off this is exactly the backend's lock.
+  std::unique_ptr<machdep::BasicLock> new_lock(LockRole role,
                                                std::string label);
 
   /// The one choice of expansion: true when the constructs named at
@@ -254,10 +262,10 @@ class ForceEnvironment {
     return config_.nproc > 1 ? config_.nproc - 1 : 1;
   }
 
-  /// The persistent process-axis team sized for `nproc` resident fork
-  /// children, created on first use (and recreated if the width changes).
-  /// os-fork backend only.
-  [[nodiscard]] machdep::ForkTeamPool& fork_pool(int nproc);
+  /// The os-fork team sized for `nproc` fork children (resident under
+  /// team_pool, else respawned per run), created on first use and
+  /// recreated if the width changes. os-fork backend only.
+  [[nodiscard]] machdep::ForkTeam& fork_pool(int nproc);
 
   /// Force-entry generation: bumped once at the top of every Force::run,
   /// before the team is (re-)armed. Long-lived construct sites compare it
@@ -294,7 +302,8 @@ class ForceEnvironment {
   std::unique_ptr<machdep::DoallSite> make_doall_site(int width,
                                                       const std::string& key);
 
-  /// The lock of a critical section, in the kMutex role.
+  /// The lock of a critical section, in the kMutex role; the tracer
+  /// records each occupancy as a kCritical span.
   std::unique_ptr<machdep::BasicLock> new_critical_lock(std::string label);
 
   /// The observer layer (core/observe.cpp): wraps a construct engine in a

@@ -198,7 +198,7 @@ class Ctx {
         (ns_.empty() ? name : ns_ + "/" + name) + "%rawlock";
     auto& holder = env_->sites().get_or_create<Holder>(key, [this, &name] {
       auto h = std::make_unique<Holder>();
-      h->lock = env_->new_lock(machdep::LockRole::kMutex, "lock '" + name + "'");
+      h->lock = env_->new_lock(LockRole::kMutex, "lock '" + name + "'");
       return h;
     });
     return *holder.lock;

@@ -1,7 +1,7 @@
 // The observer layer: the sentry and the tracer watch the constructs
 // through decorators that ForceEnvironment puts around their engines when
-// it builds them, as ObservedLock (machdep/locks.hpp) wraps a lock. With
-// both off the engines come back undecorated. Every thread barrier episode
+// it builds them, and around the construct locks. With both off the
+// engines and locks come back undecorated. Every thread barrier episode
 // (team, Resolve component, Unify join, Reduce) runs the one protocol
 // below, so each carries the same edges and spans. Events go to the ring
 // of the member's driver index (machdep::this_member), not a component
@@ -163,25 +163,43 @@ class FuzzedAskforRing final : public machdep::AskforRing {
   Sentry& sentry_;
 };
 
-/// A critical section's lock: one kCritical span per occupancy, from the
-/// start of the acquire (the wait included) to the release.
-class TracedLock final : public machdep::BasicLock {
+/// A construct lock. Every acquire fuzzes; a mutex-role lock also feeds
+/// the sentry's wait registry, locksets and order graph, with this
+/// decorator's address as its logical identity. With a tracer (critical
+/// sections only) each occupancy is one kCritical span, from the start of
+/// the acquire (the wait included) to the release.
+class ObservedLock final : public machdep::BasicLock {
  public:
-  TracedLock(std::unique_ptr<machdep::BasicLock> inner, util::Tracer* tracer)
-      : inner_(std::move(inner)), obs_{nullptr, tracer} {}
+  ObservedLock(std::unique_ptr<machdep::BasicLock> inner, Observers obs,
+               LockRole role, std::string label)
+      : inner_(std::move(inner)),
+        obs_(obs),
+        mutex_sentry_(role == LockRole::kMutex ? obs.sentry : nullptr),
+        label_(std::move(label)) {}
 
   void acquire() override {
     const std::int64_t t0 = util::now_ns();
+    std::uint64_t token = 0;
+    if (mutex_sentry_ != nullptr) {
+      token = mutex_sentry_->lock_acquire_begin(this, label_);
+    } else {
+      obs_.fuzz();
+    }
     inner_->acquire();
+    if (mutex_sentry_ != nullptr) {
+      mutex_sentry_->lock_acquired(this, label_, token);
+    }
     begin_ns_ = t0;
   }
   bool try_acquire() override {
     if (!inner_->try_acquire()) return false;
+    if (mutex_sentry_ != nullptr) mutex_sentry_->lock_acquired(this, label_, 0);
     begin_ns_ = util::now_ns();
     return true;
   }
   void release() override {
     const std::int64_t begin = begin_ns_;  // read while still held
+    if (mutex_sentry_ != nullptr) mutex_sentry_->lock_released(this);
     inner_->release();
     obs_.span(TraceKind::kCritical, begin);
   }
@@ -190,6 +208,8 @@ class TracedLock final : public machdep::BasicLock {
  private:
   std::unique_ptr<machdep::BasicLock> inner_;
   Observers obs_;
+  Sentry* mutex_sentry_;  // null for a semaphore-role lock
+  std::string label_;
   std::int64_t begin_ns_ = 0;  // guarded by *inner_
 };
 
@@ -215,11 +235,21 @@ std::unique_ptr<machdep::AskforRing> ForceEnvironment::observed(
   return std::make_unique<FuzzedAskforRing>(std::move(ring), *sentry());
 }
 
+std::unique_ptr<machdep::BasicLock> ForceEnvironment::new_lock(
+    LockRole role, std::string label) {
+  auto lock = backend_->new_lock(label);
+  if (sentry() == nullptr) return lock;
+  return std::make_unique<ObservedLock>(
+      std::move(lock), Observers{sentry(), nullptr}, role, std::move(label));
+}
+
 std::unique_ptr<machdep::BasicLock> ForceEnvironment::new_critical_lock(
     std::string label) {
-  auto lock = new_lock(machdep::LockRole::kMutex, std::move(label));
-  if (tracer() == nullptr) return lock;
-  return std::make_unique<TracedLock>(std::move(lock), tracer());
+  auto lock = backend_->new_lock(label);
+  if (sentry() == nullptr && tracer() == nullptr) return lock;
+  return std::make_unique<ObservedLock>(std::move(lock),
+                                        Observers{sentry(), tracer()},
+                                        LockRole::kMutex, std::move(label));
 }
 
 }  // namespace force::core

@@ -309,18 +309,14 @@ Sentry::WaitScope::~WaitScope() {
 }
 
 // ---------------------------------------------------------------------------
-// LockObserver: lockset, acquisition-order graph, owner tracking.
+// Mutex-role locks: lockset, acquisition-order graph, owner tracking.
 // ---------------------------------------------------------------------------
 
-std::uint64_t Sentry::on_acquire_begin(const machdep::ObservedLock& lock) {
+std::uint64_t Sentry::lock_acquire_begin(const void* lock,
+                                         const std::string& label) {
   fuzz();
-  // Semaphore-role locks (barrier turnstiles, DOALL gates, async full/empty
-  // pairs) block by design, for as long as the slowest process takes; their
-  // waits would be stall false positives. The constructs register their own
-  // protocol waits (kProduce/kConsume/kAskfor) where a wait is reportable.
-  if (lock.role() != machdep::LockRole::kMutex) return 0;
   std::lock_guard<std::mutex> g(mu_);
-  return register_wait_locked(WaitKind::kLock, lock.id(), lock.label());
+  return register_wait_locked(WaitKind::kLock, lock, label);
 }
 
 bool Sentry::order_path_locked(const void* from, const void* to,
@@ -336,50 +332,45 @@ bool Sentry::order_path_locked(const void* from, const void* to,
   return false;
 }
 
-void Sentry::on_acquired(const machdep::ObservedLock& lock,
-                         std::uint64_t wait_token) {
+void Sentry::lock_acquired(const void* lock, const std::string& label,
+                           std::uint64_t wait_token) {
   std::lock_guard<std::mutex> g(mu_);
   if (wait_token != 0) unregister_wait_locked(wait_token);
-  lock_labels_.emplace(lock.id(), lock.label());
-  if (lock.role() != machdep::LockRole::kMutex) return;
+  lock_labels_.emplace(lock, label);
   const int slot = calling_slot();
-  lock_owner_[lock.id()] = slot;
+  lock_owner_[lock] = slot;
   if (slot < 0) return;
   SlotState& me = slots_[static_cast<std::size_t>(slot)];
   for (std::size_t i = 0; i < me.held.size(); ++i) {
     const void* outer = me.held[i];
-    if (outer == lock.id()) continue;
+    if (outer == lock) continue;
     auto& edges = order_edges_[outer];
-    if (edges.emplace(lock.id(), me.held_labels[i] + " -> " + lock.label())
-            .second) {
+    if (edges.emplace(lock, me.held_labels[i] + " -> " + label).second) {
       // New edge outer -> lock: a path lock ->* outer now closes a cycle.
       std::set<const void*> seen;
-      if (order_path_locked(lock.id(), outer, seen)) {
-        // Not std::minmax: it returns a pair of references, which would
-        // dangle off the lock.id() temporary past this statement.
+      if (order_path_locked(lock, outer, seen)) {
         const void* lo = outer;
-        const void* hi = lock.id();
+        const void* hi = lock;
         if (hi < lo) std::swap(lo, hi);
         if (order_reported_.insert({lo, hi}).second) {
           report_locked(
               ReportKind::kLockOrder,
-              "lock-order inversion: '" + lock.label() + "' acquired while "
+              "lock-order inversion: '" + label + "' acquired while "
               "holding '" + me.held_labels[i] + "' by P" +
                   std::to_string(slot + 1) +
                   ", but the acquisition-order graph already orders '" +
-                  lock.label() + "' before '" + me.held_labels[i] +
+                  label + "' before '" + me.held_labels[i] +
                   "' - a schedule interleaving these chains deadlocks");
         }
       }
     }
   }
-  me.held.push_back(lock.id());
-  me.held_labels.push_back(lock.label());
+  me.held.push_back(lock);
+  me.held_labels.push_back(label);
 }
 
-void Sentry::on_released(const machdep::ObservedLock& lock) {
+void Sentry::lock_released(const void* lock) {
   std::lock_guard<std::mutex> g(mu_);
-  if (lock.role() != machdep::LockRole::kMutex) return;
   const int slot = calling_slot();
   // Normal path: the releasing thread holds the lock. A cross-thread
   // release of a mutex-role lock (legal Force semantics, unusual usage)
@@ -387,16 +378,16 @@ void Sentry::on_released(const machdep::ObservedLock& lock) {
   int owner = slot;
   if (slot < 0 || std::find(slots_[static_cast<std::size_t>(slot)].held.begin(),
                             slots_[static_cast<std::size_t>(slot)].held.end(),
-                            lock.id()) ==
+                            lock) ==
                       slots_[static_cast<std::size_t>(slot)].held.end()) {
-    auto it = lock_owner_.find(lock.id());
+    auto it = lock_owner_.find(lock);
     owner = (it != lock_owner_.end()) ? it->second : -1;
   }
-  lock_owner_.erase(lock.id());
+  lock_owner_.erase(lock);
   if (owner < 0) return;
   SlotState& holder = slots_[static_cast<std::size_t>(owner)];
   for (std::size_t i = holder.held.size(); i-- > 0;) {
-    if (holder.held[i] == lock.id()) {
+    if (holder.held[i] == lock) {
       holder.held.erase(holder.held.begin() + static_cast<std::ptrdiff_t>(i));
       holder.held_labels.erase(holder.held_labels.begin() +
                                static_cast<std::ptrdiff_t>(i));

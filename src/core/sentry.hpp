@@ -29,8 +29,8 @@
 //
 // Cost model, shared with the Tracer: barriers, DOALL sites and Askfor
 // monitors are observed through decorators ForceEnvironment puts around
-// their engines (core/observe.cpp), locks through ObservedLock; with
-// ForceConfig::sentry off they are built undecorated and cost nothing.
+// their engines and locks (core/observe.cpp); with ForceConfig::sentry off
+// they are built undecorated and cost nothing.
 // Only the blocking waits (Produce/Consume, the Askfor idle wait) and
 // Async's full/empty window still test the environment's null pointer in
 // the construct body, because a wait registration must span the wait
@@ -50,11 +50,9 @@
 #include <thread>
 #include <vector>
 
-#include "machdep/locks.hpp"
-
 namespace force::core {
 
-class Sentry final : public machdep::LockObserver {
+class Sentry final {
  public:
   enum class ReportKind {
     kRace,       ///< unordered, lockset-disjoint access pair
@@ -75,7 +73,7 @@ class Sentry final : public machdep::LockObserver {
   };
 
   explicit Sentry(const Options& opts);
-  ~Sentry() override;
+  ~Sentry();
 
   Sentry(const Sentry&) = delete;
   Sentry& operator=(const Sentry&) = delete;
@@ -137,12 +135,27 @@ class Sentry final : public machdep::LockObserver {
     std::uint64_t token_ = 0;
   };
 
-  // --- LockObserver ---------------------------------------------------------
+  // --- mutex-role lock hooks -----------------------------------------------
+  //
+  // Fired by the lock decorator in core/observe.cpp for locks acquired and
+  // released by the same process (critical-style). Semaphore-role locks
+  // (Produce/Consume pairs, barrier turnstiles, DOALL gates) are released
+  // by another process by design, so they stay out of locksets and the
+  // order graph, and their waits, which last as long as the slowest
+  // process takes, would be stall false positives. `lock` is the lock's
+  // logical identity: distinct even when a machine's lock budget stripes
+  // several logical locks onto one physical lock.
 
-  std::uint64_t on_acquire_begin(const machdep::ObservedLock& lock) override;
-  void on_acquired(const machdep::ObservedLock& lock,
-                   std::uint64_t wait_token) override;
-  void on_released(const machdep::ObservedLock& lock) override;
+  /// Before a blocking acquire: fuzzes and registers the wait. The token
+  /// goes to lock_acquired.
+  std::uint64_t lock_acquire_begin(const void* lock, const std::string& label);
+  /// The lock is held. `wait_token` is lock_acquire_begin's, or 0 for a
+  /// successful try_acquire (no wait phase).
+  void lock_acquired(const void* lock, const std::string& label,
+                     std::uint64_t wait_token);
+  /// Just before the release, while still held: holder bookkeeping must be
+  /// cleared before the next acquirer can see itself as the holder.
+  void lock_released(const void* lock);
 
   // --- schedule fuzzer ------------------------------------------------------
 

@@ -8,6 +8,7 @@
 
 #include "machdep/arena.hpp"
 #include "machdep/cluster.hpp"
+#include "machdep/forkteam.hpp"
 #include "machdep/machine.hpp"
 #include "machdep/shm.hpp"
 #include "machdep/teampool.hpp"
@@ -184,8 +185,8 @@ std::unique_ptr<BarrierEngine> ExecutionBackend::make_team_barrier(
 
 SharedArena* ExecutionBackend::word_arena() { return nullptr; }
 
-ForkTeamPool& ExecutionBackend::fork_pool(int /*nproc*/) {
-  FORCE_CHECK(false, "the fork team pool needs process_model = \"os-fork\"");
+ForkTeam& ExecutionBackend::fork_pool(int /*nproc*/) {
+  FORCE_CHECK(false, "the fork team needs process_model = \"os-fork\"");
 }
 
 namespace {
@@ -208,12 +209,8 @@ class ThreadBackend final : public ExecutionBackend {
   }
 
   [[nodiscard]] std::unique_ptr<BasicLock> new_lock(
-      LockRole role, const std::string& label,
-      LockObserver* observer) override {
-    std::unique_ptr<BasicLock> inner = machine_->new_lock();
-    if (observer == nullptr) return inner;
-    return std::make_unique<ObservedLock>(std::move(inner), observer, role,
-                                          label);
+      const std::string& /*label*/) override {
+    return machine_->new_lock();
   }
 
   SpawnStats run_team(int nproc, PrivateSpace* space,
@@ -266,13 +263,11 @@ class ShmBackend final : public ExecutionBackend {
   [[nodiscard]] SharedArena* word_arena() override { return arena_; }
 
   [[nodiscard]] std::unique_ptr<BasicLock> new_lock(
-      LockRole /*role*/, const std::string& label,
-      LockObserver* /*observer*/) override {
+      const std::string& label) override {
     // One futex word in the MAP_SHARED arena, keyed by the construct
     // label. Labels are construct-unique (critical sections embed their
     // site key, named locks their name), so every process that reaches
-    // the same construct contends on the same word. The observer is
-    // ignored: the capability table forbids the sentry here.
+    // the same construct contends on the same word.
     auto* word =
         &arena_->get_or_create<std::atomic<std::uint32_t>>("%lock/" + label);
     return std::make_unique<shm::ShmLock>(word, label);
@@ -281,23 +276,13 @@ class ShmBackend final : public ExecutionBackend {
   SpawnStats run_team(int nproc, PrivateSpace* space,
                       const std::function<void(int)>& member,
                       const std::type_info* program_type) override {
-    if (!team_pool_enabled_) {
-      try {
-        return ProcessTeam(ProcessModelKind::kOsFork).run(nproc, space,
-                                                          member);
-      } catch (const ProcessDeathError&) {
-        // As below: the next run forks a fresh team over the same arena.
-        reset_shared_sync_after_death();
-        throw;
-      }
-    }
-    ForkTeamPool& pool = fork_pool(nproc);
-    // The pool's resident children re-execute the closure they were
-    // forked with, so every pooled run must pass the same program. The
-    // closure's type is the strongest identity available on a
-    // std::function; same-type closures with different captured state
-    // cannot be told apart (docs/PORTING.md spells out the contract).
-    if (pool.armed()) {
+    ForkTeam& team = fork_pool(nproc);
+    // Resident children re-execute the closure they were forked with, so
+    // every pooled run must pass the same program. The closure's type is
+    // the strongest identity available on a std::function; same-type
+    // closures with different captured state cannot be told apart
+    // (docs/PORTING.md spells out the contract).
+    if (team.armed()) {
       FORCE_CHECK(pooled_program_type_ != nullptr &&
                       program_type != nullptr &&
                       *pooled_program_type_ == *program_type,
@@ -308,9 +293,9 @@ class ShmBackend final : public ExecutionBackend {
     }
     SpawnStats stats;
     try {
-      stats = pool.run(space, member);
+      stats = team.run(space, member);
     } catch (const ProcessDeathError&) {
-      // The pool is already retired; the dead team left the arena's
+      // The team is already retired; the dead one left the arena's
       // synchronization words wherever the victims stood. Scrub them now
       // so the fresh team the next run forks starts from a clean slate.
       reset_shared_sync_after_death();
@@ -320,15 +305,14 @@ class ShmBackend final : public ExecutionBackend {
     return stats;
   }
 
-  [[nodiscard]] ForkTeamPool& fork_pool(int nproc) override {
-    if (fork_pool_ != nullptr && fork_pool_->nproc() != nproc) {
-      fork_pool_->shutdown();
-      fork_pool_.reset();
+  [[nodiscard]] ForkTeam& fork_pool(int nproc) override {
+    if (fork_team_ != nullptr && fork_team_->nproc() != nproc) {
+      fork_team_.reset();  // retires the resident children
     }
-    if (fork_pool_ == nullptr) {
-      fork_pool_ = std::make_unique<ForkTeamPool>(nproc);
+    if (fork_team_ == nullptr) {
+      fork_team_ = std::make_unique<ForkTeam>(nproc, team_pool_enabled_);
     }
-    return *fork_pool_;
+    return *fork_team_;
   }
 
  private:
@@ -398,7 +382,7 @@ class ShmBackend final : public ExecutionBackend {
 
   SharedArena* arena_;
   bool team_pool_enabled_;
-  std::unique_ptr<ForkTeamPool> fork_pool_;
+  std::unique_ptr<ForkTeam> fork_team_;
   const std::type_info* pooled_program_type_ = nullptr;
 };
 
@@ -437,8 +421,7 @@ class ClusterBackend final : public ExecutionBackend {
   }
 
   [[nodiscard]] std::unique_ptr<BasicLock> new_lock(
-      LockRole /*role*/, const std::string& label,
-      LockObserver* /*observer*/) override {
+      const std::string& label) override {
     // One keyed lock cell on the coordinator. Same label discipline as
     // the shm backend: construct-unique labels mean every member contends
     // on the same coordinator cell.

@@ -45,7 +45,7 @@
 namespace force::machdep {
 
 class MachineModel;    // machdep/machine.hpp
-class ForkTeamPool;    // machdep/teampool.hpp
+class ForkTeam;        // machdep/forkteam.hpp
 
 // ---------------------------------------------------------------------------
 // Process model: which substrate runs the force members.
@@ -357,11 +357,10 @@ class ExecutionBackend {
 
   // --- locks ---------------------------------------------------------------
 
-  /// A construct lock on this substrate. `observer` (may be null) is the
-  /// sentry hook; only the thread backend can honour it (the capability
-  /// table forbids the sentry elsewhere, so the others ignore it).
+  /// A construct lock on this substrate. `label` is construct-unique, so
+  /// the os-fork and cluster backends key the lock's word or cell by it.
   [[nodiscard]] virtual std::unique_ptr<BasicLock> new_lock(
-      LockRole role, const std::string& label, LockObserver* observer) = 0;
+      const std::string& label) = 0;
 
   // --- team lifetime -------------------------------------------------------
 
@@ -372,8 +371,8 @@ class ExecutionBackend {
                               const std::function<void(int)>& member,
                               const std::type_info* program_type) = 0;
 
-  /// The persistent fork team pool at width `nproc` (ShmBackend only).
-  [[nodiscard]] virtual ForkTeamPool& fork_pool(int nproc);
+  /// The os-fork team at width `nproc` (ShmBackend only).
+  [[nodiscard]] virtual ForkTeam& fork_pool(int nproc);
 };
 
 /// Everything a backend needs from the environment, captured at selection

@@ -1,26 +1,15 @@
 #include "machdep/cluster.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
-#include <sstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
-#endif
+#include <optional>
+#include <utility>
 
 #include "machdep/arena.hpp"
 #include "machdep/backend.hpp"
+#include "machdep/forkteam.hpp"
 #include "machdep/shm.hpp"
 #include "util/check.hpp"
 #include "util/timing.hpp"
@@ -514,20 +503,17 @@ void sever_connection_for_test() {
   if (g_client != nullptr) g_client->sever_connection_for_test();
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-
 // ---------------------------------------------------------------------------
 // Coordinator.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-constexpr std::int64_t kGraceNs = 5'000'000'000;  // SIGKILL stragglers after
 constexpr int kPollTickMs = 10;
 
 struct PeerIO {
   net::Conn conn;
-  pid_t pid = -1;
+  long pid = -1;
   bool joined = false;  // sent kJoin (subsequent EOF is orderly)
   bool eof = false;     // socket is gone
   bool torn = false;    // EOF while the process still ran (half-closed link)
@@ -605,16 +591,8 @@ struct LogEntry {
 
 class Coordinator {
  public:
-  struct Death {
-    int proc0 = -1;
-    pid_t pid = -1;
-    int status = 0;
-    std::string site;
-    std::string error;
-  };
-
   Coordinator(SharedArena* arena, std::vector<net::Conn> conns,
-              const std::vector<pid_t>& pids)
+              const std::vector<long>& pids)
       : arena_(arena) {
     peers_.resize(conns.size());
     for (std::size_t i = 0; i < conns.size(); ++i) {
@@ -625,40 +603,32 @@ class Coordinator {
 
   /// Serves until every peer is reaped. Returns true when a primary death
   /// was recorded into *death.
-  bool serve(Death* death) {
+  bool serve(MemberDeath* death) {
     int live = static_cast<int>(peers_.size());
     std::int64_t poisoned_at = -1;
     bool killed_stragglers = false;
     while (live > 0) {
       poll_and_read();
-      // Reap: mirrors the os-fork join. First abnormal status poisons. A
-      // peer whose socket closed after it joined, after it was killed as
-      // torn, or under poison is already exiting, so it is reaped with a
-      // blocking wait rather than polled until it turns zombie; any other
-      // peer is only polled, and a closed one is classified below.
+      // Reap: the fork-team join (machdep/forkteam.*), interleaved with
+      // the socket reads. First abnormal status poisons. A peer whose
+      // socket closed after it joined, after it was killed as torn, or
+      // under poison is already exiting, so it is reaped with a blocking
+      // wait rather than polled until it turns zombie; any other peer is
+      // only polled, and a closed one is classified below.
       for (std::size_t i = 0; i < peers_.size(); ++i) {
         PeerIO& p = peers_[i];
         if (p.pid <= 0) continue;
         const bool exiting = p.eof && (p.joined || p.torn || poisoned_);
-        int status = 0;
-        const pid_t r = ::waitpid(p.pid, &status, exiting ? 0 : WNOHANG);
-        if (r == 0) continue;
-        FORCE_CHECK(r == p.pid, "waitpid lost track of a force process");
+        MemberExit how;
+        if (!reap_member(p.pid, exiting, &how)) continue;
         // Drain any frames the child managed to send before dying (its
         // kError provenance may still sit in the socket buffer).
         drain_to_eof(static_cast<int>(i));
-        const pid_t pid = p.pid;
-        p.pid = -1;
+        const long pid = std::exchange(p.pid, -1);
         --live;
-        const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        const bool collateral = WIFEXITED(status) &&
-                                WEXITSTATUS(status) == kPoisonCollateralExit;
-        if (!clean && !collateral && death_.proc0 < 0) {
-          death_.proc0 = static_cast<int>(i);
-          death_.pid = pid;
-          death_.status = status;
-          death_.site = site_label(p.site_type, p.site_key);
-          death_.error = p.error;
+        if (!how.clean() && !how.collateral() && death_.proc0 < 0) {
+          death_ = {static_cast<int>(i), pid, how,
+                    site_label(p.site_type, p.site_key), p.error};
           poison_team();
           poisoned_at = util::now_ns();
         }
@@ -675,14 +645,14 @@ class Coordinator {
                   "connection to the coordinator torn (socket closed "
                   "mid-run)";
             }
-            ::kill(p.pid, SIGKILL);
+            kill_member(p.pid);
           }
         }
       }
       if (poisoned_at >= 0 && !killed_stragglers &&
-          util::now_ns() - poisoned_at > kGraceNs) {
+          util::now_ns() - poisoned_at > kStragglerGraceNs) {
         for (PeerIO& p : peers_) {
-          if (p.pid > 0) ::kill(p.pid, SIGKILL);
+          if (p.pid > 0) kill_member(p.pid);
         }
         killed_stragglers = true;
       }
@@ -706,39 +676,38 @@ class Coordinator {
   }
 
   void poll_and_read() {
-    std::vector<pollfd> fds;
-    std::vector<int> idx;
+    poll_fds_.clear();
+    poll_peers_.clear();
     for (std::size_t i = 0; i < peers_.size(); ++i) {
       PeerIO& p = peers_[i];
       if (p.conn.valid() && !p.eof) {
-        fds.push_back({p.conn.fd(), POLLIN, 0});
-        idx.push_back(static_cast<int>(i));
+        poll_fds_.push_back(p.conn.fd());
+        poll_peers_.push_back(static_cast<int>(i));
       }
     }
     // Every live socket closed: the reap waits for the exits instead.
-    if (fds.empty()) return;
+    if (poll_fds_.empty()) return;
     // The timeout bounds how stale the grace-kill clock can get.
-    const int n = ::poll(fds.data(), fds.size(), kPollTickMs);
-    if (n <= 0) return;
-    for (std::size_t k = 0; k < fds.size(); ++k) {
-      if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        read_some(idx[k]);
-      }
+    poll_ready_.resize(poll_fds_.size());
+    if (!net::poll_input(poll_fds_.data(), poll_ready_.data(),
+                         poll_fds_.size(), kPollTickMs)) {
+      return;
+    }
+    for (std::size_t k = 0; k < poll_fds_.size(); ++k) {
+      if (poll_ready_[k] != 0) read_some(poll_peers_[k]);
     }
   }
 
   void read_some(int peer) {
     PeerIO& p = peers_[static_cast<std::size_t>(peer)];
     unsigned char buf[65536];
-    const ssize_t r = ::recv(p.conn.fd(), buf, sizeof buf, 0);
+    const long r = p.conn.read_some(buf, sizeof buf);
     if (r > 0) {
       p.inbuf.insert(p.inbuf.end(), buf, buf + r);
       parse_frames(peer);
       return;
     }
-    if (r < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return;
-    }
+    if (r == 0) return;
     p.eof = true;
     p.conn.close();
   }
@@ -1101,6 +1070,10 @@ class Coordinator {
 
   SharedArena* arena_;
   std::vector<PeerIO> peers_;
+  // poll_and_read's scratch, kept across polls.
+  std::vector<int> poll_fds_;
+  std::vector<int> poll_peers_;
+  std::vector<char> poll_ready_;
   std::vector<LogEntry> log_;
   std::vector<unsigned char> log_bytes_;  // every logged record's bytes
   std::string key_;  // the key of the request being served
@@ -1111,7 +1084,7 @@ class Coordinator {
   std::map<std::string, AskforState> askfors_;
   std::map<std::string, CellState> cells_;
   bool poisoned_ = false;
-  Death death_;
+  MemberDeath death_;
 };
 
 }  // namespace
@@ -1142,64 +1115,26 @@ SpawnStats run_cluster_team(int nproc, PrivateSpace* space,
     peer_ends[static_cast<std::size_t>(i)] = std::move(p);
   }
 
-  std::fflush(nullptr);
-
-  std::vector<pid_t> pids(static_cast<std::size_t>(nproc), -1);
-  for (int proc = 0; proc < nproc; ++proc) {
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      // Member process. Keep only this peer's socket; _Exit discipline is
-      // identical to the os-fork backend (no parent atexit handlers, child
-      // stdio flushed explicitly).
-      for (int k = 0; k < nproc; ++k) {
-        coord_ends[static_cast<std::size_t>(k)].close();
-        if (k != proc) peer_ends[static_cast<std::size_t>(k)].close();
-      }
-      try {
-        ClusterClient member(std::move(peer_ends[static_cast<std::size_t>(proc)]),
-                             proc, cfg.arena);
-        g_client = &member;
-        try {
-          entry(proc);
-          // The orderly goodbye carries the final flush.
-          (void)member.call(net::MsgType::kJoin, "");
-          std::fflush(nullptr);
-          std::_Exit(0);
-        } catch (const shm::TeamPoisoned&) {
-          std::fflush(nullptr);
-          std::_Exit(kPoisonCollateralExit);
-        } catch (const std::exception& e) {
-          member.report_error(e.what());
-          std::fflush(nullptr);
-          std::_Exit(1);
-        } catch (...) {
-          member.report_error("unknown exception");
-          std::fflush(nullptr);
-          std::_Exit(1);
+  // Each member's own copy of this link (fork copies the frame) outlives
+  // its entry, so a dying member can still report over it.
+  std::optional<ClusterClient> link;
+  const std::vector<long> pids = fork_members(
+      nproc,
+      [&](int proc) {
+        for (int k = 0; k < nproc; ++k) {
+          coord_ends[static_cast<std::size_t>(k)].close();
+          if (k != proc) peer_ends[static_cast<std::size_t>(k)].close();
         }
-      } catch (const shm::TeamPoisoned&) {
-        std::fflush(nullptr);
-        std::_Exit(kPoisonCollateralExit);
-      } catch (...) {
-        std::fflush(nullptr);
-        std::_Exit(1);
-      }
-    }
-    if (pid < 0) {
-      for (int k = 0; k < proc; ++k) {
-        const pid_t spawned = pids[static_cast<std::size_t>(k)];
-        if (spawned > 0) {
-          ::kill(spawned, SIGKILL);
-          int status = 0;
-          ::waitpid(spawned, &status, 0);
-        }
-      }
-      FORCE_CHECK(false, "fork() failed spawning force process " +
-                             std::to_string(proc + 1) + " of " +
-                             std::to_string(nproc));
-    }
-    pids[static_cast<std::size_t>(proc)] = pid;
-  }
+        link.emplace(std::move(peer_ends[static_cast<std::size_t>(proc)]),
+                     proc, cfg.arena);
+        g_client = &*link;
+        entry(proc);
+        // The orderly goodbye carries the final flush.
+        (void)link->call(net::MsgType::kJoin, "");
+      },
+      [&](int, const char* what) {
+        if (link) link->report_error(what);
+      });
   for (int k = 0; k < nproc; ++k) {
     peer_ends[static_cast<std::size_t>(k)].close();
   }
@@ -1207,44 +1142,13 @@ SpawnStats run_cluster_team(int nproc, PrivateSpace* space,
 
   const std::int64_t t1 = util::now_ns();
   Coordinator coord(cfg.arena, std::move(coord_ends), pids);
-  Coordinator::Death death;
+  MemberDeath death;
   const bool died = coord.serve(&death);
   stats.join_ns = util::now_ns() - t1;
   g_last_traffic = coord.traffic();
 
-  if (died) {
-    const int exit_code =
-        WIFEXITED(death.status) ? WEXITSTATUS(death.status) : -1;
-    const int term_signal =
-        WIFSIGNALED(death.status) ? WTERMSIG(death.status) : 0;
-    std::ostringstream msg;
-    msg << "force process " << (death.proc0 + 1) << " of " << nproc
-        << " (pid " << death.pid << ")";
-    if (term_signal != 0) {
-      msg << " killed by signal " << term_signal;
-    } else {
-      msg << " exited with code " << exit_code;
-    }
-    msg << " at construct site '" << death.site << "'";
-    if (!death.error.empty()) msg << ": " << death.error;
-    msg << " (surviving processes released by team poison)";
-    throw ProcessDeathError(msg.str(), death.proc0 + 1,
-                            static_cast<long>(death.pid), exit_code,
-                            term_signal, death.site, death.error);
-  }
+  if (died) throw_process_death(death, nproc, /*pooled=*/false);
   return stats;
 }
-
-#else  // !(__unix__ || __APPLE__)
-
-SpawnStats run_cluster_team(int, PrivateSpace*,
-                            const std::function<void(int)>&) {
-  FORCE_CHECK(false,
-              "the cluster process model needs a POSIX host (fork + "
-              "socketpair); use a thread-emulated machine model here");
-  return {};
-}
-
-#endif
 
 }  // namespace force::machdep::cluster

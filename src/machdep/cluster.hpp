@@ -37,10 +37,12 @@
 // arena contents deterministic - the fuzz tests in
 // tests/test_cluster_proto.cpp drive the pure diff/apply half directly.
 //
-// Death. Identical in shape to the os-fork backend: the coordinator reaps
-// with waitpid(WNOHANG); the first abnormal exit poisons the team (kPoison
-// to every live peer, SIGKILL stragglers after a grace period) and surfaces
-// as ProcessDeathError with pid/signal/exit-code/site provenance. The site
+// Death. Peers are forked and exit through the fork-team module
+// (machdep/forkteam.*), as os-fork members are, and the coordinator reaps
+// them with its reap_member between socket polls: the first abnormal exit
+// poisons the team (kPoison to every live peer, SIGKILL stragglers after
+// kStragglerGraceNs) and surfaces, through the same death builder, as
+// ProcessDeathError with pid/signal/exit-code/site provenance. The site
 // is the construct of the peer's last request, read from its type and key;
 // a peer's exception text arrives as a one-way kError. EOF on a live peer's
 // connection is a torn link: the peer is killed and reported.
@@ -126,7 +128,7 @@ struct RuntimeConfig {
   net::Transport transport = net::Transport::kUnix;
 };
 
-/// Installs the config ProcessTeam::run(kCluster) will use. Scoped so a
+/// Installs the config run_cluster_team will use. Scoped so a
 /// finished run cannot leak a dangling arena pointer into the next one.
 class ScopedRuntimeConfig {
  public:

@@ -426,36 +426,6 @@ class HepFullEmptyLock final : public BasicLock {
 
 }  // namespace
 
-ObservedLock::ObservedLock(std::unique_ptr<BasicLock> inner,
-                           LockObserver* observer, LockRole role,
-                           std::string label)
-    : inner_(std::move(inner)),
-      observer_(observer),
-      role_(role),
-      label_(std::move(label)) {
-  FORCE_CHECK(inner_ != nullptr, "ObservedLock needs an inner lock");
-  FORCE_CHECK(observer_ != nullptr, "ObservedLock needs an observer");
-}
-
-void ObservedLock::acquire() {
-  const std::uint64_t token = observer_->on_acquire_begin(*this);
-  inner_->acquire();
-  observer_->on_acquired(*this, token);
-}
-
-bool ObservedLock::try_acquire() {
-  if (!inner_->try_acquire()) return false;
-  observer_->on_acquired(*this, 0);
-  return true;
-}
-
-void ObservedLock::release() {
-  // Hook while still held: holder bookkeeping must be cleared before the
-  // next acquirer can observe itself as the new holder.
-  observer_->on_released(*this);
-  inner_->release();
-}
-
 std::unique_ptr<BasicLock> make_lock(LockKind kind, LockCounters* counters) {
   switch (kind) {
     case LockKind::kTasSpin:

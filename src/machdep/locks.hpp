@@ -84,63 +84,6 @@ class BasicLock {
   [[nodiscard]] virtual const char* mechanism() const = 0;
 };
 
-/// How a lock is *used* by the construct that owns it. The machine layer
-/// does not care (every Force lock is a binary semaphore), but validation
-/// layers do: only mutex-role locks participate in lockset and
-/// lock-ordering analysis, because semaphore-role locks (Produce/Consume
-/// pairs, barrier turnstiles, DOALL gates) are legitimately released by a
-/// thread other than the acquirer.
-enum class LockRole {
-  kMutex,     ///< acquired and released by the same thread, critical-style
-  kSemaphore  ///< signalling use; cross-thread release is expected
-};
-
-/// Hook interface for lock instrumentation (implemented by the sentry in
-/// core/; declared here so machdep stays free of core dependencies).
-/// Implementations must be thread-safe: hooks fire concurrently from every
-/// thread using an observed lock.
-class ObservedLock;
-class LockObserver {
- public:
-  virtual ~LockObserver() = default;
-  /// Fires before a blocking acquire starts; the returned token is handed
-  /// to on_acquired() so the observer can pair up wait bookkeeping.
-  virtual std::uint64_t on_acquire_begin(const ObservedLock& lock) = 0;
-  /// Fires after the lock is held. `wait_token` is the value returned by
-  /// on_acquire_begin, or 0 for a successful try_acquire (no wait phase).
-  virtual void on_acquired(const ObservedLock& lock,
-                           std::uint64_t wait_token) = 0;
-  /// Fires just before the underlying release (i.e. while still held).
-  virtual void on_released(const ObservedLock& lock) = 0;
-};
-
-/// Decorator that reports acquire/release traffic to a LockObserver. The
-/// decorated lock keeps the machine lock's semantics and counter traffic
-/// exactly (one inner acquire per acquire); the decorator only adds the
-/// hook calls. Its own address is the lock's *logical* identity - distinct
-/// even when the machine's lock budget multiplexes several logical locks
-/// onto one physical lock (striping).
-class ObservedLock final : public BasicLock {
- public:
-  ObservedLock(std::unique_ptr<BasicLock> inner, LockObserver* observer,
-               LockRole role, std::string label);
-  void acquire() override;
-  bool try_acquire() override;
-  void release() override;
-  const char* mechanism() const override { return inner_->mechanism(); }
-
-  [[nodiscard]] LockRole role() const { return role_; }
-  [[nodiscard]] const std::string& label() const { return label_; }
-  /// Stable logical identity for graphs keyed by lock.
-  [[nodiscard]] const void* id() const { return this; }
-
- private:
-  std::unique_ptr<BasicLock> inner_;
-  LockObserver* observer_;
-  LockRole role_;
-  std::string label_;
-};
-
 /// Lock mechanisms available to machine models.
 enum class LockKind {
   kTasSpin,      ///< test&set spin (Sequent/Encore software lock)

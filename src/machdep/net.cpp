@@ -69,6 +69,25 @@ void Conn::shutdown_both() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
+long Conn::read_some(void* buf, std::size_t n) {
+  const ssize_t r = ::recv(fd_, buf, n, 0);
+  if (r > 0) return static_cast<long>(r);
+  if (r < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+    return 0;
+  }
+  return -1;
+}
+
+bool poll_input(const int* fds, char* ready, std::size_t n, int timeout_ms) {
+  std::vector<pollfd> pfds(n);
+  for (std::size_t k = 0; k < n; ++k) pfds[k] = {fds[k], POLLIN, 0};
+  if (::poll(pfds.data(), n, timeout_ms) <= 0) return false;
+  for (std::size_t k = 0; k < n; ++k) {
+    ready[k] = (pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+  }
+  return true;
+}
+
 bool write_frame(int fd, MsgType type, const void* payload, std::size_t n) {
   unsigned char hdr[kFrameHeaderBytes];
   FrameHeader h;
@@ -205,6 +224,8 @@ Conn& Conn::operator=(Conn&& other) noexcept {
 }
 void Conn::close() { fd_ = -1; }
 void Conn::shutdown_both() {}
+long Conn::read_some(void*, std::size_t) { return -1; }
+bool poll_input(const int*, char*, std::size_t, int) { return false; }
 bool write_frame(int, MsgType, const void*, std::size_t) { return false; }
 void Conn::send_frame(MsgType, const void*, std::size_t) {
   FORCE_CHECK(false, "the cluster transport requires a POSIX platform");

@@ -224,7 +224,7 @@ class Reader {
 // ---------------------------------------------------------------------------
 
 /// Owns one end of a stream socket. Peers use it blocking; the coordinator
-/// reads through its own poll loop and only uses send_frame/fd here.
+/// reads through its own poll loop (poll_input, read_some).
 class Conn {
  public:
   Conn() = default;
@@ -249,6 +249,12 @@ class Conn {
   /// frame boundary; throws on malformed headers or mid-frame EOF.
   bool recv_frame(MsgType* type, std::vector<unsigned char>* payload);
 
+  /// Reads whatever has arrived, up to `n` bytes, without waiting for a
+  /// whole frame: the byte count; 0 when nothing could be read just now
+  /// (interrupted, or it would block); -1 once the far side has closed or
+  /// the link failed.
+  long read_some(void* buf, std::size_t n);
+
   /// Tears both directions down without closing the fd (the torn-connection
   /// fault-injection hook): the far side sees EOF while this process lives.
   void shutdown_both();
@@ -272,6 +278,10 @@ enum class Transport {
 /// A connected pair of stream sockets on `transport`.
 /// first = coordinator end, second = peer end.
 std::pair<Conn, Conn> connected_pair(Transport transport);
+
+/// Waits up to `timeout_ms` for input on fds[0, n) and sets ready[k] when
+/// fds[k] is readable, hung up or in error. False when none is.
+bool poll_input(const int* fds, char* ready, std::size_t n, int timeout_ms);
 
 /// Sends one frame of `type` on `fd`: header and payload leave in one
 /// sendmsg(2) of two iovecs, with no copy, so the receiver wakes once per

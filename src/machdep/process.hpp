@@ -16,14 +16,16 @@
 // ProcessTeam reproduces the *observable* differences over std::jthread:
 // which private regions children inherit (via PrivateSpace) and how much
 // memory the spawn must copy (the fork cost driver measured in bench E7).
-// ProcessModelKind::kOsFork leaves emulation behind: ProcessTeam::run
-// spawns real child processes with fork(2). Shared state must then live in
-// MAP_SHARED pages (SharedArena with ArenaBacking::kSharedMapping) and all
-// synchronization must be process-shared (machdep/shm.*). Join is robust:
-// children are reaped with waitpid, a death is surfaced as a structured
-// ProcessDeathError naming the process and its last-known construct site,
-// and the surviving processes are released within a bounded wait by
-// poisoning the team instead of being left parked forever.
+// ProcessModelKind::kOsFork and kCluster leave emulation behind: for them
+// ProcessTeam::run forwards to the fork-team module (machdep/forkteam.*),
+// the one place that forks real child processes with fork(2), decides how
+// they exit and reaps them. Shared state must then live in MAP_SHARED pages
+// (SharedArena with ArenaBacking::kSharedMapping) or, under kCluster, go
+// through the coordinator. Join is robust: children are reaped with
+// waitpid, a death is surfaced as a structured ProcessDeathError naming
+// the process and its last-known construct site, and the surviving
+// processes are released within a bounded wait by poisoning the team
+// instead of being left parked forever.
 #pragma once
 
 #include <cstdint>
@@ -55,10 +57,10 @@ PrivateSpace::Region private_region_for(ProcessModelKind kind);
 /// Translates a process model into PrivateSpace initialization semantics.
 PrivateSpace::InitMode init_mode_for(ProcessModelKind kind);
 
-/// A child of a kOsFork team exited nonzero or died on a signal. Carries
-/// the 1-based process number, its pid, how it died, the last construct
-/// site the process recorded before dying, and any error text it wrote
-/// into its control slot.
+/// A child of a forked team (kOsFork, kCluster) exited nonzero or died on
+/// a signal. Carries the 1-based process number, its pid, how it died, the
+/// last construct site the process recorded before dying, and any error
+/// text it reported. Built in one place: machdep/forkteam.cpp.
 class ProcessDeathError : public std::runtime_error {
  public:
   ProcessDeathError(const std::string& what, int proc1, long pid,
@@ -94,11 +96,6 @@ class ProcessDeathError : public std::runtime_error {
   std::string error_text_;
 };
 
-/// Exit code a forked child uses when it dies as *collateral* of a team
-/// poisoning (a TeamPoisoned unwind): the parent reports only the primary
-/// death, not the releases it caused.
-constexpr int kPoisonCollateralExit = 103;
-
 /// Outcome of one spawn/execute/join cycle.
 struct SpawnStats {
   std::int64_t create_ns = 0;      ///< wall time spent creating processes
@@ -113,7 +110,10 @@ struct SpawnStats {
 /// If `space` is non-null it is materialized with the model's semantics
 /// before the processes start, so children observe the right inheritance.
 /// The first exception thrown by any process is rethrown after all
-/// processes have been joined (no thread is ever leaked).
+/// processes have been joined (no thread is ever leaked). kOsFork runs a
+/// respawned ForkTeam and kCluster a coordinated team (machdep/cluster.*),
+/// both forked through machdep/forkteam.*; their deaths surface as
+/// ProcessDeathError.
 class ProcessTeam {
  public:
   explicit ProcessTeam(ProcessModelKind kind) : kind_(kind) {}
@@ -124,13 +124,6 @@ class ProcessTeam {
   [[nodiscard]] ProcessModelKind kind() const { return kind_; }
 
  private:
-  /// The real-fork backend: children run `entry` and _Exit; the parent
-  /// reaps with waitpid, poisons the team on the first abnormal status,
-  /// grants survivors a bounded grace period, then SIGKILLs stragglers
-  /// and throws ProcessDeathError for the primary death.
-  SpawnStats run_os_fork(int nproc, PrivateSpace* space,
-                         const std::function<void(int)>& entry) const;
-
   ProcessModelKind kind_;
 };
 

@@ -3,29 +3,28 @@
 // Every Force::run normally creates its team (jthreads or fork(2)
 // children) and joins it at the end - the paper's driver model, and the
 // cost bench E7 measures. A pool keeps the team alive across runs and
-// replaces create/join with a generation-stamped entry protocol:
+// replaces create/join with a generation-stamped entry protocol.
 //
-//   * TeamPool (thread axis): W worker threads park between forces on a
-//     machdep::Waiter await of the arm generation (the host spin window,
-//     then a futex-style atomic wait). run() publishes the job, bumps the generation,
-//     executes member 0 ITSELF - the driver is a member, as in the
-//     paper's driver model - and then waits for the done generation to
-//     catch up. Running the leader inline saves one worker wake (and its
-//     context switch) per entry and overlaps the leader's work with the
-//     workers' wakeup; a 1:1 team therefore needs only NP-1 workers.
-//     Worker w owns members {w+1, w+1+W, ...}; when the force is wider
-//     than the pool (NP-1 > W) each worker multiplexes its members as
-//     run-to-barrier continuations (machdep/fiber).
+// TeamPool is the thread axis: W worker threads park between forces on a
+// machdep::Waiter await of the arm generation (the host spin window, then
+// a futex-style atomic wait). run() publishes the job, bumps the
+// generation, executes member 0 ITSELF - the driver is a member, as in the
+// paper's driver model - and then waits for the done generation to catch
+// up. Running the leader inline saves one worker wake (and its context
+// switch) per entry and overlaps the leader's work with the workers'
+// wakeup; a 1:1 team therefore needs only NP-1 workers. Worker w owns
+// members {w+1, w+1+W, ...}; when the force is wider than the pool
+// (NP-1 > W) each worker multiplexes its members as run-to-barrier
+// continuations (machdep/fiber).
 //
-//   * ForkTeamPool (process axis): fork(2) children stay resident over
-//     the MAP_SHARED arena and park on a futex'd arm generation in a
-//     control mapping. The parent re-arms them per force and reuses the
-//     os-fork backend's waitpid death machinery: a dead pool child
-//     poisons the team, surfaces once as ProcessDeathError, and the next
-//     run() transparently re-forks a fresh team.
+// The process axis keeps its resident team in machdep/forkteam.*: a
+// ForkTeam with resident children parks them on a futex'd arm generation
+// in its control mapping and joins them like a respawned os-fork team, so
+// a dead pool child surfaces once as ProcessDeathError and the next run
+// re-forks a fresh team.
 //
-// Both pools preserve ProcessTeam::run's contract: the first member
-// exception is rethrown after the whole team has quiesced, and a pool is
+// TeamPool preserves ProcessTeam::run's contract: the first member
+// exception is rethrown after the whole team has quiesced, and the pool is
 // reusable after an error.
 #pragma once
 
@@ -33,9 +32,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -44,10 +41,6 @@
 namespace force::machdep {
 
 class MemberScheduler;  // machdep/fiber.hpp
-
-namespace shm {
-class SharedMapping;  // machdep/shm.hpp
-}
 
 /// Persistent thread-axis team: W workers executing forces of any width.
 class TeamPool {
@@ -93,47 +86,6 @@ class TeamPool {
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
   std::vector<std::jthread> threads_;
-};
-
-/// Persistent process-axis team: resident fork(2) children re-armed per
-/// force over the shared-memory control words.
-class ForkTeamPool {
- public:
-  explicit ForkTeamPool(int nproc);
-  ~ForkTeamPool();
-
-  ForkTeamPool(const ForkTeamPool&) = delete;
-  ForkTeamPool& operator=(const ForkTeamPool&) = delete;
-
-  [[nodiscard]] int nproc() const { return nproc_; }
-  /// True while a resident team exists (it is forked lazily on the first
-  /// run and re-forked by the run after a death).
-  [[nodiscard]] bool armed() const { return alive_; }
-
-  /// One force. The FIRST run forks the children, which then hold their
-  /// fork-point stacks forever: later runs re-execute the closure the pool
-  /// was armed with, so every run must pass the same program (enforced by
-  /// Force::run via the closure's type). After a ProcessDeathError the
-  /// next run re-forks with its own entry.
-  SpawnStats run(PrivateSpace* space, const std::function<void(int)>& entry);
-
-  /// Retires the team: children unpark, _Exit(0) and are reaped. Idempotent.
-  void shutdown();
-
- private:
-  struct PoolControl;
-  struct PoolSlot;
-
-  void spawn(const std::function<void(int)>& entry);
-  void teardown_after_death();
-
-  int nproc_;
-  std::uint32_t generation_ = 0;
-  bool alive_ = false;
-  std::unique_ptr<shm::SharedMapping> control_;
-  PoolControl* ctl_ = nullptr;
-  PoolSlot* slots_ = nullptr;
-  std::vector<long> pids_;
 };
 
 }  // namespace force::machdep

@@ -10,8 +10,11 @@
 // after the join.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -453,4 +456,57 @@ TEST(ForkConfig, PcaseAndResolveAreRejected) {
                  (void)ctx.resolve(FORCE_SITE);
                }),
                md::ProcessDeathError);
+}
+
+// --- no process left behind -----------------------------------------------
+//
+// Every forked team is reaped before its run (or its pooled Force) ends: a
+// respawned member that parked instead of exiting, or a straggler the join
+// forgot, would outlive the driver.
+
+namespace {
+
+/// True when this process has no child left, running or zombie.
+bool no_children_left() {
+  errno = 0;
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
+}  // namespace
+
+TEST(NoProcessLeftBehind, AfterARespawnedOsForkRun) {
+  force::Force f(fork_config());
+  f.run([](core::Ctx& ctx) { ctx.barrier(); });
+  EXPECT_TRUE(no_children_left());
+}
+
+TEST(NoProcessLeftBehind, AfterARespawnedOsForkRunInWhichAMemberDied) {
+  force::Force f(fork_config());
+  EXPECT_THROW(f.run([](core::Ctx& ctx) {
+                 if (ctx.me() == 2) raise(SIGKILL);
+                 ctx.barrier();
+               }),
+               md::ProcessDeathError);
+  EXPECT_TRUE(no_children_left());
+}
+
+TEST(NoProcessLeftBehind, AfterAPooledOsForkForceIsDestroyed) {
+  {
+    force::ForceConfig cfg = fork_config();
+    cfg.team_pool = true;
+    force::Force f(cfg);
+    const auto program = [](core::Ctx& ctx) { ctx.barrier(); };
+    f.run(program);
+    f.run(program);
+    EXPECT_FALSE(no_children_left()) << "the resident team should be parked";
+  }
+  EXPECT_TRUE(no_children_left());
+}
+
+TEST(NoProcessLeftBehind, AfterAClusterRun) {
+  force::ForceConfig cfg = fork_config();
+  cfg.process_model = "cluster";
+  force::Force f(cfg);
+  f.run([](core::Ctx& ctx) { ctx.barrier(); });
+  EXPECT_TRUE(no_children_left());
 }

@@ -8,8 +8,8 @@
 //   * Force over a pool - sequential force entries on one pooled team
 //     must behave exactly like fresh teams: shared state accumulates,
 //     constructs re-arm per entry, the sentry stays report-free.
-//   * ForkTeamPool - resident fork(2) children: the same child pids serve
-//     every entry, a SIGKILLed pool child surfaces exactly once as
+//   * ForkTeam with resident children - the same child pids serve every
+//     entry, a SIGKILLed or throwing pool child surfaces exactly once as
 //     ProcessDeathError, and the next force transparently re-forks.
 //
 // As in test_process_fork.cpp, child-side assertions go through the
@@ -32,6 +32,7 @@
 #include "core/force.hpp"
 #include "core/sentry.hpp"
 #include "machdep/backend.hpp"
+#include "machdep/forkteam.hpp"
 #include "machdep/process.hpp"
 #include "machdep/teampool.hpp"
 #include "machdep/words.hpp"
@@ -606,4 +607,45 @@ TEST(PooledForkDeath, SigkilledPoolChildHoldingABusyAsyncCellRecovers) {
   f.run(program);
   EXPECT_EQ(got, 42);
   EXPECT_LT(seconds_since(t0), 30.0) << "pooled robust join took too long";
+}
+
+// The ForkDeath twins (test_process_fork.cpp) on a resident team, which
+// joins through the same code: a throwing pool child leaves with code 1
+// and its what(), and the retired team's collateral exits do not mask the
+// primary death.
+TEST(PooledForkDeath, ChildExceptionCarriesMessageAndProcessNumber) {
+  force::Force f(fork_pool_config());
+  try {
+    f.run([](core::Ctx& ctx) {
+      if (ctx.me() == 1) {
+        throw std::runtime_error("deliberate pooled child failure");
+      }
+      ctx.barrier();
+    });
+    FAIL() << "a throwing pool child must surface as ProcessDeathError";
+  } catch (const md::ProcessDeathError& e) {
+    EXPECT_EQ(e.process(), 1);
+    EXPECT_EQ(e.term_signal(), 0);
+    EXPECT_EQ(e.exit_code(), 1);
+    EXPECT_NE(e.error_text().find("deliberate pooled child failure"),
+              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("deliberate pooled child failure"),
+              std::string::npos);
+  }
+  EXPECT_FALSE(f.env().fork_pool(kNproc).armed())
+      << "a dead team must be retired";
+}
+
+TEST(PooledForkDeath, CollateralPoisonExitsAreNotReportedAsPrimary) {
+  force::Force f(fork_pool_config());
+  try {
+    f.run([](core::Ctx& ctx) {
+      if (ctx.me() == 4) raise(SIGKILL);
+      ctx.barrier();
+    });
+    FAIL() << "expected ProcessDeathError";
+  } catch (const md::ProcessDeathError& e) {
+    EXPECT_EQ(e.process(), 4);
+    EXPECT_EQ(e.term_signal(), SIGKILL);
+  }
 }
