@@ -60,7 +60,8 @@ void presched_do2(int me0, int np, std::int64_t i_start, std::int64_t i_last,
 //
 // That is machdep::GateDoallSite, on thread and os-fork alike; only its
 // words move into the arena under os-fork. The cluster backend hands out
-// its own site, with a champion entry barrier on the coordinator. Either
+// its own site, whose gate and home blocks live on the coordinator: the
+// first claim of an episode opens it, with no entry request. Either
 // comes from ForceEnvironment::make_doall_site, which wraps it in the
 // observer layer's decorator when the sentry or the tracer is on.
 // ---------------------------------------------------------------------------

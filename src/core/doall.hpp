@@ -30,7 +30,7 @@
 //   byte-for-byte in lock traffic - BARWIN/BARWOT/ZZNBAR and one generic
 //   lock pass per claim on one shared index, on locks from
 //   MachineModel::new_lock(). The cluster backend hands out an RPC site
-//   instead.
+//   instead, which keeps the same gate and home blocks on its coordinator.
 //
 // Iteration ranges follow Fortran DO semantics: start/last/incr with
 // positive or negative increments; an empty range executes nothing.

@@ -401,8 +401,8 @@ class ClusterBackend final : public ExecutionBackend {
   }
 
   [[nodiscard]] std::unique_ptr<DoallSite> make_doall_site(
-      const std::string& site, int width) override {
-    return cluster::make_doall_site(arena_, site, width);
+      const std::string& site, int /*width*/) override {
+    return cluster::make_doall_site(site);
   }
 
   [[nodiscard]] std::unique_ptr<AskforRing> make_askfor_ring(

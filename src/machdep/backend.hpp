@@ -272,7 +272,8 @@ class DoallSite {
   virtual ~DoallSite() = default;
   /// Arrives at the episode entry with this member's loop bounds; the
   /// opener publishes them. Returns the published bounds (for SPMD
-  /// divergence detection by the caller).
+  /// divergence detection by the caller); the cluster site returns the
+  /// caller's own and checks them against the opener's on its first claim.
   virtual DoallBounds enter(std::int64_t start, std::int64_t last,
                             std::int64_t incr, std::int64_t trips) = 0;
   /// Claims for member `me0` (0-based), which picks its home block where
@@ -281,7 +282,8 @@ class DoallSite {
                               std::int64_t limit) = 0;
   virtual DispatchClaim claim_fraction(int me0, std::int64_t limit,
                                        std::int64_t divisor) = 0;
-  /// Departs the episode (a no-op where the entry is a champion barrier).
+  /// Departs the episode. On the cluster an empty claim was the departure
+  /// already, so only a member whose body threw sends one here.
   virtual void leave() = 0;
 };
 

@@ -112,11 +112,10 @@ Traffic last_run_traffic() { return g_last_traffic; }
 namespace {
 
 /// Whether a request of this type carries the sender's release flush.
-/// Claims, dispatch resets and status reads are not release points, and
-/// hello comes before the member has run.
+/// Claims and status reads are not release points, and hello comes before
+/// the member has run.
 bool releases(net::MsgType type) {
   return type != net::MsgType::kHello &&
-         type != net::MsgType::kDispatchReset &&
          type != net::MsgType::kDispatchClaim &&
          type != net::MsgType::kAskforStatus;
 }
@@ -296,59 +295,84 @@ class ClusterBarrier final : public BarrierEngine {
   std::string key_;
 };
 
+/// A selfsched claim's mode, which says what its amount is: the trips
+/// wanted (plain and chunked), the guided divisor, or nothing (a departure
+/// that claims no trip).
+enum class ClaimMode : std::uint8_t { kPlain = 0, kGuided = 1, kLeave = 2 };
+
 class ClusterDoallSite final : public DoallSite {
  public:
-  /// The episode bounds live in the DSM-coherent arena: written by the
-  /// entry champion inside the barrier section (a release point), read by
-  /// every member after the episode release (an acquire point).
-  ClusterDoallSite(SharedArena* arena, const std::string& site, int width)
-      : site_(site),
-        entry_(width, kDoallWords + site + "/entry"),
-        bounds_(&arena->get_or_create<DoallBounds>(kDoallWords + site)) {}
+  /// The site's dispatch state lives on the coordinator alone. Entry sends
+  /// nothing: a member's first claim of an episode is its arrival and
+  /// carries its bounds, the first arrival opens the episode there, and an
+  /// empty reply is the member's departure.
+  explicit ClusterDoallSite(std::string site) : site_(std::move(site)) {}
 
   DoallBounds enter(std::int64_t start, std::int64_t last, std::int64_t incr,
                     std::int64_t trips) override {
-    const std::function<void()> section = [&] {
-      *bounds_ = DoallBounds{start, last, incr, trips};
-      (void)member_link().call(net::MsgType::kDispatchReset, site_);
-    };
-    entry_.arrive(0, &section);
-    return *bounds_;
+    ++episode_;
+    bounds_ = {start, last, incr, trips};
+    arrived_ = false;
+    departed_ = false;
+    return bounds_;
   }
 
+  // The coordinator knows the claimer's home: a cluster team is every
+  // peer, so member me0 is peer me0.
   DispatchClaim claim(int /*me0*/, std::int64_t want,
-                      std::int64_t limit) override {
-    return claim_rpc(want, limit, 0);
+                      std::int64_t /*limit*/) override {
+    return claim_rpc(ClaimMode::kPlain, want);
   }
 
-  DispatchClaim claim_fraction(int /*me0*/, std::int64_t limit,
+  DispatchClaim claim_fraction(int /*me0*/, std::int64_t /*limit*/,
                                std::int64_t divisor) override {
-    return claim_rpc(0, limit, divisor);
+    return claim_rpc(ClaimMode::kGuided, divisor);
   }
 
   void leave() override {
-    // The champion entry barrier already fences re-entry: nobody can open
-    // the next episode before every member has left this one's claim loop.
+    // The empty claim that ended the loop was the departure. A member
+    // whose body threw left without one and departs now, or the next
+    // episode could never open; best effort, since it is unwinding and
+    // the team may already be poisoned.
+    if (departed_) return;
+    try {
+      (void)claim_rpc(ClaimMode::kLeave, 0);
+    } catch (...) {
+      // The coordinator poisons or reaps the team either way.
+    }
   }
 
  private:
-  DispatchClaim claim_rpc(std::int64_t want, std::int64_t limit,
-                          std::int64_t divisor) {
+  DispatchClaim claim_rpc(ClaimMode mode, std::int64_t amount) {
     net::Writer body;
-    body.i64(want);
-    body.i64(limit);
-    body.i64(divisor);
+    body.u64(episode_);
+    body.u8(static_cast<std::uint8_t>(mode));
+    body.i64(amount);
+    body.u8(arrived_ ? 0 : 1);
+    if (!arrived_) {
+      body.i64(bounds_.start);
+      body.i64(bounds_.last);
+      body.i64(bounds_.incr);
+      body.i64(bounds_.trips);
+      arrived_ = true;
+    }
     net::Reader r =
         member_link().call(net::MsgType::kDispatchClaim, site_, body);
+    std::uint8_t mismatch = 0;
     DispatchClaim c;
-    FORCE_CHECK(r.i64(&c.begin) && r.i64(&c.count),
+    FORCE_CHECK(r.u8(&mismatch) && r.i64(&c.begin) && r.i64(&c.count),
                 "malformed dispatch claim reply");
+    departed_ = mismatch != 0 || c.count == 0;
+    FORCE_CHECK(mismatch == 0,
+                "selfsched DO reached with divergent loop bounds");
     return c;
   }
 
   std::string site_;
-  ClusterBarrier entry_;
-  DoallBounds* bounds_;
+  std::uint64_t episode_ = 0;  // this member's episodes at the site
+  DoallBounds bounds_;         // this member's bounds for the episode
+  bool arrived_ = false;       // its first claim of the episode is sent
+  bool departed_ = false;      // the coordinator counted its departure
 };
 
 class ClusterAskforRing final : public AskforRing {
@@ -479,10 +503,8 @@ std::unique_ptr<BarrierEngine> make_team_barrier(int width, std::string key) {
   return std::make_unique<ClusterBarrier>(width, std::move(key));
 }
 
-std::unique_ptr<DoallSite> make_doall_site(SharedArena* arena,
-                                           const std::string& site,
-                                           int width) {
-  return std::make_unique<ClusterDoallSite>(arena, site, width);
+std::unique_ptr<DoallSite> make_doall_site(const std::string& site) {
+  return std::make_unique<ClusterDoallSite>(site);
 }
 
 std::unique_ptr<AskforRing> make_askfor_ring(std::string key,
@@ -534,7 +556,6 @@ std::string site_label(net::MsgType type, const std::string& key) {
     case net::MsgType::kBarrierArrive:
     case net::MsgType::kBarrierSectionDone:
       return "barrier '" + key + "'";
-    case net::MsgType::kDispatchReset:
     case net::MsgType::kDispatchClaim:
       return "selfsched '" + key + "'";
     case net::MsgType::kAskforPut:
@@ -578,6 +599,42 @@ struct CellState {
     bool copy;
   };
   std::deque<Waiter> consumers;
+};
+
+/// One selfsched claim as its request body reads.
+struct DoallClaim {
+  std::uint64_t episode = 0;
+  ClaimMode mode = ClaimMode::kPlain;
+  std::int64_t amount = 0;
+  bool arrival = false;  // the member's first claim of the episode
+  DoallBounds bounds;    // rides its arrival only
+};
+
+bool read_claim(net::Reader* r, DoallClaim* c) {
+  std::uint8_t mode = 0;
+  std::uint8_t arrival = 0;
+  if (!r->u64(&c->episode) || !r->u8(&mode) || !r->i64(&c->amount) ||
+      !r->u8(&arrival) || mode > static_cast<std::uint8_t>(ClaimMode::kLeave)) {
+    return false;
+  }
+  c->mode = static_cast<ClaimMode>(mode);
+  c->arrival = arrival != 0;
+  if (!c->arrival) return true;
+  return r->i64(&c->bounds.start) && r->i64(&c->bounds.last) &&
+         r->i64(&c->bounds.incr) && r->i64(&c->bounds.trips);
+}
+
+/// One selfsched site: the paper's episode gate (§4.2) kept where the
+/// claims land. The first arrival of an episode arms one home block per
+/// peer, an empty reply is a peer's departure, and the next episode's
+/// claims wait until every peer has departed this one.
+struct DoallState {
+  std::uint64_t episode = 0;  // the open episode's member-side number
+  std::uint32_t staying = 0;  // peers yet to depart the open episode
+  DoallBounds bounds;         // the opener's
+  std::uint32_t blocks = 1;
+  DispatchBlock block[kDispatchBlocks];
+  std::deque<std::pair<int, DoallClaim>> parked;  // the next episode's
 };
 
 /// One release record in the coordinator's update log: its bytes sit at
@@ -822,6 +879,7 @@ class Coordinator {
       return;
     }
     ++traffic_.requests_in;
+    const std::uint64_t records_before = traffic_.records_in;
     // Every request leads with the sender's release records, applied first
     // so the release stays ahead of the construct it precedes, and the
     // construct's key, which is also the peer's site from here on.
@@ -833,6 +891,10 @@ class Coordinator {
                             }) ||
         !r.str(&key_)) {
       return;  // a child of our own fork never sends a malformed request
+    }
+    if (type == net::MsgType::kDispatchClaim) {
+      ++traffic_.claims_in;
+      traffic_.claim_records_in += traffic_.records_in - records_before;
     }
     if (type != net::MsgType::kJoin) {
       p.site_type = type;
@@ -901,22 +963,10 @@ class Coordinator {
         st.waiters.pop_front();
         return reply(st.held_by);
       }
-      case net::MsgType::kDispatchReset:
-        dispatches_[key_].store(0, std::memory_order_relaxed);
-        return reply(peer);
       case net::MsgType::kDispatchClaim: {
-        std::int64_t want = 0, limit = 0, divisor = 0;
-        if (!r->i64(&want) || !r->i64(&limit) || !r->i64(&divisor)) return;
-        // The in-process dispatch word's claim arithmetic: claims tile
-        // [0, limit) exactly once, clamped at the limit.
-        std::atomic<std::int64_t>& word = dispatches_[key_];
-        const DispatchClaim c =
-            divisor == 0 ? dispatch_claim(word, want, limit)
-                         : dispatch_claim_fraction(word, limit, divisor);
-        return reply(peer, [&c](net::Writer* w) {
-          w->i64(c.begin);
-          w->i64(c.count);
-        });
+        DoallClaim c;
+        if (!read_claim(r, &c)) return;
+        return serve_claim(&doalls_[key_], peer, c);
       }
       case net::MsgType::kAskforPut: {
         std::vector<unsigned char> task;
@@ -1015,6 +1065,84 @@ class Coordinator {
     }
   }
 
+  void serve_claim(DoallState* st, int peer, const DoallClaim& c) {
+    if (c.episode != st->episode) {
+      // An arrival for the next episode opens it, once the last peer has
+      // departed this one: the gate's "the last one out re-opens".
+      if (st->staying > 0) {
+        st->parked.emplace_back(peer, c);
+        return;
+      }
+      open_episode(st, c, static_cast<std::uint32_t>(peers_.size()));
+    }
+    // The fields the core's SPMD check compares on the in-process gate.
+    const bool mismatch = c.arrival && (c.bounds.last != st->bounds.last ||
+                                        c.bounds.incr != st->bounds.incr);
+    // A cluster team is every peer, so peer k is member k.
+    const DispatchClaim g =
+        mismatch || c.mode == ClaimMode::kLeave
+            ? DispatchClaim{}
+            : grant(*st, static_cast<std::uint32_t>(peer) % st->blocks, c);
+    reply(peer, [mismatch, &g](net::Writer* w) {
+      w->u8(mismatch ? 1 : 0);
+      w->i64(g.begin);
+      w->i64(g.count);
+    });
+    if (g.count > 0 || --st->staying > 0) return;
+    // The last departure: the first parked arrival opens the next episode.
+    std::deque<std::pair<int, DoallClaim>> next = std::move(st->parked);
+    st->parked.clear();
+    for (const auto& [waiter, claim] : next) serve_claim(st, waiter, claim);
+  }
+
+  static void open_episode(DoallState* st, const DoallClaim& c,
+                           std::uint32_t width) {
+    st->episode = c.episode;
+    st->staying = width;
+    st->bounds = c.bounds;
+    st->blocks = std::min(width, kDispatchBlocks);
+    dispatch_arm(st->block, st->blocks, c.bounds.trips);
+  }
+
+  /// One grant of an open episode, always a dispatch_claim or
+  /// dispatch_claim_fraction on one block's word through
+  /// dispatch_claim_home. A plain claim takes half of what is left of its
+  /// home block, or once that is empty of the fullest block left, and
+  /// never less than it wants; a guided claim takes the word engine's
+  /// share of its home block, then of the others. Halving keeps half of
+  /// every block open to thieves, so trips of uneven cost still balance,
+  /// and bounds the claims: a block of b trips meets at most
+  /// floor(log2 b) + 1 plain claims.
+  static DispatchClaim grant(DoallState& st, std::uint32_t home,
+                             const DoallClaim& c) {
+    if (c.mode == ClaimMode::kGuided) {
+      const std::int64_t share =
+          std::max<std::int64_t>(1, c.amount / st.blocks);
+      return dispatch_claim_home(
+          st.block, st.blocks, home,
+          [share](std::atomic<std::int64_t>& word, std::int64_t end) {
+            return dispatch_claim_fraction(word, end, share);
+          });
+    }
+    const auto left = [&st](std::uint32_t s) {
+      return st.block[s].end -
+             st.block[s].next.load(std::memory_order_relaxed);
+    };
+    std::uint32_t from = home;
+    if (left(home) <= 0) {
+      for (std::uint32_t s = 0; s < st.blocks; ++s) {
+        if (left(s) > left(from)) from = s;
+      }
+    }
+    return dispatch_claim_home(
+        st.block, st.blocks, from,
+        [want = c.amount](std::atomic<std::int64_t>& word, std::int64_t end) {
+          const std::int64_t rest =
+              end - word.load(std::memory_order_relaxed);
+          return dispatch_claim(word, std::max(want, (rest + 1) / 2), end);
+        });
+  }
+
   void release_barrier(std::vector<int>* arrivers) {
     for (int arriver : *arrivers) {
       reply(arriver, [](net::Writer* w) { w->u8(0); });
@@ -1080,7 +1208,7 @@ class Coordinator {
   Traffic traffic_;
   std::map<std::string, LockState> locks_;
   std::map<std::string, std::vector<int>> barriers_;  // arrivers
-  std::map<std::string, std::atomic<std::int64_t>> dispatches_;
+  std::map<std::string, DoallState> doalls_;
   std::map<std::string, AskforState> askfors_;
   std::map<std::string, CellState> cells_;
   bool poisoned_ = false;

@@ -8,7 +8,7 @@
 // cluster_transport="tcp"). Every synchronization construct - barrier, lock,
 // dispatch counter, askfor monitor, async variable - is a keyed state table
 // on the coordinator, and every construct operation is one RPC (protocol
-// version 3): a request frame {records, key, body} and, unless it is one
+// version 4): a request frame {records, key, body} and, unless it is one
 // of the four one-way requests (lock release, askfor put, complete and
 // probend), one kReply {records, body}. Each construct's engine, the
 // member-side half, lives in cluster.cpp beside the coordinator handler
@@ -25,7 +25,7 @@
 // operations, join) the peer diffs arena against shadow - one memcmp per
 // clean 4 KB block, exact byte runs inside a dirty one - and the changed
 // runs ride at the head of the request itself as a records block (count 0
-// when clean; claims, dispatch resets and status reads always send 0). The
+// when clean; claims and status reads always send 0). The
 // coordinator applies that block before it serves the construct, appending
 // the bytes to a global monotone update log, tagged with their author, and
 // to the master arena. EVERY reply is an acquire point: it carries the log
@@ -36,6 +36,19 @@
 // wrote since, so this write-through/log-replay scheme makes release-point
 // arena contents deterministic - the fuzz tests in
 // tests/test_cluster_proto.cpp drive the pure diff/apply half directly.
+//
+// Selfscheduled DOALL. The coordinator runs the paper's episode gate
+// (§4.2) for each site, with no entry barrier and no entry RPC: a member's
+// first claim of an episode carries its bounds, the first such claim arms
+// one home block per member, and a claim whose last or increment differs
+// from the opener's is flagged, so the member raises the SPMD check. A
+// plain or chunked claim takes half of what is left of the member's home
+// block, once that is empty half of the fullest block left, and never less
+// than its chunk, so every block stays open to thieves and meets O(log)
+// claims; guided ones take the word engine's share of the home block. A
+// claim names no member, since peer k is member k. An empty reply is the
+// member's departure, and claims for the next episode wait on the
+// coordinator until every member has departed this one.
 //
 // Death. Peers are forked and exit through the fork-team module
 // (machdep/forkteam.*), as os-fork members are, and the coordinator reaps
@@ -147,11 +160,11 @@ class ScopedRuntimeConfig {
 /// A keyed team barrier of `width` members; the last arriver runs the
 /// section.
 std::unique_ptr<BarrierEngine> make_team_barrier(int width, std::string key);
-/// A selfscheduled DOALL site: a champion entry barrier whose section
-/// publishes the bounds in `arena`, then one claim RPC per grant.
-std::unique_ptr<DoallSite> make_doall_site(SharedArena* arena,
-                                           const std::string& site,
-                                           int width);
+/// A selfscheduled DOALL site of the whole team: one claim RPC per grant
+/// and nothing at entry. A member's first claim of an episode carries its
+/// bounds and opens the episode on the coordinator, which grants halves
+/// of home blocks.
+std::unique_ptr<DoallSite> make_doall_site(const std::string& site);
 std::unique_ptr<AskforRing> make_askfor_ring(std::string key,
                                              std::size_t task_bytes);
 std::unique_ptr<AsyncCell> make_async_cell(std::string label,
@@ -169,6 +182,8 @@ struct Traffic {
   std::uint64_t notes_in = 0;          // one-way error notes
   std::uint64_t replies_out = 0;       // coordinator frames, poison included
   std::uint64_t records_in = 0;        // release records in requests
+  std::uint64_t claims_in = 0;         // selfsched claims among the requests
+  std::uint64_t claim_records_in = 0;  // release records in claims
   std::uint64_t record_bytes_in = 0;   // their changed bytes
   std::uint64_t record_bytes_out = 0;  // changed bytes in replies
 };

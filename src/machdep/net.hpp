@@ -34,7 +34,9 @@ inline constexpr std::uint32_t kFrameMagic = 0x4652434Eu;
 /// Bumped whenever the frame layout or any payload layout changes.
 /// Version 2: every construct request opens with the sender's release
 /// records. Version 3: one reply frame (kReply) answers every request.
-inline constexpr std::uint16_t kProtocolVersion = 3;
+/// Version 4: a selfsched episode opens on its first claim, which carries
+/// the bounds; the dispatch reset is gone.
+inline constexpr std::uint16_t kProtocolVersion = 4;
 
 /// Fixed size of the frame header on the wire.
 inline constexpr std::size_t kFrameHeaderBytes = 12;
@@ -48,7 +50,7 @@ inline constexpr std::uint32_t kMaxPayloadBytes = 64u * 1024u * 1024u;
 /// are wire-visible: never renumber, and never reuse a retired value
 /// (5 was version 1's update frame; 2, 3, 7, 9, 11, 13, 16, 18, 21, 25,
 /// 27, 29, 32, 34 and 36 were version 2's site note and its per-construct
-/// reply frames).
+/// reply frames; 15 was version 3's dispatch reset).
 ///
 /// A construct is one RPC. Every peer -> coord frame but kError is a
 /// request whose payload is {records, key str, body}: the records block is
@@ -66,9 +68,10 @@ enum class MsgType : std::uint16_t {
   kLockAcquire = 10,   // {} -> {}
   kLockTry = 12,       // {} -> {ok u8}
   kLockRelease = 14,   // one-way: {}
-  kDispatchReset = 15, // {} -> {}
-  kDispatchClaim = 17, // {want i64, limit i64, divisor i64 (0 = plain)}
-                       //   -> {begin i64, count i64}
+  kDispatchClaim = 17, // {episode u64, mode u8, amount i64, arrival u8,
+                       //  and if arrival: start i64, last i64, incr i64,
+                       //  trips i64}
+                       //   -> {mismatch u8, begin i64, count i64}
   kAskforPut = 19,     // one-way: {task bytes}
   kAskforAsk = 20,     // {} -> {has_task u8, task bytes if has_task}
   kAskforComplete = 22,  // one-way: {}

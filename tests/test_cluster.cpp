@@ -18,7 +18,12 @@
 //     and team pools are all rejected with cluster-specific messages.
 //   * the coordinator's traffic tally shows each construct RPC as one
 //     request frame carrying its own release records, a clean flush as
-//     no record at all, and no record sent back to its writer.
+//     no record at all, and no record sent back to its writer;
+//   * selfscheduled loops, whose episodes the coordinator opens on the
+//     first claim with no entry barrier, run every trip exactly once,
+//     leave a late member's home block to the others, re-enter without a
+//     barrier between episodes and turn divergent bounds into a death
+//     that names the loop.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -27,8 +32,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "core/force.hpp"
 #include "machdep/cluster.hpp"
@@ -148,6 +155,31 @@ TEST(ClusterDeath, SigkillAfterProduceAndInSelfschedBodyNameTheConstruct) {
     EXPECT_NE(e.site().find("selfsched"), std::string::npos)
         << "victim site: " << e.site();
   }
+}
+
+TEST(ClusterDeath, SigkillInSelfschedBodyReleasesClaimsParkedForTheNextEpisode) {
+  // The survivors re-enter the loop at once; their arrivals for the next
+  // episode wait on the coordinator for the victim's departure, which
+  // never comes, until the poison releases them.
+  force::Force f(cluster_config(3));
+  const double secs = timed_seconds([&] {
+    try {
+      f.run([](fc::Ctx& ctx) {
+        for (int e = 0; e < 2; ++e) {
+          // Exactly one member claims trip 1 of the first episode.
+          ctx.selfsched_do(FORCE_SITE, 1, 30, 1, [e](std::int64_t i) {
+            if (e == 0 && i == 1) raise(SIGKILL);
+          });
+        }
+      });
+      FAIL() << "expected ProcessDeathError";
+    } catch (const md::ProcessDeathError& e) {
+      EXPECT_EQ(e.term_signal(), SIGKILL);
+      EXPECT_NE(e.site().find("selfsched"), std::string::npos)
+          << "victim site: " << e.site();
+    }
+  });
+  EXPECT_LT(secs, 30.0);
 }
 
 TEST(ClusterDeath, FreshForceSucceedsAfterPeerDeath) {
@@ -468,4 +500,307 @@ TEST(ClusterTraffic, AskforPutAskAndCompleteAreOneFrameEach) {
                                                       kTasks +
                                                       (kTasks + kNproc)));
   EXPECT_EQ(t.records_in, 0u);
+}
+
+TEST(ClusterTraffic, SelfschedEpisodeSendsNoEntryRequest) {
+  // Entry sends nothing: the first claim of an episode opens it on the
+  // coordinator. A plain claim takes half of what is left of the one block
+  // it claims from, so each 16-trip home block meets exactly
+  // floor(log2 16) + 1 = 5 claims, whoever makes them and whatever the
+  // timing, and each member departs with one empty claim.
+  constexpr int kNproc = 3;
+  constexpr int kEpisodes = 10;
+  constexpr std::int64_t kTrips = 48;
+  constexpr int kBlockClaims = 5;
+  force::Force f(cluster_config(kNproc));
+  auto& rows =
+      f.shared<std::array<std::array<std::int32_t, kTrips>, kNproc>>("rows");
+  rows = {};
+  f.run([&](fc::Ctx& ctx) {
+    // The body dirties this member's row before every claim but its
+    // first, so a claim that flushed would carry records.
+    auto& mine = rows[static_cast<std::size_t>(ctx.me0())];
+    for (int e = 0; e < kEpisodes; ++e) {
+      ctx.selfsched_do(FORCE_SITE, 0, kTrips - 1, 1, [&](std::int64_t t) {
+        mine[static_cast<std::size_t>(t)] += 1;
+      });
+      ctx.barrier();
+    }
+  });
+  for (std::size_t t = 0; t < kTrips; ++t) {
+    std::int32_t runs = 0;
+    for (const auto& row : rows) runs += row[t];
+    EXPECT_EQ(runs, kEpisodes) << "trip " << t;
+  }
+  const md::cluster::Traffic t = md::cluster::last_run_traffic();
+  // Per peer: hello, join and one arrival per barrier; the rest are claims.
+  EXPECT_EQ(t.requests_in,
+            static_cast<std::uint64_t>(kNproc * (kEpisodes + 2)) +
+                t.claims_in);
+  EXPECT_EQ(t.claims_in,
+            static_cast<std::uint64_t>(kNproc * (kBlockClaims + 1) *
+                                       kEpisodes));
+  EXPECT_EQ(t.claim_records_in, 0u);
+  EXPECT_GT(t.records_in, 0u);
+}
+
+// --- selfscheduled loops on the coordinator ----------------------------------
+//
+// Peers share no memory while they run, so each member counts the trips it
+// ran in a row of slots of its own; the rows reach the parent through the
+// DSM, and the test sums them there.
+
+namespace {
+
+constexpr int kSelfschedNp = 3;
+constexpr std::size_t kMaxTrips = 64;
+
+using TripCounts = std::array<std::int32_t, kMaxTrips>;
+
+/// Counts the trips that did not run exactly once over all members' rows,
+/// where trips [0, trips) should have run and the rest not at all.
+template <typename Rows, typename Pick>
+int wrong_trips(const Rows& rows, const Pick& pick, std::int64_t trips) {
+  TripCounts runs{};
+  for (const auto& row : rows) {
+    const TripCounts& mine = pick(row);
+    for (std::size_t t = 0; t < kMaxTrips; ++t) runs[t] += mine[t];
+  }
+  int wrong = 0;
+  for (std::size_t t = 0; t < kMaxTrips; ++t) {
+    const std::int32_t want = static_cast<std::int64_t>(t) < trips ? 1 : 0;
+    if (runs[t] != want) ++wrong;
+  }
+  return wrong;
+}
+
+}  // namespace
+
+TEST(ClusterSelfsched, EveryShapeRunsEachTripOnce) {
+  // SelfschedAffinity.EveryShapeRunsEachTripOnce on the coordinator: trip
+  // counts none, one, fewer than the blocks, one per block and ragged;
+  // shapes chunk 1, chunk 3, guided, 2-D (three j values counting down)
+  // and a negative increment.
+  constexpr int np = kSelfschedNp;
+  constexpr std::array<std::int64_t, 5> kTrips = {0, 1, np - 1, np,
+                                                  4 * np + 3};
+  constexpr std::size_t kShapes = 5;
+  constexpr std::size_t kCases = kShapes * kTrips.size();
+  using Row = std::array<TripCounts, kCases>;
+  force::Force f(cluster_config(np));
+  auto& rows = f.shared<std::array<Row, np>>("shape_rows");
+  rows = {};
+  f.run([&](fc::Ctx& ctx) {
+    Row& mine = rows[static_cast<std::size_t>(ctx.me0())];
+    for (std::size_t k = 0; k < kTrips.size(); ++k) {
+      const std::int64_t n = kTrips[k];
+      const auto hit = [&](std::size_t s, std::int64_t t) {
+        mine[s * kTrips.size() + k].at(static_cast<std::size_t>(t)) += 1;
+      };
+      ctx.selfsched_do(FORCE_SITE, 1, n, 1,
+                       [&](std::int64_t i) { hit(0, i - 1); });
+      ctx.selfsched_do(
+          FORCE_SITE, 1, n, 1, [&](std::int64_t i) { hit(1, i - 1); }, 3);
+      ctx.guided_do(FORCE_SITE, 1, n, 1,
+                    [&](std::int64_t i) { hit(2, i - 1); });
+      ctx.selfsched_do2(FORCE_SITE, 1, n, 1, 3, 1, -1,
+                        [&](std::int64_t i, std::int64_t j) {
+                          hit(3, (i - 1) * 3 + (3 - j));
+                        });
+      // 2n, 2n-2, ..., 2: n trips.
+      ctx.selfsched_do(FORCE_SITE, 2 * n, 1, -2, [&](std::int64_t i) {
+        hit(4, (2 * n - i) / 2);
+      });
+    }
+  });
+  for (std::size_t s = 0; s < kShapes; ++s) {
+    for (std::size_t k = 0; k < kTrips.size(); ++k) {
+      const std::int64_t trips = s == 3 ? 3 * kTrips[k] : kTrips[k];
+      const std::size_t c = s * kTrips.size() + k;
+      EXPECT_EQ(wrong_trips(rows, [c](const Row& r) { return r[c]; }, trips),
+                0)
+          << "shape " << s << ", " << kTrips[k] << " trips";
+    }
+  }
+}
+
+TEST(ClusterSelfsched, LatePeerRunsNothingAndTheOthersRunItsBlock) {
+  // The last member enters only after the others have left the loop, its
+  // whole home block run: with no entry barrier they must run it rather
+  // than wait for its owner, whose one claim finds the work gone. It
+  // sleeps about 200 ms, then polls under a lock until the others have
+  // left, bounded so a loop that waits for the owner fails instead of
+  // hanging.
+  constexpr int np = kSelfschedNp;
+  constexpr std::int64_t kTrips = 4 * np + 3;
+  force::Force f(cluster_config(np));
+  auto& rows = f.shared<std::array<TripCounts, np>>("late_rows");
+  auto& left = f.shared<std::int64_t>("late_left");
+  auto& waited_out = f.shared<std::int64_t>("late_waited_out");
+  rows = {};
+  left = 0;
+  waited_out = 0;
+  f.run([&](fc::Ctx& ctx) {
+    TripCounts& mine = rows[static_cast<std::size_t>(ctx.me0())];
+    const bool late = ctx.me0() == np - 1;
+    const auto under_lock = [&ctx](const std::function<void()>& body) {
+      ctx.critical(FORCE_SITE, body);
+    };
+    if (late) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      std::int64_t seen = 0;
+      while (seen < np - 1 && waited_out == 0) {
+        under_lock([&] { seen = left; });
+        if (std::chrono::steady_clock::now() > deadline) waited_out = 1;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    ctx.selfsched_do(FORCE_SITE, 0, kTrips - 1, 1, [&](std::int64_t t) {
+      mine[static_cast<std::size_t>(t)] += 1;
+    });
+    if (!late) under_lock([&] { left += 1; });
+  });
+  EXPECT_EQ(waited_out, 0);
+  EXPECT_EQ(wrong_trips(rows, [](const TripCounts& r) { return r; }, kTrips),
+            0);
+  std::int32_t late_ran = 0;
+  for (std::int32_t runs : rows[np - 1]) late_ran += runs;
+  EXPECT_EQ(late_ran, 0);
+}
+
+TEST(ClusterSelfsched, AnOwnerHeldInItsFirstTripLeavesHalfItsBlockToOthers) {
+  // Member 0 enters first, and its first trip does not end until the
+  // others have left the loop, as one trip far costlier than the rest
+  // would: the others must run every trip member 0 was not granted. Its
+  // first claim took half of its 16-trip home block, so it runs 8 trips
+  // and the others the other 8; a grant of the whole home block would
+  // leave them nothing to take there and member 0 all 16. Both waits poll
+  // under a lock, bounded so a loop that waits for member 0 fails instead
+  // of hanging.
+  constexpr int np = kSelfschedNp;
+  constexpr std::int64_t kTrips = 16 * np;
+  force::Force f(cluster_config(np));
+  auto& rows = f.shared<std::array<TripCounts, np>>("held_rows");
+  auto& entered = f.shared<std::int64_t>("held_entered");
+  auto& left = f.shared<std::int64_t>("held_left");
+  auto& waited_out = f.shared<std::int64_t>("held_waited_out");
+  rows = {};
+  entered = 0;
+  left = 0;
+  waited_out = 0;
+  f.run([&](fc::Ctx& ctx) {
+    TripCounts& mine = rows[static_cast<std::size_t>(ctx.me0())];
+    const auto under_lock = [&ctx](const std::function<void()>& body) {
+      ctx.critical(FORCE_SITE, body);
+    };
+    const auto await = [&](const std::int64_t& shared, std::int64_t want) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      std::int64_t seen = 0;
+      while (seen < want && waited_out == 0) {
+        under_lock([&] { seen = shared; });
+        if (std::chrono::steady_clock::now() > deadline) waited_out = 1;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    const bool owner = ctx.me0() == 0;
+    if (!owner) await(entered, 1);
+    bool held = false;
+    ctx.selfsched_do(FORCE_SITE, 0, kTrips - 1, 1, [&](std::int64_t t) {
+      mine[static_cast<std::size_t>(t)] += 1;
+      if (!owner || held) return;
+      held = true;
+      under_lock([&] { entered = 1; });
+      await(left, np - 1);
+    });
+    if (!owner) under_lock([&] { left += 1; });
+  });
+  EXPECT_EQ(waited_out, 0);
+  EXPECT_EQ(wrong_trips(rows, [](const TripCounts& r) { return r; }, kTrips),
+            0);
+  std::int32_t owner_ran = 0;
+  for (std::int32_t runs : rows[0]) owner_ran += runs;
+  EXPECT_EQ(owner_ran, 8);
+}
+
+TEST(ClusterSelfsched, BackToBackReentriesRunEveryTripOnce) {
+  // One site re-entered 50 times with no barrier between episodes: a
+  // member's next arrival waits on the coordinator until every member has
+  // departed the episode before, and is then the opener or a joiner.
+  constexpr int np = kSelfschedNp;
+  constexpr int kEpisodes = 50;
+  const auto trips_of = [](int e) {
+    return static_cast<std::int64_t>((e * 7) % 23);
+  };
+  using Row = std::array<TripCounts, kEpisodes>;
+  force::Force f(cluster_config(np));
+  auto& rows = f.shared<std::array<Row, np>>("reentry_rows");
+  rows = {};
+  f.run([&](fc::Ctx& ctx) {
+    Row& mine = rows[static_cast<std::size_t>(ctx.me0())];
+    for (int e = 0; e < kEpisodes; ++e) {
+      auto& slots = mine[static_cast<std::size_t>(e)];
+      ctx.selfsched_do(FORCE_SITE, 0, trips_of(e) - 1, 1, [&](std::int64_t t) {
+        slots.at(static_cast<std::size_t>(t)) += 1;
+      });
+    }
+  });
+  for (int e = 0; e < kEpisodes; ++e) {
+    const auto episode = static_cast<std::size_t>(e);
+    EXPECT_EQ(wrong_trips(rows, [episode](const Row& r) { return r[episode]; },
+                          trips_of(e)),
+              0)
+        << "episode " << e;
+  }
+}
+
+TEST(ClusterSelfsched, AMemberWhoseBodyThrewStillDeparts) {
+  // A body that throws ends its member's claim loop without the empty
+  // claim that is the departure, so leave() departs instead: without it
+  // the next episode, which waits for every departure, could never open.
+  constexpr int np = kSelfschedNp;
+  constexpr std::int64_t kTrips = 4 * np + 3;
+  force::Force f(cluster_config(np));
+  auto& rows = f.shared<std::array<TripCounts, np>>("threw_rows");
+  rows = {};
+  const double secs = timed_seconds([&] {
+    f.run([&](fc::Ctx& ctx) {
+      TripCounts& mine = rows[static_cast<std::size_t>(ctx.me0())];
+      for (int e = 0; e < 2; ++e) {
+        try {
+          ctx.selfsched_do(FORCE_SITE, 0, kTrips - 1, 1, [&](std::int64_t t) {
+            if (e == 0 && ctx.me0() == 0) throw std::runtime_error("body");
+            if (e == 1) mine[static_cast<std::size_t>(t)] += 1;
+          });
+        } catch (const std::runtime_error&) {
+        }
+      }
+    });
+  });
+  EXPECT_EQ(wrong_trips(rows, [](const TripCounts& r) { return r; }, kTrips),
+            0);
+  EXPECT_LT(secs, 5.0);
+}
+
+TEST(ClusterSelfsched, DivergentBoundsDieNamingTheLoopInsteadOfHanging) {
+  force::Force f(cluster_config(kSelfschedNp));
+  const double secs = timed_seconds([&] {
+    try {
+      f.run([](fc::Ctx& ctx) {
+        const std::int64_t last = ctx.me() == 2 ? 40 : 30;
+        ctx.selfsched_do(FORCE_SITE, 1, last, 1, [](std::int64_t) {});
+        ctx.barrier();
+      });
+      FAIL() << "expected ProcessDeathError";
+    } catch (const md::ProcessDeathError& e) {
+      EXPECT_NE(e.site().find("selfsched"), std::string::npos)
+          << "victim site: " << e.site();
+      EXPECT_NE(e.error_text().find("divergent loop bounds"),
+                std::string::npos)
+          << "error text: " << e.error_text();
+    }
+  });
+  EXPECT_LT(secs, 5.0);
 }
