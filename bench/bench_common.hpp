@@ -18,10 +18,7 @@
 #include <thread>
 #include <vector>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
+#include "machdep/wait.hpp"
 #include "theforce.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -155,18 +152,11 @@ inline std::string render_bench_json(
   return json;
 }
 
-/// The CPUs this process may run on: its affinity mask on Linux, so a
-/// run under `taskset -c 0` records 1 (hardware_concurrency() counts every
-/// online CPU whatever the pin), and the online count elsewhere.
+/// The CPUs this process may run on (machdep::Waiter::usable_cpus): its
+/// affinity mask on Linux, so a run under `taskset -c 0` records 1
+/// (hardware_concurrency() counts every online CPU whatever the pin).
 inline std::uint64_t host_cpu_count() {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof set, &set) == 0) {
-    return static_cast<std::uint64_t>(CPU_COUNT(&set));
-  }
-#endif
-  return std::thread::hardware_concurrency();
+  return force::machdep::Waiter::usable_cpus();
 }
 
 /// Host provenance fields recorded in every artifact that carries

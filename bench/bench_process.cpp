@@ -12,11 +12,15 @@
 //   * simulated: per-machine creation cost, and the work-grain crossover:
 //     how much computation a force must do before creating it pays off -
 //     tiny on the HEP, enormous on the fork machines.
+//   * measured: the cluster transport's round trip, the layer under every
+//     cluster construct: ns per empty construct RPC (a plain barrier) at
+//     np=1 and np=3, with the spin window the team-fit rule gave the team.
 #include <algorithm>
 #include <cstdlib>
 
 #include "bench_common.hpp"
 #include "machdep/process.hpp"
+#include "machdep/wait.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -316,6 +320,58 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- Cluster transport round trip ------------------------------------
+  //
+  // One empty construct RPC: a plain barrier of a cluster team, timed in
+  // member 1 over kRpcs barriers after a warm-up, so neither spawn nor
+  // join is in it. At np=1 a barrier is one request and its reply; at
+  // np=3 the reply also waits for the last of three arrivals. Each cell is
+  // the median of kRpcRuns forces. Recorded, not gated.
+  constexpr int kRpcWarmup = 200;
+  constexpr int kRpcs = 2000;
+  constexpr int kRpcRuns = 5;
+  struct RpcRecord {
+    int np;
+    std::int64_t window_ns;
+    double ns_per_rpc;
+  };
+  std::vector<RpcRecord> rpcs;
+  const auto rpc_ns = [](int team) {
+    force::ForceConfig cfg;
+    cfg.nproc = team;
+    cfg.process_model = "cluster";
+    force::Force f(cfg);
+    auto& per_rpc = f.shared<double>("per_rpc");
+    per_rpc = 0.0;
+    f.run([&per_rpc](force::Ctx& ctx) {
+      for (int i = 0; i < kRpcWarmup; ++i) ctx.barrier();
+      const std::int64_t t0 = force::util::now_ns();
+      for (int i = 0; i < kRpcs; ++i) ctx.barrier();
+      if (ctx.me() == 1) {
+        per_rpc = static_cast<double>(force::util::now_ns() - t0) / kRpcs;
+      }
+      ctx.barrier();  // ships member 1's figure back
+    });
+    return per_rpc;
+  };
+  for (const int team : {1, 3}) {
+    std::vector<double> runs;
+    for (int i = 0; i < kRpcRuns; ++i) runs.push_back(rpc_ns(team));
+    std::sort(runs.begin(), runs.end());
+    rpcs.push_back({team, md::Waiter::team_window_ns(team + 1),
+                    runs[runs.size() / 2]});
+  }
+  std::printf("\nCluster transport round trip (a plain barrier, median of "
+              "%d runs of %d):\n\n",
+              kRpcRuns, kRpcs);
+  force::util::Table rpc_tab({"np", "spin window", "ns/RPC"});
+  for (const auto& r : rpcs) {
+    rpc_tab.add_row({force::util::Table::num(static_cast<std::int64_t>(r.np)),
+                     ns_cell(static_cast<double>(r.window_ns)),
+                     ns_cell(r.ns_per_rpc)});
+  }
+  std::fputs(rpc_tab.render().c_str(), stdout);
+
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) {
     namespace fb = force::bench;
@@ -340,6 +396,15 @@ int main(int argc, char** argv) {
            fb::json_field("private_kib", fb::json_num(std::uint64_t(r.kib))),
            fb::json_field("bytes_copied", fb::json_num(r.bytes_copied)),
            fb::json_field("wall_ns", fb::json_num(r.wall_ns))});
+    }
+    for (const auto& r : rpcs) {
+      rows.push_back(
+          {fb::json_field("model", fb::json_str("cluster-rpc")),
+           fb::json_field("construct", fb::json_str("barrier")),
+           fb::json_field("np", fb::json_num(std::uint64_t(r.np))),
+           fb::json_field("window_ns",
+                          fb::json_num(std::uint64_t(r.window_ns))),
+           fb::json_field("ns_per_rpc", fb::json_num(r.ns_per_rpc))});
     }
     const std::string json = fb::render_bench_json("process_spawn", meta, rows);
     if (fb::write_text_file(json_path, json)) {

@@ -11,6 +11,7 @@
 #include "machdep/backend.hpp"
 #include "machdep/forkteam.hpp"
 #include "machdep/shm.hpp"
+#include "machdep/wait.hpp"
 #include "util/check.hpp"
 #include "util/timing.hpp"
 
@@ -21,10 +22,14 @@ namespace force::machdep::cluster {
 // ---------------------------------------------------------------------------
 namespace dsm {
 
-std::vector<Record> diff(const unsigned char* data, std::size_t n,
-                         std::vector<unsigned char>* shadow) {
+namespace {
+
+/// The diff's walk: calls run(offset, first, len) once per changed run of
+/// data[0, n) against the shadow, in offset order, and updates the shadow.
+template <typename Run>
+void for_each_run(const unsigned char* data, std::size_t n,
+                  std::vector<unsigned char>* shadow, Run&& run) {
   if (shadow->size() < n) shadow->resize(n, 0);
-  std::vector<Record> out;
   std::size_t i = 0;
   while (i < n) {
     // Every release flush scans the whole used arena and most find nothing,
@@ -52,13 +57,22 @@ std::vector<Record> diff(const unsigned char* data, std::size_t n,
     }
     std::size_t j = i + 1;
     while (j < n && data[j] != (*shadow)[j]) ++j;
-    Record rec;
-    rec.offset = i;
-    rec.bytes.assign(data + i, data + j);
+    run(i, data + i, j - i);
     std::memcpy(shadow->data() + i, data + i, j - i);
-    out.push_back(std::move(rec));
     i = j;
   }
+}
+
+}  // namespace
+
+std::vector<Record> diff(const unsigned char* data, std::size_t n,
+                         std::vector<unsigned char>* shadow) {
+  std::vector<Record> out;
+  for_each_run(data, n, shadow,
+               [&out](std::size_t offset, const unsigned char* first,
+                      std::size_t len) {
+                 out.push_back({offset, {first, first + len}});
+               });
   return out;
 }
 
@@ -81,6 +95,21 @@ void encode_records(net::Writer* w, const std::vector<Record>& recs) {
     w->u64(rec.offset);
     w->bytes(rec.bytes.data(), rec.bytes.size());
   }
+}
+
+void encode_diff(net::Writer* w, const unsigned char* data, std::size_t n,
+                 std::vector<unsigned char>* shadow) {
+  const std::size_t count_at = w->size();
+  w->u32(0);
+  std::uint32_t count = 0;
+  for_each_run(data, n, shadow,
+               [w, &count](std::size_t offset, const unsigned char* first,
+                           std::size_t len) {
+                 w->u64(offset);
+                 w->bytes(first, len);
+                 ++count;
+               });
+  w->patch_u32(count_at, count);
 }
 
 }  // namespace dsm
@@ -122,8 +151,12 @@ bool releases(net::MsgType type) {
 
 class ClusterClient {
  public:
-  ClusterClient(net::Conn conn, int proc0, SharedArena* arena)
-      : conn_(std::move(conn)), arena_(arena) {
+  /// `nproc`: the team's members, which with the coordinator make the
+  /// team whose fit to the CPUs sets how long a reply wait spins.
+  ClusterClient(net::Conn conn, int proc0, int nproc, SharedArena* arena)
+      : conn_(std::move(conn)),
+        arena_(arena),
+        spin_ns_(Waiter::team_window_ns(nproc + 1)) {
     if (arena_ != nullptr) {
       // The shadow starts as a full copy of the already-used arena so the
       // first flush diffs against real initial contents, not zeros - a
@@ -134,47 +167,70 @@ class ClusterClient {
           arena_->raw_bytes());
       shadow_.assign(base, base + used);
     }
-    net::Writer hello;
-    hello.u32(static_cast<std::uint32_t>(proc0));
-    (void)call(net::MsgType::kHello, "", hello);
+    begin(net::MsgType::kHello, "").u32(static_cast<std::uint32_t>(proc0));
+    (void)call();
   }
 
-  /// One construct RPC: sends the request, blocks for its kReply and
-  /// applies the reply's records. Returns a Reader over the reply body,
-  /// valid until the next call. kPoison throws shm::TeamPoisoned so the
-  /// member unwinds and exits 103.
-  net::Reader call(net::MsgType type, const std::string& key,
-                   const net::Writer& body = {}) {
-    post(type, key, body);
+  /// Starts a request {records, key, body} in the client's request buffer,
+  /// which every request reuses: writes the release flush (count 0 unless
+  /// the type is a release point) and the key, and returns the buffer for
+  /// the body. call() or post() sends it.
+  net::Writer& begin(net::MsgType type, const std::string& key) {
+    type_ = type;
+    request_.clear();
+    if (arena_ != nullptr && releases(type)) {
+      drain_pending();
+      const auto* base =
+          reinterpret_cast<const unsigned char*>(arena_->raw_bytes());
+      dsm::encode_diff(&request_, base, arena_->bytes_used(), &shadow_);
+    } else {
+      request_.u32(0);
+    }
+    request_.str(key);
+    return request_;
+  }
+
+  /// One construct RPC: sends the request begun, waits for its kReply
+  /// (spin, then block) and applies the reply's records. Returns a Reader
+  /// over the reply body, valid until the next call. kPoison throws
+  /// shm::TeamPoisoned so the member unwinds and exits 103.
+  net::Reader call() {
+    post();
     net::MsgType got{};
-    FORCE_CHECK(conn_.recv_frame(&got, &reply_),
+    const unsigned char* reply = nullptr;
+    std::size_t n = 0;
+    FORCE_CHECK(conn_.recv_frame(&got, &reply, &n, spin_ns_),
                 "cluster coordinator connection closed (the parent "
                 "process is gone)");
     if (got == net::MsgType::kPoison) throw shm::TeamPoisoned();
     FORCE_CHECK(got == net::MsgType::kReply,
                 "unexpected frame type from the cluster coordinator");
-    net::Reader r(reply_);
+    net::Reader r(reply, n);
     drain_pending();
     FORCE_CHECK(dsm::visit_records(&r,
                                    [this](std::uint64_t offset,
                                           const unsigned char* data,
-                                          std::size_t n) {
-                                     apply_record(offset, data, n);
+                                          std::size_t len) {
+                                     apply_record(offset, data, len);
                                    }),
                 "malformed update records from the cluster coordinator");
     return r;
   }
+  net::Reader call(net::MsgType type, const std::string& key) {
+    begin(type, key);
+    return call();
+  }
 
-  /// Sends the request {records, key, body} alone: the one-way requests
-  /// (lock release, askfor put, complete and probend) get no reply.
-  void post(net::MsgType type, const std::string& key,
-            const net::Writer& body = {}) {
-    net::Writer w;
-    dsm::encode_records(&w, releases(type) ? flush()
-                                           : std::vector<dsm::Record>{});
-    w.str(key);
-    w.raw(body.data().data(), body.data().size());
-    conn_.send_frame(type, w.data());
+  /// Sends the request begun alone: the one-way requests (lock release,
+  /// askfor put, complete and probend) get no reply. Clearing it at once
+  /// frees a large flush's storage before its reply is read.
+  void post() {
+    conn_.send_frame(type_, request_.data());
+    request_.clear();
+  }
+  void post(net::MsgType type, const std::string& key) {
+    begin(type, key);
+    post();
   }
 
   /// Best-effort: ships an exception message for death provenance.
@@ -193,16 +249,6 @@ class ClusterClient {
   void sever_connection_for_test() { conn_.shutdown_both(); }
 
  private:
-  /// This peer's release flush: the dirty arena runs, diffed against the
-  /// shadow.
-  std::vector<dsm::Record> flush() {
-    if (arena_ == nullptr) return {};
-    drain_pending();
-    const auto* base =
-        reinterpret_cast<const unsigned char*>(arena_->raw_bytes());
-    return dsm::diff(base, arena_->bytes_used(), &shadow_);
-  }
-
   void apply_record(std::uint64_t offset, const unsigned char* data,
                     std::size_t n) {
     if (arena_ == nullptr || n == 0) return;
@@ -236,9 +282,11 @@ class ClusterClient {
 
   net::Conn conn_;
   SharedArena* arena_;
+  std::int64_t spin_ns_;  // how long a reply wait spins before it blocks
   std::vector<unsigned char> shadow_;
   std::vector<dsm::Record> pending_;  // records ahead of local allocation
-  std::vector<unsigned char> reply_;  // the last reply, which call() views
+  net::MsgType type_{};   // the type of the request begun
+  net::Writer request_;  // the request begun, its storage kept
 };
 
 ClusterClient* g_client = nullptr;  // member-process link (post-fork)
@@ -276,10 +324,10 @@ class ClusterBarrier final : public BarrierEngine {
 
   void arrive(int /*proc0*/, const std::function<void()>* section) override {
     ClusterClient& c = member_link();
-    net::Writer body;
+    net::Writer& body = c.begin(net::MsgType::kBarrierArrive, key_);
     body.u32(static_cast<std::uint32_t>(width_));
     body.u8(section != nullptr ? 1 : 0);
-    net::Reader r = c.call(net::MsgType::kBarrierArrive, key_, body);
+    net::Reader r = c.call();
     if (read_flag(&r) == 0) return;
     // Elected champion: run the section with every earlier arrival's
     // writes applied; its own writes ride the section-done request, whose
@@ -344,7 +392,8 @@ class ClusterDoallSite final : public DoallSite {
 
  private:
   DispatchClaim claim_rpc(ClaimMode mode, std::int64_t amount) {
-    net::Writer body;
+    ClusterClient& link = member_link();
+    net::Writer& body = link.begin(net::MsgType::kDispatchClaim, site_);
     body.u64(episode_);
     body.u8(static_cast<std::uint8_t>(mode));
     body.i64(amount);
@@ -356,8 +405,7 @@ class ClusterDoallSite final : public DoallSite {
       body.i64(bounds_.trips);
       arrived_ = true;
     }
-    net::Reader r =
-        member_link().call(net::MsgType::kDispatchClaim, site_, body);
+    net::Reader r = link.call();
     std::uint8_t mismatch = 0;
     DispatchClaim c;
     FORCE_CHECK(r.u8(&mismatch) && r.i64(&c.begin) && r.i64(&c.count),
@@ -381,9 +429,9 @@ class ClusterAskforRing final : public AskforRing {
       : key_(std::move(key)), bytes_(task_bytes) {}
 
   void put(const void* task) override {
-    net::Writer body;
-    body.bytes(task, bytes_);
-    member_link().post(net::MsgType::kAskforPut, key_, body);
+    ClusterClient& c = member_link();
+    c.begin(net::MsgType::kAskforPut, key_).bytes(task, bytes_);
+    c.post();
   }
 
   std::size_t work(void* task, const std::function<void()>& run) override {
@@ -433,14 +481,12 @@ class ClusterAsyncCell final : public AsyncCell {
       : label_(std::move(label)), bytes_(payload_bytes) {}
 
   void produce(const void* value) override {
-    (void)member_link().call(net::MsgType::kCellProduce, label_,
-                             value_body(value));
+    (void)send_value(net::MsgType::kCellProduce, value);
   }
   void consume(void* out) override { take(out, false); }
   void copy(void* out) override { take(out, true); }
   bool try_produce(const void* value) override {
-    net::Reader r = member_link().call(net::MsgType::kCellTryProduce, label_,
-                                       value_body(value));
+    net::Reader r = send_value(net::MsgType::kCellTryProduce, value);
     return read_flag(&r) != 0;
   }
   bool try_consume(void* out) override {
@@ -461,15 +507,15 @@ class ClusterAsyncCell final : public AsyncCell {
   }
 
  private:
-  [[nodiscard]] net::Writer value_body(const void* value) const {
-    net::Writer body;
-    body.bytes(value, bytes_);
-    return body;
+  net::Reader send_value(net::MsgType type, const void* value) {
+    ClusterClient& c = member_link();
+    c.begin(type, label_).bytes(value, bytes_);
+    return c.call();
   }
   void take(void* out, bool copy) {
-    net::Writer body;
-    body.u8(copy ? 1 : 0);
-    net::Reader r = member_link().call(net::MsgType::kCellConsume, label_, body);
+    ClusterClient& c = member_link();
+    c.begin(net::MsgType::kCellConsume, label_).u8(copy ? 1 : 0);
+    net::Reader r = c.call();
     read_value(&r, out, bytes_);
   }
 
@@ -543,8 +589,6 @@ struct PeerIO {
   net::MsgType site_type = net::MsgType::kHello;
   std::string site_key;
   std::string error;
-  std::vector<unsigned char> inbuf;
-  std::size_t inpos = 0;
   std::size_t synced = 0;  // update-log entries this peer has seen
 };
 
@@ -650,7 +694,8 @@ class Coordinator {
  public:
   Coordinator(SharedArena* arena, std::vector<net::Conn> conns,
               const std::vector<long>& pids)
-      : arena_(arena) {
+      : arena_(arena),
+        spin_ns_(Waiter::team_window_ns(static_cast<int>(conns.size()) + 1)) {
     peers_.resize(conns.size());
     for (std::size_t i = 0; i < conns.size(); ++i) {
       peers_[i].conn = std::move(conns[i]);
@@ -733,34 +778,33 @@ class Coordinator {
   }
 
   void poll_and_read() {
-    poll_fds_.clear();
+    poll_set_.clear();
     poll_peers_.clear();
     for (std::size_t i = 0; i < peers_.size(); ++i) {
       PeerIO& p = peers_[i];
       if (p.conn.valid() && !p.eof) {
-        poll_fds_.push_back(p.conn.fd());
+        poll_set_.add(p.conn.fd());
         poll_peers_.push_back(static_cast<int>(i));
       }
     }
     // Every live socket closed: the reap waits for the exits instead.
-    if (poll_fds_.empty()) return;
-    // The timeout bounds how stale the grace-kill clock can get.
-    poll_ready_.resize(poll_fds_.size());
-    if (!net::poll_input(poll_fds_.data(), poll_ready_.data(),
-                         poll_fds_.size(), kPollTickMs)) {
+    if (poll_set_.size() == 0) return;
+    // Spin, then block: zero-timeout probes for the team's window, then
+    // one poll whose timeout bounds how stale the grace-kill clock can get.
+    Waiter waiter;
+    if (!waiter.spin_for(spin_ns_, [this] { return poll_set_.poll(0); }) &&
+        !poll_set_.poll(kPollTickMs)) {
       return;
     }
-    for (std::size_t k = 0; k < poll_fds_.size(); ++k) {
-      if (poll_ready_[k] != 0) read_some(poll_peers_[k]);
+    for (std::size_t k = 0; k < poll_set_.size(); ++k) {
+      if (poll_set_.ready(k)) read_some(poll_peers_[k]);
     }
   }
 
   void read_some(int peer) {
     PeerIO& p = peers_[static_cast<std::size_t>(peer)];
-    unsigned char buf[65536];
-    const long r = p.conn.read_some(buf, sizeof buf);
+    const long r = p.conn.fill();
     if (r > 0) {
-      p.inbuf.insert(p.inbuf.end(), buf, buf + r);
       parse_frames(peer);
       return;
     }
@@ -776,36 +820,22 @@ class Coordinator {
 
   void parse_frames(int peer) {
     PeerIO& p = peers_[static_cast<std::size_t>(peer)];
-    for (;;) {
-      const std::size_t avail = p.inbuf.size() - p.inpos;
-      if (avail < net::kFrameHeaderBytes) break;
-      net::FrameHeader h;
-      const net::DecodeStatus st =
-          net::decode_frame_header(p.inbuf.data() + p.inpos, avail, &h);
-      if (st != net::DecodeStatus::kOk) {
-        // A child of our own fork never sends garbage; treat the stream as
-        // torn rather than taking the coordinator (and the reaper) down.
-        if (p.error.empty()) {
-          p.error = "malformed frame from peer (protocol corruption)";
-        }
-        p.eof = true;
-        p.conn.close();
-        return;
-      }
-      if (avail - net::kFrameHeaderBytes < h.payload_bytes) break;
-      const unsigned char* body =
-          p.inbuf.data() + p.inpos + net::kFrameHeaderBytes;
-      p.inpos += net::kFrameHeaderBytes + h.payload_bytes;
-      handle_frame(peer, static_cast<net::MsgType>(h.type), body,
-                   h.payload_bytes);
+    net::MsgType type{};
+    const unsigned char* body = nullptr;
+    std::size_t n = 0;
+    net::DecodeStatus st;
+    while ((st = p.conn.next_frame(&type, &body, &n)) ==
+           net::DecodeStatus::kOk) {
+      handle_frame(peer, type, body, n);
     }
-    if (p.inpos > 0 && p.inpos == p.inbuf.size()) {
-      p.inbuf.clear();
-      p.inpos = 0;
-    } else if (p.inpos > (1u << 20)) {
-      p.inbuf.erase(p.inbuf.begin(),
-                    p.inbuf.begin() + static_cast<std::ptrdiff_t>(p.inpos));
-      p.inpos = 0;
+    if (st != net::DecodeStatus::kNeedMore) {
+      // A child of our own fork never sends garbage; treat the stream as
+      // torn rather than taking the coordinator (and the reaper) down.
+      if (p.error.empty()) {
+        p.error = "malformed frame from peer (protocol corruption)";
+      }
+      p.eof = true;
+      p.conn.close();
     }
   }
 
@@ -1198,10 +1228,10 @@ class Coordinator {
 
   SharedArena* arena_;
   std::vector<PeerIO> peers_;
+  std::int64_t spin_ns_;  // how long a poll spins before it blocks
   // poll_and_read's scratch, kept across polls.
-  std::vector<int> poll_fds_;
+  net::PollSet poll_set_;
   std::vector<int> poll_peers_;
-  std::vector<char> poll_ready_;
   std::vector<LogEntry> log_;
   std::vector<unsigned char> log_bytes_;  // every logged record's bytes
   std::string key_;  // the key of the request being served
@@ -1254,7 +1284,7 @@ SpawnStats run_cluster_team(int nproc, PrivateSpace* space,
           if (k != proc) peer_ends[static_cast<std::size_t>(k)].close();
         }
         link.emplace(std::move(peer_ends[static_cast<std::size_t>(proc)]),
-                     proc, cfg.arena);
+                     proc, nproc, cfg.arena);
         g_client = &*link;
         entry(proc);
         // The orderly goodbye carries the final flush.

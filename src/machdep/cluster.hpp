@@ -14,9 +14,13 @@
 // member-side half, lives in cluster.cpp beside the coordinator handler
 // that decodes its bodies, so each wire format is known in one file. Every
 // frame, either way, leaves in one sendmsg(2) of header and payload. A
-// peer that is waiting is always parked in recv, so coordinator replies can
-// never deadlock; the only unsolicited coordinator frame is kPoison (team
-// death).
+// peer that is waiting is always reading its socket, so coordinator
+// replies can never deadlock; the only unsolicited coordinator frame is
+// kPoison (team death). Both sides wait spin-then-block: a peer probes
+// with non-blocking reads, the coordinator with zero-timeout polls, for
+// the window of machdep::Waiter's team-fit rule (np peers plus the
+// coordinator against the usable CPUs; 0 when they do not fit), and only
+// then sleeps in recv(2) or poll(2).
 //
 // Software distributed shared arena. Each peer's arena is a private
 // copy-on-write image of the parent's; a shadow copy tracks what the
@@ -111,6 +115,12 @@ void apply(std::vector<unsigned char>* image, const std::vector<Record>& recs,
 
 /// A records block: {count u32, count x {offset u64, bytes}}.
 void encode_records(net::Writer* w, const std::vector<Record>& recs);
+
+/// diff() written straight into `w` as a records block, with no Record
+/// built: the bytes equal encode_records(w, diff(data, n, shadow)). This is
+/// a peer's release flush.
+void encode_diff(net::Writer* w, const unsigned char* data, std::size_t n,
+                 std::vector<unsigned char>* shadow);
 
 /// Walks a records block in place, calling visit(offset, data, n) once per
 /// record with a view into the Reader's span - no record is copied out.

@@ -1,5 +1,6 @@
 #include "machdep/net.hpp"
 
+#include "machdep/wait.hpp"
 #include "util/check.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -14,7 +15,9 @@
 #include <cerrno>
 #endif
 
+#include <algorithm>
 #include <bit>
+#include <utility>
 
 namespace force::machdep::net {
 
@@ -49,43 +52,67 @@ DecodeStatus decode_frame_header(const unsigned char* data, std::size_t len,
 
 #if defined(__unix__) || defined(__APPLE__)
 
-Conn& Conn::operator=(Conn&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 void Conn::close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
+  head_ = tail_ = 0;
 }
 
 void Conn::shutdown_both() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
-long Conn::read_some(void* buf, std::size_t n) {
-  const ssize_t r = ::recv(fd_, buf, n, 0);
-  if (r > 0) return static_cast<long>(r);
-  if (r < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-    return 0;
+long Conn::read_input(bool wait) {
+  // The unread bytes move to the front of a buffer of one chunk or of the
+  // frame they start, whichever is larger (and never full). A connection
+  // in steady state reads with no allocation; a buffer grown for a large
+  // frame is released once the frame is consumed.
+  constexpr std::size_t kChunk = 16 * 1024;
+  if (head_ == tail_ && in_cap_ > kChunk) {
+    in_.reset();
+    in_cap_ = 0;
   }
-  return -1;
+  if (head_ > 0) {
+    std::memmove(in_.get(), in_.get() + head_, tail_ - head_);
+    tail_ -= head_;
+    head_ = 0;
+  }
+  std::size_t want = kChunk;
+  FrameHeader h;
+  if (decode_frame_header(in_.get(), tail_, &h) == DecodeStatus::kOk) {
+    want = std::max(want, kFrameHeaderBytes + h.payload_bytes);
+  }
+  if (want <= tail_) want = tail_ + kChunk;  // whole frames left unread
+  if (in_cap_ < want) {
+    auto grown = std::make_unique_for_overwrite<unsigned char[]>(want);
+    if (tail_ > 0) std::memcpy(grown.get(), in_.get(), tail_);
+    in_ = std::move(grown);
+    in_cap_ = want;
+  }
+  for (;;) {
+    const ssize_t r = ::recv(fd_, in_.get() + tail_, in_cap_ - tail_,
+                             wait ? 0 : MSG_DONTWAIT);
+    if (r > 0) {
+      tail_ += static_cast<std::size_t>(r);
+      return static_cast<long>(r);
+    }
+    if (r < 0 && errno == EINTR) {
+      if (wait) continue;
+      return 0;
+    }
+    // Nothing yet is only "try again" for a probe: a blocking read that
+    // returns empty-handed timed out (SO_RCVTIMEO), and fails.
+    if (r < 0 && !wait && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return 0;
+    }
+    return -1;
+  }
 }
 
-bool poll_input(const int* fds, char* ready, std::size_t n, int timeout_ms) {
-  std::vector<pollfd> pfds(n);
-  for (std::size_t k = 0; k < n; ++k) pfds[k] = {fds[k], POLLIN, 0};
-  if (::poll(pfds.data(), n, timeout_ms) <= 0) return false;
-  for (std::size_t k = 0; k < n; ++k) {
-    ready[k] = (pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-  }
-  return true;
+bool PollSet::poll(int timeout_ms) {
+  return ::poll(fds_.data(), fds_.size(), timeout_ms) > 0;
 }
 
 bool write_frame(int fd, MsgType type, const void* payload, std::size_t n) {
@@ -136,50 +163,6 @@ void Conn::send_frame(MsgType type, const void* payload, std::size_t n) {
               "coordinator is gone)");
 }
 
-namespace {
-
-// Blocking read of exactly n bytes. Returns bytes read (short only at EOF).
-std::size_t recv_exact(int fd, unsigned char* out, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, out + got, n - got, 0);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    break;  // EOF or hard error.
-  }
-  return got;
-}
-
-}  // namespace
-
-bool Conn::recv_frame(MsgType* type, std::vector<unsigned char>* payload) {
-  FORCE_CHECK(fd_ >= 0, "recv_frame on a closed cluster connection");
-  unsigned char hdr[kFrameHeaderBytes];
-  const std::size_t got = recv_exact(fd_, hdr, sizeof hdr);
-  if (got == 0) return false;  // orderly EOF at a frame boundary
-  FORCE_CHECK(got == sizeof hdr,
-              "cluster connection closed mid-frame (truncated header)");
-  FrameHeader h;
-  const DecodeStatus st = decode_frame_header(hdr, sizeof hdr, &h);
-  FORCE_CHECK(st == DecodeStatus::kOk,
-              st == DecodeStatus::kBadMagic
-                  ? "cluster frame rejected: bad magic"
-                  : (st == DecodeStatus::kBadVersion
-                         ? "cluster frame rejected: protocol version mismatch"
-                         : "cluster frame rejected: oversized payload"));
-  payload->resize(h.payload_bytes);
-  if (h.payload_bytes != 0) {
-    const std::size_t body = recv_exact(fd_, payload->data(), h.payload_bytes);
-    FORCE_CHECK(body == h.payload_bytes,
-                "cluster connection closed mid-frame (truncated payload)");
-  }
-  *type = static_cast<MsgType>(h.type);
-  return true;
-}
-
 std::pair<Conn, Conn> connected_pair(Transport transport) {
   if (transport == Transport::kUnix) {
     int fds[2] = {-1, -1};
@@ -217,20 +200,12 @@ std::pair<Conn, Conn> connected_pair(Transport transport) {
 
 #else  // !unix
 
-Conn& Conn::operator=(Conn&& other) noexcept {
-  fd_ = other.fd_;
-  other.fd_ = -1;
-  return *this;
-}
 void Conn::close() { fd_ = -1; }
 void Conn::shutdown_both() {}
-long Conn::read_some(void*, std::size_t) { return -1; }
-bool poll_input(const int*, char*, std::size_t, int) { return false; }
+long Conn::read_input(bool) { return -1; }
+bool PollSet::poll(int) { return false; }
 bool write_frame(int, MsgType, const void*, std::size_t) { return false; }
 void Conn::send_frame(MsgType, const void*, std::size_t) {
-  FORCE_CHECK(false, "the cluster transport requires a POSIX platform");
-}
-bool Conn::recv_frame(MsgType*, std::vector<unsigned char>*) {
   FORCE_CHECK(false, "the cluster transport requires a POSIX platform");
 }
 std::pair<Conn, Conn> connected_pair(Transport) {
@@ -238,6 +213,76 @@ std::pair<Conn, Conn> connected_pair(Transport) {
 }
 
 #endif
+
+Conn& Conn::operator=(Conn&& other) noexcept {
+  if (this != &other) {
+    close();
+    fd_ = std::exchange(other.fd_, -1);
+    in_ = std::move(other.in_);
+    in_cap_ = std::exchange(other.in_cap_, 0);
+    head_ = std::exchange(other.head_, 0);
+    tail_ = std::exchange(other.tail_, 0);
+  }
+  return *this;
+}
+
+long Conn::fill() { return read_input(false); }
+
+DecodeStatus Conn::next_frame(MsgType* type, const unsigned char** body,
+                              std::size_t* n) {
+  const std::size_t held = tail_ - head_;
+  FrameHeader h;
+  const DecodeStatus st = decode_frame_header(in_.get() + head_, held, &h);
+  if (st != DecodeStatus::kOk) return st;
+  if (held - kFrameHeaderBytes < h.payload_bytes) {
+    return DecodeStatus::kNeedMore;
+  }
+  *type = static_cast<MsgType>(h.type);
+  *body = in_.get() + head_ + kFrameHeaderBytes;
+  *n = h.payload_bytes;
+  head_ += kFrameHeaderBytes + h.payload_bytes;
+  return DecodeStatus::kOk;
+}
+
+bool Conn::recv_frame(MsgType* type, const unsigned char** body,
+                      std::size_t* n, std::int64_t spin_ns) {
+  FORCE_CHECK(fd_ >= 0, "recv_frame on a closed cluster connection");
+  Waiter waiter;
+  for (;;) {
+    const DecodeStatus st = next_frame(type, body, n);
+    if (st == DecodeStatus::kOk) return true;
+    FORCE_CHECK(st == DecodeStatus::kNeedMore,
+                st == DecodeStatus::kBadMagic
+                    ? "cluster frame rejected: bad magic"
+                    : (st == DecodeStatus::kBadVersion
+                           ? "cluster frame rejected: protocol version "
+                             "mismatch"
+                           : "cluster frame rejected: oversized payload"));
+    // Spin-then-block, with the window spent once per frame: the rest of
+    // a frame longer than one read is waited for in the kernel.
+    long r = 0;
+    if (!waiter.spin_for(std::exchange(spin_ns, 0),
+                         [&] { return (r = fill()) != 0; })) {
+      r = read_input(/*wait=*/true);
+    }
+    if (r > 0) continue;
+    const std::size_t held = tail_ - head_;
+    if (held == 0) return false;  // orderly EOF at a frame boundary
+    FORCE_CHECK(held >= kFrameHeaderBytes,
+                "cluster connection closed mid-frame (truncated header)");
+    FORCE_CHECK(false,
+                "cluster connection closed mid-frame (truncated payload)");
+  }
+}
+
+bool Conn::recv_frame(MsgType* type, std::vector<unsigned char>* payload,
+                      std::int64_t spin_ns) {
+  const unsigned char* body = nullptr;
+  std::size_t n = 0;
+  if (!recv_frame(type, &body, &n, spin_ns)) return false;
+  payload->assign(body, body + n);
+  return true;
+}
 
 bool parse_transport(const std::string& text, Transport* out) {
   if (text == "unix") {

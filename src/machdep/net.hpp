@@ -20,8 +20,11 @@
 // tests/test_cluster_proto.cpp.
 #pragma once
 
+#include <poll.h>
+
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,12 +143,31 @@ class Writer {
   /// Length-prefixed UTF-8/opaque string.
   void str(const std::string& s) { bytes(s.data(), s.size()); }
 
+  /// Overwrites the u32 written at byte `at` (a count known only once the
+  /// items after it are written).
+  void patch_u32(std::size_t at, std::uint32_t v) {
+    std::memcpy(buf_.data() + at, &v, sizeof v);
+  }
+
+  /// Empties the buffer. Storage of up to kKeepBytes is kept, so a Writer
+  /// reused for every request allocates only while its requests grow; a
+  /// larger one, left by a rare large message, is released.
+  void clear() {
+    if (buf_.capacity() > kKeepBytes) {
+      buf_ = {};
+    } else {
+      buf_.clear();
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] const std::vector<unsigned char>& data() const {
     return buf_;
   }
   [[nodiscard]] std::vector<unsigned char> take() { return std::move(buf_); }
 
  private:
+  static constexpr std::size_t kKeepBytes = 16 * 1024;
   std::vector<unsigned char> buf_;
 };
 
@@ -223,16 +245,17 @@ class Reader {
 };
 
 // ---------------------------------------------------------------------------
-// Blocking stream connection over a socket fd.
+// Stream connection over a socket fd.
 // ---------------------------------------------------------------------------
 
-/// Owns one end of a stream socket. Peers use it blocking; the coordinator
-/// reads through its own poll loop (poll_input, read_some).
+/// Owns one end of a stream socket and the bytes read from it that no
+/// frame has consumed yet. Peers wait for a frame with recv_frame; the
+/// coordinator reads through its own poll loop (PollSet, fill, next_frame).
 class Conn {
  public:
   Conn() = default;
   explicit Conn(int fd) : fd_(fd) {}
-  Conn(Conn&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  Conn(Conn&& other) noexcept { *this = std::move(other); }
   Conn& operator=(Conn&& other) noexcept;
   Conn(const Conn&) = delete;
   Conn& operator=(const Conn&) = delete;
@@ -248,15 +271,29 @@ class Conn {
     send_frame(type, payload.data(), payload.size());
   }
 
-  /// Blocks for one complete frame. Returns false on orderly EOF at a
-  /// frame boundary; throws on malformed headers or mid-frame EOF.
-  bool recv_frame(MsgType* type, std::vector<unsigned char>* payload);
+  /// Waits for one complete frame and views its payload in place: *body
+  /// stays valid until the next read on this connection. The wait spins
+  /// first, probing without blocking for up to `spin_ns` (a
+  /// Waiter::team_window_ns; 0 blocks at once), then blocks in recv(2);
+  /// the probe that finds the frame also reads it. Returns false on
+  /// orderly EOF at a frame boundary; throws on a malformed header or
+  /// mid-frame EOF.
+  bool recv_frame(MsgType* type, const unsigned char** body, std::size_t* n,
+                  std::int64_t spin_ns = 0);
+  /// recv_frame that copies the payload out.
+  bool recv_frame(MsgType* type, std::vector<unsigned char>* payload,
+                  std::int64_t spin_ns = 0);
 
-  /// Reads whatever has arrived, up to `n` bytes, without waiting for a
-  /// whole frame: the byte count; 0 when nothing could be read just now
-  /// (interrupted, or it would block); -1 once the far side has closed or
-  /// the link failed.
-  long read_some(void* buf, std::size_t n);
+  /// Reads whatever has arrived into the input buffer without waiting: the
+  /// byte count; 0 when nothing could be read just now (interrupted, or it
+  /// would block); -1 once the far side has closed or the link failed.
+  long fill();
+
+  /// Takes the next whole frame off the input buffer: kOk with *type,
+  /// *body and *n set (*body valid until the next read), kNeedMore when no
+  /// whole frame is buffered, or the header's fault.
+  DecodeStatus next_frame(MsgType* type, const unsigned char** body,
+                          std::size_t* n);
 
   /// Tears both directions down without closing the fd (the torn-connection
   /// fault-injection hook): the far side sees EOF while this process lives.
@@ -265,7 +302,16 @@ class Conn {
   void close();
 
  private:
+  /// Reads into the input buffer; `wait` blocks until something arrives.
+  long read_input(bool wait);
+
   int fd_ = -1;
+  // The input buffer, allocated without zero-filling so only the bytes
+  // read into it become resident: [head_, tail_) is unread.
+  std::unique_ptr<unsigned char[]> in_;
+  std::size_t in_cap_ = 0;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
 };
 
 /// The stream transport between cluster members and the coordinator.
@@ -282,9 +328,26 @@ enum class Transport {
 /// first = coordinator end, second = peer end.
 std::pair<Conn, Conn> connected_pair(Transport transport);
 
-/// Waits up to `timeout_ms` for input on fds[0, n) and sets ready[k] when
-/// fds[k] is readable, hung up or in error. False when none is.
-bool poll_input(const int* fds, char* ready, std::size_t n, int timeout_ms);
+/// A set of fds to wait for input on, kept across polls so a poll loop
+/// allocates nothing once the set has reached its size.
+class PollSet {
+ public:
+  void clear() { fds_.clear(); }
+  void add(int fd) { fds_.push_back({fd, POLLIN, 0}); }
+  [[nodiscard]] std::size_t size() const { return fds_.size(); }
+
+  /// Waits up to `timeout_ms` (0: one probe) for input on the set. False
+  /// when no fd is ready.
+  bool poll(int timeout_ms);
+  /// After a poll that returned true: whether entry k is readable, hung up
+  /// or in error.
+  [[nodiscard]] bool ready(std::size_t k) const {
+    return (fds_[k].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+  }
+
+ private:
+  std::vector<pollfd> fds_;
+};
 
 /// Sends one frame of `type` on `fd`: header and payload leave in one
 /// sendmsg(2) of two iovecs, with no copy, so the receiver wakes once per

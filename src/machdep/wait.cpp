@@ -13,11 +13,7 @@
 
 namespace force::machdep {
 
-namespace {
-
-/// CPUs this process may run on: the affinity mask where the host has one,
-/// so a team pinned to one CPU (taskset) counts as a 1-CPU host.
-unsigned usable_cpus() {
+unsigned Waiter::usable_cpus() {
 #ifdef __linux__
   cpu_set_t set;
   CPU_ZERO(&set);
@@ -28,12 +24,10 @@ unsigned usable_cpus() {
   return std::thread::hardware_concurrency();
 }
 
-}  // namespace
-
 int Waiter::host_window() {
   // Long enough that a wake arriving within a few microseconds (a barrier
   // release, a pooled force entry) is caught without a kernel round trip.
-  static const int window = usable_cpus() > 1 ? 1024 : 0;
+  static const int window = fits(2, usable_cpus()) ? 1024 : 0;
   return window;
 }
 

@@ -22,6 +22,16 @@
 //     wakes them through the same scope - an atomic notify for a private
 //     word, a futex wake keyed by the physical page for a shared one. No
 //     other code in the runtime wakes a word.
+//   * spin_for() - the spin half of a wait on something that is not a word:
+//     the cluster transport's socket input (machdep/net.*). It probes
+//     without blocking (a MSG_DONTWAIT read on a peer, a zero-timeout poll
+//     on the coordinator), a yield() between probes, until the probe
+//     succeeds or a window bounded in time runs out; then the caller
+//     blocks in recv(2) or poll(2). The window is the team-fit rule,
+//     team_window_ns(): a team's processes (a cluster's np members plus
+//     its coordinator) each get a CPU of their own or nobody spins. On one
+//     CPU, or with more processes than CPUs, the window is 0 and the wait
+//     blocks at once, since a spinner would hold the CPU its partner needs.
 //
 // The spinning lock kinds keep their own probe protocols (TAS, TTAS
 // backoff, ticket FIFO, MCS queue); the word shapes that sleep (word lock,
@@ -32,6 +42,8 @@
 
 #include <atomic>
 #include <cstdint>
+
+#include "util/timing.hpp"
 
 namespace force::machdep {
 
@@ -80,6 +92,44 @@ class Waiter {
     }
   }
 
+  /// Calls `probe()` until it returns true or `window_ns` has passed since
+  /// the first call, a yield() between calls. True once the probe
+  /// succeeded; false when the window ran out, and the caller then blocks
+  /// in the kernel. A window of 0 probes nothing and returns false.
+  template <typename Probe>
+  bool spin_for(std::int64_t window_ns, Probe&& probe) {
+    if (window_ns <= 0) return false;
+    const std::int64_t until = util::now_ns() + window_ns;
+    do {
+      if (probe()) return true;
+      // Each probe is a system call already, so a yield between probes
+      // costs little, and it hands the CPU over to a partner process the
+      // scheduler has put on this one.
+      ++spins_;
+      yield();
+    } while (util::now_ns() < until);
+    slept_ = true;
+    return false;
+  }
+
+  /// The team-fit rule: how long a wait on another process of a team of
+  /// `processes` may spin before it blocks, given `cpus` CPUs to run on.
+  /// kTeamWindowNs when every process has a CPU of its own, and 0 when
+  /// they do not fit: on one CPU, or with more processes than CPUs.
+  static std::int64_t team_window_ns(int processes, unsigned cpus) {
+    return fits(processes, cpus) ? kTeamWindowNs : 0;
+  }
+  /// The rule against the CPUs this process may run on now.
+  static std::int64_t team_window_ns(int processes) {
+    return team_window_ns(processes, usable_cpus());
+  }
+  /// The spin bound of a team that fits: a few socket round trips.
+  static constexpr std::int64_t kTeamWindowNs = 50'000;
+
+  /// CPUs this process may run on: the affinity mask where the host has
+  /// one, so a team pinned to one CPU (taskset) counts as a 1-CPU host.
+  static unsigned usable_cpus();
+
   /// Wakes sleepers of a word just changed. A private word takes an atomic
   /// notify inline (the pool and barrier hot paths); a shared word a futex
   /// wake, which must be 32 bits.
@@ -101,9 +151,10 @@ class Waiter {
     if (scope == WordScope::kShared) note_shared_site(label);
   }
 
-  /// pause() calls so far, window probes included.
+  /// pause() calls and spin_for() steps so far, window probes included.
   [[nodiscard]] std::uint64_t spins() const { return spins_; }
-  /// True once an await() has run out of window and slept (or yielded).
+  /// True once an await() or spin_for() has run out of window and slept
+  /// (or yielded), or left its caller to block.
   [[nodiscard]] bool slept() const { return slept_; }
 
   /// The fiber-aware yield: a continuation switch on a pooled N:M member,
@@ -127,6 +178,11 @@ class Waiter {
 
   /// Spin probes an await() spends before it sleeps: 0 on a 1-CPU host.
   static int host_window();
+  /// Whether `processes` each get one of `cpus` CPUs, with more than one.
+  static bool fits(int processes, unsigned cpus) {
+    return cpus > 1 && processes > 0 &&
+           static_cast<unsigned>(processes) <= cpus;
+  }
 
   /// Blocks while the word still reads `seen` (spurious returns allowed).
   template <typename T>

@@ -19,6 +19,10 @@
 //   * the coordinator's traffic tally shows each construct RPC as one
 //     request frame carrying its own release records, a clean flush as
 //     no record at all, and no record sent back to its writer;
+//   * a reply wait spins for the team-fit window and then blocks: peers
+//     whose window ran out while one member computed are released by its
+//     late arrival, and a team small enough to spin still ends a death or
+//     a torn link in ProcessDeathError;
 //   * selfscheduled loops, whose episodes the coordinator opens on the
 //     first claim with no entry barrier, run every trip exactly once,
 //     leave a late member's home block to the others, re-enter without a
@@ -28,6 +32,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <csignal>
@@ -40,8 +45,10 @@
 #include "core/force.hpp"
 #include "machdep/cluster.hpp"
 #include "machdep/process.hpp"
+#include "machdep/wait.hpp"
 #include "reduce_moments.hpp"
 #include "util/check.hpp"
+#include "util/timing.hpp"
 
 namespace fc = force::core;
 namespace md = force::machdep;
@@ -245,6 +252,106 @@ TEST(ClusterDeath, PeerExceptionCarriesConstructSiteProvenance) {
     // The victim noted the critical's lock site before dying.
     EXPECT_NE(e.site(), "startup");
   }
+}
+
+TEST(ClusterDeath, SpinningSurvivorsStillEndInProcessDeathError) {
+  // Two members and the coordinator fit any host with three CPUs, so here
+  // the survivor's reply wait and the coordinator's poll spin before they
+  // block (on fewer CPUs the window is 0 and this repeats the cases
+  // above): a death or a torn link must still surface as the victim's
+  // ProcessDeathError, the survivor released by poison.
+  const double secs = timed_seconds([] {
+    force::Force f(cluster_config(2));
+    try {
+      f.run([](fc::Ctx& ctx) {
+        if (ctx.me() == 2) raise(SIGKILL);
+        ctx.barrier();
+      });
+      ADD_FAILURE() << "expected ProcessDeathError (barrier)";
+    } catch (const md::ProcessDeathError& e) {
+      EXPECT_EQ(e.process(), 2);
+      EXPECT_EQ(e.term_signal(), SIGKILL);
+    }
+    force::Force g(cluster_config(2));
+    try {
+      g.run([](fc::Ctx& ctx) {
+        auto& af = ctx.askfor<std::int64_t>(FORCE_SITE);
+        if (ctx.leader()) af.put(1);
+        af.work([](std::int64_t&, fc::Askfor<std::int64_t>&) {
+          raise(SIGKILL);
+        });
+        ctx.barrier();
+      });
+      ADD_FAILURE() << "expected ProcessDeathError (askfor)";
+    } catch (const md::ProcessDeathError& e) {
+      EXPECT_EQ(e.term_signal(), SIGKILL);
+      EXPECT_NE(e.site().find("askfor"), std::string::npos)
+          << "victim site: " << e.site();
+    }
+    force::Force h(cluster_config(2));
+    try {
+      h.run([](fc::Ctx& ctx) {
+        if (ctx.me() == 2) {
+          md::cluster::sever_connection_for_test();
+          for (;;) pause();
+        }
+        ctx.barrier();
+      });
+      ADD_FAILURE() << "expected ProcessDeathError (torn)";
+    } catch (const md::ProcessDeathError& e) {
+      EXPECT_EQ(e.process(), 2);
+      EXPECT_EQ(e.term_signal(), SIGKILL);
+      EXPECT_NE(e.error_text().find("torn"), std::string::npos)
+          << "error text: " << e.error_text();
+    }
+  });
+  EXPECT_LT(secs, 30.0);
+}
+
+// --- spin, then block --------------------------------------------------------
+
+TEST(ClusterWait, PeersBlockedPastTheWindowAreReleasedByTheLateArrival) {
+  // Each round one member computes for many spin windows before the
+  // barrier, so the other peers' reply waits and the coordinator's poll
+  // run out of window and block. The late arrival's write must still
+  // reach every peer, and the wait changes no traffic: one request per
+  // barrier.
+  constexpr int kNproc = 3;
+  constexpr int kRounds = 4;
+  const std::int64_t compute_ns =
+      std::max<std::int64_t>(40 * md::Waiter::kTeamWindowNs, 2'000'000);
+  force::Force f(cluster_config(kNproc));
+  auto& late = f.shared<std::array<std::int64_t, kRounds>>("late");
+  auto& seen =
+      f.shared<std::array<std::int64_t, kNproc * kRounds>>("seen");
+  late = {};
+  seen = {};
+  f.run([&](fc::Ctx& ctx) {
+    for (int round = 0; round < kRounds; ++round) {
+      const auto r = static_cast<std::size_t>(round);
+      if (ctx.me() == 1 + round % kNproc) {
+        const std::int64_t until = force::util::now_ns() + compute_ns;
+        while (force::util::now_ns() < until) {
+        }
+        late[r] = 100 + round;
+      }
+      ctx.barrier();
+      seen[static_cast<std::size_t>(ctx.me() - 1) * kRounds + r] = late[r];
+    }
+    ctx.barrier();
+  });
+  for (int p = 0; p < kNproc; ++p) {
+    for (int round = 0; round < kRounds; ++round) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(p * kRounds + round)],
+                100 + round)
+          << "peer " << p + 1 << ", round " << round;
+    }
+  }
+  const md::cluster::Traffic t = md::cluster::last_run_traffic();
+  // Per peer: hello, one arrival per round, the closing barrier, join.
+  EXPECT_EQ(t.requests_in,
+            static_cast<std::uint64_t>(kNproc * (kRounds + 3)));
+  EXPECT_EQ(t.replies_out, t.requests_in);
 }
 
 // --- runtime narrowing rules (static lint R7 cross-check, dynamic side) ------

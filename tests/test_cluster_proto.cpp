@@ -432,6 +432,51 @@ TEST(ClusterDsm, DiffMatchesTheByteReference) {
   }
 }
 
+TEST(ClusterDsm, EncodedDiffIsByteIdenticalToTheEncodedRecords) {
+  // A peer's release flush writes the diff's runs straight into its
+  // request after whatever the request already holds; the bytes must be
+  // those of the records block built from diff(), and the shadow must end
+  // the same.
+  std::mt19937 rng(0xE7C0u);
+  net::Writer want;
+  net::Writer got;
+  net::Writer again;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{5}, kBlock + 3,
+                              4 * kBlock + 77}) {
+    for (int round = 0; round < 20; ++round) {
+      std::vector<unsigned char> shadow(n);
+      for (auto& b : shadow) b = static_cast<unsigned char>(rng() % 4);
+      std::vector<unsigned char> image = shadow;
+      const std::size_t writes = n == 0 ? 0 : rng() % (n / 4 + 2);
+      for (std::size_t w = 0; w < writes; ++w) {
+        image[rng() % n] = static_cast<unsigned char>(rng());
+      }
+      SCOPED_TRACE("n " + std::to_string(n) + " round " +
+                   std::to_string(round));
+      std::vector<unsigned char> shadow_want = shadow;
+      // A prefix, as a request's would be, in a Writer reused across
+      // rounds.
+      want.clear();
+      want.str("prefix");
+      dsm::encode_records(&want,
+                          dsm::diff(image.data(), n, &shadow_want));
+      got.clear();
+      got.str("prefix");
+      dsm::encode_diff(&got, image.data(), n, &shadow);
+      EXPECT_EQ(got.data(), want.data());
+      EXPECT_EQ(shadow, shadow_want);
+      // The same Writer, cleared, encodes the next flush alone.
+      std::vector<unsigned char> zeros(n, 0);
+      std::vector<unsigned char> zeros_want(n, 0);
+      again.clear();
+      dsm::encode_records(&again, dsm::diff(image.data(), n, &zeros_want));
+      got.clear();
+      dsm::encode_diff(&got, image.data(), n, &zeros);
+      EXPECT_EQ(got.data(), again.data());
+    }
+  }
+}
+
 TEST(ClusterDsm, SeededMessageSequenceFuzzIsDeterministicAtReleasePoints) {
   // A miniature cluster run, all in-process: kPeers images diverge through
   // random private writes, flush at random moments into a global update
@@ -642,6 +687,68 @@ TEST_P(ClusterFrames, VersionOneFrameIsRejectedOnTheWire) {
           << e.what();
     }
   }
+}
+
+TEST_P(ClusterFrames, AFrameLaterThanTheSpinWindowIsWaitedForInTheKernel) {
+  // The reader spins for a team window, finds nothing, and blocks; the
+  // frame arrives long after and is read whole.
+  constexpr std::int64_t kWindowNs = 50'000;
+  net::Writer payload;
+  payload.str("late reply");
+  std::thread writer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    sender_.send_frame(net::MsgType::kReply, payload.data());
+  });
+  net::MsgType type{};
+  const unsigned char* body = nullptr;
+  std::size_t n = 0;
+  const bool received = receiver_.recv_frame(&type, &body, &n, kWindowNs);
+  writer.join();
+  ASSERT_TRUE(received);
+  EXPECT_EQ(type, net::MsgType::kReply);
+  EXPECT_EQ(std::vector<unsigned char>(body, body + n), payload.data());
+}
+
+TEST_P(ClusterFrames, OneReadCarriesEveryFrameQueuedBehindIt) {
+  // Frames already queued are read together and handed out one by one
+  // from the connection's buffer, each view whole.
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    net::Writer w;
+    w.u64(k);
+    sender_.send_frame(net::MsgType::kReply, w.data());
+  }
+  net::MsgType type{};
+  const unsigned char* body = nullptr;
+  std::size_t n = 0;
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(receiver_.recv_frame(&type, &body, &n, 50'000));
+    net::Reader r(body, n);
+    std::uint64_t v = 99;
+    ASSERT_TRUE(r.u64(&v));
+    EXPECT_EQ(v, k);
+    EXPECT_TRUE(r.exhausted());
+  }
+  EXPECT_EQ(receiver_.next_frame(&type, &body, &n),
+            net::DecodeStatus::kNeedMore);
+}
+
+TEST_P(ClusterFrames, PollSetReportsOnlyTheConnectionWithInput) {
+  auto [quiet_coord, quiet_peer] = net::connected_pair(GetParam());
+  net::PollSet set;
+  set.add(quiet_coord.fd());
+  set.add(receiver_.fd());
+  EXPECT_FALSE(set.poll(0));  // a probe: nothing has arrived yet
+  sender_.send_frame(net::MsgType::kJoin, nullptr, 0);
+  ASSERT_TRUE(set.poll(1000));
+  EXPECT_FALSE(set.ready(0));
+  EXPECT_TRUE(set.ready(1));
+  EXPECT_GT(receiver_.fill(), 0);
+  net::MsgType type{};
+  const unsigned char* body = nullptr;
+  std::size_t n = 0;
+  ASSERT_EQ(receiver_.next_frame(&type, &body, &n), net::DecodeStatus::kOk);
+  EXPECT_EQ(type, net::MsgType::kJoin);
+  EXPECT_EQ(n, 0u);
 }
 
 TEST_P(ClusterFrames, SendToAClosedPeerReportsTheFarSideGone) {

@@ -8,6 +8,9 @@
 //     episode barrier or a cell seize - leaves with shm::TeamPoisoned once
 //     the team is poisoned, within one wait slice.
 //   * The fast path: a satisfied await neither spins nor sleeps.
+//   * The team-fit rule that sizes a socket wait's spin: a window bounded
+//     in time when the team's processes each get a CPU, 0 when they do not
+//     (one CPU, or more processes than CPUs), and spin_for keeps to it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "machdep/fiber.hpp"
@@ -24,6 +28,11 @@
 #include "machdep/shm.hpp"
 #include "machdep/wait.hpp"
 #include "machdep/words.hpp"
+#include "util/timing.hpp"
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 namespace md = force::machdep;
 
@@ -126,4 +135,77 @@ TEST(WaitFastPath, SatisfiedAwaitNeitherSpinsNorSleeps) {
   EXPECT_EQ(w.await(word, [](std::uint64_t v) { return v == 5; }), 5u);
   EXPECT_EQ(w.spins(), 0u);
   EXPECT_FALSE(w.slept());
+}
+
+TEST(WaitTeamFit, WindowIsZeroWhenTheTeamOutnumbersTheCpus) {
+  // A cluster of np members plus its coordinator is np + 1 processes.
+  EXPECT_EQ(md::Waiter::team_window_ns(5, 4), 0);
+  EXPECT_EQ(md::Waiter::team_window_ns(9, 8), 0);
+  EXPECT_EQ(md::Waiter::team_window_ns(3, 2), 0);
+}
+
+TEST(WaitTeamFit, WindowIsZeroOnOneCpu) {
+  EXPECT_EQ(md::Waiter::team_window_ns(1, 1), 0);
+  EXPECT_EQ(md::Waiter::team_window_ns(2, 1), 0);
+  EXPECT_EQ(md::Waiter::team_window_ns(2, 0), 0);
+}
+
+TEST(WaitTeamFit, WindowIsBoundedWhenTheTeamFits) {
+  for (const auto& [processes, cpus] :
+       {std::pair{2, 2u}, std::pair{4, 4u}, std::pair{3, 64u}}) {
+    const std::int64_t w = md::Waiter::team_window_ns(processes, cpus);
+    EXPECT_GT(w, 0) << processes << " processes on " << cpus << " CPUs";
+    // A few socket round trips, never a scheduler quantum.
+    EXPECT_LE(w, 200'000) << processes << " processes on " << cpus;
+  }
+}
+
+#ifdef __linux__
+TEST(WaitTeamFit, AThreadPinnedToOneCpuGetsNoWindow) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &saved)) {
+      CPU_SET(c, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const unsigned cpus = md::Waiter::usable_cpus();
+  const std::int64_t window = md::Waiter::team_window_ns(2);
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(cpus, 1u);
+  EXPECT_EQ(window, 0);
+}
+#endif
+
+TEST(WaitSpinFor, ZeroWindowProbesNothing) {
+  md::Waiter w;
+  int probes = 0;
+  EXPECT_FALSE(w.spin_for(0, [&] { return ++probes > 0; }));
+  EXPECT_EQ(probes, 0);
+  EXPECT_EQ(w.spins(), 0u);
+}
+
+TEST(WaitSpinFor, StopsAtTheProbeThatSucceeds) {
+  md::Waiter w;
+  int probes = 0;
+  EXPECT_TRUE(w.spin_for(1'000'000'000, [&] { return ++probes == 3; }));
+  EXPECT_EQ(probes, 3);
+  EXPECT_FALSE(w.slept());
+}
+
+TEST(WaitSpinFor, GivesUpOnceTheWindowRunsOut) {
+  constexpr std::int64_t kWindowNs = 2'000'000;
+  md::Waiter w;
+  const std::int64_t t0 = force::util::now_ns();
+  EXPECT_FALSE(w.spin_for(kWindowNs, [] { return false; }));
+  const std::int64_t spent = force::util::now_ns() - t0;
+  EXPECT_GE(spent, kWindowNs);
+  // Scheduling slack for a loaded host, far short of a hang.
+  EXPECT_LT(spent, kWindowNs + 500'000'000);
+  EXPECT_TRUE(w.slept());
+  EXPECT_GT(w.spins(), 0u);
 }
