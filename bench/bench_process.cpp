@@ -15,8 +15,13 @@
 //   * measured: the cluster transport's round trip, the layer under every
 //     cluster construct: ns per empty construct RPC (a plain barrier) at
 //     np=1 and np=3, with the spin window the team-fit rule gave the team.
+//   * measured: ns per empty cluster force (fork, connect, exit and reap
+//     every member) at np=3 and np=8, with the parent's maxrss: fork and
+//     exit both cost more the more pages the parent holds resident.
 #include <algorithm>
 #include <cstdlib>
+
+#include <sys/resource.h>
 
 #include "bench_common.hpp"
 #include "machdep/process.hpp"
@@ -47,6 +52,48 @@ int main(int argc, char** argv) {
       "Creation cost per model: what spawn must copy, and the simulated "
       "cost per machine; then the grain a program needs before a fork "
       "pays off.");
+
+  // --- Cluster force entry ---------------------------------------------
+  //
+  // One empty force of a cluster team with the default arena and private
+  // space: spawn, connect, join and reap every member. Each cell is the
+  // median of kEntryForces forces after a warm-up one. Measured first, so
+  // the parent's maxrss is this section's own and not the spawn sections'
+  // below. Recorded, not gated.
+  constexpr int kEntryForces = 41;
+  struct ClusterEntryRecord {
+    int np;
+    double ns_per_force;
+    long parent_maxrss_kib;
+  };
+  std::vector<ClusterEntryRecord> cluster_entries;
+  for (const int team : {3, 8}) {
+    force::ForceConfig cfg;
+    cfg.nproc = team;
+    cfg.process_model = "cluster";
+    force::Force f(cfg);
+    const auto empty = [](force::Ctx&) {};
+    f.run(empty);  // warm: startup linkage and the private-space copies
+    std::vector<double> runs;
+    for (int i = 0; i < kEntryForces; ++i) {
+      runs.push_back(force::bench::time_ns([&] { f.run(empty); }));
+    }
+    std::sort(runs.begin(), runs.end());
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    cluster_entries.push_back({team, runs[runs.size() / 2], usage.ru_maxrss});
+  }
+  std::printf("Empty cluster force (median of %d):\n\n", kEntryForces);
+  force::util::Table entry_tab({"np", "ns/force", "parent maxrss KiB"});
+  for (const auto& e : cluster_entries) {
+    entry_tab.add_row(
+        {force::util::Table::num(static_cast<std::int64_t>(e.np)),
+         ns_cell(e.ns_per_force),
+         force::util::Table::num(
+             static_cast<std::int64_t>(e.parent_maxrss_kib))});
+  }
+  std::fputs(entry_tab.render().c_str(), stdout);
+  std::printf("\n");
 
   // The thread-emulated models plus the real things: os-fork spawns actual
   // fork(2) children, so its wall time is the genuine UNIX process-control
@@ -405,6 +452,14 @@ int main(int argc, char** argv) {
            fb::json_field("window_ns",
                           fb::json_num(std::uint64_t(r.window_ns))),
            fb::json_field("ns_per_rpc", fb::json_num(r.ns_per_rpc))});
+    }
+    for (const auto& e : cluster_entries) {
+      rows.push_back(
+          {fb::json_field("model", fb::json_str("cluster-entry")),
+           fb::json_field("np", fb::json_num(std::uint64_t(e.np))),
+           fb::json_field("ns_per_force", fb::json_num(e.ns_per_force)),
+           fb::json_field("parent_maxrss_kib",
+                          fb::json_num(std::uint64_t(e.parent_maxrss_kib)))});
     }
     const std::string json = fb::render_bench_json("process_spawn", meta, rows);
     if (fb::write_text_file(json_path, json)) {

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "machdep/words.hpp"
 #include "util/check.hpp"
 
 namespace force::machdep {
@@ -97,19 +98,20 @@ SharedArena::SharedArena(std::size_t capacity_bytes, std::size_t page_size,
     guard_bytes_front_ = page_size_;
     guard_bytes_back_ = page_size_;
   }
-  storage_bytes_ = usable_bytes_ + guard_bytes_front_ + guard_bytes_back_ +
-                   page_size_;  // headroom so the usable base can be aligned
+  const std::size_t storage_bytes =
+      usable_bytes_ + guard_bytes_front_ + guard_bytes_back_ +
+      page_size_;  // headroom so the usable base can be aligned
   if (backing_ == ArenaBacking::kSharedMapping) {
-    const std::size_t header_bytes =
-        round_up(sizeof(ShmArenaHeader), page_size_);
-    mapping_ =
-        std::make_unique<shm::SharedMapping>(header_bytes + storage_bytes_);
-    shm_header_ = ::new (mapping_->data()) ShmArenaHeader();
+    header_bytes_ = round_up(sizeof(ShmArenaHeader), page_size_);
+    storage_ =
+        zero_pages(header_bytes_ + storage_bytes, PageSharing::kShared);
+    shm_header_ = ::new (storage_.get()) ShmArenaHeader();
     shm_header_->cursor = 0;
     shm_header_->padding_bytes = 0;
-    shm_storage_ = static_cast<std::byte*>(mapping_->data()) + header_bytes;
   } else {
-    storage_ = std::make_unique<std::byte[]>(storage_bytes_);
+    // Only the pages a program places names on become resident, so a
+    // fork copies and an exit tears down those alone (pages.hpp).
+    storage_ = zero_pages(storage_bytes);
   }
   if (shm_header_ != nullptr) {
     shm_header_->padding_bytes = guard_bytes_front_ + guard_bytes_back_;
@@ -129,10 +131,9 @@ SharedArena::SharedArena(std::size_t capacity_bytes, std::size_t page_size,
 std::byte* SharedArena::usable_base() {
   // The usable region always begins on a page boundary: the Alliant
   // requires it, the Encore's page arithmetic assumes it, and it makes
-  // every allocation's alignment guarantee independent of where new[]
-  // (or mmap) happened to place the backing storage.
-  std::byte* raw =
-      shm_storage_ != nullptr ? shm_storage_ : storage_.get();
+  // every allocation's alignment guarantee independent of where mmap
+  // happened to place the backing storage.
+  std::byte* raw = storage_.get() + header_bytes_;
   const auto addr = round_up(
       reinterpret_cast<std::uintptr_t>(raw) + guard_bytes_front_, page_size_);
   return reinterpret_cast<std::byte*>(addr);
@@ -456,12 +457,12 @@ void SharedArena::for_each_allocation(
 // ---------------------------------------------------------------------------
 
 PrivateSpace::PrivateSpace(std::size_t data_bytes, std::size_t stack_bytes) {
+  // Zeroed by the kernel on first touch: only the slots a program writes
+  // before the fork become resident in the parent.
   data_.capacity = data_bytes;
-  data_.parent = std::make_unique<std::byte[]>(data_bytes);
-  std::memset(data_.parent.get(), 0, data_bytes);
+  data_.parent = zero_pages(data_bytes);
   stack_.capacity = stack_bytes;
-  stack_.parent = std::make_unique<std::byte[]>(stack_bytes);
-  std::memset(stack_.parent.get(), 0, stack_bytes);
+  stack_.parent = zero_pages(stack_bytes);
 }
 
 std::size_t PrivateSpace::register_slot(Region region, std::size_t bytes,
@@ -489,12 +490,10 @@ void PrivateSpace::materialize(int nproc, InitMode mode) {
   auto make_copies = [&](RegionState& r, bool copy_from_parent) {
     r.per_process.resize(static_cast<std::size_t>(nproc));
     for (auto& seg : r.per_process) {
-      seg = std::make_unique<std::byte[]>(r.capacity);
+      seg = zero_pages(r.capacity);
       if (copy_from_parent) {
         std::memcpy(seg.get(), r.parent.get(), r.capacity);
         bytes_copied_ += r.capacity;
-      } else {
-        std::memset(seg.get(), 0, r.capacity);
       }
     }
     r.aliased_to_parent = false;

@@ -21,6 +21,7 @@
 // whose initialization semantics differ across process-creation models.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -31,7 +32,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "machdep/shm.hpp"
+#include "machdep/pages.hpp"
 
 namespace force::machdep {
 
@@ -50,8 +51,10 @@ enum class VarClass { kShared, kAsync };
 
 /// What backs the arena's pages.
 ///
-///   * kPrivateHeap    - ordinary heap storage; "sharing" means the thread-
-///                       emulated processes all see one address space.
+///   * kPrivateHeap    - one mmap(MAP_PRIVATE | MAP_ANONYMOUS) region;
+///                       "sharing" means the thread-emulated processes all
+///                       see one address space. Pages no name is placed on
+///                       are never touched, so they stay unmapped.
 ///   * kSharedMapping  - one mmap(MAP_SHARED | MAP_ANONYMOUS) region created
 ///                       before fork(), so real child processes share the
 ///                       pages (the kOsFork backend). The allocation
@@ -213,13 +216,12 @@ class SharedArena {
   /// reads need no Guard.
   std::atomic<std::uint64_t> generation_{0};
   bool linked_ = false;
-  std::unique_ptr<std::byte[]> storage_;
-  std::size_t storage_bytes_ = 0;
+  // kSharedMapping: [metadata header][storage pages] in one MAP_SHARED
+  // mapping; kPrivateHeap: the storage pages alone, MAP_PRIVATE.
+  ZeroPages storage_;
+  std::size_t header_bytes_ = 0;
   std::map<std::string, Allocation> allocations_;
-  // kSharedMapping only: the mapping holds [metadata header][storage pages].
-  std::unique_ptr<shm::SharedMapping> mapping_;
-  ShmArenaHeader* shm_header_ = nullptr;
-  std::byte* shm_storage_ = nullptr;
+  ShmArenaHeader* shm_header_ = nullptr;  ///< kSharedMapping only
 };
 
 /// Per-process private storage, split into a data region and a stack region
@@ -266,8 +268,8 @@ class PrivateSpace {
   struct RegionState {
     std::size_t capacity = 0;
     std::size_t cursor = 0;
-    std::unique_ptr<std::byte[]> parent;
-    std::vector<std::unique_ptr<std::byte[]>> per_process;
+    ZeroPages parent;
+    std::vector<ZeroPages> per_process;
     bool aliased_to_parent = false;
   };
   RegionState& state(Region r) {

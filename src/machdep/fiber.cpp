@@ -1,7 +1,6 @@
 #include "machdep/fiber.hpp"
 
 #include <exception>
-#include <memory>
 #include <thread>
 
 #include "util/check.hpp"
@@ -44,7 +43,7 @@ namespace {
 
 struct Fiber {
   ucontext_t ctx{};
-  std::unique_ptr<std::byte[]> stack;
+  ZeroPages stack;
   std::size_t stack_bytes = 0;
   std::function<void()> body;
   bool done = false;
@@ -161,7 +160,7 @@ void MemberScheduler::run(std::vector<std::function<void()>> bodies) {
       f.stack = std::move(free_stacks_.back());
       free_stacks_.pop_back();
     } else {
-      f.stack = std::make_unique<std::byte[]>(stack_bytes_);
+      f.stack = zero_pages(stack_bytes_);
     }
     FORCE_CHECK(getcontext(&f.ctx) == 0, "getcontext failed");
     f.ctx.uc_stack.ss_sp = f.stack.get();

@@ -22,8 +22,9 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
+
+#include "machdep/pages.hpp"
 
 namespace force::machdep {
 
@@ -75,7 +76,9 @@ class MemberScheduler {
   // scheduler once per force; re-allocating (and first-touch faulting) its
   // members' stacks every entry dominated pooled re-entry cost, so a
   // long-lived scheduler hands the same warm pages to the next force.
-  std::vector<std::unique_ptr<std::byte[]>> free_stacks_;
+  // A fresh stack comes from zero_pages, so it is resident only as deep
+  // as its member has run.
+  std::vector<ZeroPages> free_stacks_;
 };
 
 }  // namespace force::machdep

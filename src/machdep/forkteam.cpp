@@ -180,11 +180,11 @@ ForkTeam::~ForkTeam() {
 void ForkTeam::spawn(const std::function<void(int)>& entry) {
   // Created before the forks, so every process addresses the control
   // words at the same virtual address.
-  control_ = std::make_unique<shm::SharedMapping>(
-      sizeof(Control) + static_cast<std::size_t>(nproc_) * sizeof(Slot));
-  ctl_ = ::new (control_->data()) Control();
-  slots_ = reinterpret_cast<Slot*>(static_cast<std::byte*>(control_->data()) +
-                                   sizeof(Control));
+  control_ = zero_pages(
+      sizeof(Control) + static_cast<std::size_t>(nproc_) * sizeof(Slot),
+      PageSharing::kShared);
+  ctl_ = ::new (control_.get()) Control();
+  slots_ = reinterpret_cast<Slot*>(control_.get() + sizeof(Control));
   for (int p = 0; p < nproc_; ++p) {
     ::new (&slots_[p]) Slot();
     std::strncpy(slots_[p].site, resident_ ? "pool-parked" : "startup",

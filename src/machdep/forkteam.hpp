@@ -32,13 +32,10 @@
 #include <string>
 #include <vector>
 
+#include "machdep/pages.hpp"
 #include "machdep/process.hpp"
 
 namespace force::machdep {
-
-namespace shm {
-class SharedMapping;  // machdep/shm.hpp
-}
 
 /// How long a poisoned team's survivors get to leave before SIGKILL.
 constexpr std::int64_t kStragglerGraceNs = 5'000'000'000;  // 5 s
@@ -120,7 +117,7 @@ class ForkTeam {
   int nproc_;
   bool resident_;
   std::uint32_t generation_ = 0;
-  std::unique_ptr<shm::SharedMapping> control_;
+  ZeroPages control_;
   Control* ctl_ = nullptr;
   Slot* slots_ = nullptr;
   std::vector<long> pids_;

@@ -4,16 +4,12 @@
 #include <thread>
 
 #include "machdep/wait.hpp"
-#include "util/check.hpp"
 
 #ifdef __linux__
 #include <linux/futex.h>
-#include <sys/mman.h>
 #include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
-#else
-#include <sys/mman.h>
 #endif
 
 namespace force::machdep::shm {
@@ -91,22 +87,6 @@ void note_site(const char* label) {
   // diagnostic, never correctness, and the buffer stays NUL-terminated.
   std::strncpy(slot, label, cap - 1);
   slot[cap - 1] = '\0';
-}
-
-// --- shared anonymous mappings ---------------------------------------------
-
-SharedMapping::SharedMapping(std::size_t bytes) : bytes_(bytes) {
-  FORCE_CHECK(bytes > 0, "shared mapping must have a size");
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  FORCE_CHECK(p != MAP_FAILED, "mmap(MAP_SHARED) failed for " +
-                                   std::to_string(bytes) + " bytes");
-  data_ = p;  // anonymous mappings are zero-filled, a valid initial state
-              // for every shm state struct in this file
-}
-
-SharedMapping::~SharedMapping() {
-  if (data_ != nullptr) ::munmap(data_, bytes_);
 }
 
 }  // namespace force::machdep::shm

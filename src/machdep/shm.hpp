@@ -1,8 +1,9 @@
 // The os-fork backend's process-shared layer: raw futex waits and wakes
 // on address-free words in MAP_SHARED mappings (FUTEX_WAIT / FUTEX_WAKE
 // without the PRIVATE flag, so the wait queue is keyed by physical page;
-// a bounded sleep-poll elsewhere), the team-poison word, the last-known
-// site slot and the mappings themselves. The lock, barrier, full/empty,
+// a bounded sleep-poll elsewhere), the team-poison word and the last-known
+// site slot. The mappings the words live in are machdep::zero_pages
+// (pages.hpp) with PageSharing::kShared. The lock, barrier, full/empty,
 // dispatch and Askfor words are the same ones the thread backend uses
 // (machdep/words.hpp, core/askfor.hpp), placed in the arena and run with
 // WordScope::kShared.
@@ -86,29 +87,6 @@ void set_site_slot(char* slot, std::size_t capacity);
 
 /// Records `label` in the installed slot (no-op when none is installed).
 void note_site(const char* label);
-
-// --- shared anonymous mappings ---------------------------------------------
-
-/// RAII over one mmap(MAP_SHARED | MAP_ANONYMOUS) region. Created before
-/// fork(); parent and children then address the same pages at the same
-/// virtual address. Unmapped by whichever processes destroy it; the pages
-/// themselves live until the last mapping goes.
-class SharedMapping {
- public:
-  explicit SharedMapping(std::size_t bytes);
-  ~SharedMapping();
-
-  SharedMapping(const SharedMapping&) = delete;
-  SharedMapping& operator=(const SharedMapping&) = delete;
-
-  [[nodiscard]] void* data() { return data_; }
-  [[nodiscard]] const void* data() const { return data_; }
-  [[nodiscard]] std::size_t size() const { return bytes_; }
-
- private:
-  void* data_ = nullptr;
-  std::size_t bytes_ = 0;
-};
 
 // --- process-shared lock ---------------------------------------------------
 

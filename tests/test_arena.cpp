@@ -3,7 +3,13 @@
 // the per-process private space semantics.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "machdep/arena.hpp"
 #include "util/check.hpp"
@@ -13,7 +19,29 @@ using force::util::CheckError;
 
 namespace {
 constexpr std::size_t kPage = 4096;
+
+/// Pages of [p, p + bytes) that mincore(2) reports resident in this
+/// process, counted in the host's pages.
+std::size_t resident_pages(const void* p, std::size_t bytes) {
+  const auto host_page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(p) & ~(host_page - 1);
+  const auto end = (reinterpret_cast<std::uintptr_t>(p) + bytes +
+                    host_page - 1) & ~(host_page - 1);
+  std::vector<unsigned char> vec((end - begin) / host_page);
+  if (::mincore(reinterpret_cast<void*>(begin), end - begin, vec.data()) !=
+      0) {
+    ADD_FAILURE() << "mincore failed";
+    return 0;
+  }
+  return static_cast<std::size_t>(std::count_if(
+      vec.begin(), vec.end(), [](unsigned char v) { return (v & 1) != 0; }));
 }
+
+bool all_zero(const void* p, std::size_t bytes) {
+  const auto* b = static_cast<const std::byte*>(p);
+  return std::all_of(b, b + bytes, [](std::byte v) { return v == std::byte{0}; });
+}
+}  // namespace
 
 // --- basic allocation ---------------------------------------------------------
 
@@ -175,6 +203,73 @@ TEST(Arena, RedeclarationFollowsCommonBlockRules) {
   EXPECT_THROW(arena.declare("v", 8, 8, md::VarClass::kAsync), CheckError);
   arena.link();
   EXPECT_NE(arena.resolve("v"), nullptr);
+}
+
+// --- untouched pages stay unmapped -----------------------------------------
+//
+// Fork copies the page tables of the parent's resident pages and exit tears
+// them down, so the arena and the private regions must not touch pages a
+// program has not used (machdep/pages.hpp).
+
+TEST(ArenaPages, UntouchedPagesOfALargeArenaStayUnmapped) {
+  for (auto strategy : {md::SharingStrategy::kCompileTime,
+                        md::SharingStrategy::kRuntimePadded}) {
+    SCOPED_TRACE(md::sharing_strategy_name(strategy));
+    md::SharedArena arena(64u << 20, kPage, strategy);
+    EXPECT_EQ(resident_pages(arena.raw_bytes(), arena.capacity()), 0u);
+    if (strategy == md::SharingStrategy::kRuntimePadded) {
+      // The guard pages hold their fill pattern, so they alone are touched.
+      EXPECT_TRUE(arena.guards_intact());
+      EXPECT_EQ(resident_pages(arena.raw_bytes() - kPage,
+                               arena.capacity() + 2 * kPage),
+                2 * kPage / static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)));
+    }
+    // Placing and writing one small name makes its page resident, no more.
+    *static_cast<std::int64_t*>(
+        arena.allocate("x", 8, 8, md::VarClass::kShared)) = 1;
+    EXPECT_EQ(resident_pages(arena.raw_bytes(), arena.capacity()), 1u);
+  }
+}
+
+TEST(ArenaPages, AFreshAllocateOnceNameReadsAsZero) {
+  for (auto backing :
+       {md::ArenaBacking::kPrivateHeap, md::ArenaBacking::kSharedMapping}) {
+    SCOPED_TRACE(md::arena_backing_name(backing));
+    md::SharedArena arena(8u << 20, kPage, md::SharingStrategy::kCompileTime,
+                          backing);
+    // A dirtied neighbour must not bleed into the next name placed.
+    std::memset(arena.allocate("dirty", kPage, 64, md::VarClass::kShared),
+                0xFF, kPage);
+    constexpr std::size_t kBytes = 1u << 20;
+    void* p = arena.allocate_once("fresh", kBytes, 64, md::VarClass::kShared,
+                                  [](void*) {});
+    EXPECT_TRUE(all_zero(p, kBytes));
+  }
+}
+
+TEST(PrivateSpacePages, ParentRegionReadsAsZeroAndIsNotResident) {
+  constexpr std::size_t kBytes = 1u << 20;
+  md::PrivateSpace space(kBytes, kBytes);
+  for (auto region :
+       {md::PrivateSpace::Region::kData, md::PrivateSpace::Region::kStack}) {
+    const void* p = space.parent_ptr(region, 0);
+    EXPECT_EQ(resident_pages(p, kBytes), 0u);  // before the read below
+    EXPECT_TRUE(all_zero(p, kBytes));
+  }
+}
+
+TEST(PrivateSpacePages, HepCreateCopiesAreNotResident) {
+  constexpr std::size_t kBytes = 1u << 20;
+  md::PrivateSpace space(kBytes, kBytes);
+  space.materialize(3, md::PrivateSpace::InitMode::kZeroBoth);
+  for (int proc = 0; proc < 3; ++proc) {
+    for (auto region :
+         {md::PrivateSpace::Region::kData, md::PrivateSpace::Region::kStack}) {
+      const void* p = space.ptr(proc, region, 0);
+      EXPECT_EQ(resident_pages(p, kBytes), 0u);
+      EXPECT_TRUE(all_zero(p, kBytes));
+    }
+  }
 }
 
 // --- PrivateSpace ------------------------------------------------------------

@@ -1,7 +1,7 @@
 // The address-free words (machdep/words.hpp), each shape run under both
 // scopes: kPrivate with four threads, kShared with four fork()ed children.
-// Either way the words live in one shm::SharedMapping, so the two scopes
-// differ only in who the members are and how they sleep and wake.
+// Either way the words live in one MAP_SHARED zero_pages mapping, so the
+// two scopes differ only in who the members are and how they sleep and wake.
 //
 //   * word lock: mutual exclusion on a plain counter, with a blocking
 //     (window 0) and a spinning waiter side by side;
@@ -33,7 +33,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "machdep/shm.hpp"
+#include "machdep/pages.hpp"
 #include "machdep/words.hpp"
 
 namespace force::machdep {
@@ -53,12 +53,14 @@ constexpr int kMembers = 4;
 template <typename T>
 class Placed {
  public:
-  Placed() : map_(sizeof(T)), p_(::new (map_.data()) T()) {}
+  Placed()
+      : map_(md::zero_pages(sizeof(T), md::PageSharing::kShared)),
+        p_(::new (map_.get()) T()) {}
   T* operator->() { return p_; }
   T& operator*() { return *p_; }
 
  private:
-  md::shm::SharedMapping map_;
+  md::ZeroPages map_;
   T* p_;
 };
 
