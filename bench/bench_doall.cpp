@@ -75,7 +75,7 @@ DispatchThroughput measure_dispatch(const std::string& machine,
   cfg.machine = machine;
   cfg.dispatch = dispatch_mode;
   fc::ForceEnvironment env(cfg);
-  fc::SelfschedLoop loop(env, np);
+  fc::SelfschedLoop loop(env, np, "loop");
   DispatchThroughput r;
   r.machine = machine;
   r.engine = env.atomic_words() ? "atomic" : "locked";
@@ -96,7 +96,7 @@ double measured_imbalance(const std::string& schedule,
   fc::ForceConfig cfg;
   cfg.nproc = np;
   fc::ForceEnvironment env(cfg);
-  fc::SelfschedLoop loop(env, np);
+  fc::SelfschedLoop loop(env, np, "loop");
   std::vector<double> per_proc(static_cast<std::size_t>(np), 0.0);
   force::bench::on_team(np, [&](int me) {
     auto body = [&](std::int64_t i) {

@@ -70,7 +70,7 @@ SelfschedLoop::SelfschedLoop(ForceEnvironment& env, int width,
                              const std::string& key)
     : env_(env),
       width_(width),
-      site_(env.make_doall_site(width, key.empty() ? "anon" : key)) {}
+      site_(env.make_doall_site(width, key)) {}
 
 void SelfschedLoop::run(int me0, std::int64_t start, std::int64_t last,
                         std::int64_t incr,

@@ -79,7 +79,7 @@ class SelfschedLoop {
   /// key the loop's episode state (gate + dispatch counter + bounds) by it
   /// so every real process reaches the same words; it also names the site
   /// in death reports.
-  SelfschedLoop(ForceEnvironment& env, int width, const std::string& key = "");
+  SelfschedLoop(ForceEnvironment& env, int width, const std::string& key);
 
   /// Executes the loop body for dynamically claimed indices. `chunk` > 1
   /// claims several consecutive indices per critical section (chunked
@@ -116,8 +116,7 @@ class SelfschedLoop {
 /// pair space, then unflattened to (i, j) for the body.
 class Selfsched2Loop {
  public:
-  Selfsched2Loop(ForceEnvironment& env, int width,
-                 const std::string& key = "");
+  Selfsched2Loop(ForceEnvironment& env, int width, const std::string& key);
 
   void run(int me0, std::int64_t i_start, std::int64_t i_last,
            std::int64_t i_incr, std::int64_t j_start, std::int64_t j_last,

@@ -201,24 +201,6 @@ BarrierAlgorithm& ForceEnvironment::global_barrier() {
   return *global_barrier_;
 }
 
-std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_barrier(int width) {
-  require(machdep::Capability::kThreadBarrierAlgorithms,
-          "thread barrier algorithms", "");
-  BarrierKind kind = barrier_kind_;
-  if (kind == BarrierKind::kAuto) {
-    kind = atomic_words() ? BarrierKind::kCentralSense
-                          : BarrierKind::kPaperLock;
-  }
-  return observed(make_barrier_algorithm(kind, *this, width));
-}
-
-std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_barrier(
-    int width, const std::string& algorithm) {
-  require(machdep::Capability::kThreadBarrierAlgorithms,
-          "thread barrier algorithms", "");
-  return observed(make_barrier_algorithm(algorithm, *this, width));
-}
-
 std::unique_ptr<machdep::EpisodeGate> ForceEnvironment::new_episode_gate(
     int width, std::atomic<std::uint32_t>& word) {
   if (atomic_words()) {
@@ -252,8 +234,15 @@ std::unique_ptr<BarrierAlgorithm> ForceEnvironment::make_team_barrier(
   }
   std::unique_ptr<machdep::BarrierEngine> engine =
       backend_->make_team_barrier(width, key);
-  if (engine == nullptr) return make_barrier(width);
-  return std::make_unique<EngineBarrier>(width, std::move(engine));
+  if (engine != nullptr) {
+    return std::make_unique<EngineBarrier>(width, std::move(engine));
+  }
+  BarrierKind kind = barrier_kind_;
+  if (kind == BarrierKind::kAuto) {
+    kind = atomic_words() ? BarrierKind::kCentralSense
+                          : BarrierKind::kPaperLock;
+  }
+  return observed(make_barrier_algorithm(kind, *this, width));
 }
 
 std::unique_ptr<machdep::DoallSite> ForceEnvironment::make_doall_site(

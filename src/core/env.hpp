@@ -280,14 +280,6 @@ class ForceEnvironment {
   /// full force; sized to nproc with the configured algorithm.
   [[nodiscard]] BarrierAlgorithm& global_barrier();
 
-  /// Builds a barrier instance for `width` processes with the configured
-  /// (or an explicitly named) algorithm; used by Resolve's component and
-  /// join barriers. Rejected where thread barrier algorithms are (callers
-  /// there must key a process-shared barrier).
-  std::unique_ptr<BarrierAlgorithm> make_barrier(int width);
-  std::unique_ptr<BarrierAlgorithm> make_barrier(int width,
-                                                 const std::string& algorithm);
-
   /// The team barrier at `key`. On separate-process backends every
   /// process that resolves the key meets at the same barrier - the
   /// central-sense barrier over words placed at kBarrierWords + key under

@@ -34,10 +34,10 @@ void ResolveBuilder::run() {
   // Every process computes the same deterministic partition.
   const std::vector<int> sizes = resolve_partition(parent_.np(), weights);
   auto& env = parent_.env();
-  auto& st = env.sites().get_or_create<ResolveState>(
-      site_key_ + "%resolve", [&env, &sizes] {
-        return std::make_unique<ResolveState>(env, sizes);
-      });
+  const std::string key = site_key_ + "%resolve";
+  auto& st = env.sites().get_or_create<ResolveState>(key, [&] {
+    return std::make_unique<ResolveState>(env, sizes, key);
+  });
   FORCE_CHECK(st.sizes() == sizes,
               "Resolve site reached with divergent components");
 

@@ -138,7 +138,6 @@ class Ctx {
 
   /// Pcase builder for distinct code blocks (paper §3.3).
   [[nodiscard]] PcaseBuilder pcase(const Site& site) {
-    env_->require(machdep::Capability::kPcase, "Pcase", site_key(site));
     return PcaseBuilder(*env_, me0_, np_, site_key(site));
   }
 

@@ -43,9 +43,10 @@ void PcaseBuilder::run_selfsched() {
   // "A selfscheduled Pcase is similar to the selfscheduled DO loop in that
   // an asynchronous variable is needed for work distribution." We reuse
   // exactly that machinery: the shared dispatch state lives at this site.
-  auto& loop = env_.sites().get_or_create<SelfschedLoop>(
-      site_key_ + "%pcase",
-      [this] { return std::make_unique<SelfschedLoop>(env_, width_); });
+  const std::string key = site_key_ + "%pcase";
+  auto& loop = env_.sites().get_or_create<SelfschedLoop>(key, [this, &key] {
+    return std::make_unique<SelfschedLoop>(env_, width_, key);
+  });
   FORCE_CHECK(loop.width() == width_,
               "pcase site reused from a team of a different width");
   loop.run(me0_, 0, static_cast<std::int64_t>(blocks_.size()) - 1, 1,

@@ -40,8 +40,7 @@ class Reduction {
   /// `key` is the construct's stable site key. It names the team barrier
   /// and the arena blob `{T result; T slot[width]}`, so every address space
   /// that reaches the same site meets the same barrier and slots.
-  Reduction(ForceEnvironment& env, int width,
-            const std::string& key = "reduce")
+  Reduction(ForceEnvironment& env, int width, const std::string& key)
       : width_(width) {
     const auto cells = static_cast<std::size_t>(width) + 1;
     if constexpr (std::is_trivially_copyable_v<T>) {

@@ -62,15 +62,17 @@ ComponentAssignment assign_component(int proc0,
 }
 
 ResolveState::ResolveState(ForceEnvironment& env,
-                           const std::vector<int>& sizes)
+                           const std::vector<int>& sizes,
+                           const std::string& key)
     : sizes_(sizes) {
   component_barriers_.reserve(sizes_.size());
   int total = 0;
-  for (int s : sizes_) {
-    component_barriers_.push_back(env.make_barrier(s));
-    total += s;
+  for (std::size_t c = 0; c < sizes_.size(); ++c) {
+    component_barriers_.push_back(env.make_team_barrier(
+        sizes_[c], key + "/component" + std::to_string(c)));
+    total += sizes_[c];
   }
-  join_ = env.make_barrier(total);
+  join_ = env.make_team_barrier(total, key + "/join");
 }
 
 BarrierAlgorithm& ResolveState::component_barrier(int component) {

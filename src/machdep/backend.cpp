@@ -65,11 +65,10 @@ const char* process_model_valid_set() {
 const std::vector<CapabilityRow>& capability_table() {
   // Columns: cap, id, construct, thread, os-fork, cluster, reason.
   static const std::vector<CapabilityRow> kTable = {
-      {Capability::kPcase, "pcase", "Pcase", true, false, false,
-       "the section-negotiation claim registry is per-address-space, so "
-       "separate processes would each claim every section"},
-      {Capability::kResolve, "resolve", "Resolve", true, false, false,
-       "its component barriers and claim state are per-address-space"},
+      {Capability::kResolve, "resolve", "Resolve", true, true, false,
+       "a cluster selfsched site takes its width and home blocks from the "
+       "whole peer team, so a selfsched loop inside a component would never "
+       "re-open"},
       {Capability::kSentry, "sentry", "the runtime sentry", true, false,
        false,
        "the sentry cannot observe a separate-address-space team (its state "
@@ -91,10 +90,6 @@ const std::vector<CapabilityRow>& capability_table() {
       {Capability::kIsfull, "isfull", "Isfull", true, true, false,
        "the full/empty state lives in the coordinator, so any snapshot "
        "would be stale by the time it arrived"},
-      {Capability::kThreadBarrierAlgorithms, "thread-barriers",
-       "thread barrier algorithms", true, false, false,
-       "thread barrier algorithms cannot span separate address spaces; use "
-       "a keyed team barrier"},
   };
   return kTable;
 }

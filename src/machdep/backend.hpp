@@ -83,22 +83,20 @@ enum class ProcessModel {
 // ---------------------------------------------------------------------------
 
 enum class Capability {
-  kPcase,                   ///< Pcase section negotiation
-  kResolve,                 ///< Resolve component scheduling
-  kSentry,                  ///< runtime race/deadlock sentry
-  kTrace,                   ///< per-member event tracing
-  kTeamPool,                ///< persistent (pre-spawned) team pools
-  kNmScheduling,            ///< N:M member multiplexing (pool_workers > 0)
-  kNonTrivialPayloads,      ///< Askfor/Async/Reduce payloads that are not
-                            ///< provably trivially copyable
-  kIsfull,                  ///< non-blocking full/empty probe of a cell
-  kThreadBarrierAlgorithms  ///< named thread barrier algorithms
+  kResolve,             ///< Resolve component scheduling
+  kSentry,              ///< runtime race/deadlock sentry
+  kTrace,               ///< per-member event tracing
+  kTeamPool,            ///< persistent (pre-spawned) team pools
+  kNmScheduling,        ///< N:M member multiplexing (pool_workers > 0)
+  kNonTrivialPayloads,  ///< Askfor/Async/Reduce payloads that are not
+                        ///< provably trivially copyable
+  kIsfull               ///< non-blocking full/empty probe of a cell
 };
 
 /// One row of the capability matrix.
 struct CapabilityRow {
   Capability cap;
-  const char* id;         ///< stable kebab-case id, e.g. "pcase"
+  const char* id;         ///< stable kebab-case id, e.g. "team-pool"
   const char* construct;  ///< construct name as diagnostics spell it
   bool thread;
   bool os_fork;

@@ -1107,10 +1107,6 @@ class Linter {
   void scan_stmts_for_models(const std::vector<Stmt>& stmts) {
     for (const Stmt& s : stmts) {
       switch (s.kind) {
-        case StmtKind::kPcaseBegin:
-          add_capability_violation(s, machdep::Capability::kPcase, "Pcase",
-                                   "");
-          break;
         case StmtKind::kAskforBegin: {
           if (s.args.size() < 3) break;
           const std::string& type = s.args[2];

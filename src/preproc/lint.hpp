@@ -41,9 +41,9 @@
 //       not use the Reduce statement.
 //   R6  unreachable or duplicate statements after Join.
 //   R7  process-model portability: a construct the targeted process model
-//       rejects at run time (Pcase under os-fork, askfor payload types
-//       not provably trivially copyable, Isfull under the cluster
-//       model). Diagnostics fire for the --process-model being targeted;
+//       rejects at run time (askfor payload types not provably
+//       trivially copyable, Isfull under the cluster model).
+//       Diagnostics fire for the --process-model being targeted;
 //       the full per-model compatibility matrix is always computed and
 //       exported by `forcepp --lint-report=<path>.json`.
 //   W1  an `!force$ lint off` region left unclosed at end of file.

@@ -1,8 +1,9 @@
 # Two modes, selected by which -D variables the add_test() call passes:
 #
 #  - LINT_FIXTURE_DIR set: forcelint integration. Every shipped example
-#    must translate clean under --lint --Werror; every seeded fixture
-#    r<N>_*.force must fail with its rule id (force-lint-R<N>) on stderr.
+#    must translate clean under --lint --Werror for every process model;
+#    every seeded fixture r<N>_*.force must fail with its rule id
+#    (force-lint-R<N>) on stderr.
 #
 #  - otherwise: the paper's three-step pipeline for every machine model -
 #    forcepp translates the Force source, then the host C++ compiler
@@ -14,14 +15,20 @@ if(LINT_FIXTURE_DIR)
     "${EXAMPLES_DIR}/multifile/main.force"
     "${LINT_FIXTURE_DIR}/clean.force")
   list(SORT clean_sources)
-  foreach(src ${clean_sources})
-    execute_process(
-      COMMAND ${FORCEPP} ${src} --lint --Werror --o=${WORK_DIR}/lint_out.cpp
-      RESULT_VARIABLE rc OUTPUT_VARIABLE o ERROR_VARIABLE e)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "forcepp --lint --Werror flagged ${src}:\n${e}")
-    endif()
-    message(STATUS "lint clean: ${src}")
+  # The examples are portable: clean under every process model.
+  foreach(model machine os-fork cluster)
+    foreach(src ${clean_sources})
+      execute_process(
+        COMMAND ${FORCEPP} ${src} --lint --Werror --process-model=${model}
+          --o=${WORK_DIR}/lint_out.cpp
+        RESULT_VARIABLE rc OUTPUT_VARIABLE o ERROR_VARIABLE e)
+      if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+          "forcepp --lint --Werror --process-model=${model} flagged ${src}:"
+          "\n${e}")
+      endif()
+      message(STATUS "lint clean (${model}): ${src}")
+    endforeach()
   endforeach()
   # The separately compiled module unit needs --module.
   execute_process(

@@ -151,17 +151,6 @@ TEST_P(BackendCapabilityTest, IsfullMatchesTheTable) {
   }
 }
 
-TEST_P(BackendCapabilityTest, ThreadBarrierFactoryMatchesTheTable) {
-  const md::ProcessModel model = GetParam();
-  fc::ForceEnvironment env(config_for(model));
-  if (md::backend_supports(model,
-                           md::Capability::kThreadBarrierAlgorithms)) {
-    EXPECT_NO_THROW(env.make_barrier(2));
-  } else {
-    EXPECT_THROW(env.make_barrier(2), force::util::CheckError);
-  }
-}
-
 TEST_P(BackendCapabilityTest, ConfigurationRejectionsMatchTheTable) {
   const md::ProcessModel model = GetParam();
   const auto construct_with = [&](void (*tweak)(fc::ForceConfig&)) {
@@ -203,15 +192,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 namespace {
 
-constexpr const char* kPcaseSource =
-    "Force S\n"
-    "End declarations\n"
-    "Pcase\n"
-    "Usect\n"
-    "  ;\n"
-    "End pcase\n"
-    "Join\n";
-
 constexpr const char* kNonScalarAskforSource =
     "Force S\n"
     "Private integer T\n"
@@ -240,7 +220,6 @@ struct LintCase {
 
 TEST(LintMatrixAgreesWithTable, RejectedConstructsMatchPerModel) {
   const LintCase cases[] = {
-      {"pcase", kPcaseSource, md::Capability::kPcase},
       {"askfor-payload", kNonScalarAskforSource,
        md::Capability::kNonTrivialPayloads},
       {"isfull", kIsfullSource, md::Capability::kIsfull},

@@ -360,16 +360,70 @@ TEST(ClusterWait, PeersBlockedPastTheWindowAreReleasedByTheLateArrival) {
 // with --process-model=cluster flags the same constructs at translate time
 // (test_preproc_lint.cpp holds the static half).
 
-TEST(ClusterRejects, PcaseWithClusterDiagnostic) {
-  force::Force f(cluster_config(2));
-  try {
-    f.run([](fc::Ctx& ctx) {
-      ctx.pcase(FORCE_SITE).sect([] {}).run_presched();
-    });
-    FAIL() << "expected ProcessDeathError";
-  } catch (const md::ProcessDeathError& e) {
-    EXPECT_NE(e.error_text().find("Pcase"), std::string::npos);
-    EXPECT_NE(e.error_text().find("cluster"), std::string::npos);
+namespace {
+
+// Pcase blocks are counted per member, so no lock orders the counts.
+using PcaseCounts = std::array<std::array<std::int64_t, 5>, 3>;
+
+std::int64_t pcase_count(const PcaseCounts& rows, std::size_t block) {
+  std::int64_t n = 0;
+  for (const auto& row : rows) n += row[block];
+  return n;
+}
+
+}  // namespace
+
+TEST(ClusterPcase, PreschedBlocksRunOnceEach) {
+  force::Force f(cluster_config(3));
+  auto& rows = f.shared<PcaseCounts>("presched_rows");
+  rows = {};
+  f.run([&](fc::Ctx& ctx) {
+    auto& mine = rows[static_cast<std::size_t>(ctx.me0())];
+    ctx.pcase(FORCE_SITE)
+        .sect([&] { ++mine[0]; })
+        .sect([&] { ++mine[1]; })
+        .sect_if(false, [&] { ++mine[2]; })
+        .sect([&] { ++mine[3]; })
+        .sect([&] { ++mine[4]; })
+        .run_presched();
+  });
+  for (std::size_t b = 0; b < 5; ++b) {
+    EXPECT_EQ(pcase_count(rows, b), b == 2 ? 0 : 1) << "block " << b;
+  }
+}
+
+TEST(ClusterPcase, BackToBackSelfschedSitesRunEachBlockOnce) {
+  // Each Pcase site keys its own coordinator site: two sites reached back
+  // to back with different block counts are two loops, not one loop
+  // reached with divergent bounds.
+  constexpr int kEpisodes = 3;
+  force::Force f(cluster_config(3));
+  auto& first = f.shared<PcaseCounts>("first_rows");
+  auto& second = f.shared<PcaseCounts>("second_rows");
+  first = {};
+  second = {};
+  f.run([&](fc::Ctx& ctx) {
+    const auto me = static_cast<std::size_t>(ctx.me0());
+    auto& a = first[me];
+    auto& b = second[me];
+    for (int e = 0; e < kEpisodes; ++e) {
+      ctx.pcase(FORCE_SITE)
+          .sect([&] { ++a[0]; })
+          .sect([&] { ++a[1]; })
+          .sect([&] { ++a[2]; })
+          .sect([&] { ++a[3]; })
+          .sect([&] { ++a[4]; })
+          .run_selfsched();
+      ctx.pcase(FORCE_SITE)
+          .sect([&] { ++b[0]; })
+          .sect_if(false, [&] { ++b[1]; })
+          .run_selfsched();
+    }
+  });
+  for (std::size_t blk = 0; blk < 5; ++blk) {
+    EXPECT_EQ(pcase_count(first, blk), kEpisodes) << "first site, block " << blk;
+    EXPECT_EQ(pcase_count(second, blk), blk == 0 ? kEpisodes : 0)
+        << "second site, block " << blk;
   }
 }
 
@@ -385,6 +439,10 @@ TEST(ClusterRejects, ResolveWithClusterDiagnostic) {
   } catch (const md::ProcessDeathError& e) {
     EXPECT_NE(e.error_text().find("Resolve"), std::string::npos);
     EXPECT_NE(e.error_text().find("cluster"), std::string::npos);
+    EXPECT_NE(e.error_text().find(
+                  md::capability_row(md::Capability::kResolve).reason),
+              std::string::npos)
+        << e.error_text();
   }
 }
 

@@ -1,6 +1,6 @@
 // Cross-model conformance matrix (driven by tests/CMakeLists.txt).
 //
-// One binary, five canonical Force programs, each checked bit-identically
+// One binary, seven canonical Force programs, each checked bit-identically
 // against a sequential oracle:
 //
 //   * Saxpy            - selfscheduled DOALL over doubles;
@@ -9,7 +9,12 @@
 //   * ReduceFoldOrder  - 1000 Reduces of a float sum whose bits depend on
 //                        fold order, under reshuffled arrival orders;
 //   * AskforTreewalk   - dynamic work generation through the monitor;
-//   * ProduceConsume   - an async-variable pipeline through every process.
+//   * ProduceConsume   - an async-variable pipeline through every process;
+//   * PcaseBlocks      - two selfscheduled Pcase sites back to back and a
+//                        prescheduled one, with a false Csect, repeated;
+//   * ResolveComponents- a selfsched DO, a Reduce and a barrier inside
+//                        each component of a Resolve reached three times
+//                        (skipped where the backend rejects Resolve).
 //
 // The configuration cell comes in on the command line:
 //   --machine=<name> --dispatch=auto|locked --barrier=<algorithm> --fork
@@ -264,6 +269,124 @@ TEST(Conformance, ProduceConsumePipeline) {
     ctx.barrier();
   });
   EXPECT_EQ(sink, oracle) << "run " << run;
+  }
+}
+
+// --- PcaseBlocks: selfscheduled and prescheduled Pcase sites --------------
+
+TEST(Conformance, PcaseBlocks) {
+  constexpr int kEpisodes = 3;
+  constexpr std::size_t kSites = 3;
+  constexpr std::size_t kBlocks = 6;
+  // Block b of site s runs when enabled[s][b]; site 0 has more blocks than
+  // processes, site 1 fewer plus a false Csect, site 2 is prescheduled.
+  static constexpr std::array<std::array<bool, kBlocks>, kSites> kEnabled = {
+      {{true, true, true, true, true, true},
+       {true, false, true, false, false, false},
+       {true, true, false, true, true, false}}};
+  using Counts = std::array<std::array<std::int64_t, kBlocks>, kSites>;
+  Counts oracle{};
+  for (std::size_t s = 0; s < kSites; ++s) {
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      oracle[s][b] = kEnabled[s][b] ? kEpisodes : 0;
+    }
+  }
+
+  force::Force f(cell_config());
+  auto& counts = f.shared<Counts>("counts");
+  for (int run = 0; run < cell_runs(); ++run) {
+    counts = {};
+    f.run([&](core::Ctx& ctx) {
+      // One named lock per site's counts: two critical() sites would be
+      // two locks, and blocks of one site run on different processes.
+      std::array<force::machdep::BasicLock*, kSites> locks = {
+          &ctx.named_lock("pcase0"), &ctx.named_lock("pcase1"),
+          &ctx.named_lock("pcase2")};
+      const auto count = [&](std::size_t s, std::size_t b) {
+        locks[s]->acquire();
+        ++counts[s][b];
+        locks[s]->release();
+      };
+      for (int e = 0; e < kEpisodes; ++e) {
+        ctx.pcase(FORCE_SITE)
+            .sect([&] { count(0, 0); })
+            .sect([&] { count(0, 1); })
+            .sect([&] { count(0, 2); })
+            .sect([&] { count(0, 3); })
+            .sect([&] { count(0, 4); })
+            .sect([&] { count(0, 5); })
+            .run_selfsched();
+        ctx.pcase(FORCE_SITE)
+            .sect([&] { count(1, 0); })
+            .sect_if(false, [&] { count(1, 1); })
+            .sect([&] { count(1, 2); })
+            .run_selfsched();
+        ctx.pcase(FORCE_SITE)
+            .sect([&] { count(2, 0); })
+            .sect([&] { count(2, 1); })
+            .sect_if(false, [&] { count(2, 2); })
+            .sect([&] { count(2, 3); })
+            .sect([&] { count(2, 4); })
+            .run_presched();
+      }
+      ctx.barrier();
+    });
+    EXPECT_EQ(counts, oracle) << "run " << run;
+  }
+}
+
+// --- ResolveComponents: constructs nested inside Resolve components --------
+
+TEST(Conformance, ResolveComponents) {
+  constexpr int kReaches = 3;
+  constexpr std::int64_t kN = 200;
+  // Weights 2:1 split the four processes 3 + 1.
+  constexpr std::size_t kComponents = 2;
+  using Sums = std::array<std::array<std::int64_t, kComponents>, kReaches>;
+  Sums oracle{};
+  for (int r = 0; r < kReaches; ++r) {
+    for (std::size_t c = 0; c < kComponents; ++c) {
+      for (std::int64_t i = 1; i <= kN; ++i) {
+        oracle[static_cast<std::size_t>(r)][c] +=
+            i * static_cast<std::int64_t>(c + 1) * (r + 1);
+      }
+    }
+  }
+  const std::array<std::int64_t, kComponents> sections_oracle = {kReaches,
+                                                                 kReaches};
+
+  force::Force f(cell_config());
+  if (!f.env().supports(force::machdep::Capability::kResolve)) {
+    GTEST_SKIP() << "this backend rejects Resolve";
+  }
+  auto& sums = f.shared<Sums>("sums");
+  auto& sections = f.shared<std::array<std::int64_t, kComponents>>("sections");
+  for (int run = 0; run < cell_runs(); ++run) {
+    sums = {};
+    sections = {};
+    f.run([&](core::Ctx& ctx) {
+      for (int r = 0; r < kReaches; ++r) {
+        const auto body = [&, r](std::size_t c) {
+          return [&, r, c](core::Ctx& sub) {
+            std::int64_t local = 0;
+            sub.selfsched_do(FORCE_SITE, 1, kN, 1, [&](std::int64_t i) {
+              local += i * static_cast<std::int64_t>(c + 1) * (r + 1);
+            });
+            sub.reduce_into<std::int64_t>(
+                FORCE_SITE, local, sums[static_cast<std::size_t>(r)][c],
+                [](std::int64_t p, std::int64_t q) { return p + q; });
+            // One section per component episode, not one per member.
+            sub.barrier([&] { ++sections[c]; });
+          };
+        };
+        ctx.resolve(FORCE_SITE)
+            .component("wide", 2, body(0))
+            .component("narrow", 1, body(1))
+            .run();
+      }
+    });
+    EXPECT_EQ(sums, oracle) << "run " << run;
+    EXPECT_EQ(sections, sections_oracle) << "run " << run;
   }
 }
 

@@ -320,7 +320,7 @@ TEST(DispatchLockAccounting, LockOnlyMachinePaysOneAcquirePerDispatch) {
   const int np = 2;
   const std::int64_t trips = 50;
   fc::ForceEnvironment env(test_config(np, "sequent"));
-  fc::SelfschedLoop loop(env, np);
+  fc::SelfschedLoop loop(env, np, "loop");
   const auto before = fm::snapshot(env.machine().counters());
   on_team(np, [&](int me) { loop.run(me, 1, trips, 1, [](std::int64_t) {}); });
   const auto delta = fm::snapshot(env.machine().counters()) - before;
@@ -336,7 +336,7 @@ TEST(DispatchLockAccounting, NativeEpisodePaysNoLocks) {
   const int np = 2;
   const std::int64_t trips = 50;
   fc::ForceEnvironment env(test_config(np, "native"));
-  fc::SelfschedLoop loop(env, np);
+  fc::SelfschedLoop loop(env, np, "loop");
   const auto before = fm::snapshot(env.machine().counters());
   on_team(np, [&](int me) { loop.run(me, 1, trips, 1, [](std::int64_t) {}); });
   const auto delta = fm::snapshot(env.machine().counters()) - before;
@@ -351,7 +351,7 @@ TEST(DispatchLockAccounting, ForcedLockedNativeMatchesTheSeedTraffic) {
   const int np = 2;
   const std::int64_t trips = 50;
   fc::ForceEnvironment env(test_config(np, "native", "locked"));
-  fc::SelfschedLoop loop(env, np);
+  fc::SelfschedLoop loop(env, np, "loop");
   const auto before = fm::snapshot(env.machine().counters());
   on_team(np, [&](int me) { loop.run(me, 1, trips, 1, [](std::int64_t) {}); });
   const auto delta = fm::snapshot(env.machine().counters()) - before;

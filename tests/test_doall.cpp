@@ -40,7 +40,7 @@ void on_team(int np, const std::function<void(int)>& fn) {
 /// is reported, and the gate still lets both depart.
 void expect_divergent_bounds_detected(const fc::ForceConfig& cfg) {
   fc::ForceEnvironment env(cfg);
-  fc::SelfschedLoop loop(env, cfg.nproc);
+  fc::SelfschedLoop loop(env, cfg.nproc, "loop");
   std::atomic<int> failures{0};
   on_team(cfg.nproc, [&](int me) {
     try {
@@ -57,7 +57,7 @@ void expect_divergent_bounds_detected(const fc::ForceConfig& cfg) {
 /// is claimed once).
 void expect_throwing_body_departs(const fc::ForceConfig& cfg) {
   fc::ForceEnvironment env(cfg);
-  fc::SelfschedLoop loop(env, cfg.nproc);
+  fc::SelfschedLoop loop(env, cfg.nproc, "loop");
   std::atomic<int> thrown{0};
   on_team(cfg.nproc, [&](int me) {
     for (int episode = 0; episode < 3; ++episode) {
@@ -157,7 +157,7 @@ class SelfschedRangeTest
 TEST_P(SelfschedRangeTest, EveryIndexExactlyOnce) {
   const auto [range, np] = GetParam();
   fc::ForceEnvironment env(test_config(np));
-  fc::SelfschedLoop loop(env, np);
+  fc::SelfschedLoop loop(env, np, "loop");
   std::mutex m;
   std::map<std::int64_t, int> counts;
   on_team(np, [&](int me) {
@@ -192,7 +192,7 @@ TEST(Selfsched, ReentryAfterAllLeft) {
   // re-arm every episode (BARWIN/BARWOT protocol).
   const int np = 4;
   fc::ForceEnvironment env(test_config(np));
-  fc::SelfschedLoop loop(env, np);
+  fc::SelfschedLoop loop(env, np, "loop");
   std::atomic<std::int64_t> total{0};
   on_team(np, [&](int me) {
     for (int episode = 0; episode < 10; ++episode) {
@@ -206,7 +206,7 @@ TEST(Selfsched, ReentryAfterAllLeft) {
 TEST(Selfsched, ChunkedCoversExactlyOnce) {
   const int np = 3;
   fc::ForceEnvironment env(test_config(np));
-  fc::SelfschedLoop loop(env, np);
+  fc::SelfschedLoop loop(env, np, "loop");
   std::mutex m;
   std::map<std::int64_t, int> counts;
   on_team(np, [&](int me) {
@@ -225,8 +225,8 @@ TEST(Selfsched, ChunkedCoversExactlyOnce) {
 TEST(Selfsched, ChunkingReducesDispatches) {
   const int np = 2;
   fc::ForceEnvironment env(test_config(np));
-  fc::SelfschedLoop fine(env, np);
-  fc::SelfschedLoop coarse(env, np);
+  fc::SelfschedLoop fine(env, np, "fine");
+  fc::SelfschedLoop coarse(env, np, "coarse");
   on_team(np, [&](int me) { fine.run(me, 1, 512, 1, [](std::int64_t) {}); });
   const auto fine_dispatches =
       env.stats().doall_dispatches.load(std::memory_order_relaxed);
@@ -242,7 +242,7 @@ TEST(Selfsched, ChunkingReducesDispatches) {
 TEST(Selfsched, GuidedCoversExactlyOnceWithDecreasingClaims) {
   const int np = 4;
   fc::ForceEnvironment env(test_config(np));
-  fc::SelfschedLoop loop(env, np);
+  fc::SelfschedLoop loop(env, np, "loop");
   std::mutex m;
   std::map<std::int64_t, int> counts;
   on_team(np, [&](int me) {
@@ -268,7 +268,7 @@ TEST(Selfsched, DivergentBoundsAreDetected) {
 TEST(Selfsched, IterationStatsAreCounted) {
   const int np = 2;
   fc::ForceEnvironment env(test_config(np));
-  fc::SelfschedLoop loop(env, np);
+  fc::SelfschedLoop loop(env, np, "loop");
   on_team(np, [&](int me) { loop.run(me, 1, 50, 1, [](std::int64_t) {}); });
   EXPECT_EQ(env.stats().doall_iterations.load(std::memory_order_relaxed),
             50u);
@@ -281,7 +281,7 @@ TEST(Selfsched, WorksOnEveryMachineModel) {
   for (const auto& machine : force::machdep::machine_names()) {
     const int np = 3;
     fc::ForceEnvironment env(test_config(np, machine));
-    fc::SelfschedLoop loop(env, np);
+    fc::SelfschedLoop loop(env, np, "loop");
     std::atomic<std::int64_t> sum{0};
     on_team(np, [&](int me) {
       loop.run(me, 1, 100, 1, [&](std::int64_t i) { sum.fetch_add(i); });
@@ -295,7 +295,7 @@ TEST(Selfsched, WorksOnEveryMachineModel) {
 TEST(Selfsched2D, CoversPairSpaceExactlyOnce) {
   const int np = 3;
   fc::ForceEnvironment env(test_config(np));
-  fc::Selfsched2Loop loop(env, np);
+  fc::Selfsched2Loop loop(env, np, "loop");
   std::mutex m;
   std::map<std::pair<std::int64_t, std::int64_t>, int> counts;
   on_team(np, [&](int me) {
@@ -312,7 +312,7 @@ TEST(Selfsched2D, CoversPairSpaceExactlyOnce) {
 TEST(Selfsched2D, EmptyInnerRangeExecutesNothing) {
   const int np = 2;
   fc::ForceEnvironment env(test_config(np));
-  fc::Selfsched2Loop loop(env, np);
+  fc::Selfsched2Loop loop(env, np, "loop");
   std::atomic<int> runs{0};
   on_team(np, [&](int me) {
     loop.run(me, 1, 5, 1, 5, 1, 1,
@@ -342,7 +342,7 @@ class DispatchContentionTest
 
 TEST_P(DispatchContentionTest, ChunkedCoversExactlyOnce) {
   fc::ForceEnvironment env(config());
-  fc::SelfschedLoop loop(env, kNp);
+  fc::SelfschedLoop loop(env, kNp, "loop");
   std::mutex m;
   std::map<std::int64_t, int> counts;
   on_team(kNp, [&](int me) {
@@ -360,7 +360,7 @@ TEST_P(DispatchContentionTest, ChunkedCoversExactlyOnce) {
 
 TEST_P(DispatchContentionTest, GuidedCoversExactlyOnce) {
   fc::ForceEnvironment env(config());
-  fc::SelfschedLoop loop(env, kNp);
+  fc::SelfschedLoop loop(env, kNp, "loop");
   std::mutex m;
   std::map<std::int64_t, int> counts;
   on_team(kNp, [&](int me) {
@@ -375,7 +375,7 @@ TEST_P(DispatchContentionTest, GuidedCoversExactlyOnce) {
 
 TEST_P(DispatchContentionTest, TwoDimensionalCoversExactlyOnce) {
   fc::ForceEnvironment env(config());
-  fc::Selfsched2Loop loop(env, kNp);
+  fc::Selfsched2Loop loop(env, kNp, "loop");
   std::mutex m;
   std::map<std::pair<std::int64_t, std::int64_t>, int> counts;
   on_team(kNp, [&](int me) {
@@ -432,7 +432,7 @@ TEST_P(EpisodeGateTest, NoEntryBarrier) {
   // claim without waiting for member 1's arrival.
   constexpr std::int64_t kTrips = 100;
   fc::ForceEnvironment env(config(2));
-  fc::SelfschedLoop loop(env, 2);
+  fc::SelfschedLoop loop(env, 2, "loop");
   std::atomic<std::int64_t> ran_by_0{0};
   std::atomic<std::int64_t> ran_by_1{0};
   std::atomic<bool> waited_out{false};
@@ -462,7 +462,7 @@ TEST_P(EpisodeGateTest, ExitsWaitForAllArrivals) {
   // Member 0 finds the work exhausted long before member 1 arrives, but
   // may not leave the loop until member 1 has arrived.
   fc::ForceEnvironment env(config(2));
-  fc::SelfschedLoop loop(env, 2);
+  fc::SelfschedLoop loop(env, 2, "loop");
   std::atomic<bool> member1_arriving{false};
   std::atomic<bool> member0_left_early{false};
   on_team(2, [&](int me) {
@@ -486,7 +486,7 @@ TEST_P(EpisodeGateTest, BackToBackReentryWithChangingBounds) {
   constexpr int kEpisodes = 10000;
   constexpr std::int64_t kMaxTrips = 32;
   fc::ForceEnvironment env(config(kNp));
-  fc::SelfschedLoop loop(env, kNp);
+  fc::SelfschedLoop loop(env, kNp, "loop");
   std::vector<std::atomic<int>> hits(kEpisodes * kMaxTrips);
   on_team(kNp, [&](int me) {
     for (int e = 0; e < kEpisodes; ++e) {

@@ -40,10 +40,12 @@ int construct_suite(force::Force& f) {
     ctx.critical(FORCE_SITE, [&] { presched_sum += local; });
     ctx.barrier();
 
-    // 3. pcase
+    // 3. pcase: both blocks count under one critical site, since two
+    // sites would be two locks and the blocks run on different processes.
+    const auto hit = [&] { ctx.critical(FORCE_SITE, [&] { ++pcase_hits; }); };
     ctx.pcase(FORCE_SITE)
-        .sect([&] { ctx.critical(FORCE_SITE, [&] { ++pcase_hits; }); })
-        .sect([&] { ctx.critical(FORCE_SITE, [&] { ++pcase_hits; }); })
+        .sect(hit)
+        .sect(hit)
         .sect_if(false, [&] { pcase_hits += 100; })
         .run_selfsched();
     ctx.barrier();

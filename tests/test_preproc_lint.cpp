@@ -114,8 +114,7 @@ TEST_P(LintR7FixtureTest, SeededFixtureTripsR7UnderOsForkTarget) {
 }
 
 INSTANTIATE_TEST_SUITE_P(R7Fixtures, LintR7FixtureTest,
-                         ::testing::Values("r7_pcase_osfork.force",
-                                           "r7_askfor_payload.force"),
+                         ::testing::Values("r7_askfor_payload.force"),
                          [](const auto& info) {
                            std::string name = info.param;
                            name = name.substr(0, name.rfind(".force"));
@@ -802,7 +801,7 @@ TEST(LintProgram, MultifileExampleIsCleanWholeProgram) {
 
 // --- R7: process-model portability ------------------------------------------
 
-TEST(LintR7, PcaseUnderOsForkTargetFires) {
+TEST(LintR7, PcaseIsCleanUnderEveryModel) {
   const std::string src =
       "Force S\n"
       "End declarations\n"
@@ -811,35 +810,39 @@ TEST(LintR7, PcaseUnderOsForkTargetFires) {
       "  ;\n"
       "End pcase\n"
       "Join\n";
-  fp::LintOptions opts;
-  opts.target_process_model = "os-fork";
-  fp::DiagSink diags;
-  const fp::LintResult res = fp::run_forcelint(src, opts, diags);
-  EXPECT_TRUE(has_rule(diags, "force-lint-R7")) << diags.render_all("s");
-  EXPECT_FALSE(res.compatible_with("os-fork"));
-  EXPECT_FALSE(res.compatible_with("cluster"));  // inherits the narrowing
-  EXPECT_TRUE(res.compatible_with("thread"));
+  for (const std::string& model : fp::lint_process_models()) {
+    fp::LintOptions opts;
+    opts.target_process_model = model;
+    fp::DiagSink diags;
+    const fp::LintResult res = fp::run_forcelint(src, opts, diags);
+    EXPECT_FALSE(has_rule(diags, "force-lint-R7"))
+        << model << ":\n" << diags.render_all("s");
+    EXPECT_TRUE(res.model_violations.empty()) << model;
+    for (const std::string& other : fp::lint_process_models()) {
+      EXPECT_TRUE(res.compatible_with(other)) << model << " x " << other;
+    }
+  }
 }
 
 TEST(LintR7, MatrixIsComputedEvenWithoutATargetModel) {
   const std::string src =
       "Force S\n"
+      "Async real CELL\n"
+      "Private integer F\n"
       "End declarations\n"
-      "Pcase\n"
-      "Usect\n"
-      "  ;\n"
-      "End pcase\n"
+      "Produce CELL = 1.0\n"
+      "Isfull CELL into F\n"
       "Join\n";
   fp::DiagSink diags;
   const fp::LintResult res = fp::run_forcelint(src, {}, diags);
   // No diagnostic (the program targets the thread model, which accepts
-  // Pcase) but the matrix still records what os-fork would reject.
+  // Isfull) but the matrix still records what cluster would reject.
   EXPECT_FALSE(has_rule(diags, "force-lint-R7")) << diags.render_all("s");
   EXPECT_EQ(res.findings, 0u);
-  EXPECT_FALSE(res.compatible_with("os-fork"));
+  EXPECT_FALSE(res.compatible_with("cluster"));
   ASSERT_FALSE(res.model_violations.empty());
-  EXPECT_EQ(res.model_violations[0].construct, "Pcase");
-  EXPECT_EQ(res.model_violations[0].line, 3);
+  EXPECT_EQ(res.model_violations[0].construct, "Isfull");
+  EXPECT_EQ(res.model_violations[0].line, 6);
 }
 
 TEST(LintR7, NonScalarAskforPayloadIsNotForkPortable) {
@@ -897,21 +900,21 @@ TEST(LintR7, IsfullIsRejectedByTheClusterModelOnly) {
 TEST(LintR7, SuppressionDirectiveCoversR7) {
   const std::string src =
       "Force S\n"
+      "Async real CELL\n"
+      "Private integer F\n"
       "End declarations\n"
+      "Produce CELL = 1.0\n"
       "!force$ lint off(R7)\n"
-      "Pcase\n"
-      "Usect\n"
-      "  ;\n"
-      "End pcase\n"
+      "Isfull CELL into F\n"
       "!force$ lint on(R7)\n"
       "Join\n";
   fp::LintOptions opts;
-  opts.target_process_model = "os-fork";
+  opts.target_process_model = "cluster";
   fp::DiagSink diags;
   const fp::LintResult res = fp::run_forcelint(src, opts, diags);
   EXPECT_EQ(res.findings, 0u) << diags.render_all("s");
   // Suppression silences the diagnostic, not the matrix.
-  EXPECT_FALSE(res.compatible_with("os-fork"));
+  EXPECT_FALSE(res.compatible_with("cluster"));
 }
 
 // --- the machine-readable report --------------------------------------------
@@ -935,24 +938,24 @@ TEST(LintReport, CleanProgramListsOsForkCompatible) {
 
 TEST(LintReport, ViolatingProgramListsTheConstructWithProvenance) {
   const std::vector<fp::LintUnit> units = {
-      {"pcase.force",
+      {"isfull.force",
        "Force S\n"
+       "Async real CELL\n"
+       "Private integer F\n"
        "End declarations\n"
-       "Pcase\n"
-       "Usect\n"
-       "  ;\n"
-       "End pcase\n"
+       "Produce CELL = 1.0\n"
+       "Isfull CELL into F\n"
        "Join\n"}};
   fp::DiagSink diags;
   const fp::LintResult res = fp::run_forcelint_program(units, {}, diags);
   const std::string json = fp::render_lint_report(units, {}, res, diags);
   EXPECT_NE(
-      json.find("{\"model\": \"os-fork\", \"compatible\": false"),
+      json.find("{\"model\": \"cluster\", \"compatible\": false"),
       std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"construct\": \"Pcase\""), std::string::npos);
-  EXPECT_NE(json.find("\"file\": \"pcase.force\""), std::string::npos);
-  EXPECT_NE(json.find("\"line\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"construct\": \"Isfull\""), std::string::npos);
+  EXPECT_NE(json.find("\"file\": \"isfull.force\""), std::string::npos);
+  EXPECT_NE(json.find("\"line\": 6"), std::string::npos);
 }
 
 TEST(LintReport, TranslateRendersReportAndExtraUnits) {
@@ -975,10 +978,10 @@ TEST(LintReport, TranslateRendersReportAndExtraUnits) {
 // --- static R7 matches the runtime's os-fork rejections ---------------------
 
 TEST(LintR7, StaticallyFlagsWhatTheForkBackendRejectsAtRuntime) {
-  // tests/test_process_fork.cpp (ForkConfig.PcaseAndResolveAreRejected,
-  // AskforPayloads) shows the fork backend rejecting Pcase and
-  // non-trivially-copyable askfor payloads at run time; R7 must flag the
-  // dialect-visible subset of exactly those constructs statically.
+  // tests/test_process_fork.cpp (AskforPayloads) shows the fork backend
+  // rejecting non-trivially-copyable askfor payloads at run time, and
+  // (ForkBackend.PcaseAndResolveRunAcrossProcesses) running Pcase; R7
+  // must flag exactly the rejected constructs statically.
   const std::string pcase_src =
       "Force S\n"
       "End declarations\n"
@@ -1005,24 +1008,27 @@ TEST(LintR7, StaticallyFlagsWhatTheForkBackendRejectsAtRuntime) {
       "Join\n";
   fp::LintOptions opts;
   opts.target_process_model = "os-fork";
-  for (const auto* rejected : {&pcase_src, &askfor_src}) {
+  {
     fp::DiagSink diags;
-    const fp::LintResult res = fp::run_forcelint(*rejected, opts, diags);
+    const fp::LintResult res = fp::run_forcelint(askfor_src, opts, diags);
     EXPECT_TRUE(has_rule(diags, "force-lint-R7"));
     EXPECT_FALSE(res.compatible_with("os-fork"));
   }
-  fp::DiagSink diags;
-  const fp::LintResult res = fp::run_forcelint(clean_src, opts, diags);
-  EXPECT_FALSE(has_rule(diags, "force-lint-R7"));
-  EXPECT_TRUE(res.compatible_with("os-fork"));
+  for (const auto* accepted : {&pcase_src, &clean_src}) {
+    fp::DiagSink diags;
+    const fp::LintResult res = fp::run_forcelint(*accepted, opts, diags);
+    EXPECT_FALSE(has_rule(diags, "force-lint-R7")) << *accepted;
+    EXPECT_TRUE(res.compatible_with("os-fork")) << *accepted;
+  }
 }
 
 TEST(LintR7, StaticallyFlagsWhatTheClusterBackendRejectsAtRuntime) {
   // tests/test_cluster.cpp (ClusterRejects.*) shows the cluster backend
-  // rejecting Pcase, non-trivially-copyable askfor payloads and Isfull at
-  // run time with cluster-specific diagnostics; R7 with a cluster target
-  // must flag the dialect-visible form of exactly those constructs
-  // statically, and accept the programs the backend accepts.
+  // rejecting non-trivially-copyable askfor payloads and Isfull at run
+  // time with cluster-specific diagnostics, and (ClusterPcase.*) running
+  // Pcase; R7 with a cluster target must flag the dialect-visible form of
+  // exactly the rejected constructs statically, and accept the programs
+  // the backend accepts.
   const std::string pcase_src =
       "Force S\n"
       "End declarations\n"
@@ -1057,17 +1063,20 @@ TEST(LintR7, StaticallyFlagsWhatTheClusterBackendRejectsAtRuntime) {
       "Join\n";
   fp::LintOptions opts;
   opts.target_process_model = "cluster";
-  for (const auto* rejected : {&pcase_src, &askfor_src, &isfull_src}) {
+  for (const auto* rejected : {&askfor_src, &isfull_src}) {
     fp::DiagSink diags;
     const fp::LintResult res = fp::run_forcelint(*rejected, opts, diags);
     EXPECT_TRUE(has_rule(diags, "force-lint-R7"))
         << diags.render_all("s") << *rejected;
     EXPECT_FALSE(res.compatible_with("cluster")) << *rejected;
   }
-  fp::DiagSink diags;
-  const fp::LintResult res = fp::run_forcelint(clean_src, opts, diags);
-  EXPECT_FALSE(has_rule(diags, "force-lint-R7")) << diags.render_all("s");
-  EXPECT_TRUE(res.compatible_with("cluster"));
+  for (const auto* accepted : {&pcase_src, &clean_src}) {
+    fp::DiagSink diags;
+    const fp::LintResult res = fp::run_forcelint(*accepted, opts, diags);
+    EXPECT_FALSE(has_rule(diags, "force-lint-R7"))
+        << diags.render_all("s") << *accepted;
+    EXPECT_TRUE(res.compatible_with("cluster")) << *accepted;
+  }
 }
 
 }  // namespace

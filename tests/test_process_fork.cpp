@@ -426,6 +426,48 @@ TEST(ForkDeath, AFreshDriverRunsCleanlyAfterADeath) {
   EXPECT_EQ(ok, kNproc);
 }
 
+TEST(ForkBackend, PcaseAndResolveRunAcrossProcesses) {
+  // A selfscheduled Pcase keys its dispatch words by its site, and a
+  // Resolve keys its component and join barriers by its site, so every
+  // process meets the same words in the arena. Counts are per member.
+  force::Force f(fork_config());
+  using Row = std::array<std::int64_t, 3>;
+  auto& blocks = f.shared<std::array<Row, kNproc>>("pcase_blocks");
+  auto& parts = f.shared<std::array<std::int64_t, kNproc>>("resolve_parts");
+  blocks = {};
+  parts = {};
+  f.run([&](core::Ctx& ctx) {
+    const auto me = static_cast<std::size_t>(ctx.me0());
+    Row& mine = blocks[me];
+    ctx.pcase(FORCE_SITE)
+        .sect([&] { ++mine[0]; })
+        .sect_if(false, [&] { ++mine[1]; })
+        .sect([&] { ++mine[2]; })
+        .run_selfsched();
+    const auto part = [&](core::Ctx& sub) {
+      std::int64_t local = 0;
+      sub.selfsched_do(FORCE_SITE, 1, 100, 1,
+                       [&](std::int64_t i) { local += i; });
+      sub.barrier();
+      parts[me] = sub.reduce<std::int64_t>(
+          FORCE_SITE, local, [](std::int64_t a, std::int64_t b) {
+            return a + b;
+          });
+    };
+    ctx.resolve(FORCE_SITE)
+        .component("left", 1, part)
+        .component("right", 1, part)
+        .run();
+  });
+  std::array<std::int64_t, 3> per_block{};
+  for (const Row& row : blocks) {
+    for (std::size_t b = 0; b < row.size(); ++b) per_block[b] += row[b];
+  }
+  EXPECT_EQ(per_block, (std::array<std::int64_t, 3>{1, 0, 1}));
+  // Every member of each component gets its own component's sum.
+  for (std::int64_t p : parts) EXPECT_EQ(p, 5050);
+}
+
 // --- configuration policy ---------------------------------------------------
 
 TEST(ForkConfig, ExplicitSentryIsRejected) {
@@ -440,23 +482,6 @@ TEST(ForkConfig, ExplicitTraceIsRejected) {
   EXPECT_THROW(force::Force f(cfg), force::util::CheckError);
 }
 
-TEST(ForkConfig, ThreadBarrierAlgorithmFactoryIsRejected) {
-  force::Force f(fork_config());
-  EXPECT_THROW(f.env().make_barrier(2, "central-sense"),
-               force::util::CheckError);
-}
-
-TEST(ForkConfig, PcaseAndResolveAreRejected) {
-  force::Force f(fork_config());
-  EXPECT_THROW(f.run([](core::Ctx& ctx) {
-                 (void)ctx.pcase(FORCE_SITE);
-               }),
-               md::ProcessDeathError);
-  EXPECT_THROW(f.run([](core::Ctx& ctx) {
-                 (void)ctx.resolve(FORCE_SITE);
-               }),
-               md::ProcessDeathError);
-}
 
 // --- no process left behind -----------------------------------------------
 //
